@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import shutil
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, detection, dynamics, spectral, tomography
+from . import __version__, csvfile, detection, dynamics, spectral, tomography
 from .constants import KB
 from .errors import ConfigError, LevitomoError
 from .physics import (
@@ -93,12 +94,27 @@ class PipelineSettings:
             if f.type == "bool" or isinstance(f.default, bool):
                 kwargs[f.name] = _parse_bool(f.name, raw)
             elif isinstance(f.default, int):
-                kwargs[f.name] = int(float(raw))
+                kwargs[f.name] = _parse_int(f.name, raw)
             elif isinstance(f.default, float):
-                kwargs[f.name] = float(raw)
+                kwargs[f.name] = _parse_float(f.name, raw)
             else:
                 kwargs[f.name] = str(raw)
         return cls(**kwargs)
+
+
+def _parse_int(key: str, raw) -> int:
+    """An integer literal; a fractional or non-numeric value is an error, never truncated."""
+    try:
+        return int(str(raw))
+    except ValueError:
+        raise ConfigError(f"cannot parse {key!r}: expected an integer, got {raw!r}") from None
+
+
+def _parse_float(key: str, raw) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(f"cannot parse {key!r}: expected a number, got {raw!r}") from None
 
 
 def _parse_bool(key: str, raw) -> bool:
@@ -216,11 +232,7 @@ def _auto_segment_len(n_samples: int, requested: int) -> int:
 
 
 def _columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = np.column_stack(columns)
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    csvfile.write_columns(path, header, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +588,8 @@ def _run_pipeline(config, settings, seed, out_dir, manifest, config_inputs):
         tomography.save_wigner(wigner, paths["wigner"])
         tomography.save_report(report, paths["analyze"])
         stage.outputs.extend(paths.values())
-        fig2b = plot_dir / "fig2b_marginals.csv"
-        tomography.save_marginals(marginals, fig2b)
-        fig2c = plot_dir / "fig2c_wigner.csv"
-        tomography.save_wigner(wigner, fig2c)
+        fig2b = shutil.copyfile(paths["marginals"], plot_dir / "fig2b_marginals.csv")
+        fig2c = shutil.copyfile(paths["wigner"], plot_dir / "fig2c_wigner.csv")
         stage.outputs.extend([fig2b, fig2c])
         style["figures"]["fig2b"] = {"matrix": "rows z, columns theta", "kind": "heatmap"}
         style["figures"]["fig2c"] = {"matrix": "rows z, columns p/(m omega)", "kind": "heatmap"}
@@ -606,8 +616,7 @@ def _run_fock_oracle(settings, out_dir, plot_dir, manifest, style):
         tomography.save_wigner(wigner, paths["wigner"])
         tomography.save_report(report, paths["analyze"])
         stage.outputs.extend(paths.values())
-        fig2c = plot_dir / "fig2c_wigner.csv"
-        tomography.save_wigner(wigner, fig2c)
+        fig2c = shutil.copyfile(paths["wigner"], plot_dir / "fig2c_wigner.csv")
         stage.outputs.append(fig2c)
         style["figures"]["fig2c"] = {
             "matrix": "rows z, columns p (natural units)",
@@ -628,8 +637,7 @@ def _run_decoherence_stage(config, settings, dq, out_dir, plot_dir, manifest, st
         tau_col = np.array([tau for _, tau in curve])
         path = out_dir / "decoherence.csv"
         _columns_csv(path, ["delta_z_m", "tau_s"], [dz_col, tau_col])
-        fig3 = plot_dir / "fig3_decoherence.csv"
-        _columns_csv(fig3, ["delta_z_m", "tau_s"], [dz_col, tau_col])
+        fig3 = shutil.copyfile(path, plot_dir / "fig3_decoherence.csv")
         stage.outputs.extend([path, fig3])
         style["figures"]["fig3"] = {
             "x": "delta_z_m",
@@ -661,7 +669,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override a configuration key (repeatable)",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker cap; results are independent of it")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,6 @@ two Poisson arms), and detector electronics add zero-mean Gaussian counts.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -31,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import csvfile
 from .constants import C, EPS0, HBAR
 from .errors import DetectionError
 from .dynamics import Trajectory
@@ -369,11 +369,7 @@ def compare_noise_floor(rec_ch: CountRecord, rec_cbh: CountRecord) -> NoiseFloor
 def save_count_record(rec: CountRecord, path: str | Path) -> Path:
     """Write ``t_s,counts`` CSV plus a JSON sidecar with scheme and constants."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "counts"])
-        for t, n in zip(rec.window_start_s, rec.counts):
-            writer.writerow([f"{t:.17g}", f"{n:.17g}"])
+    csvfile.write_columns(path, ["t_s", "counts"], [rec.window_start_s, rec.counts], line_end=csvfile.CRLF)
     c1, c2, d = rec.linear_constants
     sidecar = path.with_suffix(".json")
     sidecar.write_text(

@@ -13,15 +13,14 @@ exact conditional covariance), so results carry no step-size bias.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter, lfiltic
 
+from . import csvfile
 from .constants import KB, M_GAS_AIR
 from .errors import ConfigError, SimulationError
 from .physics import DerivedQuantities, ExperimentConfig
@@ -194,6 +193,8 @@ def _propagate_position(m, var_z, var_v, temp, x0, n_total, rng) -> np.ndarray:
     eps_n = eta_n,z - M22 eta_{n-1},z + M12 eta_{n-1},v,
     and driven through ``scipy.signal.lfilter`` so long records stay cheap.
     """
+    from scipy.signal import lfilter, lfiltic
+
     tr_m = m[0, 0] + m[1, 1]
     det_m = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if temp > 0:
@@ -315,11 +316,7 @@ def oracle_marginals(
 def save_trajectory(traj: Trajectory, path: str | Path) -> Path:
     """Write ``t_s,z_m`` CSV at full double precision plus a JSON sidecar."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "z_m"])
-        for t, z in zip(traj.times_s, traj.z_m):
-            writer.writerow([f"{t:.17g}", f"{z:.17g}"])
+    csvfile.write_columns(path, ["t_s", "z_m"], [traj.times_s, traj.z_m], line_end=csvfile.CRLF)
     sidecar = path.with_suffix(".json")
     sidecar.write_text(
         json.dumps(

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.signal import welch
 
 from .constants import KB
 from .errors import SpectralError
@@ -64,6 +62,8 @@ def estimate_psd(samples, sample_rate_Hz: float, segment_len: int, overlap_fract
             f"{x.size} samples give {n_segments} segments of {segment_len};"
             f" need at least {required} samples for {MIN_SEGMENTS} segments"
         )
+    from scipy.signal import welch
+
     freqs, power = welch(
         x,
         fs=sample_rate_Hz,
@@ -154,6 +154,8 @@ def fit_lorentzian(psd: Psd, guess_window: tuple[float, float]) -> LorentzianFit
             return np.full(data.shape, 1e6)
         ratio = data / model
         return np.sign(ratio - 1.0) * np.sqrt(2.0 * np.maximum(ratio - np.log(ratio) - 1.0, 0.0))
+
+    from scipy.optimize import least_squares
 
     result = least_squares(residuals, np.ones(4), method="lm", max_nfev=2000)
     if not result.success:

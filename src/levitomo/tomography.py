@@ -23,15 +23,14 @@ outside measured data.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
+from . import csvfile
 from .dynamics import Trajectory
 from .errors import TomographyError
 
@@ -252,6 +251,8 @@ def project_marginal(w: WignerGrid, theta: float) -> np.ndarray:
     """
     if not 0.0 <= theta < _TWO_PI:
         raise TomographyError(f"theta must lie in [0, 2 pi), got {theta!r}")
+    from scipy.interpolate import RegularGridInterpolator
+
     interp = RegularGridInterpolator(
         (w.z_grid_m, w.p_grid), w.values, method="linear", bounds_error=False, fill_value=0.0
     )
@@ -353,22 +354,22 @@ def analyze(w: WignerGrid) -> WignerReport:
 
 def save_marginals(marginals: MarginalSet, path: str | Path) -> None:
     """CSV matrix: rows are z grid points, one column per angle bin."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z_m"] + [f"theta_{theta:.9g}" for theta in marginals.angles_rad])
-        for i, z in enumerate(marginals.z_grid_m):
-            writer.writerow([f"{z:.17g}"] + [f"{v:.17g}" for v in marginals.densities[:, i]])
+    csvfile.write_columns(
+        path,
+        ["z_m"] + [f"theta_{theta:.9g}" for theta in marginals.angles_rad],
+        [marginals.z_grid_m, *marginals.densities],
+        line_end=csvfile.CRLF,
+    )
 
 
 def save_wigner(w: WignerGrid, path: str | Path) -> None:
     """CSV matrix with axis header rows: momentum axis first, then z rows."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z_m\\p_over_m_omega_m"] + [f"{p:.17g}" for p in w.p_grid])
-        for i, z in enumerate(w.z_grid_m):
-            writer.writerow([f"{z:.17g}"] + [f"{v:.17g}" for v in w.values[i]])
+    csvfile.write_columns(
+        path,
+        ["z_m\\p_over_m_omega_m"] + csvfile.format_numbers(w.p_grid),
+        [w.z_grid_m, *w.values.T],
+        line_end=csvfile.CRLF,
+    )
 
 
 def save_report(report: WignerReport, path: str | Path) -> None:

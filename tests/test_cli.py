@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from levitomo.cli import main
+import levitomo
+from levitomo.cli import PipelineSettings, main
 from levitomo.physics import decoherence_time, default_config, derive
 
 TWO_PI = 2.0 * math.pi
@@ -48,6 +53,40 @@ def test_missing_config_exits_2_and_names_path(tmp_path, capsys):
 def test_unknown_set_key_exits_2(tmp_path, capsys):
     assert run(["derive", "--out", tmp_path, "--set", "wavelenth_m=1e-6"]) == 2
     assert "wavelenth_m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["90.7", "abc", "90.0", "1e2", ""])
+def test_integer_setting_is_never_truncated(tmp_path, capsys, value):
+    assert run(["derive", "--out", tmp_path, "--set", f"n_angles={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "n_angles" in err and "integer" in err
+
+
+def test_fractional_integer_setting_fails_before_any_stage(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["pipeline", "--seed", 1, "--out", out, "--set", "marginal_grid_points=129.5"]) == 2
+    assert "marginal_grid_points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unparsable_float_setting_exits_2(tmp_path, capsys):
+    assert run(["derive", "--out", tmp_path, "--set", "sim_duration_s=abc"]) == 2
+    assert "sim_duration_s" in capsys.readouterr().err
+
+
+def test_integer_settings_accept_integer_literals():
+    settings = PipelineSettings.from_mapping({"n_angles": " 120 ", "psd_segment_len": "+4096", "decoherence_points": 7})
+    assert (settings.n_angles, settings.psd_segment_len, settings.decoherence_points) == (120, 4096, 7)
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is imported inside the functions that use it, so derive/decoherence/fock1 runs never load it."""
+    src = str(Path(levitomo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, levitomo.cli; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy' and m.count('.') < 2))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(result.stdout.split())
+    assert not loaded, f"import levitomo.cli loaded {sorted(loaded)}"
 
 
 def test_decoherence_single_point(tmp_path):
@@ -189,14 +228,6 @@ def test_tomo_subcommand(tmp_path):
     assert abs(report["total_integral"] - 1.0) < 0.05
     assert (tmp_path / "marginals.csv").is_file()
     assert (tmp_path / "wigner.csv").is_file()
-
-
-def test_threads_flag_does_not_change_results(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert run(["pipeline", "--seed", 11, "--out", out_a, "--threads", 1] + FAST_PIPELINE) == 0
-    assert run(["pipeline", "--seed", 11, "--out", out_b, "--threads", 8] + FAST_PIPELINE) == 0
-    assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
-    assert (out_a / "wigner.csv").read_bytes() == (out_b / "wigner.csv").read_bytes()
 
 
 def test_pipeline_exact_detection_model(tmp_path):
