@@ -9,6 +9,9 @@ Subcommands
     decoherence  superposition-size decoherence curve -> CSV
     pipeline     simulate -> detect -> invert -> PSD/fit -> bin -> reconstruct
 
+Each subcommand other than ``pipeline`` loads its input and runs one stage of
+the pipeline through the same function and with the same stage seed, so
+``simulate`` then ``detect`` with one ``--seed`` write the pipeline's files.
 Every run is reproducible: (config, seed) determine all artifacts, and
 ``manifest.json`` records the resolved configuration plus a digest of every
 file the run read or wrote. Wall-clock timings go to a sibling
@@ -23,10 +26,10 @@ import dataclasses
 import hashlib
 import json
 import math
-import shutil
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +38,8 @@ from . import __version__, csvfile, detection, dynamics, spectral, tomography
 from .constants import KB
 from .errors import ConfigError, LevitomoError
 from .physics import (
-    DerivedQuantities,
     ExperimentConfig,
+    _coerce,
     decoherence_curve,
     default_config,
     derive,
@@ -44,6 +47,14 @@ from .physics import (
 )
 
 _TWO_PI = 2.0 * math.pi
+
+# allowed values of the settings that name a choice
+_CHOICES = {
+    "sim_state": ("thermal", "coherent", "fock1"),
+    "scheme": ("ch", "cbh", "both"),
+    "detection_model": ("linear", "exact"),  # exact handles large excursions, e.g. 300 K
+    "calibration": ("auto", "linear", "equipartition"),
+}
 
 
 @dataclass(frozen=True)
@@ -60,15 +71,15 @@ class PipelineSettings:
     sim_duration_s: float = 1.0
     sim_sample_rate_hz: float = 1e6
     sim_temperature_K: float = 0.03
-    sim_state: str = "thermal"  # thermal | coherent | fock1
+    sim_state: str = "thermal"
     coherent_amplitude_m: float = 2e-9
     coherent_phase_rad: float = 0.0
-    scheme: str = "both"  # ch | cbh | both
-    detection_model: str = "linear"  # linear | exact (exact handles large excursions, e.g. 300 K)
+    scheme: str = "both"
+    detection_model: str = "linear"
     shot_noise: bool = True
     electronic_noise_counts_rms: float = 0.0
     linearity_guard: float = 0.35
-    calibration: str = "auto"  # auto | linear | equipartition
+    calibration: str = "auto"  # auto: equipartition for a thermal record with shot noise, else linear
     n_angles: int = 90
     marginal_grid_points: int = 129
     marginal_span_sigmas: float = 5.0
@@ -90,16 +101,32 @@ class PipelineSettings:
         for f in fields(cls):
             if f.name not in mapping:
                 continue
-            raw = mapping[f.name]
-            if f.type == "bool" or isinstance(f.default, bool):
-                kwargs[f.name] = _parse_bool(f.name, raw)
-            elif isinstance(f.default, int):
+            raw, kind = mapping[f.name], type(f.default)
+            if kind is int:
                 kwargs[f.name] = _parse_int(f.name, raw)
-            elif isinstance(f.default, float):
-                kwargs[f.name] = _parse_float(f.name, raw)
+            elif kind in (bool, float):
+                kwargs[f.name] = _coerce(f.name, raw, kind)
             else:
                 kwargs[f.name] = str(raw)
         return cls(**kwargs)
+
+    def validate(self) -> None:
+        """Reject settings that no stage can run with, before any stage runs."""
+        for name in ("sim_duration_s", "sim_sample_rate_hz", "sim_temperature_K"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+        zmin, zmax, npoints = self.decoherence_zmin_m, self.decoherence_zmax_m, self.decoherence_points
+        if not (0 < zmin < zmax and math.isfinite(zmax) and npoints >= 1):
+            raise ConfigError(
+                "need 0 < decoherence_zmin_m < decoherence_zmax_m (finite) and decoherence_points >= 1,"
+                f" got {zmin!r}, {zmax!r}, {npoints!r}"
+            )
+        if not 0 < self.cutoff_fraction <= 1:
+            raise ConfigError(f"cutoff_fraction must be in (0, 1], got {self.cutoff_fraction!r}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {getattr(self, name)!r}")
 
 
 def _parse_int(key: str, raw) -> int:
@@ -110,31 +137,14 @@ def _parse_int(key: str, raw) -> int:
         raise ConfigError(f"cannot parse {key!r}: expected an integer, got {raw!r}") from None
 
 
-def _parse_float(key: str, raw) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse {key!r}: expected a number, got {raw!r}") from None
-
-
-def _parse_bool(key: str, raw) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    low = str(raw).strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"cannot parse {key!r}: expected a boolean, got {raw!r}")
-
-
 def resolve_settings(
     config_path: str | None, overrides: list[str]
 ) -> tuple[ExperimentConfig, PipelineSettings, dict]:
     """Merge config file (or built-in defaults) with ``--set key=value`` overrides.
 
-    Returns the experiment config, pipeline settings and the resolved snapshot
-    mapping that goes into the manifest. Unknown keys are an error.
+    Returns the experiment config, the validated pipeline settings and the
+    resolved snapshot mapping that goes into the manifest. Unknown keys are an
+    error.
     """
     exp_keys = set(ExperimentConfig.field_names())
     pipe_keys = set(PipelineSettings.field_names())
@@ -159,6 +169,7 @@ def resolve_settings(
     else:
         config = base
     settings = PipelineSettings.from_mapping({k: v for k, v in mapping.items() if k in pipe_keys})
+    settings.validate()
     snapshot = {name: getattr(config, name) for name in sorted(exp_keys)}
     snapshot.update({name: getattr(settings, name) for name in sorted(pipe_keys)})
     return config, settings, snapshot
@@ -220,10 +231,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _derived_dict(dq: DerivedQuantities) -> dict:
-    return dataclasses.asdict(dq)
-
-
 def _auto_segment_len(n_samples: int, requested: int) -> int:
     if requested:
         return requested
@@ -236,36 +243,27 @@ def _columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> No
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# stages: each computes one step of the chain, writes its artifacts into
+# ``out_dir`` and appends their paths to ``outputs``
 
 
-def cmd_derive(args) -> int:
-    config, _, snapshot = resolve_settings(args.config, args.set or [])
-    dq = derive(config)
-    payload = _derived_dict(dq)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "derived.json", payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
+def _stage_seeds(seed: int) -> tuple[int, int, int]:
+    """Seeds of the simulate, ch-detect and cbh-detect stages of run seed ``seed``."""
+    sim, ch, cbh = (int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(3))
+    return sim, ch, cbh
 
 
-def cmd_simulate(args) -> int:
-    config, settings, _ = resolve_settings(args.config, args.set or [])
-    state = args.state or settings.sim_state
-    dq = derive(config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if state == "thermal":
+def _simulate(config, settings, dq, seed, out_dir, outputs) -> dynamics.Trajectory:
+    if settings.sim_state == "thermal":
         traj = dynamics.simulate_thermal(
             config,
             dq,
             settings.sim_duration_s,
             settings.sim_sample_rate_hz,
-            args.seed,
+            _stage_seeds(seed)[0],
             temperature_K=settings.sim_temperature_K,
         )
-    elif state == "coherent":
+    elif settings.sim_state == "coherent":
         traj = dynamics.simulate_coherent(
             dq,
             settings.coherent_amplitude_m,
@@ -274,69 +272,59 @@ def cmd_simulate(args) -> int:
             settings.sim_sample_rate_hz,
         )
     else:
-        raise ConfigError(f"state {state!r} has no trajectory simulation (fock1 is an oracle state)")
-    dynamics.save_trajectory(traj, out_dir / "trajectory.csv")
-    print(f"wrote {out_dir / 'trajectory.csv'}")
-    return 0
+        raise ConfigError(
+            f"state {settings.sim_state!r} has no trajectory simulation (fock1 is an oracle state)"
+        )
+    path = out_dir / "trajectory.csv"
+    outputs += [path, dynamics.save_trajectory(traj, path)]
+    return traj
 
 
-def _detect_schemes(settings: PipelineSettings, scheme_flag: str | None) -> list[str]:
-    scheme = scheme_flag or settings.scheme
-    if scheme == "both":
-        return ["ch", "cbh"]
-    if scheme in detection.SCHEMES:
-        return [scheme]
-    raise ConfigError(f"scheme must be ch, cbh or both, got {scheme!r}")
-
-
-def _detection_params(config: ExperimentConfig, settings: PipelineSettings, scheme: str):
-    return detection.params_from_config(
-        config,
-        scheme,
-        shot_noise=settings.shot_noise,
-        electronic_noise_counts_rms=settings.electronic_noise_counts_rms,
-        linearity_guard=settings.linearity_guard,
-    )
-
-
-def _detect(traj, params, settings: PipelineSettings, seed: int):
-    if settings.detection_model == "exact":
-        return detection.detect_exact(traj, params, seed=seed)
-    if settings.detection_model == "linear":
-        return detection.detect_linear(traj, params, seed=seed)
-    raise ConfigError(f"detection_model must be linear or exact, got {settings.detection_model!r}")
-
-
-def cmd_detect(args) -> int:
-    config, settings, _ = resolve_settings(args.config, args.set or [])
-    traj = dynamics.load_trajectory(args.traj)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = np.random.SeedSequence(args.seed).spawn(2)
-    for scheme, seed_seq in zip(("ch", "cbh"), seeds):
-        if scheme not in _detect_schemes(settings, args.scheme):
+def _detect(config, settings, traj, seed, out_dir, outputs) -> dict[str, detection.CountRecord]:
+    detect = detection.detect_exact if settings.detection_model == "exact" else detection.detect_linear
+    records = {}
+    for scheme, det_seed in zip(detection.SCHEMES, _stage_seeds(seed)[1:]):
+        if settings.scheme not in (scheme, "both"):
             continue
-        params = _detection_params(config, settings, scheme)
-        rec = _detect(traj, params, settings, int(seed_seq.generate_state(1)[0]))
-        detection.save_count_record(rec, out_dir / f"counts_{scheme}.csv")
-        print(f"wrote {out_dir / f'counts_{scheme}.csv'}")
-    return 0
+        params = detection.params_from_config(
+            config,
+            scheme,
+            shot_noise=settings.shot_noise,
+            electronic_noise_counts_rms=settings.electronic_noise_counts_rms,
+            linearity_guard=settings.linearity_guard,
+        )
+        records[scheme] = detect(traj, params, seed=det_seed)
+        path = out_dir / f"counts_{scheme}.csv"
+        outputs += [path, detection.save_count_record(records[scheme], path)]
+    return records
 
 
-def cmd_psd(args) -> int:
-    config, settings, _ = resolve_settings(args.config, args.set or [])
-    traj = dynamics.load_trajectory(args.traj)
-    dq = derive(config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    segment = _auto_segment_len(len(traj.z_m), settings.psd_segment_len)
-    psd = spectral.estimate_psd(traj.z_m, traj.sample_rate_Hz, segment, settings.psd_overlap)
-    _columns_csv(out_dir / "psd.csv", ["freq_Hz", "power"], [psd.freqs_Hz, psd.power])
+def _invert(settings, dq, record, out_dir, outputs) -> dynamics.Trajectory:
+    """Calibrated positions; ``auto`` rescales to equipartition only a thermal record with shot noise."""
+    calibration = settings.calibration
+    if calibration == "auto":
+        thermal_noisy = settings.sim_state == "thermal" and settings.shot_noise
+        calibration = "equipartition" if thermal_noisy else "linear"
+    target_var = KB * settings.sim_temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
+    inverted = detection.invert_counts(record, calibration=calibration, target_variance_m2=target_var)
+    path = out_dir / "inverted.csv"
+    outputs += [path, dynamics.save_trajectory(inverted, path)]
+    return inverted
+
+
+def _fit_line(series, dq, settings) -> tuple[spectral.Psd, spectral.LorentzianFit]:
+    segment = _auto_segment_len(len(series.z_m), settings.psd_segment_len)
+    psd = spectral.estimate_psd(series.z_m, series.sample_rate_Hz, segment, settings.psd_overlap)
     f0 = dq.omega_s_rad_s / _TWO_PI
-    fit = spectral.fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
-    snr = spectral.noise_floor_and_snr(psd, fit)
+    return psd, spectral.fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
+
+
+def _save_line(psd, fit, out_dir, suffix, outputs) -> None:
+    """Write ``psd<suffix>.csv`` and the line fit ``fit<suffix>.json``."""
+    psd_path, fit_path = out_dir / f"psd{suffix}.csv", out_dir / f"fit{suffix}.json"
+    _columns_csv(psd_path, ["freq_Hz", "power"], [psd.freqs_Hz, psd.power])
     _write_json(
-        out_dir / "fit.json",
+        fit_path,
         {
             "omega0_rad_s": fit.omega0_rad_s,
             "linewidth_rad_s": fit.linewidth_rad_s,
@@ -344,74 +332,113 @@ def cmd_psd(args) -> int:
             "noise_floor": fit.noise_floor,
             "residual_rms": fit.residual_rms,
             "covariance": fit.covariance.tolist(),
-            "snr_db": snr.snr_db,
+            "snr_db": spectral.noise_floor_and_snr(psd, fit).snr_db,
         },
     )
-    print(f"wrote {out_dir / 'psd.csv'} and {out_dir / 'fit.json'}")
+    outputs += [psd_path, fit_path]
+
+
+def _reconstruct(marginals, grid_size, cutoff_fraction, out_dir, outputs) -> tomography.WignerReport:
+    wigner = tomography.inverse_radon(marginals, grid_size, cutoff_fraction=cutoff_fraction)
+    report = tomography.analyze(wigner)
+    paths = [out_dir / "marginals.csv", out_dir / "wigner.csv", out_dir / "analyze.json"]
+    tomography.save_marginals(marginals, paths[0])
+    tomography.save_wigner(wigner, paths[1])
+    tomography.save_report(report, paths[2])
+    outputs += paths
+    return report
+
+
+def _tomography(series, omega_rad_s, settings, out_dir, outputs) -> tomography.WignerReport:
+    grid = tomography.default_z_grid(series.z_m, settings.marginal_grid_points, settings.marginal_span_sigmas)
+    marginals = tomography.bin_marginals(series, omega_rad_s, settings.n_angles, grid)
+    return _reconstruct(marginals, settings.wigner_grid_size, settings.cutoff_fraction, out_dir, outputs)
+
+
+def _decoherence(settings, dq, out_dir, outputs) -> None:
+    zmin, zmax, n = settings.decoherence_zmin_m, settings.decoherence_zmax_m, settings.decoherence_points
+    grid = np.logspace(math.log10(zmin), math.log10(zmax), n) if n > 1 else np.array([zmin])
+    curve = np.array(decoherence_curve(grid, dq))
+    path = out_dir / "decoherence.csv"
+    _columns_csv(path, ["delta_z_m", "tau_s"], [curve[:, 0], curve[:, 1]])
+    outputs.append(path)
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def _load(args) -> tuple[ExperimentConfig, PipelineSettings, dict]:
+    """Resolve ``--config`` and ``--set``; a flag named after a setting (``--state``) overrides both."""
+    overrides = list(args.set or [])
+    for name in PipelineSettings.field_names():
+        if getattr(args, name, None) is not None:
+            overrides.append(f"{name}={getattr(args, name)}")
+    return resolve_settings(args.config, overrides)
+
+
+def _out_dir(args) -> Path:
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _print_written(outputs: list[Path]) -> int:
+    print("wrote " + ", ".join(str(path) for path in outputs))
     return 0
 
 
+def cmd_derive(args) -> int:
+    config, _, _ = _load(args)
+    payload = dataclasses.asdict(derive(config))
+    _write_json(_out_dir(args) / "derived.json", payload)
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0
+
+
+def cmd_simulate(args) -> int:
+    config, settings, _ = _load(args)
+    outputs: list[Path] = []
+    _simulate(config, settings, derive(config), args.seed, _out_dir(args), outputs)
+    return _print_written(outputs)
+
+
+def cmd_detect(args) -> int:
+    config, settings, _ = _load(args)
+    outputs: list[Path] = []
+    _detect(config, settings, dynamics.load_trajectory(args.traj), args.seed, _out_dir(args), outputs)
+    return _print_written(outputs)
+
+
+def cmd_psd(args) -> int:
+    config, settings, _ = _load(args)
+    psd, fit = _fit_line(dynamics.load_trajectory(args.traj), derive(config), settings)
+    outputs: list[Path] = []
+    _save_line(psd, fit, _out_dir(args), "", outputs)
+    return _print_written(outputs)
+
+
 def cmd_tomo(args) -> int:
-    config, settings, _ = resolve_settings(args.config, args.set or [])
+    config, settings, _ = _load(args)
     traj = dynamics.load_trajectory(args.traj)
-    dq = derive(config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    segment = _auto_segment_len(len(traj.z_m), settings.psd_segment_len)
-    psd = spectral.estimate_psd(traj.z_m, traj.sample_rate_Hz, segment, settings.psd_overlap)
-    f0 = dq.omega_s_rad_s / _TWO_PI
-    fit = spectral.fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
-    grid = tomography.default_z_grid(
-        traj.z_m, settings.marginal_grid_points, settings.marginal_span_sigmas
-    )
-    marginals = tomography.bin_marginals(traj, fit.omega0_rad_s, settings.n_angles, grid)
-    wigner = tomography.inverse_radon(
-        marginals, settings.wigner_grid_size, cutoff_fraction=settings.cutoff_fraction
-    )
-    report = tomography.analyze(wigner)
-    tomography.save_marginals(marginals, out_dir / "marginals.csv")
-    tomography.save_wigner(wigner, out_dir / "wigner.csv")
-    tomography.save_report(report, out_dir / "analyze.json")
+    _, fit = _fit_line(traj, derive(config), settings)
+    report = _tomography(traj, fit.omega0_rad_s, settings, _out_dir(args), [])
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_decoherence(args) -> int:
-    config, settings, _ = resolve_settings(args.config, args.set or [])
-    zmin = args.zmin if args.zmin is not None else settings.decoherence_zmin_m
-    zmax = args.zmax if args.zmax is not None else settings.decoherence_zmax_m
-    npoints = args.npoints if args.npoints is not None else settings.decoherence_points
-    if not 0 < zmin < zmax or npoints < 1:
-        raise ConfigError(f"need 0 < zmin < zmax and npoints >= 1, got {zmin!r}, {zmax!r}, {npoints!r}")
-    dq = derive(config)
-    grid = np.logspace(math.log10(zmin), math.log10(zmax), npoints) if npoints > 1 else np.array([zmin])
-    curve = decoherence_curve(grid, dq)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _columns_csv(
-        out_dir / "decoherence.csv",
-        ["delta_z_m", "tau_s"],
-        [np.array([dz for dz, _ in curve]), np.array([tau for _, tau in curve])],
-    )
-    print(f"wrote {out_dir / 'decoherence.csv'}")
-    return 0
+    config, settings, _ = _load(args)
+    outputs: list[Path] = []
+    _decoherence(settings, derive(config), _out_dir(args), outputs)
+    return _print_written(outputs)
 
 
 def cmd_pipeline(args) -> int:
-    config, settings, snapshot = resolve_settings(args.config, args.set or [])
-    if args.state:
-        settings = replace(settings, sim_state=args.state)
-        snapshot["sim_state"] = args.state
-    if args.scheme:
-        settings = replace(settings, scheme=args.scheme)
-        snapshot["scheme"] = args.scheme
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    config, settings, snapshot = _load(args)
+    out_dir = _out_dir(args)
     manifest = RunManifest(snapshot, args.seed, out_dir)
-    config_inputs: dict[str, Path] = {}
-    if args.config:
-        config_inputs["config_file"] = Path(args.config)
-
+    config_inputs = {"config_file": Path(args.config)} if args.config else {}
     try:
         _run_pipeline(config, settings, args.seed, out_dir, manifest, config_inputs)
     except LevitomoError as exc:
@@ -423,236 +450,97 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+@contextmanager
 def _stage(manifest: RunManifest, name: str, inputs: dict[str, Path]):
-    """Context manager recording one stage's outputs and timing."""
-
-    class _Recorder:
-        def __init__(self):
-            self.outputs: list[Path] = []
-
-        def __enter__(self):
-            self._start = time.perf_counter()
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc_type is None:
-                manifest.record(name, inputs, self.outputs, time.perf_counter() - self._start)
-            return False
-
-    return _Recorder()
+    """Yield the list a stage appends its outputs to; record them and the timing if it succeeds."""
+    outputs: list[Path] = []
+    start = time.perf_counter()
+    yield outputs
+    manifest.record(name, inputs, outputs, time.perf_counter() - start)
 
 
 def _run_pipeline(config, settings, seed, out_dir, manifest, config_inputs):
+    """Run every stage in order; ``plotdata/style.json`` names each figure's source file."""
     dq = derive(config)
     plot_dir = out_dir / "plotdata"
     plot_dir.mkdir(exist_ok=True)
-    style: dict = {"figures": {}}
+    figures: dict = {}
 
-    with _stage(manifest, "derive", config_inputs) as stage:
+    with _stage(manifest, "derive", config_inputs) as outputs:
         path = out_dir / "derived.json"
-        _write_json(path, _derived_dict(dq))
-        stage.outputs.append(path)
+        _write_json(path, dataclasses.asdict(dq))
+        outputs.append(path)
 
     if settings.sim_state == "fock1":
-        _run_fock_oracle(settings, out_dir, plot_dir, manifest, style)
-        _run_decoherence_stage(config, settings, dq, out_dir, plot_dir, manifest, style)
-        _write_style(plot_dir, style, manifest)
-        return
-
-    seed_seq = np.random.SeedSequence(seed)
-    sim_seed, ch_seed, cbh_seed = (int(s.generate_state(1)[0]) for s in seed_seq.spawn(3))
-
-    with _stage(manifest, "simulate", config_inputs) as stage:
-        if settings.sim_state == "thermal":
-            traj = dynamics.simulate_thermal(
-                config,
-                dq,
-                settings.sim_duration_s,
-                settings.sim_sample_rate_hz,
-                sim_seed,
-                temperature_K=settings.sim_temperature_K,
-            )
-        elif settings.sim_state == "coherent":
-            traj = dynamics.simulate_coherent(
-                dq,
-                settings.coherent_amplitude_m,
-                settings.coherent_phase_rad,
-                settings.sim_duration_s,
-                settings.sim_sample_rate_hz,
-            )
-        else:
-            raise ConfigError(f"unknown state {settings.sim_state!r}")
-        traj_path = out_dir / "trajectory.csv"
-        sidecar = dynamics.save_trajectory(traj, traj_path)
-        stage.outputs.extend([traj_path, sidecar])
-
-    schemes = _detect_schemes(settings, None)
-    records: dict[str, detection.CountRecord] = {}
-    with _stage(manifest, "detect", {"trajectory": out_dir / "trajectory.csv"}) as stage:
-        for scheme, det_seed in (("ch", ch_seed), ("cbh", cbh_seed)):
-            if scheme not in schemes:
-                continue
-            params = _detection_params(config, settings, scheme)
-            records[scheme] = _detect(traj, params, settings, det_seed)
-            path = out_dir / f"counts_{scheme}.csv"
-            sidecar = detection.save_count_record(records[scheme], path)
-            stage.outputs.extend([path, sidecar])
-
-    primary = records.get("cbh") or records["ch"]
-    calibration = settings.calibration
-    if calibration == "auto":
-        calibration = "equipartition" if settings.shot_noise else "linear"
-    target_var = KB * settings.sim_temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
-    with _stage(manifest, "invert", {}) as stage:
-        inverted = detection.invert_counts(
-            primary,
-            calibration=calibration,
-            target_variance_m2=target_var if calibration == "equipartition" else None,
-        )
-        path = out_dir / "inverted.csv"
-        sidecar = dynamics.save_trajectory(inverted, path)
-        stage.outputs.extend([path, sidecar])
-        n_plot = min(len(inverted.z_m), 2000)
-        fig2a = plot_dir / "fig2a_position_signal.csv"
-        _columns_csv(fig2a, ["t_s", "z_m"], [inverted.times_s[:n_plot], inverted.z_m[:n_plot]])
-        stage.outputs.append(fig2a)
-        style["figures"]["fig2a"] = {"x": "t_s", "y": "z_m", "kind": "line"}
-
-    f0 = dq.omega_s_rad_s / _TWO_PI
-    fits: dict[str, spectral.LorentzianFit] = {}
-    psds: dict[str, spectral.Psd] = {}
-    with _stage(manifest, "spectral", {}) as stage:
-        for scheme, rec in records.items():
-            series = detection.invert_counts(rec, calibration="linear")
-            segment = _auto_segment_len(len(series.z_m), settings.psd_segment_len)
-            psd = spectral.estimate_psd(series.z_m, series.sample_rate_Hz, segment, settings.psd_overlap)
-            psds[scheme] = psd
-            path = out_dir / f"psd_{scheme}.csv"
-            _columns_csv(path, ["freq_Hz", "power"], [psd.freqs_Hz, psd.power])
-            stage.outputs.append(path)
-            fit = spectral.fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
-            fits[scheme] = fit
-            snr = spectral.noise_floor_and_snr(psd, fit)
-            fit_path = out_dir / f"fit_{scheme}.json"
-            _write_json(
-                fit_path,
-                {
-                    "omega0_rad_s": fit.omega0_rad_s,
-                    "linewidth_rad_s": fit.linewidth_rad_s,
-                    "amplitude": fit.amplitude,
-                    "noise_floor": fit.noise_floor,
-                    "residual_rms": fit.residual_rms,
-                    "covariance": fit.covariance.tolist(),
-                    "snr_db": snr.snr_db,
-                },
-            )
-            stage.outputs.append(fit_path)
-        if len(records) == 2:
-            report = detection.compare_noise_floor(records["ch"], records["cbh"])
-            path = out_dir / "noise_floors.json"
-            _write_json(path, dataclasses.asdict(report))
-            stage.outputs.append(path)
-            common = psds["ch"].freqs_Hz
-            fig2d = plot_dir / "fig2d_psd.csv"
-            _columns_csv(
-                fig2d,
-                ["freq_Hz", "psd_ch", "psd_cbh"],
-                [common, psds["ch"].power, psds["cbh"].power],
-            )
-            stage.outputs.append(fig2d)
-            style["figures"]["fig2d"] = {
-                "x": "freq_Hz",
-                "y": ["psd_ch", "psd_cbh"],
-                "kind": "line",
-                "xscale": "log",
-                "yscale": "log",
-                "floors": {"ch": fits["ch"].noise_floor, "cbh": fits["cbh"].noise_floor},
-            }
-
-    omega_hat = fits["cbh" if "cbh" in fits else "ch"].omega0_rad_s
-    with _stage(manifest, "tomography", {}) as stage:
-        grid = tomography.default_z_grid(
-            inverted.z_m, settings.marginal_grid_points, settings.marginal_span_sigmas
-        )
-        marginals = tomography.bin_marginals(inverted, omega_hat, settings.n_angles, grid)
-        wigner = tomography.inverse_radon(
-            marginals, settings.wigner_grid_size, cutoff_fraction=settings.cutoff_fraction
-        )
-        report = tomography.analyze(wigner)
-        paths = {
-            "marginals": out_dir / "marginals.csv",
-            "wigner": out_dir / "wigner.csv",
-            "analyze": out_dir / "analyze.json",
-        }
-        tomography.save_marginals(marginals, paths["marginals"])
-        tomography.save_wigner(wigner, paths["wigner"])
-        tomography.save_report(report, paths["analyze"])
-        stage.outputs.extend(paths.values())
-        fig2b = shutil.copyfile(paths["marginals"], plot_dir / "fig2b_marginals.csv")
-        fig2c = shutil.copyfile(paths["wigner"], plot_dir / "fig2c_wigner.csv")
-        stage.outputs.extend([fig2b, fig2c])
-        style["figures"]["fig2b"] = {"matrix": "rows z, columns theta", "kind": "heatmap"}
-        style["figures"]["fig2c"] = {"matrix": "rows z, columns p/(m omega)", "kind": "heatmap"}
-
-    _run_decoherence_stage(config, settings, dq, out_dir, plot_dir, manifest, style)
-    _write_style(plot_dir, style, manifest)
-
-
-def _run_fock_oracle(settings, out_dir, plot_dir, manifest, style):
-    """Oracle reconstruction of the first excited state, in natural units (s = 1)."""
-    with _stage(manifest, "tomography", {}) as stage:
-        angles = _TWO_PI * np.arange(settings.n_angles) / settings.n_angles
-        grid = np.linspace(-5.0, 5.0, settings.marginal_grid_points)
-        oracle = dynamics.oracle_marginals("fock1", angles, grid, z_zpf_m=1.0 / math.sqrt(2.0))
-        marginals = tomography.marginal_set_from_densities(angles, grid, oracle.densities)
-        wigner = tomography.inverse_radon(marginals, settings.marginal_grid_points)
-        report = tomography.analyze(wigner)
-        paths = {
-            "marginals": out_dir / "marginals.csv",
-            "wigner": out_dir / "wigner.csv",
-            "analyze": out_dir / "analyze.json",
-        }
-        tomography.save_marginals(marginals, paths["marginals"])
-        tomography.save_wigner(wigner, paths["wigner"])
-        tomography.save_report(report, paths["analyze"])
-        stage.outputs.extend(paths.values())
-        fig2c = shutil.copyfile(paths["wigner"], plot_dir / "fig2c_wigner.csv")
-        stage.outputs.append(fig2c)
-        style["figures"]["fig2c"] = {
+        # oracle reconstruction of the first excited state, in natural units (s = 1)
+        with _stage(manifest, "tomography", {}) as outputs:
+            angles = _TWO_PI * np.arange(settings.n_angles) / settings.n_angles
+            grid = np.linspace(-5.0, 5.0, settings.marginal_grid_points)
+            oracle = dynamics.oracle_marginals("fock1", angles, grid, z_zpf_m=1.0 / math.sqrt(2.0))
+            marginals = tomography.marginal_set_from_densities(angles, grid, oracle.densities)
+            report = _reconstruct(marginals, settings.marginal_grid_points, 1.0, out_dir, outputs)
+            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        figures["fig2c"] = {
+            "file": "wigner.csv",
             "matrix": "rows z, columns p (natural units)",
             "kind": "heatmap",
         }
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    else:
+        with _stage(manifest, "simulate", config_inputs) as outputs:
+            traj = _simulate(config, settings, dq, seed, out_dir, outputs)
 
+        with _stage(manifest, "detect", {"trajectory": out_dir / "trajectory.csv"}) as outputs:
+            records = _detect(config, settings, traj, seed, out_dir, outputs)
+        primary = "cbh" if "cbh" in records else "ch"
 
-def _run_decoherence_stage(config, settings, dq, out_dir, plot_dir, manifest, style):
-    with _stage(manifest, "decoherence", {}) as stage:
-        grid = np.logspace(
-            math.log10(settings.decoherence_zmin_m),
-            math.log10(settings.decoherence_zmax_m),
-            settings.decoherence_points,
-        )
-        curve = decoherence_curve(grid, dq)
-        dz_col = np.array([dz for dz, _ in curve])
-        tau_col = np.array([tau for _, tau in curve])
-        path = out_dir / "decoherence.csv"
-        _columns_csv(path, ["delta_z_m", "tau_s"], [dz_col, tau_col])
-        fig3 = shutil.copyfile(path, plot_dir / "fig3_decoherence.csv")
-        stage.outputs.extend([path, fig3])
-        style["figures"]["fig3"] = {
-            "x": "delta_z_m",
-            "y": "tau_s",
+        with _stage(manifest, "invert", {}) as outputs:
+            inverted = _invert(settings, dq, records[primary], out_dir, outputs)
+            n_plot = min(len(inverted.z_m), 2000)
+            fig2a = plot_dir / "fig2a_position_signal.csv"
+            _columns_csv(fig2a, ["t_s", "z_m"], [inverted.times_s[:n_plot], inverted.z_m[:n_plot]])
+            outputs.append(fig2a)
+        figures["fig2a"] = {"file": "plotdata/" + fig2a.name, "x": "t_s", "y": "z_m", "kind": "line"}
+
+        psds: dict[str, spectral.Psd] = {}
+        fits: dict[str, spectral.LorentzianFit] = {}
+        with _stage(manifest, "spectral", {}) as outputs:
+            for scheme, rec in records.items():
+                psds[scheme], fits[scheme] = _fit_line(detection.invert_counts(rec), dq, settings)
+                _save_line(psds[scheme], fits[scheme], out_dir, f"_{scheme}", outputs)
+            if len(records) == 2:
+                path = out_dir / "noise_floors.json"
+                _write_json(path, dataclasses.asdict(detection.compare_noise_floor(psds["ch"], psds["cbh"])))
+                outputs.append(path)
+        figures["fig2d"] = {
+            "file": [f"psd_{scheme}.csv" for scheme in psds],
+            "x": "freq_Hz",
+            "y": "power",
             "kind": "line",
             "xscale": "log",
             "yscale": "log",
+            "floors": {scheme: fit.noise_floor for scheme, fit in fits.items()},
         }
 
+        with _stage(manifest, "tomography", {}) as outputs:
+            _tomography(inverted, fits[primary].omega0_rad_s, settings, out_dir, outputs)
+        figures["fig2b"] = {"file": "marginals.csv", "matrix": "rows z, columns theta", "kind": "heatmap"}
+        figures["fig2c"] = {"file": "wigner.csv", "matrix": "rows z, columns p/(m omega)", "kind": "heatmap"}
 
-def _write_style(plot_dir, style, manifest):
-    with _stage(manifest, "plot-style", {}) as stage:
+    with _stage(manifest, "decoherence", {}) as outputs:
+        _decoherence(settings, dq, out_dir, outputs)
+    figures["fig3"] = {
+        "file": "decoherence.csv",
+        "x": "delta_z_m",
+        "y": "tau_s",
+        "kind": "line",
+        "xscale": "log",
+        "yscale": "log",
+    }
+
+    with _stage(manifest, "plot-style", {}) as outputs:
         path = plot_dir / "style.json"
-        _write_json(path, style)
-        stage.outputs.append(path)
+        _write_json(path, {"figures": figures})
+        outputs.append(path)
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +560,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI; a flag whose ``dest`` is a setting name overrides that setting."""
     parser = argparse.ArgumentParser(
         prog="levitomo",
         description="Levitated-nanoparticle measurement chain and Wigner tomography",
@@ -685,13 +574,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulate a trajectory")
     _add_common(p_sim)
-    p_sim.add_argument("--state", choices=("thermal", "coherent", "fock1"))
+    p_sim.add_argument("--state", dest="sim_state", choices=_CHOICES["sim_state"])
     p_sim.set_defaults(func=cmd_simulate)
 
     p_det = sub.add_parser("detect", help="convert a trajectory into count records")
     _add_common(p_det)
     p_det.add_argument("--traj", required=True, help="trajectory CSV from 'simulate'")
-    p_det.add_argument("--scheme", choices=("ch", "cbh", "both"))
+    p_det.add_argument("--scheme", choices=_CHOICES["scheme"])
     p_det.set_defaults(func=cmd_detect)
 
     p_psd = sub.add_parser("psd", help="Welch PSD and oscillator-line fit")
@@ -706,15 +595,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decoherence", help="superposition-size decoherence curve")
     _add_common(p_dec)
-    p_dec.add_argument("--zmin", type=float, help="smallest superposition size [m]")
-    p_dec.add_argument("--zmax", type=float, help="largest superposition size [m]")
-    p_dec.add_argument("--npoints", type=int, help="number of log-spaced points")
+    p_dec.add_argument("--zmin", dest="decoherence_zmin_m", help="smallest superposition size [m]")
+    p_dec.add_argument("--zmax", dest="decoherence_zmax_m", help="largest superposition size [m]")
+    p_dec.add_argument("--npoints", dest="decoherence_points", help="number of log-spaced points")
     p_dec.set_defaults(func=cmd_decoherence)
 
     p_pipe = sub.add_parser("pipeline", help="full end-to-end run")
     _add_common(p_pipe)
-    p_pipe.add_argument("--state", choices=("thermal", "coherent", "fock1"))
-    p_pipe.add_argument("--scheme", choices=("ch", "cbh", "both"))
+    p_pipe.add_argument("--state", dest="sim_state", choices=_CHOICES["sim_state"])
+    p_pipe.add_argument("--scheme", choices=_CHOICES["scheme"])
     p_pipe.set_defaults(func=cmd_pipeline)
 
     return parser

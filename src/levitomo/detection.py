@@ -35,6 +35,7 @@ from .constants import C, EPS0, HBAR
 from .errors import DetectionError
 from .dynamics import Trajectory
 from .physics import ExperimentConfig
+from .spectral import Psd
 
 _TWO_PI = 2.0 * math.pi
 
@@ -157,12 +158,6 @@ def _window_means(traj: Trajectory, t_int_s: float) -> tuple[np.ndarray, np.ndar
     return starts, z
 
 
-def _add_electronic_noise(counts: np.ndarray, params: DetectionParams, rng) -> np.ndarray:
-    if params.electronic_noise_counts_rms > 0:
-        counts = counts + params.electronic_noise_counts_rms * rng.standard_normal(counts.shape)
-    return counts
-
-
 def _arm_counts(params: DetectionParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expected counts of the two balanced arms (sum and difference ports)."""
     pf_half = 0.5 * params.count_prefactor
@@ -173,35 +168,38 @@ def _arm_counts(params: DetectionParams, z: np.ndarray) -> tuple[np.ndarray, np.
     return n1, n2
 
 
-def detect_exact(traj: Trajectory, params: DetectionParams, seed: int | None = None) -> CountRecord:
-    """Integrate the full interferometric response over tiled windows."""
-    params.validate()
-    starts, z = _window_means(traj, params.T_int_s)
-    n1, n2 = _arm_counts(params, z)
+def _sample(params: DetectionParams, starts, arms: tuple[np.ndarray, ...], model: str, seed) -> CountRecord:
+    """Count record from the expected counts of each physical detector.
+
+    ``arms`` holds one array for the single-detector scheme and the two
+    balanced arms otherwise; with shot noise each arm is a Poisson draw.
+    """
     rng = np.random.default_rng(seed)
-    if params.scheme == "ch":
-        expected = n1
-        counts = rng.poisson(expected).astype(float) if params.shot_noise else expected
-    else:
-        if params.shot_noise:
-            for name, arm in (("1", n1), ("2", n2)):
-                bad = np.flatnonzero(arm < 0)
-                if bad.size:
-                    raise DetectionError(
-                        f"balanced arm {name} has negative expected count at window {bad[0]}"
-                    )
-            counts = rng.poisson(n1).astype(float) - rng.poisson(n2).astype(float)
-        else:
-            counts = n1 - n2
-    counts = _add_electronic_noise(counts, params, rng)
+    if params.shot_noise:
+        for name, arm in enumerate(arms, 1):
+            bad = np.flatnonzero(arm < 0)
+            if bad.size:
+                raise DetectionError(f"arm {name} has negative expected count at window {bad[0]}")
+        arms = tuple(rng.poisson(arm).astype(float) for arm in arms)
+    counts = arms[0] if len(arms) == 1 else arms[0] - arms[1]
+    if params.electronic_noise_counts_rms > 0:
+        counts = counts + params.electronic_noise_counts_rms * rng.standard_normal(counts.shape)
     return CountRecord(
         window_start_s=starts,
         counts=counts,
         params=params,
         linear_constants=params.linear_constants(),
-        model="exact",
+        model=model,
         seed=seed,
     )
+
+
+def detect_exact(traj: Trajectory, params: DetectionParams, seed: int | None = None) -> CountRecord:
+    """Integrate the full interferometric response over tiled windows."""
+    params.validate()
+    starts, z = _window_means(traj, params.T_int_s)
+    n1, n2 = _arm_counts(params, z)
+    return _sample(params, starts, (n1,) if params.scheme == "ch" else (n1, n2), "exact", seed)
 
 
 def detect_linear(traj: Trajectory, params: DetectionParams, seed: int | None = None) -> CountRecord:
@@ -223,38 +221,11 @@ def detect_linear(traj: Trajectory, params: DetectionParams, seed: int | None = 
         )
     starts, z = _window_means(traj, params.T_int_s)
     c1, c2, d = params.linear_constants()
-    rng = np.random.default_rng(seed)
     if params.scheme == "ch":
-        expected = c1 + c2 + d * z
-        if params.shot_noise:
-            bad = np.flatnonzero(expected < 0)
-            if bad.size:
-                raise DetectionError(f"negative expected count at window {bad[0]}")
-            counts = rng.poisson(expected).astype(float)
-        else:
-            counts = expected
+        arms = (c1 + c2 + d * z,)
     else:
-        if params.shot_noise:
-            arm1 = c1 + (c2 + d * z)
-            arm2 = c1 - (c2 + d * z)
-            for name, arm in (("1", arm1), ("2", arm2)):
-                bad = np.flatnonzero(arm < 0)
-                if bad.size:
-                    raise DetectionError(
-                        f"balanced arm {name} has negative expected count at window {bad[0]}"
-                    )
-            counts = rng.poisson(arm1).astype(float) - rng.poisson(arm2).astype(float)
-        else:
-            counts = 2.0 * c2 + 2.0 * d * z
-    counts = _add_electronic_noise(counts, params, rng)
-    return CountRecord(
-        window_start_s=starts,
-        counts=counts,
-        params=params,
-        linear_constants=(c1, c2, d),
-        model="linear",
-        seed=seed,
-    )
+        arms = (c1 + (c2 + d * z), c1 - (c2 + d * z))
+    return _sample(params, starts, arms, "linear", seed)
 
 
 def invert_counts(
@@ -321,30 +292,19 @@ class NoiseFloorReport:
     snr_cbh_db: float
 
 
-def compare_noise_floor(rec_ch: CountRecord, rec_cbh: CountRecord) -> NoiseFloorReport:
-    """Off-resonance displacement noise floors and peak SNRs of matched records.
+def compare_noise_floor(psd_ch: Psd, psd_cbh: Psd) -> NoiseFloorReport:
+    """Off-resonance displacement noise floors and peak SNRs of matched spectra.
 
-    Both records are inverted with their linear calibration, Welch spectra are
-    estimated, and the floor is the median power outside a +-25 % band around
-    the spectral peak. Records must share the window rate and length.
+    ``psd_ch`` and ``psd_cbh`` are Welch spectra of the linearly inverted
+    single-detector and balanced records; they must share one frequency grid.
+    The floor is the median power outside a +-25 % band around the spectral
+    peak.
     """
-    from .spectral import estimate_psd
-
-    if rec_ch.params.scheme != "ch" or rec_cbh.params.scheme != "cbh":
-        raise DetectionError("compare_noise_floor expects (ch record, cbh record)")
-    if not math.isclose(rec_ch.window_rate_Hz, rec_cbh.window_rate_Hz, rel_tol=1e-12):
-        raise DetectionError(
-            f"window rates differ: {rec_ch.window_rate_Hz:.6g} vs {rec_cbh.window_rate_Hz:.6g} Hz"
-        )
-    if len(rec_ch.counts) != len(rec_cbh.counts):
-        raise DetectionError("records cover different numbers of windows")
+    if not np.array_equal(psd_ch.freqs_Hz, psd_cbh.freqs_Hz):
+        raise DetectionError("spectra on different frequency grids: window rates or segment lengths differ")
 
     results = []
-    for rec in (rec_ch, rec_cbh):
-        traj = invert_counts(rec, calibration="linear")
-        n = len(traj.z_m)
-        segment = 1 << max(int(math.floor(math.log2(max(n // 4, 8)))), 3)
-        psd = estimate_psd(traj.z_m, traj.sample_rate_Hz, segment_len=segment)
+    for psd in (psd_ch, psd_cbh):
         peak_idx = int(np.argmax(psd.power))
         peak_freq = psd.freqs_Hz[peak_idx]
         off_peak = np.abs(psd.freqs_Hz - peak_freq) > 0.25 * peak_freq

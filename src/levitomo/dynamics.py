@@ -337,7 +337,7 @@ def save_trajectory(traj: Trajectory, path: str | Path) -> Path:
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
-    """Read a trajectory CSV written by :func:`save_trajectory`."""
+    """Read a trajectory CSV written by :func:`save_trajectory`, with its sidecar if present."""
     path = Path(path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
@@ -347,19 +347,16 @@ def load_trajectory(path: str | Path) -> Trajectory:
     if np.any(steps <= 0) or abs(steps.max() - steps.min()) > 1e-9 * steps.mean():
         raise SimulationError(f"{path}: time column is not uniformly sampled")
     sidecar = path.with_suffix(".json")
-    seed = None
-    state_kind = "custom"
-    meta: dict = {}
-    if sidecar.is_file():
-        info = json.loads(sidecar.read_text())
-        seed = info.get("seed")
-        state_kind = info.get("state_kind", "custom")
-        meta = info.get("meta", {})
+    info = json.loads(sidecar.read_text()) if sidecar.is_file() else {}
+    # the sidecar's exact rate: 1 / mean step can be an ulp off, which shifts derived times
+    rate = info.get("sample_rate_Hz", 1.0 / steps.mean())
+    if abs(rate * steps.mean() - 1.0) > 1e-9:
+        raise SimulationError(f"{path}: sidecar sample rate {rate!r} Hz does not match the time column")
     return Trajectory(
-        sample_rate_Hz=1.0 / steps.mean(),
+        sample_rate_Hz=rate,
         z_m=data[:, 1],
-        t0_s=t[0],
-        seed=seed,
-        state_kind=state_kind,
-        meta=meta,
+        t0_s=info.get("t0_s", t[0]),
+        seed=info.get("seed"),
+        state_kind=info.get("state_kind", "custom"),
+        meta=info.get("meta", {}),
     )

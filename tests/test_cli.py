@@ -69,6 +69,17 @@ def test_fractional_integer_setting_fails_before_any_stage(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "setting",
+    ["sim_duration_s=nan", "decoherence_zmin_m=0", "detection_model=foo", "cutoff_fraction=2"],
+)
+def test_invalid_setting_fails_before_any_stage(tmp_path, capsys, setting):
+    out = tmp_path / "run"
+    assert run(["pipeline", "--seed", 1, "--out", out] + FAST_PIPELINE + ["--set", setting]) == 2
+    assert setting.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unparsable_float_setting_exits_2(tmp_path, capsys):
     assert run(["derive", "--out", tmp_path, "--set", "sim_duration_s=abc"]) == 2
     assert "sim_duration_s" in capsys.readouterr().err
@@ -142,6 +153,24 @@ def test_simulate_then_detect_then_psd(tmp_path):
     assert fit["omega0_rad_s"] == pytest.approx(TWO_PI * 70e3, rel=0.01)
 
 
+@pytest.mark.parametrize("rate", ["1e6", "3e6"])
+def test_staged_subcommands_reproduce_pipeline_files(tmp_path, rate):
+    """simulate then detect with the pipeline's --seed derive its stage seeds and write its files.
+
+    At 3 MHz the reciprocal of the mean sample step read back from the CSV is
+    an ulp off the simulated rate; the sidecar's rate is the one used.
+    """
+    staged, piped = tmp_path / "staged", tmp_path / "pipeline"
+    common = ["--seed", 9, "--set", f"sim_sample_rate_hz={rate}"] + FAST_PIPELINE
+    assert run(["simulate", "--out", staged] + common) == 0
+    assert run(["detect", "--traj", staged / "trajectory.csv", "--out", staged] + common) == 0
+    assert run(["pipeline", "--out", piped] + common) == 0
+    for name in ("trajectory", "counts_ch", "counts_cbh"):
+        for suffix in (".csv", ".json"):
+            rel = name + suffix
+            assert (staged / rel).read_bytes() == (piped / rel).read_bytes(), rel
+
+
 def test_simulate_fock_state_rejected(tmp_path, capsys):
     assert run(["simulate", "--out", tmp_path, "--state", "fock1"]) == 2
     assert "oracle" in capsys.readouterr().err
@@ -169,10 +198,6 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path):
         "manifest.json",
         "timings.json",
         "plotdata/fig2a_position_signal.csv",
-        "plotdata/fig2b_marginals.csv",
-        "plotdata/fig2c_wigner.csv",
-        "plotdata/fig2d_psd.csv",
-        "plotdata/fig3_decoherence.csv",
         "plotdata/style.json",
     ]
     for name in expected:
@@ -181,6 +206,25 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path):
     report = json.loads((out_a / "analyze.json").read_text())
     assert abs(report["total_integral"] - 1.0) < 0.05
     assert report["gaussian_fit"]["r_squared"] > 0.9
+
+
+@pytest.mark.parametrize("extra", [FAST_PIPELINE, ["--state", "fock1"]], ids=["thermal", "fock1"])
+def test_no_two_artifacts_share_a_digest(tmp_path, extra):
+    assert run(["pipeline", "--seed", 11, "--out", tmp_path] + extra) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    outputs = {rel: digest for stage in manifest["stages"] for rel, digest in stage["outputs"].items()}
+    by_digest = {}
+    for rel, digest in sorted(outputs.items()):
+        assert digest not in by_digest, f"{rel} duplicates {by_digest[digest]}"
+        by_digest[digest] = rel
+
+
+def test_pipeline_coherent_auto_calibration_is_linear(tmp_path):
+    """A deterministic oscillation is never rescaled to the thermal equipartition variance."""
+    assert run(["pipeline", "--state", "coherent", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
+    meta = json.loads((tmp_path / "inverted.json").read_text())["meta"]
+    assert meta["calibration"] == "linear"
+    assert "equipartition_scale" not in meta
 
 
 def test_pipeline_seed_changes_artifacts(tmp_path):

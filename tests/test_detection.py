@@ -208,15 +208,24 @@ def _matched_records(config, dq, shot, seed_pair=(1, 2), duration=0.06, dim_fiel
     return recs
 
 
+def _spectra(*records):
+    """Welch spectra of linearly inverted records; segment: the largest power of two <= n / 4."""
+    spectra = []
+    for rec in records:
+        z = invert_counts(rec).z_m
+        spectra.append(estimate_psd(z, rec.window_rate_Hz, 1 << int(math.log2(len(z) // 4))))
+    return spectra
+
+
 def test_compare_noise_floor_noise_free(config, damped_dq):
     rec_ch, rec_cbh = _matched_records(config, damped_dq, shot=False)
-    report = compare_noise_floor(rec_ch, rec_cbh)
+    report = compare_noise_floor(*_spectra(rec_ch, rec_cbh))
     assert report.floor_ratio_ch_over_cbh == pytest.approx(1.0, rel=1e-6)
 
 
 def test_compare_noise_floor_shot_limited(config, damped_dq):
     rec_ch, rec_cbh = _matched_records(config, damped_dq, shot=True, dim_fields=True)
-    report = compare_noise_floor(rec_ch, rec_cbh)
+    report = compare_noise_floor(*_spectra(rec_ch, rec_cbh))
     assert report.floor_cbh <= report.floor_ch
     # ideal balanced detection halves the displacement-equivalent shot floor
     assert report.floor_ratio_ch_over_cbh == pytest.approx(2.0, rel=0.25)
@@ -228,7 +237,7 @@ def test_compare_noise_floor_rejects_mismatch(config, dq):
     rec_ch = detect_linear(traj, params_from_config(config, "ch", T_int_s=1.0 / 1.4e6))
     rec_cbh = detect_linear(traj, params_from_config(config, "cbh", T_int_s=2.0 / 1.4e6))
     with pytest.raises(DetectionError, match="window rates"):
-        compare_noise_floor(rec_ch, rec_cbh)
+        compare_noise_floor(*_spectra(rec_ch, rec_cbh))
 
 
 def test_electronic_noise_floor_scales_with_variance(config, dq):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -211,6 +212,18 @@ def test_trajectory_csv_round_trip(tmp_path, damped_config, damped_dq):
     assert back.sample_rate_Hz == pytest.approx(traj.sample_rate_Hz, rel=1e-9)
     assert back.seed == 55
     assert back.state_kind == "thermal"
+
+
+def test_trajectory_load_takes_exact_rate_from_sidecar(tmp_path, dq):
+    """At 3 MHz the reciprocal of the mean CSV time step is an ulp off the rate."""
+    traj = simulate_coherent(dq, 1e-9, 0.0, 50000 / 3e6, 3e6)
+    path = tmp_path / "traj.csv"
+    sidecar = save_trajectory(traj, path)
+    assert load_trajectory(path).sample_rate_Hz == traj.sample_rate_Hz
+    info = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps(dict(info, sample_rate_Hz=1e6)))
+    with pytest.raises(SimulationError, match="does not match the time column"):
+        load_trajectory(path)
 
 
 def test_trajectory_validation():
