@@ -1,6 +1,9 @@
-"""The one CSV writer behind every table the package writes.
+"""The one owner of the package's text formats: CSV tables and JSON reports.
 
-The format is fixed here: numbers as ``%.17g`` (round-trips every float64,
+JSON is written with two-space indentation and sorted keys, one trailing
+newline on disk; a CSV table's metadata goes to a ``.json`` sidecar next to it.
+
+The CSV format is fixed here: numbers as ``%.17g`` (round-trips every float64,
 and ``nan``, ``inf``, ``-0`` spelled as Python spells them), fields separated
 by ``,``, nothing quoted. The line ending is the caller's choice: the
 trajectory, count-record, marginal and Wigner tables end lines with CRLF, the
@@ -14,6 +17,7 @@ full-record ``column_stack`` copy is ever made.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Sequence
 
@@ -54,3 +58,20 @@ def write_columns(
             for j, col in enumerate(columns):
                 flat[j::n_cols] = col[start:stop].tolist()
             fh.write((row_format * (stop - start)) % tuple(flat))
+
+
+def dumps(payload) -> str:
+    """The JSON text of a report, as written to disk and printed."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def write_json(path: str | Path, payload) -> Path:
+    """Write ``payload`` to ``path`` as JSON and return the path."""
+    path = Path(path)
+    path.write_text(dumps(payload) + "\n")
+    return path
+
+
+def sidecar(path: str | Path) -> Path:
+    """The JSON file that carries the metadata of the CSV table at ``path``."""
+    return Path(path).with_suffix(".json")

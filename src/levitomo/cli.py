@@ -16,37 +16,35 @@ Every run is reproducible: (config, seed) determine all artifacts, and
 ``manifest.json`` records the resolved configuration plus a digest of every
 file the run read or wrote. Wall-clock timings go to a sibling
 ``timings.json``, deliberately outside the manifest so re-runs are
-byte-identical. Exit codes: 0 success, 2 usage/config error, 3 stage failure.
+byte-identical. Exit codes: 0 success, 2 usage/config error, 3 stage failure
+or a file that cannot be read or written; a failed ``pipeline`` run renames
+every file it wrote to ``<name>.partial``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
-import json
 import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, csvfile, detection, dynamics, spectral, tomography
-from .constants import KB
+from . import __version__, artifacts, detection, dynamics, spectral, tomography
+from .constants import KB, TWO_PI
 from .errors import ConfigError, LevitomoError
 from .physics import (
     ExperimentConfig,
-    _coerce,
     decoherence_curve,
     default_config,
     derive,
     load_key_values,
+    typed_fields,
 )
-
-_TWO_PI = 2.0 * math.pi
 
 # allowed values of the settings that name a choice
 _CHOICES = {
@@ -92,23 +90,8 @@ class PipelineSettings:
     decoherence_points: int = 200
 
     @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
-
-    @classmethod
     def from_mapping(cls, mapping: dict) -> "PipelineSettings":
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in mapping:
-                continue
-            raw, kind = mapping[f.name], type(f.default)
-            if kind is int:
-                kwargs[f.name] = _parse_int(f.name, raw)
-            elif kind in (bool, float):
-                kwargs[f.name] = _coerce(f.name, raw, kind)
-            else:
-                kwargs[f.name] = str(raw)
-        return cls(**kwargs)
+        return cls(**typed_fields(cls, mapping))
 
     def validate(self) -> None:
         """Reject settings that no stage can run with, before any stage runs."""
@@ -129,14 +112,6 @@ class PipelineSettings:
                 raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {getattr(self, name)!r}")
 
 
-def _parse_int(key: str, raw) -> int:
-    """An integer literal; a fractional or non-numeric value is an error, never truncated."""
-    try:
-        return int(str(raw))
-    except ValueError:
-        raise ConfigError(f"cannot parse {key!r}: expected an integer, got {raw!r}") from None
-
-
 def resolve_settings(
     config_path: str | None, overrides: list[str]
 ) -> tuple[ExperimentConfig, PipelineSettings, dict]:
@@ -146,8 +121,7 @@ def resolve_settings(
     resolved snapshot mapping that goes into the manifest. Unknown keys are an
     error.
     """
-    exp_keys = set(ExperimentConfig.field_names())
-    pipe_keys = set(PipelineSettings.field_names())
+    pipe_keys = {f.name for f in fields(PipelineSettings)}
     mapping: dict = {}
     if config_path is not None:
         mapping.update(load_key_values(config_path))
@@ -156,23 +130,12 @@ def resolve_settings(
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         mapping[key] = value
-    unknown = [k for k in mapping if k not in exp_keys and k not in pipe_keys]
-    if unknown:
-        raise ConfigError(f"unknown configuration key {unknown[0]!r}")
-
-    exp_mapping = {k: v for k, v in mapping.items() if k in exp_keys}
-    base = default_config()
-    if exp_mapping:
-        defaults = {name: getattr(base, name) for name in exp_keys}
-        defaults.update(exp_mapping)
-        config = ExperimentConfig.from_mapping({k: str(v) for k, v in defaults.items()})
-    else:
-        config = base
+    exp_mapping = {k: v for k, v in mapping.items() if k not in pipe_keys}
+    config = replace(default_config(), **typed_fields(ExperimentConfig, exp_mapping))
+    config.validate()
     settings = PipelineSettings.from_mapping({k: v for k, v in mapping.items() if k in pipe_keys})
     settings.validate()
-    snapshot = {name: getattr(config, name) for name in sorted(exp_keys)}
-    snapshot.update({name: getattr(settings, name) for name in sorted(pipe_keys)})
-    return config, settings, snapshot
+    return config, settings, {**asdict(config), **asdict(settings)}
 
 
 def _sha256(path: Path) -> str:
@@ -192,7 +155,7 @@ class RunManifest:
         self.out_dir = out_dir
         self.stages: list[dict] = []
         self.timings: dict[str, float] = {}
-        self.artifacts: list[Path] = []
+        self.written: list[Path] = []  # every stage's outputs, failed stages too, for mark_partial
 
     def record(self, name: str, inputs: dict[str, Path], outputs: list[Path], elapsed_s: float):
         self.stages.append(
@@ -205,30 +168,21 @@ class RunManifest:
             }
         )
         self.timings[name] = elapsed_s
-        self.artifacts.extend(outputs)
 
     def write(self) -> Path:
         manifest = {
             "package_version": __version__,
             "seed": self.seed,
-            "config": {k: v for k, v in sorted(self.snapshot.items())},
+            "config": self.snapshot,
             "stages": self.stages,
         }
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        (self.out_dir / "timings.json").write_text(
-            json.dumps({"timings_s": self.timings}, indent=2, sort_keys=True) + "\n"
-        )
-        return path
+        artifacts.write_json(self.out_dir / "timings.json", {"timings_s": self.timings})
+        return artifacts.write_json(self.out_dir / "manifest.json", manifest)
 
     def mark_partial(self) -> None:
-        for path in self.artifacts:
+        for path in self.written:
             if path.is_file():
                 path.rename(path.with_name(path.name + ".partial"))
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _auto_segment_len(n_samples: int, requested: int) -> int:
@@ -238,13 +192,10 @@ def _auto_segment_len(n_samples: int, requested: int) -> int:
     return min(1 << int(math.floor(math.log2(target))), 1 << 17)
 
 
-def _columns_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    csvfile.write_columns(path, header, columns)
-
-
 # ---------------------------------------------------------------------------
-# stages: each computes one step of the chain, writes its artifacts into
-# ``out_dir`` and appends their paths to ``outputs``
+# stages: each computes one step of the chain and writes its artifacts into
+# ``out_dir``, appending each path to ``outputs`` before the file is written so
+# a write that fails part-way still leaves every written file listed
 
 
 def _stage_seeds(seed: int) -> tuple[int, int, int]:
@@ -276,7 +227,8 @@ def _simulate(config, settings, dq, seed, out_dir, outputs) -> dynamics.Trajecto
             f"state {settings.sim_state!r} has no trajectory simulation (fock1 is an oracle state)"
         )
     path = out_dir / "trajectory.csv"
-    outputs += [path, dynamics.save_trajectory(traj, path)]
+    outputs += [path, artifacts.sidecar(path)]
+    dynamics.save_trajectory(traj, path)
     return traj
 
 
@@ -295,7 +247,8 @@ def _detect(config, settings, traj, seed, out_dir, outputs) -> dict[str, detecti
         )
         records[scheme] = detect(traj, params, seed=det_seed)
         path = out_dir / f"counts_{scheme}.csv"
-        outputs += [path, detection.save_count_record(records[scheme], path)]
+        outputs += [path, artifacts.sidecar(path)]
+        detection.save_count_record(records[scheme], path)
     return records
 
 
@@ -308,22 +261,24 @@ def _invert(settings, dq, record, out_dir, outputs) -> dynamics.Trajectory:
     target_var = KB * settings.sim_temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
     inverted = detection.invert_counts(record, calibration=calibration, target_variance_m2=target_var)
     path = out_dir / "inverted.csv"
-    outputs += [path, dynamics.save_trajectory(inverted, path)]
+    outputs += [path, artifacts.sidecar(path)]
+    dynamics.save_trajectory(inverted, path)
     return inverted
 
 
 def _fit_line(series, dq, settings) -> tuple[spectral.Psd, spectral.LorentzianFit]:
     segment = _auto_segment_len(len(series.z_m), settings.psd_segment_len)
     psd = spectral.estimate_psd(series.z_m, series.sample_rate_Hz, segment, settings.psd_overlap)
-    f0 = dq.omega_s_rad_s / _TWO_PI
+    f0 = dq.omega_s_rad_s / TWO_PI
     return psd, spectral.fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
 
 
 def _save_line(psd, fit, out_dir, suffix, outputs) -> None:
     """Write ``psd<suffix>.csv`` and the line fit ``fit<suffix>.json``."""
     psd_path, fit_path = out_dir / f"psd{suffix}.csv", out_dir / f"fit{suffix}.json"
-    _columns_csv(psd_path, ["freq_Hz", "power"], [psd.freqs_Hz, psd.power])
-    _write_json(
+    outputs += [psd_path, fit_path]
+    artifacts.write_columns(psd_path, ["freq_Hz", "power"], [psd.freqs_Hz, psd.power])
+    artifacts.write_json(
         fit_path,
         {
             "omega0_rad_s": fit.omega0_rad_s,
@@ -335,17 +290,16 @@ def _save_line(psd, fit, out_dir, suffix, outputs) -> None:
             "snr_db": spectral.noise_floor_and_snr(psd, fit).snr_db,
         },
     )
-    outputs += [psd_path, fit_path]
 
 
 def _reconstruct(marginals, grid_size, cutoff_fraction, out_dir, outputs) -> tomography.WignerReport:
     wigner = tomography.inverse_radon(marginals, grid_size, cutoff_fraction=cutoff_fraction)
     report = tomography.analyze(wigner)
     paths = [out_dir / "marginals.csv", out_dir / "wigner.csv", out_dir / "analyze.json"]
+    outputs += paths
     tomography.save_marginals(marginals, paths[0])
     tomography.save_wigner(wigner, paths[1])
     tomography.save_report(report, paths[2])
-    outputs += paths
     return report
 
 
@@ -360,8 +314,8 @@ def _decoherence(settings, dq, out_dir, outputs) -> None:
     grid = np.logspace(math.log10(zmin), math.log10(zmax), n) if n > 1 else np.array([zmin])
     curve = np.array(decoherence_curve(grid, dq))
     path = out_dir / "decoherence.csv"
-    _columns_csv(path, ["delta_z_m", "tau_s"], [curve[:, 0], curve[:, 1]])
     outputs.append(path)
+    artifacts.write_columns(path, ["delta_z_m", "tau_s"], [curve[:, 0], curve[:, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +325,9 @@ def _decoherence(settings, dq, out_dir, outputs) -> None:
 def _load(args) -> tuple[ExperimentConfig, PipelineSettings, dict]:
     """Resolve ``--config`` and ``--set``; a flag named after a setting (``--state``) overrides both."""
     overrides = list(args.set or [])
-    for name in PipelineSettings.field_names():
-        if getattr(args, name, None) is not None:
-            overrides.append(f"{name}={getattr(args, name)}")
+    for f in fields(PipelineSettings):
+        if getattr(args, f.name, None) is not None:
+            overrides.append(f"{f.name}={getattr(args, f.name)}")
     return resolve_settings(args.config, overrides)
 
 
@@ -390,9 +344,9 @@ def _print_written(outputs: list[Path]) -> int:
 
 def cmd_derive(args) -> int:
     config, _, _ = _load(args)
-    payload = dataclasses.asdict(derive(config))
-    _write_json(_out_dir(args) / "derived.json", payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    payload = asdict(derive(config))
+    artifacts.write_json(_out_dir(args) / "derived.json", payload)
+    print(artifacts.dumps(payload))
     return 0
 
 
@@ -423,7 +377,7 @@ def cmd_tomo(args) -> int:
     traj = dynamics.load_trajectory(args.traj)
     _, fit = _fit_line(traj, derive(config), settings)
     report = _tomography(traj, fit.omega0_rad_s, settings, _out_dir(args), [])
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(artifacts.dumps(asdict(report)))
     return 0
 
 
@@ -441,11 +395,14 @@ def cmd_pipeline(args) -> int:
     config_inputs = {"config_file": Path(args.config)} if args.config else {}
     try:
         _run_pipeline(config, settings, args.seed, out_dir, manifest, config_inputs)
-    except LevitomoError as exc:
+        manifest.write()
+    except (LevitomoError, OSError) as exc:
         manifest.mark_partial()
         print(f"pipeline stage failed: {exc}", file=sys.stderr)
         return 3
-    manifest.write()
+    except BaseException:
+        manifest.mark_partial()
+        raise
     print(f"wrote {out_dir / 'manifest.json'}")
     return 0
 
@@ -455,7 +412,10 @@ def _stage(manifest: RunManifest, name: str, inputs: dict[str, Path]):
     """Yield the list a stage appends its outputs to; record them and the timing if it succeeds."""
     outputs: list[Path] = []
     start = time.perf_counter()
-    yield outputs
+    try:
+        yield outputs
+    finally:
+        manifest.written.extend(outputs)
     manifest.record(name, inputs, outputs, time.perf_counter() - start)
 
 
@@ -468,18 +428,18 @@ def _run_pipeline(config, settings, seed, out_dir, manifest, config_inputs):
 
     with _stage(manifest, "derive", config_inputs) as outputs:
         path = out_dir / "derived.json"
-        _write_json(path, dataclasses.asdict(dq))
         outputs.append(path)
+        artifacts.write_json(path, asdict(dq))
 
     if settings.sim_state == "fock1":
         # oracle reconstruction of the first excited state, in natural units (s = 1)
         with _stage(manifest, "tomography", {}) as outputs:
-            angles = _TWO_PI * np.arange(settings.n_angles) / settings.n_angles
+            angles = TWO_PI * np.arange(settings.n_angles) / settings.n_angles
             grid = np.linspace(-5.0, 5.0, settings.marginal_grid_points)
             oracle = dynamics.oracle_marginals("fock1", angles, grid, z_zpf_m=1.0 / math.sqrt(2.0))
             marginals = tomography.marginal_set_from_densities(angles, grid, oracle.densities)
             report = _reconstruct(marginals, settings.marginal_grid_points, 1.0, out_dir, outputs)
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+            print(artifacts.dumps(asdict(report)))
         figures["fig2c"] = {
             "file": "wigner.csv",
             "matrix": "rows z, columns p (natural units)",
@@ -497,8 +457,8 @@ def _run_pipeline(config, settings, seed, out_dir, manifest, config_inputs):
             inverted = _invert(settings, dq, records[primary], out_dir, outputs)
             n_plot = min(len(inverted.z_m), 2000)
             fig2a = plot_dir / "fig2a_position_signal.csv"
-            _columns_csv(fig2a, ["t_s", "z_m"], [inverted.times_s[:n_plot], inverted.z_m[:n_plot]])
             outputs.append(fig2a)
+            artifacts.write_columns(fig2a, ["t_s", "z_m"], [inverted.times_s[:n_plot], inverted.z_m[:n_plot]])
         figures["fig2a"] = {"file": "plotdata/" + fig2a.name, "x": "t_s", "y": "z_m", "kind": "line"}
 
         psds: dict[str, spectral.Psd] = {}
@@ -509,8 +469,8 @@ def _run_pipeline(config, settings, seed, out_dir, manifest, config_inputs):
                 _save_line(psds[scheme], fits[scheme], out_dir, f"_{scheme}", outputs)
             if len(records) == 2:
                 path = out_dir / "noise_floors.json"
-                _write_json(path, dataclasses.asdict(detection.compare_noise_floor(psds["ch"], psds["cbh"])))
                 outputs.append(path)
+                artifacts.write_json(path, asdict(detection.compare_noise_floor(psds["ch"], psds["cbh"])))
         figures["fig2d"] = {
             "file": [f"psd_{scheme}.csv" for scheme in psds],
             "x": "freq_Hz",
@@ -539,8 +499,8 @@ def _run_pipeline(config, settings, seed, out_dir, manifest, config_inputs):
 
     with _stage(manifest, "plot-style", {}) as outputs:
         path = plot_dir / "style.json"
-        _write_json(path, {"figures": figures})
         outputs.append(path)
+        artifacts.write_json(path, {"figures": figures})
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +577,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except LevitomoError as exc:
+    except (LevitomoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

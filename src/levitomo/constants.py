@@ -1,5 +1,9 @@
 """Physical constants (CODATA 2018), hard-coded to full double precision."""
 
+import math
+
+TWO_PI = 2.0 * math.pi
+
 HBAR = 1.054571817e-34  # reduced Planck constant [J s]
 C = 299792458.0  # speed of light [m/s] (exact)
 KB = 1.380649e-23  # Boltzmann constant [J/K] (exact)

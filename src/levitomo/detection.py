@@ -23,21 +23,18 @@ two Poisson arms), and detector electronics add zero-mean Gaussian counts.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import csvfile
-from .constants import C, EPS0, HBAR
+from . import artifacts
+from .constants import C, EPS0, HBAR, TWO_PI
 from .errors import DetectionError
 from .dynamics import Trajectory
 from .physics import ExperimentConfig
 from .spectral import Psd
-
-_TWO_PI = 2.0 * math.pi
 
 SCHEMES = ("ch", "cbh")
 
@@ -100,7 +97,7 @@ def params_from_config(config: ExperimentConfig, scheme: str, **overrides) -> De
         delta_phi_rad=config.delta_phi_rad,
         sigma_d_m2=config.detector_area_m2,
         T_int_s=config.integration_time_s,
-        k_rad_per_m=_TWO_PI / config.wavelength_m,
+        k_rad_per_m=TWO_PI / config.wavelength_m,
     )
     if overrides:
         params = replace(params, **overrides)
@@ -124,7 +121,6 @@ class CountRecord:
     linear_constants: tuple[float, float, float]
     model: str = "exact"  # which response generated the counts: "exact" | "linear"
     seed: int | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def window_rate_Hz(self) -> float:
@@ -328,27 +324,20 @@ def compare_noise_floor(psd_ch: Psd, psd_cbh: Psd) -> NoiseFloorReport:
 
 def save_count_record(rec: CountRecord, path: str | Path) -> Path:
     """Write ``t_s,counts`` CSV plus a JSON sidecar with scheme and constants."""
-    path = Path(path)
-    csvfile.write_columns(path, ["t_s", "counts"], [rec.window_start_s, rec.counts], line_end=csvfile.CRLF)
+    artifacts.write_columns(path, ["t_s", "counts"], [rec.window_start_s, rec.counts], line_end=artifacts.CRLF)
     c1, c2, d = rec.linear_constants
-    sidecar = path.with_suffix(".json")
-    sidecar.write_text(
-        json.dumps(
-            {
-                "scheme": rec.params.scheme,
-                "model": rec.model,
-                "C1": c1,
-                "C2": c2,
-                "D": d,
-                "T_int_s": rec.params.T_int_s,
-                "shot_noise": rec.params.shot_noise,
-                "electronic_noise_counts_rms": rec.params.electronic_noise_counts_rms,
-                "seed": rec.seed,
-                "n_windows": len(rec.counts),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    return artifacts.write_json(
+        artifacts.sidecar(path),
+        {
+            "scheme": rec.params.scheme,
+            "model": rec.model,
+            "C1": c1,
+            "C2": c2,
+            "D": d,
+            "T_int_s": rec.params.T_int_s,
+            "shot_noise": rec.params.shot_noise,
+            "electronic_noise_counts_rms": rec.params.electronic_noise_counts_rms,
+            "seed": rec.seed,
+            "n_windows": len(rec.counts),
+        },
     )
-    return sidecar

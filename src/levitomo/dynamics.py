@@ -20,12 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import csvfile
-from .constants import KB, M_GAS_AIR
+from . import artifacts
+from .constants import KB, M_GAS_AIR, TWO_PI
 from .errors import ConfigError, SimulationError
 from .physics import DerivedQuantities, ExperimentConfig
-
-_TWO_PI = 2.0 * math.pi
 
 # burn-in before a stationary thermal record: 10 damping times, capped
 BURN_IN_DAMPING_TIMES = 10.0
@@ -142,7 +140,7 @@ def simulate_thermal(
         raise SimulationError(
             f"damping rate {xi:.3e} 1/s is not underdamped (needs xi < 2 omega_s = {2 * omega:.3e})"
         )
-    min_rate = NYQUIST_GUARD_FACTOR * omega / _TWO_PI
+    min_rate = NYQUIST_GUARD_FACTOR * omega / TWO_PI
     if sample_rate_Hz <= min_rate:
         raise SimulationError(
             f"sample_rate_Hz = {sample_rate_Hz:.6g} does not resolve the oscillation;"
@@ -277,7 +275,7 @@ def oracle_marginals(
     grid = np.asarray(z_grid_m, dtype=float)
     if angles.ndim != 1 or angles.size == 0:
         raise ConfigError("angles_rad must be a non-empty 1-D sequence")
-    if np.any(angles < 0) or np.any(angles >= _TWO_PI):
+    if np.any(angles < 0) or np.any(angles >= TWO_PI):
         raise ConfigError("angles must lie in [0, 2 pi)")
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ConfigError("z_grid_m must be strictly increasing")
@@ -285,7 +283,7 @@ def oracle_marginals(
     if state_kind == "thermal":
         if sigma_m is None or sigma_m <= 0:
             raise ConfigError("thermal marginals need sigma_m > 0")
-        row = np.exp(-(grid**2) / (2.0 * sigma_m**2)) / (math.sqrt(_TWO_PI) * sigma_m)
+        row = np.exp(-(grid**2) / (2.0 * sigma_m**2)) / (math.sqrt(TWO_PI) * sigma_m)
         dens = np.tile(row, (angles.size, 1))
     elif state_kind == "coherent":
         if amplitude_m is None or amplitude_m < 0:
@@ -294,7 +292,7 @@ def oracle_marginals(
             raise ConfigError("coherent marginals need z_zpf_m > 0")
         centers = amplitude_m * np.cos(angles + phase_rad)
         dens = np.exp(-((grid[None, :] - centers[:, None]) ** 2) / (2.0 * z_zpf_m**2)) / (
-            math.sqrt(_TWO_PI) * z_zpf_m
+            math.sqrt(TWO_PI) * z_zpf_m
         )
     elif state_kind == "fock1":
         if z_zpf_m is None or z_zpf_m <= 0:
@@ -315,25 +313,18 @@ def oracle_marginals(
 
 def save_trajectory(traj: Trajectory, path: str | Path) -> Path:
     """Write ``t_s,z_m`` CSV at full double precision plus a JSON sidecar."""
-    path = Path(path)
-    csvfile.write_columns(path, ["t_s", "z_m"], [traj.times_s, traj.z_m], line_end=csvfile.CRLF)
-    sidecar = path.with_suffix(".json")
-    sidecar.write_text(
-        json.dumps(
-            {
-                "sample_rate_Hz": traj.sample_rate_Hz,
-                "t0_s": traj.t0_s,
-                "seed": traj.seed,
-                "state_kind": traj.state_kind,
-                "n_samples": len(traj.z_m),
-                "meta": traj.meta,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    artifacts.write_columns(path, ["t_s", "z_m"], [traj.times_s, traj.z_m], line_end=artifacts.CRLF)
+    return artifacts.write_json(
+        artifacts.sidecar(path),
+        {
+            "sample_rate_Hz": traj.sample_rate_Hz,
+            "t0_s": traj.t0_s,
+            "seed": traj.seed,
+            "state_kind": traj.state_kind,
+            "n_samples": len(traj.z_m),
+            "meta": traj.meta,
+        },
     )
-    return sidecar
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
@@ -346,8 +337,8 @@ def load_trajectory(path: str | Path) -> Trajectory:
     steps = np.diff(t)
     if np.any(steps <= 0) or abs(steps.max() - steps.min()) > 1e-9 * steps.mean():
         raise SimulationError(f"{path}: time column is not uniformly sampled")
-    sidecar = path.with_suffix(".json")
-    info = json.loads(sidecar.read_text()) if sidecar.is_file() else {}
+    info_path = artifacts.sidecar(path)
+    info = json.loads(info_path.read_text()) if info_path.is_file() else {}
     # the sidecar's exact rate: 1 / mean step can be an ulp off, which shifts derived times
     rate = info.get("sample_rate_Hz", 1.0 / steps.mean())
     if abs(rate * steps.mean() - 1.0) > 1e-9:

@@ -15,10 +15,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .constants import C, HBAR
+from .constants import C, HBAR, TWO_PI
 from .errors import ConfigError
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -92,19 +90,9 @@ class ExperimentConfig:
         return self.phase_d_rad - self.phase_s_rad
 
     @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
-
-    @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "ExperimentConfig":
         """Build a config from string key/value pairs; unknown keys are an error."""
-        known = cls.field_names()
-        kwargs = {}
-        for key, raw in mapping.items():
-            if key not in known:
-                raise ConfigError(f"unknown configuration key {key!r}")
-            kwargs[key] = _coerce(key, raw, bool if key == "rayleigh_standard_form" else float)
-        cfg = cls(**kwargs)
+        cfg = cls(**typed_fields(cls, mapping))
         cfg.validate()
         return cfg
 
@@ -113,7 +101,24 @@ class ExperimentConfig:
         return cls.from_mapping(load_key_values(path))
 
 
+def typed_fields(cls, mapping: dict) -> dict:
+    """Each value of ``mapping`` parsed as the type of the default of the ``cls`` field it names."""
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    for key in mapping:  # checked before any value is parsed: an unknown key is reported ahead of a bad value
+        if key not in kinds:
+            raise ConfigError(f"unknown configuration key {key!r}")
+    return {key: _coerce(key, raw, kinds[key]) for key, raw in mapping.items()}
+
+
 def _coerce(key: str, raw, kind):
+    """``raw`` as a ``kind``: bool, int, float or str; an integer is never truncated from a fraction."""
+    if kind is str:
+        return str(raw)
+    if kind is int:
+        try:
+            return int(str(raw))
+        except ValueError:
+            raise ConfigError(f"cannot parse {key!r}: expected an integer, got {raw!r}") from None
     if isinstance(raw, (int, float, bool)):
         return kind(raw)
     text = str(raw).strip()
@@ -198,7 +203,7 @@ def derive(config: ExperimentConfig) -> DerivedQuantities:
         sigma = (8.0 * math.pi**3 / 3.0) * eps_c**2 * volume**2 / lam**4
     else:
         sigma = 8.0 * math.pi**3 * eps_c * volume**2 / lam**4
-    omega_laser = _TWO_PI * C / lam
+    omega_laser = TWO_PI * C / lam
     gamma = sigma / (math.pi * config.waist_m**2) * config.power_W / (HBAR * omega_laser)
     big_gamma = 12.0 * math.pi**2 * gamma / (5.0 * lam**2)
     z_zpf = math.sqrt(HBAR / (2.0 * mass * omega_s))
@@ -243,7 +248,7 @@ def default_config() -> ExperimentConfig:
     frequency is exactly 2 pi x 70 kHz, the one trap observable that is pinned.
     """
     base = ExperimentConfig()
-    w0 = calibrate_waist(_TWO_PI * 70e3, base)
+    w0 = calibrate_waist(TWO_PI * 70e3, base)
     return replace(base, waist_m=w0)
 
 

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import KB
+from .constants import KB, TWO_PI
 from .errors import SpectralError
-
-_TWO_PI = 2.0 * math.pi
 
 MIN_SEGMENTS = 4
 PEAK_OVER_MEDIAN = 5.0  # a real line must poke this far above the in-window median
@@ -37,7 +35,6 @@ class Psd:
     power: np.ndarray
     n_segments: int
     segment_len: int
-    window_kind: str = "hann"
 
 
 def estimate_psd(samples, sample_rate_Hz: float, segment_len: int, overlap_fraction: float = 0.5) -> Psd:
@@ -92,7 +89,7 @@ class LorentzianFit:
 
 
 def _oscillator_psd(freqs_Hz: np.ndarray, omega0: float, xi: float, amplitude: float, floor: float):
-    omega = _TWO_PI * freqs_Hz
+    omega = TWO_PI * freqs_Hz
     return amplitude / ((omega**2 - omega0**2) ** 2 + (xi * omega) ** 2) + floor
 
 
@@ -137,8 +134,8 @@ def fit_lorentzian(psd: Psd, guess_window: tuple[float, float]) -> LorentzianFit
     while hi < p_win.size - 1 and above[hi + 1]:
         hi += 1
     fwhm = max(f_win[hi] - f_win[lo], f_win[1] - f_win[0])
-    omega0_0 = _TWO_PI * f_peak
-    xi0 = _TWO_PI * fwhm
+    omega0_0 = TWO_PI * f_peak
+    xi0 = TWO_PI * fwhm
     amp0 = max(peak_power - floor0, peak_power * 1e-3) * (xi0 * omega0_0) ** 2
     floor0 = max(floor0, peak_power * 1e-12)
 
@@ -161,9 +158,9 @@ def fit_lorentzian(psd: Psd, guess_window: tuple[float, float]) -> LorentzianFit
     if not result.success:
         raise SpectralError(f"oscillator fit did not converge: {result.message} (nfev={result.nfev})")
     omega0, xi, amplitude, floor = np.abs(result.x) * scales
-    if not f_lo <= omega0 / _TWO_PI <= f_hi:
+    if not f_lo <= omega0 / TWO_PI <= f_hi:
         raise SpectralError(
-            f"fit walked out of the guess window: omega0/2pi = {omega0 / _TWO_PI:.6g} Hz"
+            f"fit walked out of the guess window: omega0/2pi = {omega0 / TWO_PI:.6g} Hz"
         )
 
     n_res, n_par = result.jac.shape

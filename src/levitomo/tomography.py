@@ -23,18 +23,16 @@ outside measured data.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import csvfile
+from . import artifacts
+from .constants import TWO_PI
 from .dynamics import Trajectory
 from .errors import TomographyError
-
-_TWO_PI = 2.0 * math.pi
 
 MIN_ANGLES = 8
 MIN_PERIODS = 50
@@ -90,7 +88,7 @@ def bin_marginals(
         raise TomographyError(f"omega_hat must be positive, got {omega_hat!r}")
     if n_angles < MIN_ANGLES:
         raise TomographyError(f"need at least {MIN_ANGLES} angle bins, got {n_angles}")
-    n_periods = samples.duration_s * omega_hat / _TWO_PI
+    n_periods = samples.duration_s * omega_hat / TWO_PI
     if n_periods < MIN_PERIODS:
         raise TomographyError(
             f"trajectory spans {n_periods:.1f} oscillation periods; need >= {MIN_PERIODS}"
@@ -100,8 +98,8 @@ def bin_marginals(
     z_grid = np.asarray(z_grid, dtype=float)
     _check_uniform_grid(z_grid)
 
-    phases = (omega_hat * samples.times_s) % _TWO_PI
-    bin_width = _TWO_PI / n_angles
+    phases = (omega_hat * samples.times_s) % TWO_PI
+    bin_width = TWO_PI / n_angles
     idx = np.rint(phases / bin_width).astype(np.int64) % n_angles
 
     dz = z_grid[1] - z_grid[0]
@@ -249,7 +247,7 @@ def project_marginal(w: WignerGrid, theta: float) -> np.ndarray:
     trapezoid rule and bilinear interpolation (zero outside the grid). Returns
     the density over ``w.z_grid_m``.
     """
-    if not 0.0 <= theta < _TWO_PI:
+    if not 0.0 <= theta < TWO_PI:
         raise TomographyError(f"theta must lie in [0, 2 pi), got {theta!r}")
     from scipy.interpolate import RegularGridInterpolator
 
@@ -283,22 +281,6 @@ class WignerReport:
     abs_volume: float  # integral of |W|
     gaussian_fit: GaussianMomentFit
 
-    def to_dict(self) -> dict:
-        return {
-            "total_integral": self.total_integral,
-            "min_value": self.min_value,
-            "negativity_volume": self.negativity_volume,
-            "abs_volume": self.abs_volume,
-            "gaussian_fit": {
-                "mean_z": self.gaussian_fit.mean_z,
-                "mean_p": self.gaussian_fit.mean_p,
-                "cov_zz": self.gaussian_fit.cov_zz,
-                "cov_pp": self.gaussian_fit.cov_pp,
-                "cov_zp": self.gaussian_fit.cov_zp,
-                "r_squared": self.gaussian_fit.r_squared,
-            },
-        }
-
 
 def _trapz2d(values: np.ndarray, z_axis: np.ndarray, p_axis: np.ndarray) -> float:
     return float(np.trapezoid(np.trapezoid(values, p_axis, axis=1), z_axis))
@@ -330,7 +312,7 @@ def analyze(w: WignerGrid) -> WignerReport:
     inv_zz, inv_pp, inv_zp = cov_pp / det, cov_zz / det, -cov_zp / det
     gauss = (
         total
-        / (_TWO_PI * math.sqrt(det))
+        / (TWO_PI * math.sqrt(det))
         * np.exp(-0.5 * (inv_zz * dz_c**2 + 2.0 * inv_zp * dz_c * dp_c + inv_pp * dp_c**2))
     )
     ss_res = float(np.sum((values - gauss) ** 2))
@@ -354,23 +336,23 @@ def analyze(w: WignerGrid) -> WignerReport:
 
 def save_marginals(marginals: MarginalSet, path: str | Path) -> None:
     """CSV matrix: rows are z grid points, one column per angle bin."""
-    csvfile.write_columns(
+    artifacts.write_columns(
         path,
         ["z_m"] + [f"theta_{theta:.9g}" for theta in marginals.angles_rad],
         [marginals.z_grid_m, *marginals.densities],
-        line_end=csvfile.CRLF,
+        line_end=artifacts.CRLF,
     )
 
 
 def save_wigner(w: WignerGrid, path: str | Path) -> None:
     """CSV matrix with axis header rows: momentum axis first, then z rows."""
-    csvfile.write_columns(
+    artifacts.write_columns(
         path,
-        ["z_m\\p_over_m_omega_m"] + csvfile.format_numbers(w.p_grid),
+        ["z_m\\p_over_m_omega_m"] + artifacts.format_numbers(w.p_grid),
         [w.z_grid_m, *w.values.T],
-        line_end=csvfile.CRLF,
+        line_end=artifacts.CRLF,
     )
 
 
 def save_report(report: WignerReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    artifacts.write_json(path, asdict(report))

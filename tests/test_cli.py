@@ -3,14 +3,17 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import levitomo
+from levitomo import spectral, tomography
 from levitomo.cli import PipelineSettings, main
-from levitomo.physics import decoherence_time, default_config, derive
+from levitomo.errors import SpectralError
+from levitomo.physics import ExperimentConfig, decoherence_time, default_config, derive
 
 TWO_PI = 2.0 * math.pi
 
@@ -88,6 +91,14 @@ def test_unparsable_float_setting_exits_2(tmp_path, capsys):
 def test_integer_settings_accept_integer_literals():
     settings = PipelineSettings.from_mapping({"n_angles": " 120 ", "psd_segment_len": "+4096", "decoherence_points": 7})
     assert (settings.n_angles, settings.psd_segment_len, settings.decoherence_points) == (120, 4096, 7)
+
+
+@pytest.mark.parametrize("cls, count", [(ExperimentConfig, 15), (PipelineSettings, 22)])
+def test_every_setting_default_has_its_annotated_type(cls, count):
+    """A setting's text is parsed as the type of the field's default, so that type must be the annotated one."""
+    assert len(fields(cls)) == count
+    for f in fields(cls):
+        assert type(f.default).__name__ == f.type, f.name
 
 
 def test_cli_import_loads_no_scipy():
@@ -249,6 +260,81 @@ def test_pipeline_stage_failure_keeps_partial_artifacts(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
     assert (tmp_path / "trajectory.csv.partial").is_file()
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_failed_second_line_fit_marks_the_first_schemes_files(tmp_path, monkeypatch, capsys):
+    """A stage that fails part-way marks the files it wrote before the failure."""
+    fit_lorentzian = spectral.fit_lorentzian
+    calls = []
+
+    def second_fit_fails(psd, window):
+        calls.append(window)
+        if len(calls) == 2:
+            raise SpectralError("no line in the second spectrum")
+        return fit_lorentzian(psd, window)
+
+    monkeypatch.setattr(spectral, "fit_lorentzian", second_fit_fails)
+    assert run(["pipeline", "--seed", 5, "--out", tmp_path] + FAST_PIPELINE) == 3
+    assert "no line in the second spectrum" in capsys.readouterr().err
+    for name in ("trajectory.csv", "psd_ch.csv", "fit_ch.json"):
+        assert (tmp_path / f"{name}.partial").is_file(), name
+        assert not (tmp_path / name).exists(), name
+
+
+@pytest.mark.parametrize(
+    "blocked, written",
+    [
+        ("psd_ch.csv", ["trajectory.csv", "trajectory.json", "counts_cbh.csv", "inverted.csv"]),
+        ("trajectory.json", ["trajectory.csv"]),
+    ],
+)
+def test_unwritable_output_is_a_stage_failure(tmp_path, capsys, blocked, written):
+    """A directory in place of an output file fails the stage; every file written so far is marked."""
+    (tmp_path / blocked).mkdir()
+    assert run(["pipeline", "--seed", 5, "--out", tmp_path] + FAST_PIPELINE) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline stage failed:") and blocked in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "manifest.json").exists()
+    for name in written:
+        assert (tmp_path / f"{name}.partial").is_file(), name
+        assert not (tmp_path / name).exists(), name
+
+
+def test_missing_trajectory_exits_3_with_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert run(["psd", "--traj", missing, "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert str(missing) in err and len(err.splitlines()) == 1
+
+
+def test_unexpected_exception_marks_the_run_and_propagates(tmp_path, monkeypatch):
+    def broken(wigner):
+        raise RuntimeError("analysis bug")
+
+    monkeypatch.setattr(tomography, "analyze", broken)
+    with pytest.raises(RuntimeError, match="analysis bug"):
+        run(["pipeline", "--state", "fock1", "--seed", 2, "--out", tmp_path])
+    assert (tmp_path / "derived.json.partial").is_file()
+    assert not (tmp_path / "derived.json").exists()
+
+
+@pytest.mark.parametrize("extra", [FAST_PIPELINE, ["--state", "fock1"]], ids=["thermal", "fock1"])
+def test_every_json_artifact_has_the_one_format(tmp_path, extra):
+    """Two-space indent, sorted keys and one trailing newline: the bytes the manifest digests pin."""
+    assert run(["pipeline", "--seed", 11, "--out", tmp_path] + extra) == 0
+    paths = sorted(tmp_path.rglob("*.json"))
+    assert len(paths) >= 5
+    for path in paths:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+
+
+def test_analyze_report_keys(tmp_path):
+    assert run(["pipeline", "--state", "fock1", "--seed", 2, "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "analyze.json").read_text())
+    assert set(report) == {"total_integral", "min_value", "negativity_volume", "abs_volume", "gaussian_fit"}
+    assert set(report["gaussian_fit"]) == {"mean_z", "mean_p", "cov_zz", "cov_pp", "cov_zp", "r_squared"}
 
 
 def test_tomo_subcommand(tmp_path):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from levitomo import csvfile
+from levitomo import artifacts as csvfile
 from levitomo.tomography import WignerGrid, save_wigner
 
 SPECIAL = [
