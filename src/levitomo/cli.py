@@ -89,16 +89,29 @@ class PipelineSettings:
     decoherence_zmax_m: float = 1e-6
     decoherence_points: int = 200
 
+    _POSITIVE = ("sim_duration_s", "sim_sample_rate_hz", "sim_temperature_K", "marginal_span_sigmas", "linearity_guard")
+
     @classmethod
     def from_mapping(cls, mapping: dict) -> "PipelineSettings":
         return cls(**typed_fields(cls, mapping))
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Reject settings that no stage can run with, before any stage runs."""
-        for name in ("sim_duration_s", "sim_sample_rate_hz", "sim_temperature_K"):
+        for name in self._POSITIVE:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+        noise = self.electronic_noise_counts_rms
+        if not (math.isfinite(noise) and noise >= 0):
+            raise ConfigError(f"electronic_noise_counts_rms must be finite and non-negative, got {noise!r}")
+        for name, least in (("n_angles", tomography.MIN_ANGLES), ("wigner_grid_size", tomography.MIN_GRID_SIZE)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
+        segment, least = self.psd_segment_len, spectral.MIN_SEGMENT_LEN
+        if segment and (segment < least or segment & (segment - 1)):
+            raise ConfigError(f"psd_segment_len must be 0 (auto) or a power of two >= {least}, got {segment!r}")
+        if not 0 <= self.psd_overlap < 1:
+            raise ConfigError(f"psd_overlap must be in [0, 1), got {self.psd_overlap!r}")
         zmin, zmax, npoints = self.decoherence_zmin_m, self.decoherence_zmax_m, self.decoherence_points
         if not (0 < zmin < zmax and math.isfinite(zmax) and npoints >= 1):
             raise ConfigError(
@@ -132,9 +145,7 @@ def resolve_settings(
         mapping[key] = value
     exp_mapping = {k: v for k, v in mapping.items() if k not in pipe_keys}
     config = replace(default_config(), **typed_fields(ExperimentConfig, exp_mapping))
-    config.validate()
     settings = PipelineSettings.from_mapping({k: v for k, v in mapping.items() if k in pipe_keys})
-    settings.validate()
     return config, settings, {**asdict(config), **asdict(settings)}
 
 
@@ -436,8 +447,7 @@ def _run_pipeline(config, settings, seed, out_dir, manifest, config_inputs):
         with _stage(manifest, "tomography", {}) as outputs:
             angles = TWO_PI * np.arange(settings.n_angles) / settings.n_angles
             grid = np.linspace(-5.0, 5.0, settings.marginal_grid_points)
-            oracle = dynamics.oracle_marginals("fock1", angles, grid, z_zpf_m=1.0 / math.sqrt(2.0))
-            marginals = tomography.marginal_set_from_densities(angles, grid, oracle.densities)
+            marginals = tomography.oracle_marginals("fock1", angles, grid, z_zpf_m=1.0 / math.sqrt(2.0))
             report = _reconstruct(marginals, settings.marginal_grid_points, 1.0, out_dir, outputs)
             print(artifacts.dumps(asdict(report)))
         figures["fig2c"] = {
@@ -507,9 +517,20 @@ def _run_pipeline(config, settings, seed, out_dir, manifest, config_inputs):
 # argument parsing
 
 
+def _seed(text: str) -> int:
+    """``--seed`` as an integer; a negative seed is a usage error, as numpy's SeedSequence refuses it."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+    parser.add_argument("--seed", type=_seed, default=0, help="run seed, a non-negative integer (default 0)")
     parser.add_argument("--out", default="out", help="output directory (default ./out)")
     parser.add_argument(
         "--set",

@@ -52,21 +52,16 @@ class DetectionParams:
     electronic_noise_counts_rms: float = 0.0
     linearity_guard: float = 0.1  # max |2 k z| must stay below guard * min_n |dphi - pi n|
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        """Raise :class:`DetectionError` naming the first invalid parameter."""
         if self.scheme not in SCHEMES:
             raise DetectionError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.T_int_s <= 0:
-            raise DetectionError("T_int_s must be positive")
-        if self.sigma_d_m2 <= 0:
-            raise DetectionError("sigma_d_m2 must be positive")
-        if self.k_rad_per_m <= 0:
-            raise DetectionError("k_rad_per_m must be positive")
-        if self.field_amp_A < 0 or self.field_amp_B < 0:
-            raise DetectionError("field amplitudes must be non-negative")
-        if self.electronic_noise_counts_rms < 0:
-            raise DetectionError("electronic_noise_counts_rms must be non-negative")
-        if not 0 < self.linearity_guard:
-            raise DetectionError("linearity_guard must be positive")
+        for name in ("T_int_s", "sigma_d_m2", "k_rad_per_m", "linearity_guard"):
+            if not getattr(self, name) > 0:
+                raise DetectionError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("field_amp_A", "field_amp_B", "electronic_noise_counts_rms"):
+            if not getattr(self, name) >= 0:
+                raise DetectionError(f"{name} must be non-negative, got {getattr(self, name)!r}")
 
     @property
     def count_prefactor(self) -> float:
@@ -99,10 +94,7 @@ def params_from_config(config: ExperimentConfig, scheme: str, **overrides) -> De
         T_int_s=config.integration_time_s,
         k_rad_per_m=TWO_PI / config.wavelength_m,
     )
-    if overrides:
-        params = replace(params, **overrides)
-    params.validate()
-    return params
+    return replace(params, **overrides)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +184,6 @@ def _sample(params: DetectionParams, starts, arms: tuple[np.ndarray, ...], model
 
 def detect_exact(traj: Trajectory, params: DetectionParams, seed: int | None = None) -> CountRecord:
     """Integrate the full interferometric response over tiled windows."""
-    params.validate()
     starts, z = _window_means(traj, params.T_int_s)
     n1, n2 = _arm_counts(params, z)
     return _sample(params, starts, (n1,) if params.scheme == "ch" else (n1, n2), "exact", seed)
@@ -206,7 +197,6 @@ def detect_linear(traj: Trajectory, params: DetectionParams, seed: int | None = 
     from the nearest multiple of pi, so distorted data is never produced
     silently.
     """
-    params.validate()
     max_excursion = 2.0 * params.k_rad_per_m * float(np.max(np.abs(traj.z_m)))
     threshold = params.linearity_guard * params.phase_margin_rad()
     if max_excursion >= threshold:

@@ -1,5 +1,5 @@
-"""Axial motion of the trapped particle: stochastic thermal trajectories,
-deterministic coherent oscillations, and analytic marginal oracles.
+"""Axial motion of the trapped particle: stochastic thermal trajectories and
+deterministic coherent oscillations.
 
 The thermal simulator integrates the underdamped Langevin equation
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import artifacts
 from .constants import KB, M_GAS_AIR, TWO_PI
-from .errors import ConfigError, SimulationError
+from .errors import SimulationError
 from .physics import DerivedQuantities, ExperimentConfig
 
 # burn-in before a stationary thermal record: 10 damping times, capped
@@ -52,8 +52,8 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.sample_rate_Hz <= 0:
-            raise SimulationError(f"sample_rate_Hz must be positive, got {self.sample_rate_Hz!r}")
+        if not (math.isfinite(self.sample_rate_Hz) and self.sample_rate_Hz > 0):
+            raise SimulationError(f"sample_rate_Hz must be finite and positive, got {self.sample_rate_Hz!r}")
         if len(self.z_m) < 2:
             raise SimulationError("a trajectory needs at least 2 samples")
 
@@ -239,78 +239,6 @@ def simulate_coherent(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class OracleMarginals:
-    """Analytic per-angle quadrature densities for reconstruction validation."""
-
-    state_kind: str
-    angles_rad: np.ndarray
-    z_grid_m: np.ndarray
-    densities: np.ndarray  # shape (n_angles, n_z), each row integrates to 1
-
-
-def oracle_marginals(
-    state_kind: str,
-    angles_rad,
-    z_grid_m,
-    *,
-    sigma_m: float | None = None,
-    amplitude_m: float | None = None,
-    phase_rad: float = 0.0,
-    z_zpf_m: float | None = None,
-) -> OracleMarginals:
-    """Closed-form marginals mu(z; theta) for three reference states.
-
-    thermal   angle-independent Gaussian, variance ``sigma_m**2``
-              (pass sigma_m = sqrt(k_B T / m omega_s^2));
-    coherent  Gaussian of ground-state width ``z_zpf_m`` centered on the
-              ridge amplitude*cos(theta + phase);
-    fock1     angle-independent first-excited-state density
-              (2/sqrt(pi)) u^2 exp(-u^2) / s with u = z/s, s = sqrt(2) z_zpf.
-
-    Each row is renormalized to unit trapezoid integral on the given grid, so
-    grid truncation cannot break normalization.
-    """
-    angles = np.asarray(angles_rad, dtype=float)
-    grid = np.asarray(z_grid_m, dtype=float)
-    if angles.ndim != 1 or angles.size == 0:
-        raise ConfigError("angles_rad must be a non-empty 1-D sequence")
-    if np.any(angles < 0) or np.any(angles >= TWO_PI):
-        raise ConfigError("angles must lie in [0, 2 pi)")
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ConfigError("z_grid_m must be strictly increasing")
-
-    if state_kind == "thermal":
-        if sigma_m is None or sigma_m <= 0:
-            raise ConfigError("thermal marginals need sigma_m > 0")
-        row = np.exp(-(grid**2) / (2.0 * sigma_m**2)) / (math.sqrt(TWO_PI) * sigma_m)
-        dens = np.tile(row, (angles.size, 1))
-    elif state_kind == "coherent":
-        if amplitude_m is None or amplitude_m < 0:
-            raise ConfigError("coherent marginals need amplitude_m >= 0")
-        if z_zpf_m is None or z_zpf_m <= 0:
-            raise ConfigError("coherent marginals need z_zpf_m > 0")
-        centers = amplitude_m * np.cos(angles + phase_rad)
-        dens = np.exp(-((grid[None, :] - centers[:, None]) ** 2) / (2.0 * z_zpf_m**2)) / (
-            math.sqrt(TWO_PI) * z_zpf_m
-        )
-    elif state_kind == "fock1":
-        if z_zpf_m is None or z_zpf_m <= 0:
-            raise ConfigError("fock1 marginals need z_zpf_m > 0")
-        s = math.sqrt(2.0) * z_zpf_m
-        u = grid / s
-        row = (2.0 / math.sqrt(math.pi)) * u**2 * np.exp(-(u**2)) / s
-        dens = np.tile(row, (angles.size, 1))
-    else:
-        raise ConfigError(f"unknown state_kind {state_kind!r} (expected thermal | coherent | fock1)")
-
-    norms = np.trapezoid(dens, grid, axis=1)
-    if np.any(norms <= 0):
-        raise ConfigError("z_grid_m does not cover the state; zero density mass on the grid")
-    dens = dens / norms[:, None]
-    return OracleMarginals(state_kind=state_kind, angles_rad=angles, z_grid_m=grid, densities=dens)
-
-
 def save_trajectory(traj: Trajectory, path: str | Path) -> Path:
     """Write ``t_s,z_m`` CSV at full double precision plus a JSON sidecar."""
     artifacts.write_columns(path, ["t_s", "z_m"], [traj.times_s, traj.z_m], line_end=artifacts.CRLF)
@@ -333,6 +261,9 @@ def load_trajectory(path: str | Path) -> Trajectory:
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise SimulationError(f"{path}: expected a two-column t_s,z_m CSV with >= 2 rows")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise SimulationError(f"{path}:{bad[0] + 2}: row holds a non-finite value")
     t = data[:, 0]
     steps = np.diff(t)
     if np.any(steps <= 0) or abs(steps.max() - steps.min()) > 1e-9 * steps.mean():

@@ -60,7 +60,7 @@ class ExperimentConfig:
         "integration_time_s",
     )
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Raise :class:`ConfigError` naming the first non-physical field."""
         for name in self._POSITIVE:
             value = getattr(self, name)
@@ -92,9 +92,7 @@ class ExperimentConfig:
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "ExperimentConfig":
         """Build a config from string key/value pairs; unknown keys are an error."""
-        cfg = cls(**typed_fields(cls, mapping))
-        cfg.validate()
-        return cfg
+        return cls(**typed_fields(cls, mapping))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
@@ -191,7 +189,6 @@ def derive(config: ExperimentConfig) -> DerivedQuantities:
     * Gamma = 12 pi^2 gamma / (5 lambda^2)
     * z_zpf = sqrt(hbar / (2 m omega_s)); g0/kappa = 4 pi z_zpf / lambda
     """
-    config.validate()
     lam = config.wavelength_m
     eps_c = 3.0 * (config.epsilon_r - 1.0) / (config.epsilon_r + 2.0)
     volume = 4.0 / 3.0 * math.pi * config.particle_radius_m**3
@@ -230,7 +227,6 @@ def calibrate_waist(target_omega_s: float, config: ExperimentConfig) -> float:
     z_R = (2 eps_c P / (rho c lambda omega_s^2))^(1/3), w0 = sqrt(lambda z_R / pi).
     The result does not depend on the waist stored in ``config``.
     """
-    config.validate()
     if not (math.isfinite(target_omega_s) and target_omega_s > 0):
         raise ConfigError(f"target_omega_s must be positive, got {target_omega_s!r}")
     eps_c = 3.0 * (config.epsilon_r - 1.0) / (config.epsilon_r + 2.0)

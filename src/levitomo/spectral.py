@@ -20,6 +20,7 @@ from .constants import KB, TWO_PI
 from .errors import SpectralError
 
 MIN_SEGMENTS = 4
+MIN_SEGMENT_LEN = 8
 PEAK_OVER_MEDIAN = 5.0  # a real line must poke this far above the in-window median
 
 
@@ -46,8 +47,8 @@ def estimate_psd(samples, sample_rate_Hz: float, segment_len: int, overlap_fract
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise SpectralError("samples must be 1-D")
-    if segment_len < 8 or segment_len & (segment_len - 1):
-        raise SpectralError(f"segment_len must be a power of two >= 8, got {segment_len}")
+    if segment_len < MIN_SEGMENT_LEN or segment_len & (segment_len - 1):
+        raise SpectralError(f"segment_len must be a power of two >= {MIN_SEGMENT_LEN}, got {segment_len}")
     if not 0.0 <= overlap_fraction < 1.0:
         raise SpectralError("overlap_fraction must be in [0, 1)")
     noverlap = int(segment_len * overlap_fraction)

@@ -1,4 +1,4 @@
-"""Phase-binned marginal construction and filtered back-projection.
+"""Marginal sets, phase-binned or analytic, and their filtered back-projection.
 
 Free harmonic evolution rotates phase space, so sampling the position at
 oscillator phase theta = omega t mod 2pi measures the rotated quadrature
@@ -32,9 +32,10 @@ import numpy as np
 from . import artifacts
 from .constants import TWO_PI
 from .dynamics import Trajectory
-from .errors import TomographyError
+from .errors import ConfigError, TomographyError
 
 MIN_ANGLES = 8
+MIN_GRID_SIZE = 8  # output points per axis of a reconstruction
 MIN_PERIODS = 50
 DEFAULT_MIN_OCCUPANCY = 100
 DEFAULT_GRID_POINTS = 129  # odd, symmetric about zero
@@ -44,15 +45,29 @@ PAD_FACTOR = 4
 
 @dataclass(frozen=True, eq=False)
 class MarginalSet:
-    """Normalized quadrature histograms indexed by oscillator phase bin."""
+    """Normalized quadrature densities indexed by oscillator phase: the one input of the reconstruction.
 
-    angles_rad: np.ndarray  # sorted bin centers in [0, 2 pi)
-    z_grid_m: np.ndarray  # uniform, odd length, symmetric about 0
+    Valid by construction: at least ``MIN_ANGLES`` angles, all in [0, 2 pi), a
+    uniform strictly increasing position grid, and one density row per angle.
+    ``counts_per_bin`` is the raw occupancy of a binned set (for error bars)
+    and ``None`` for analytic densities.
+    """
+
+    angles_rad: np.ndarray  # bin centers in [0, 2 pi)
+    z_grid_m: np.ndarray  # uniform, strictly increasing
     densities: np.ndarray  # (n_angles, n_z), rows integrate to 1 (trapezoid)
-    counts_per_bin: np.ndarray  # (n_angles, n_z) raw occupancy for error bars
-    omega_used_rad_s: float
-    under_sampled: bool = False
-    min_occupancy: int = DEFAULT_MIN_OCCUPANCY
+    counts_per_bin: np.ndarray | None = None  # (n_angles, n_z) for binned sets
+
+    def __post_init__(self):
+        for name in ("angles_rad", "z_grid_m", "densities"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.angles_rad.ndim != 1 or self.angles_rad.size < MIN_ANGLES:
+            raise TomographyError(f"need at least {MIN_ANGLES} angles, got {self.angles_rad.size}")
+        if np.any(self.angles_rad < 0) or np.any(self.angles_rad >= TWO_PI):
+            raise TomographyError("angles must lie in [0, 2 pi)")
+        _check_uniform_grid(self.z_grid_m)
+        if self.densities.shape != (self.angles_rad.size, self.z_grid_m.size):
+            raise TomographyError("densities must have shape (n_angles, n_z)")
 
     @property
     def occupancy(self) -> np.ndarray:
@@ -80,9 +95,10 @@ def bin_marginals(
     """Assign each sample to the nearest phase bin and histogram on ``z_grid``.
 
     Phases are theta_i = omega_hat * t_i mod 2pi with bin centers at
-    2 pi k / n_angles. Any empty angle bin is an error (the reconstruction
-    would be ill-posed); bins below ``min_occupancy`` only flag the set as
-    under-sampled. Samples outside the grid are dropped from the histograms.
+    2 pi k / n_angles. An angle bin holding fewer than ``min_occupancy``
+    samples is an error: its histogram is too noisy to reconstruct from, and an
+    empty one leaves the reconstruction ill-posed. Samples outside the grid are
+    dropped from the histograms.
     """
     if omega_hat <= 0:
         raise TomographyError(f"omega_hat must be positive, got {omega_hat!r}")
@@ -108,10 +124,12 @@ def bin_marginals(
     counts = counts.astype(np.int64)
 
     occupancy = counts.sum(axis=1)
-    empty = np.flatnonzero(occupancy == 0)
-    if empty.size:
+    sparse = np.flatnonzero(occupancy < min_occupancy)
+    if sparse.size:
+        k = sparse[0]
         raise TomographyError(
-            f"angle bin {empty[0]} (theta = {empty[0] * bin_width:.4f} rad) holds no samples"
+            f"angle bin {k} (theta = {k * bin_width:.4f} rad) is under-sampled:"
+            f" it holds {occupancy[k]} samples, fewer than min_occupancy = {min_occupancy}"
         )
     raw = counts / (occupancy[:, None] * dz)
     norms = np.trapezoid(raw, z_grid, axis=1)
@@ -121,26 +139,61 @@ def bin_marginals(
         z_grid_m=z_grid,
         densities=densities,
         counts_per_bin=counts,
-        omega_used_rad_s=omega_hat,
-        under_sampled=bool(np.any(occupancy < min_occupancy)),
-        min_occupancy=min_occupancy,
     )
 
 
-def marginal_set_from_densities(angles_rad, z_grid_m, densities, omega_used_rad_s=1.0) -> MarginalSet:
-    """Wrap analytic densities (e.g. oracle marginals) as a MarginalSet."""
+def oracle_marginals(
+    state_kind: str,
+    angles_rad,
+    z_grid_m,
+    *,
+    sigma_m: float | None = None,
+    amplitude_m: float | None = None,
+    phase_rad: float = 0.0,
+    z_zpf_m: float | None = None,
+) -> MarginalSet:
+    """Closed-form marginals mu(z; theta) of three reference states, for reconstruction validation.
+
+    thermal   angle-independent Gaussian, variance ``sigma_m**2``
+              (pass sigma_m = sqrt(k_B T / m omega_s^2));
+    coherent  Gaussian of ground-state width ``z_zpf_m`` centered on the
+              ridge amplitude*cos(theta + phase);
+    fock1     angle-independent first-excited-state density
+              (2/sqrt(pi)) u^2 exp(-u^2) / s with u = z/s, s = sqrt(2) z_zpf.
+
+    Each row is renormalized to unit trapezoid integral on the given grid, so
+    grid truncation cannot break normalization.
+    """
     angles = np.asarray(angles_rad, dtype=float)
     grid = np.asarray(z_grid_m, dtype=float)
-    dens = np.asarray(densities, dtype=float)
-    if dens.shape != (angles.size, grid.size):
-        raise TomographyError("densities must have shape (n_angles, n_z)")
-    return MarginalSet(
-        angles_rad=angles,
-        z_grid_m=grid,
-        densities=dens,
-        counts_per_bin=np.full(dens.shape, 10**9, dtype=np.int64),
-        omega_used_rad_s=omega_used_rad_s,
-    )
+    if state_kind == "thermal":
+        if sigma_m is None or sigma_m <= 0:
+            raise ConfigError("thermal marginals need sigma_m > 0")
+        row = np.exp(-(grid**2) / (2.0 * sigma_m**2)) / (math.sqrt(TWO_PI) * sigma_m)
+        dens = np.tile(row, (angles.size, 1))
+    elif state_kind == "coherent":
+        if amplitude_m is None or amplitude_m < 0:
+            raise ConfigError("coherent marginals need amplitude_m >= 0")
+        if z_zpf_m is None or z_zpf_m <= 0:
+            raise ConfigError("coherent marginals need z_zpf_m > 0")
+        centers = amplitude_m * np.cos(angles + phase_rad)
+        dens = np.exp(-((grid[None, :] - centers[:, None]) ** 2) / (2.0 * z_zpf_m**2)) / (
+            math.sqrt(TWO_PI) * z_zpf_m
+        )
+    elif state_kind == "fock1":
+        if z_zpf_m is None or z_zpf_m <= 0:
+            raise ConfigError("fock1 marginals need z_zpf_m > 0")
+        s = math.sqrt(2.0) * z_zpf_m
+        u = grid / s
+        row = (2.0 / math.sqrt(math.pi)) * u**2 * np.exp(-(u**2)) / s
+        dens = np.tile(row, (angles.size, 1))
+    else:
+        raise ConfigError(f"unknown state_kind {state_kind!r} (expected thermal | coherent | fock1)")
+
+    norms = np.trapezoid(dens, grid, axis=1)
+    if np.any(norms <= 0):
+        raise ConfigError("z_grid_m does not cover the state; zero density mass on the grid")
+    return MarginalSet(angles_rad=angles, z_grid_m=grid, densities=dens / norms[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,33 +262,24 @@ def inverse_radon(
     Nyquist frequency; lower it to suppress histogram noise. The output square
     is inscribed in the marginal support (half-width z_max / sqrt(2)).
     """
-    if marginals.under_sampled:
-        raise TomographyError(
-            f"marginal set is under-sampled (some angle bin holds fewer than"
-            f" {marginals.min_occupancy} samples)"
-        )
-    angles = np.asarray(marginals.angles_rad, dtype=float)
-    if angles.size < MIN_ANGLES:
-        raise TomographyError(f"need at least {MIN_ANGLES} usable angles, got {angles.size}")
-    _check_uniform_grid(marginals.z_grid_m)
     if not 0.0 < cutoff_fraction <= 1.0:
         raise TomographyError("cutoff_fraction must be in (0, 1]")
 
     z_grid = marginals.z_grid_m
     if grid_size is None:
         grid_size = z_grid.size
-    if grid_size < 8:
-        raise TomographyError("output grid must have at least 8 points per axis")
+    if grid_size < MIN_GRID_SIZE:
+        raise TomographyError(f"output grid must have at least {MIN_GRID_SIZE} points per axis")
 
     filtered = filtered_projections(marginals, cutoff_fraction)
     half_width = float(min(abs(z_grid[0]), z_grid[-1])) / math.sqrt(2.0)
     axis = np.linspace(-half_width, half_width, grid_size)
     zz, pp = np.meshgrid(axis, axis, indexing="ij")
     values = np.zeros_like(zz)
-    for j, theta in enumerate(angles):
+    for j, theta in enumerate(marginals.angles_rad):
         s = zz * math.cos(theta) + pp * math.sin(theta)
         values += np.interp(s, z_grid, filtered[j], left=0.0, right=0.0)
-    values *= math.pi / angles.size
+    values *= math.pi / marginals.angles_rad.size
     step = axis[1] - axis[0]
     return WignerGrid(z_grid_m=axis, p_grid=axis.copy(), values=values, dz=step, dp=step)
 

@@ -24,15 +24,16 @@ from levitomo.detection import (
     invert_counts,
     params_from_config,
 )
-from levitomo.dynamics import oracle_marginals, simulate_coherent, simulate_thermal
+from levitomo.dynamics import simulate_coherent, simulate_thermal
 from levitomo.physics import decoherence_time, default_config, derive
 from levitomo.spectral import estimate_psd, fit_lorentzian
 from levitomo.tomography import (
+    MarginalSet,
     analyze,
     bin_marginals,
     default_z_grid,
     inverse_radon,
-    marginal_set_from_densities,
+    oracle_marginals,
     project_marginal,
 )
 
@@ -126,7 +127,7 @@ def test_criterion_2_fock1_negativity():
     grid = np.linspace(-5.0, 5.0, 129)
     angles = TWO_PI * np.arange(N_ANGLES) / N_ANGLES
     oracle = oracle_marginals("fock1", angles, grid, z_zpf_m=1.0 / math.sqrt(2.0))
-    wigner = inverse_radon(marginal_set_from_densities(angles, grid, oracle.densities))
+    wigner = inverse_radon(MarginalSet(angles, grid, oracle.densities))
     center = int(np.argmin(np.abs(wigner.z_grid_m)))
     w00 = float(wigner.values[center, center])
     elapsed = time.perf_counter() - start
@@ -249,7 +250,7 @@ def test_criterion_7_tomography_round_trip():
     grid = np.linspace(-5.0, 5.0, 129)
     angles = TWO_PI * np.arange(N_ANGLES) / N_ANGLES
     density = np.exp(-(grid**2) / 2.0) / math.sqrt(TWO_PI)
-    marginals = marginal_set_from_densities(angles, grid, np.tile(density[None, :], (N_ANGLES, 1)))
+    marginals = MarginalSet(angles, grid, np.tile(density[None, :], (N_ANGLES, 1)))
     wigner = inverse_radon(marginals)
     mu = np.exp(-(wigner.z_grid_m**2) / 2.0) / math.sqrt(TWO_PI)
     worst = 0.0
@@ -278,10 +279,10 @@ def test_criterion_8_property_suite(thermal_run, config, dq):
     angles = TWO_PI * np.arange(N_ANGLES) / N_ANGLES
     rows_a = np.exp(-(grid**2) / 2.0) / math.sqrt(TWO_PI)
     rows_b = np.exp(-(grid**2) / 0.5) / math.sqrt(TWO_PI * 0.25)
-    m_a = marginal_set_from_densities(angles, grid, np.tile(rows_a[None, :], (N_ANGLES, 1)))
-    m_b = marginal_set_from_densities(angles, grid, np.tile(rows_b[None, :], (N_ANGLES, 1)))
+    m_a = MarginalSet(angles, grid, np.tile(rows_a[None, :], (N_ANGLES, 1)))
+    m_b = MarginalSet(angles, grid, np.tile(rows_b[None, :], (N_ANGLES, 1)))
     alpha = 0.37
-    mix = marginal_set_from_densities(angles, grid, alpha * m_a.densities + (1 - alpha) * m_b.densities)
+    mix = MarginalSet(angles, grid, alpha * m_a.densities + (1 - alpha) * m_b.densities)
     lin_err = float(
         np.max(
             np.abs(
@@ -296,9 +297,9 @@ def test_criterion_8_property_suite(thermal_run, config, dq):
     # rotation covariance, L1 < 0.02
     var_theta = (1.2**2) * np.cos(angles) ** 2 + (0.6**2) * np.sin(angles) ** 2
     dens = np.exp(-grid[None, :] ** 2 / (2 * var_theta[:, None])) / np.sqrt(TWO_PI * var_theta[:, None])
-    base = inverse_radon(marginal_set_from_densities(angles, grid, dens))
+    base = inverse_radon(MarginalSet(angles, grid, dens))
     dtheta = TWO_PI * 7 / N_ANGLES
-    shifted = inverse_radon(marginal_set_from_densities((angles + dtheta) % TWO_PI, grid, dens))
+    shifted = inverse_radon(MarginalSet((angles + dtheta) % TWO_PI, grid, dens))
     from scipy.interpolate import RegularGridInterpolator
 
     interp = RegularGridInterpolator((base.z_grid_m, base.p_grid), base.values, bounds_error=False, fill_value=0.0)

@@ -74,12 +74,34 @@ def test_fractional_integer_setting_fails_before_any_stage(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "setting",
-    ["sim_duration_s=nan", "decoherence_zmin_m=0", "detection_model=foo", "cutoff_fraction=2"],
+    [
+        "sim_duration_s=nan",
+        "decoherence_zmin_m=0",
+        "detection_model=foo",
+        "cutoff_fraction=2",
+        "n_angles=4",
+        "wigner_grid_size=4",
+        "marginal_span_sigmas=0",
+        "psd_segment_len=1000",
+        "psd_overlap=1",
+        "linearity_guard=0",
+        "electronic_noise_counts_rms=-1",
+    ],
 )
 def test_invalid_setting_fails_before_any_stage(tmp_path, capsys, setting):
     out = tmp_path / "run"
     assert run(["pipeline", "--seed", 1, "--out", out] + FAST_PIPELINE + ["--set", setting]) == 2
     assert setting.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "simulate"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exit_info:
+        run([command, "--seed", -1, "--out", out])
+    assert exit_info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -253,10 +275,10 @@ def test_pipeline_fock_oracle_mode(tmp_path):
 
 def test_pipeline_stage_failure_keeps_partial_artifacts(tmp_path, capsys):
     code = run(
-        ["pipeline", "--seed", 5, "--out", tmp_path] + FAST_PIPELINE + ["--set", "n_angles=4"]
+        ["pipeline", "--seed", 5, "--out", tmp_path] + FAST_PIPELINE + ["--set", "n_angles=2000"]
     )
     assert code == 3
-    assert "at least 8" in capsys.readouterr().err
+    assert "under-sampled" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
     assert (tmp_path / "trajectory.csv.partial").is_file()
     assert not (tmp_path / "trajectory.csv").exists()
@@ -306,6 +328,19 @@ def test_missing_trajectory_exits_3_with_one_line(tmp_path, capsys):
     assert run(["psd", "--traj", missing, "--out", tmp_path]) == 3
     err = capsys.readouterr().err
     assert str(missing) in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["detect", "psd", "tomo"])
+def test_non_finite_trajectory_exits_3_naming_the_row(tmp_path, capsys, command):
+    assert run(["simulate", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
+    path = tmp_path / "trajectory.csv"
+    rows = path.read_bytes().split(b"\r\n")
+    rows[100] = rows[100].split(b",")[0] + b",nan"
+    path.write_bytes(b"\r\n".join(rows))
+    capsys.readouterr()
+    assert run([command, "--traj", path, "--out", tmp_path / command] + FAST_PIPELINE) == 3
+    err = capsys.readouterr().err
+    assert f"{path}:101: row holds a non-finite value" in err and len(err.splitlines()) == 1
 
 
 def test_unexpected_exception_marks_the_run_and_propagates(tmp_path, monkeypatch):

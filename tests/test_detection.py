@@ -123,6 +123,12 @@ def test_guard_rejects_zero_sensitivity_phase(config, dq):
         detect_linear(traj, params)
 
 
+def test_params_check_themselves(config):
+    params = params_from_config(config, "cbh")
+    with pytest.raises(DetectionError, match="linearity_guard"):
+        dataclasses.replace(params, linearity_guard=0)
+
+
 def test_window_validation(config, dq):
     traj = simulate_coherent(dq, 1e-9, 0.0, 1e-4, 1.4e6)
     with pytest.raises(DetectionError, match="longer than"):

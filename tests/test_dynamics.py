@@ -12,12 +12,12 @@ from levitomo.dynamics import (
     _transition_noise_chol,
     gas_damping_rate,
     load_trajectory,
-    oracle_marginals,
     save_trajectory,
     simulate_coherent,
     simulate_thermal,
 )
 from levitomo.errors import ConfigError, SimulationError
+from levitomo.tomography import oracle_marginals
 
 TWO_PI = 2.0 * math.pi
 
@@ -231,3 +231,26 @@ def test_trajectory_validation():
         Trajectory(sample_rate_Hz=0.0, z_m=np.zeros(4))
     with pytest.raises(SimulationError):
         Trajectory(sample_rate_Hz=1.0, z_m=np.zeros(1))
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_trajectory_rejects_non_finite_rate(rate):
+    with pytest.raises(SimulationError, match="finite"):
+        Trajectory(sample_rate_Hz=rate, z_m=np.zeros(4))
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("sidecar", [True, False])
+def test_trajectory_load_rejects_non_finite_rows(tmp_path, dq, column, sidecar):
+    """A nan in either column names the file and its line; the sidecar does not hide it."""
+    path = tmp_path / "traj.csv"
+    save_trajectory(simulate_coherent(dq, 1e-9, 0.0, 1e-4, 1e6), path)
+    if not sidecar:
+        path.with_suffix(".json").unlink()
+    rows = path.read_bytes().split(b"\r\n")
+    cells = rows[5].split(b",")
+    cells[column] = b"nan"
+    rows[5] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(rows))
+    with pytest.raises(SimulationError, match="traj.csv:6: row holds a non-finite value"):
+        load_trajectory(path)

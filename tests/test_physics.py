@@ -111,12 +111,13 @@ def test_derive_is_pure(config):
         ("particle_radius_m", -17e-9),
         ("temperature_K", 0.0),
         ("integration_time_s", -1e-6),
+        ("pressure_mbar", math.nan),
+        ("wavelength_m", 0.0),
     ],
 )
 def test_invalid_config_names_field(config, bad_field, bad_value):
-    bad = dataclasses.replace(config, **{bad_field: bad_value})
     with pytest.raises(ConfigError, match=bad_field):
-        derive(bad)
+        dataclasses.replace(config, **{bad_field: bad_value})
 
 
 def test_rayleigh_standard_form_ratio(config, dq):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import RegularGridInterpolator
 
-from levitomo.dynamics import Trajectory, oracle_marginals, simulate_coherent, simulate_thermal
+from levitomo.dynamics import Trajectory, simulate_coherent, simulate_thermal
 from levitomo.errors import TomographyError
 from levitomo.tomography import (
     MarginalSet,
@@ -14,7 +14,7 @@ from levitomo.tomography import (
     bin_marginals,
     default_z_grid,
     inverse_radon,
-    marginal_set_from_densities,
+    oracle_marginals,
     project_marginal,
 )
 
@@ -25,7 +25,7 @@ def gaussian_marginals(n_angles=90, n_z=129, span=5.0, sigma=1.0, scale=1.0):
     grid = np.linspace(-span, span, n_z)
     angles = TWO_PI * np.arange(n_angles) / n_angles
     row = scale * np.exp(-(grid**2) / (2 * sigma**2)) / math.sqrt(TWO_PI * sigma**2)
-    return marginal_set_from_densities(angles, grid, np.tile(row[None, :], (n_angles, 1)))
+    return MarginalSet(angles, grid, np.tile(row[None, :], (n_angles, 1)))
 
 
 def analytic_gaussian_grid(n=129, span=3.5, sigma=1.0):
@@ -119,10 +119,8 @@ def test_densities_normalized(damped_config, damped_dq):
 
 def test_under_sampled_flag(damped_config, damped_dq):
     traj = simulate_thermal(damped_config, damped_dq, 0.005, 1e6, seed=63, temperature_K=0.03)
-    marginals = bin_marginals(traj, damped_dq.omega_s_rad_s, 16, min_occupancy=10**6)
-    assert marginals.under_sampled
     with pytest.raises(TomographyError, match="under-sampled"):
-        inverse_radon(marginals)
+        bin_marginals(traj, damped_dq.omega_s_rad_s, 16, min_occupancy=10**6)
 
 
 def test_default_grid_shape(damped_config, damped_dq):
@@ -160,7 +158,7 @@ def test_fock1_negativity_at_origin():
     grid = np.linspace(-5, 5, 129)
     angles = TWO_PI * np.arange(90) / 90
     oracle = oracle_marginals("fock1", angles, grid, z_zpf_m=1.0 / math.sqrt(2.0))
-    w = inverse_radon(marginal_set_from_densities(angles, grid, oracle.densities))
+    w = inverse_radon(MarginalSet(angles, grid, oracle.densities))
     center = np.argmin(np.abs(w.z_grid_m))
     w00 = w.values[center, center]
     assert w00 <= -0.2
@@ -176,7 +174,7 @@ def test_point_object_concentrates_at_origin():
     densities = np.zeros((n_angles, n_z))
     densities[:, n_z // 2] = 1.0 / dz
     angles = TWO_PI * np.arange(n_angles) / n_angles
-    w = inverse_radon(marginal_set_from_densities(angles, grid, densities))
+    w = inverse_radon(MarginalSet(angles, grid, densities))
     mass = np.abs(w.values)
     zz, pp = np.meshgrid(w.z_grid_m, w.p_grid, indexing="ij")
     within = mass[np.sqrt(zz**2 + pp**2) <= 3.0 * w.dz].sum()
@@ -187,7 +185,7 @@ def test_fbp_is_linear():
     m_a = gaussian_marginals(sigma=1.0)
     m_b = gaussian_marginals(sigma=0.5)
     alpha = 0.3
-    mixed = marginal_set_from_densities(
+    mixed = MarginalSet(
         m_a.angles_rad, m_a.z_grid_m, alpha * m_a.densities + (1 - alpha) * m_b.densities
     )
     w_mix = inverse_radon(mixed)
@@ -203,10 +201,10 @@ def test_rotation_covariance():
     angles = TWO_PI * np.arange(n_angles) / n_angles
     var = (1.2**2) * np.cos(angles) ** 2 + (0.6**2) * np.sin(angles) ** 2
     densities = np.exp(-grid[None, :] ** 2 / (2 * var[:, None])) / np.sqrt(TWO_PI * var[:, None])
-    base = inverse_radon(marginal_set_from_densities(angles, grid, densities))
+    base = inverse_radon(MarginalSet(angles, grid, densities))
     dtheta = TWO_PI * 7 / n_angles
     shifted = inverse_radon(
-        marginal_set_from_densities((angles + dtheta) % TWO_PI, grid, densities)
+        MarginalSet((angles + dtheta) % TWO_PI, grid, densities)
     )
     interp = RegularGridInterpolator(
         (base.z_grid_m, base.p_grid), base.values, bounds_error=False, fill_value=0.0
@@ -236,14 +234,37 @@ def test_dc_fidelity_tracks_marginal_mass():
 
 
 def test_inverse_radon_validations():
-    m = gaussian_marginals(n_angles=6)
     with pytest.raises(TomographyError, match="angles"):
-        inverse_radon(m)
+        inverse_radon(gaussian_marginals(n_angles=6))
     bad_grid = np.concatenate([np.linspace(-5, 0, 65), np.linspace(0.2, 5.2, 64)])
     with pytest.raises(TomographyError, match="uniform"):
-        inverse_radon(marginal_set_from_densities(TWO_PI * np.arange(16) / 16, bad_grid, np.ones((16, 129))))
+        inverse_radon(MarginalSet(TWO_PI * np.arange(16) / 16, bad_grid, np.ones((16, 129))))
     with pytest.raises(TomographyError, match="cutoff"):
         inverse_radon(gaussian_marginals(), cutoff_fraction=0.0)
+
+
+GRID = np.linspace(-5.0, 5.0, 129)
+ANGLES = TWO_PI * np.arange(16) / 16
+
+
+@pytest.mark.parametrize(
+    "angles, grid, densities, message",
+    [
+        (ANGLES[:7], GRID, np.ones((7, 129)), "at least 8 angles"),
+        (np.append(ANGLES[:15], TWO_PI), GRID, np.ones((16, 129)), r"\[0, 2 pi\)"),
+        (ANGLES, GRID**3, np.ones((16, 129)), "uniform"),
+        (ANGLES, GRID, np.ones((16, 128)), "shape"),
+    ],
+    ids=["seven-angles", "angle-at-two-pi", "non-uniform-grid", "shape-mismatch"],
+)
+def test_marginal_set_is_valid_by_construction(angles, grid, densities, message):
+    with pytest.raises(TomographyError, match=message):
+        MarginalSet(angles, grid, densities)
+
+
+def test_oracle_set_has_no_counts():
+    oracle = oracle_marginals("thermal", ANGLES, GRID, sigma_m=1.0)
+    assert oracle.counts_per_bin is None
 
 
 # ---------------------------------------------------------------------------
