@@ -5,9 +5,7 @@ newline on disk; a CSV table's metadata goes to a ``.json`` sidecar next to it.
 
 The CSV format is fixed here: numbers as ``%.17g`` (round-trips every float64,
 and ``nan``, ``inf``, ``-0`` spelled as Python spells them), fields separated
-by ``,``, nothing quoted. The line ending is the caller's choice: the
-trajectory, count-record, marginal and Wigner tables end lines with CRLF, the
-other tables with LF.
+by ``,``, nothing quoted, every line ended by LF.
 
 Rows are formatted a block at a time by a single ``%`` operation over
 ``"%.17g,...,%.17g\\n" * rows``. Each column's block slice goes through
@@ -26,7 +24,6 @@ import numpy as np
 NUMBER = "%.17g"
 SEPARATOR = ","
 LF = "\n"
-CRLF = "\r\n"
 BLOCK_VALUES = 1 << 13  # numbers per formatting block; larger blocks gain no speed and add peak RSS
 
 
@@ -39,8 +36,6 @@ def write_columns(
     path: str | Path,
     header: Sequence[str],
     columns: Sequence[np.ndarray],
-    *,
-    line_end: str = LF,
 ) -> None:
     """Write ``header`` then one row per index of the equal-length 1-D ``columns``."""
     columns = [np.asarray(col) for col in columns]
@@ -48,10 +43,10 @@ def write_columns(
     n_rows = len(columns[0])
     if any(col.shape != (n_rows,) for col in columns):
         raise ValueError("CSV columns must be 1-D and of equal length")
-    row_format = SEPARATOR.join([NUMBER] * n_cols) + line_end
+    row_format = SEPARATOR.join([NUMBER] * n_cols) + LF
     block_rows = max(1, BLOCK_VALUES // n_cols)
     with Path(path).open("w", newline="") as fh:
-        fh.write(SEPARATOR.join(header) + line_end)
+        fh.write(SEPARATOR.join(header) + LF)
         for start in range(0, n_rows, block_rows):
             stop = min(start + block_rows, n_rows)
             flat: list = [None] * ((stop - start) * n_cols)

@@ -123,6 +123,14 @@ class PipelineSettings:
         for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {getattr(self, name)!r}")
+        points = self.marginal_grid_points
+        if self.sim_state == "fock1":  # the oracle reconstructs onto its marginal grid
+            if points < tomography.MIN_GRID_SIZE:
+                raise ConfigError(
+                    f"marginal_grid_points must be at least {tomography.MIN_GRID_SIZE} for fock1, got {points!r}"
+                )
+        elif points < 3 or points % 2 == 0:
+            raise ConfigError(f"marginal_grid_points must be odd and at least 3 to contain 0, got {points!r}")
 
 
 def resolve_settings(

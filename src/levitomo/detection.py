@@ -314,7 +314,7 @@ def compare_noise_floor(psd_ch: Psd, psd_cbh: Psd) -> NoiseFloorReport:
 
 def save_count_record(rec: CountRecord, path: str | Path) -> Path:
     """Write ``t_s,counts`` CSV plus a JSON sidecar with scheme and constants."""
-    artifacts.write_columns(path, ["t_s", "counts"], [rec.window_start_s, rec.counts], line_end=artifacts.CRLF)
+    artifacts.write_columns(path, ["t_s", "counts"], [rec.window_start_s, rec.counts])
     c1, c2, d = rec.linear_constants
     return artifacts.write_json(
         artifacts.sidecar(path),

@@ -13,6 +13,7 @@ exact conditional covariance), so results carry no step-size bias.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -34,6 +35,13 @@ BURN_IN_MAX_SAMPLES = 1_000_000
 # windowing and phase binning downstream
 NYQUIST_GUARD_FACTOR = 10.0
 MIN_SAMPLES = 64
+
+# the position recursion runs as a cumulative-sum scan in blocks: within a block
+# the weights |lam|^-k grow to at most SCAN_GROWTH, far from overflow even near
+# the underdamped guard, and the block is never longer than SCAN_MAX_BLOCK
+# samples, which bounds the phase rounding of lam^k
+SCAN_GROWTH = 2.0**64
+SCAN_MAX_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,27 +196,43 @@ def _propagate_position(m, var_z, var_v, temp, x0, n_total, rng) -> np.ndarray:
 
     The vector AR(1) is reduced to a scalar AR(2) via Cayley-Hamilton,
     z_n = tr(M) z_{n-1} - det(M) z_{n-2} + eps_n with
-    eps_n = eta_n,z - M22 eta_{n-1},z + M12 eta_{n-1},v,
-    and driven through ``scipy.signal.lfilter`` so long records stay cheap.
+    eps_n = eta_n,z - M22 eta_{n-1},z + M12 eta_{n-1},v; the two initial
+    samples enter as eps_0 = z_0 and eps_1 = z_1 - tr(M) z_0 from rest. The
+    motion is underdamped, so the AR(2) has complex-conjugate poles lam and
+    conj(lam), and z_n = 2 Re(c u_n) with c = lam / (lam - conj(lam)) and the
+    first-order complex recursion u_n = lam u_{n-1} + eps_n. That recursion is
+    solved block by block with a cumulative sum,
+    u_{s+j} = lam^j (lam u_{s-1} + sum_{k<=j} lam^-k eps_{s+k}),
+    where the block length B keeps |lam|^-B within ``SCAN_GROWTH``.
     """
-    from scipy.signal import lfilter, lfiltic
-
     tr_m = m[0, 0] + m[1, 1]
     det_m = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    eps = np.zeros(n_total)
+    eta_0 = np.zeros(2)
     if temp > 0:
         chol = _transition_noise_chol(m, var_z, var_v)
         eta = chol @ rng.standard_normal((2, n_total - 1))
-    else:
-        eta = np.zeros((2, max(n_total - 1, 1)))
+        eps[2:] = eta[0, 1:] - m[1, 1] * eta[0, :-1] + m[0, 1] * eta[1, :-1]
+        eta_0 = eta[:, 0].copy()
+        del eta
+    eps[0] = x0[0]
+    eps[1] = (m @ x0 + eta_0)[0] - tr_m * x0[0]
+
+    lam = complex(0.5 * tr_m, math.sqrt(det_m - 0.25 * tr_m**2))
+    log_lam = cmath.log(lam)
+    block = SCAN_MAX_BLOCK if log_lam.real >= 0 else int(math.log(SCAN_GROWTH) / -log_lam.real)
+    block = max(1, min(block, SCAN_MAX_BLOCK, n_total))
+    k = np.arange(block)
+    rise = np.exp(-k * log_lam)  # lam^-k
+    decay = np.exp(k * log_lam) * (lam / (2j * lam.imag))  # c lam^j
     z = np.empty(n_total)
-    z[0] = x0[0]
-    x1 = m @ x0 + eta[:, 0]
-    z[1] = x1[0]
-    if n_total > 2:
-        eps = eta[0, 1:] - m[1, 1] * eta[0, :-1] + m[0, 1] * eta[1, :-1]
-        a_coeffs = [1.0, -tr_m, det_m]
-        zi = lfiltic([1.0], a_coeffs, y=[z[1], z[0]])
-        z[2:], _ = lfilter([1.0], a_coeffs, eps, zi=zi)
+    carry = 0j  # lam u_{s-1}
+    for start in range(0, n_total, block):
+        size = min(block, n_total - start)
+        partial = np.cumsum(rise[:size] * eps[start : start + size])
+        partial += carry
+        z[start : start + size] = 2.0 * (decay[:size] * partial).real
+        carry = partial[-1] * cmath.exp(size * log_lam)
     return z
 
 
@@ -241,7 +265,7 @@ def simulate_coherent(
 
 def save_trajectory(traj: Trajectory, path: str | Path) -> Path:
     """Write ``t_s,z_m`` CSV at full double precision plus a JSON sidecar."""
-    artifacts.write_columns(path, ["t_s", "z_m"], [traj.times_s, traj.z_m], line_end=artifacts.CRLF)
+    artifacts.write_columns(path, ["t_s", "z_m"], [traj.times_s, traj.z_m])
     return artifacts.write_json(
         artifacts.sidecar(path),
         {

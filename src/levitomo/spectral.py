@@ -22,6 +22,10 @@ from .errors import SpectralError
 MIN_SEGMENTS = 4
 MIN_SEGMENT_LEN = 8
 PEAK_OVER_MEDIAN = 5.0  # a real line must poke this far above the in-window median
+FIT_MAX_NFEV = 2000
+FIT_FTOL = FIT_XTOL = FIT_GTOL = 1e-10
+FIT_INITIAL_DAMPING = 1e-3
+FIT_SCALE_MEMORY = 0.9  # per-step decay of the damping scales, see _levenberg_marquardt
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,8 +45,11 @@ class Psd:
 def estimate_psd(samples, sample_rate_Hz: float, segment_len: int, overlap_fraction: float = 0.5) -> Psd:
     """Welch-averaged one-sided periodogram with a Hann window.
 
-    ``segment_len`` must be a power of two and small enough for at least four
-    (overlapping) segments.
+    Each segment is mean-detrended and multiplied by a periodic Hann window;
+    the mean of the segment periodograms is scaled to a one-sided density on
+    the ``rfft`` frequency grid (Welch, IEEE Trans. Audio Electroacoust. 15,
+    70 (1967)). ``segment_len`` must be a power of two and small enough for at
+    least four (overlapping) segments.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
@@ -60,17 +67,17 @@ def estimate_psd(samples, sample_rate_Hz: float, segment_len: int, overlap_fract
             f"{x.size} samples give {n_segments} segments of {segment_len};"
             f" need at least {required} samples for {MIN_SEGMENTS} segments"
         )
-    from scipy.signal import welch
-
-    freqs, power = welch(
-        x,
-        fs=sample_rate_Hz,
-        window="hann",
-        nperseg=segment_len,
-        noverlap=noverlap,
-        detrend="constant",
-        scaling="density",
-    )
+    # every segment is a view into x; detrend and window make the one copy
+    segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::step]
+    segments = segments - segments.mean(axis=1, keepdims=True)
+    window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(segment_len) / segment_len)  # periodic Hann
+    segments *= window
+    spectra = np.fft.rfft(segments, axis=1)
+    power = np.mean(spectra.real**2 + spectra.imag**2, axis=0)
+    # one-sided density: every bin but DC and Nyquist carries its negative-frequency twin
+    power *= 2.0 / (sample_rate_Hz * np.sum(window**2))
+    power[-1] *= 0.5
+    freqs = np.fft.rfftfreq(segment_len, 1.0 / sample_rate_Hz)
     return Psd(
         freqs_Hz=freqs[1:],
         power=power[1:],
@@ -94,19 +101,8 @@ def _oscillator_psd(freqs_Hz: np.ndarray, omega0: float, xi: float, amplitude: f
     return amplitude / ((omega**2 - omega0**2) ** 2 + (xi * omega) ** 2) + floor
 
 
-def fit_lorentzian(psd: Psd, guess_window: tuple[float, float]) -> LorentzianFit:
-    """Least-squares oscillator-line fit over (omega0, xi, amplitude, floor).
-
-    ``guess_window`` is a (f_lo, f_hi) band in Hz that must contain the peak.
-    Initial guesses come from the peak location, its half-power width, the peak
-    height and the median off-peak power; the refinement runs
-    Levenberg-Marquardt on Whittle (gamma) deviance residuals,
-    sign(d - m) sqrt(2 (d/m - ln(d/m) - 1)). Averaged periodogram bins are
-    chi-squared distributed, and this objective is their maximum likelihood:
-    weighting plain residuals by the noisy data instead biases the fitted
-    floor low by ~4/dof. The residuals depend on d/m only, so the fit is
-    exactly equivariant under rescaling of the input signal.
-    """
+def _line_guess(psd: Psd, guess_window: tuple[float, float]) -> np.ndarray:
+    """Starting (omega0, xi, amplitude, floor) of the line fit, which also scales its coordinates."""
     f_lo, f_hi = guess_window
     in_window = (psd.freqs_Hz >= f_lo) & (psd.freqs_Hz <= f_hi)
     if np.count_nonzero(in_window) < 8:
@@ -139,35 +135,47 @@ def fit_lorentzian(psd: Psd, guess_window: tuple[float, float]) -> LorentzianFit
     xi0 = TWO_PI * fwhm
     amp0 = max(peak_power - floor0, peak_power * 1e-3) * (xi0 * omega0_0) ** 2
     floor0 = max(floor0, peak_power * 1e-12)
+    return np.array([omega0_0, xi0, amp0, floor0])
 
-    scales = np.array([omega0_0, xi0, amp0, floor0])
+
+def fit_lorentzian(psd: Psd, guess_window: tuple[float, float]) -> LorentzianFit:
+    """Least-squares oscillator-line fit over (omega0, xi, amplitude, floor).
+
+    ``guess_window`` is a (f_lo, f_hi) band in Hz that must contain the peak.
+    Initial guesses come from the peak location, its half-power width, the peak
+    height and the median off-peak power; the refinement runs
+    Levenberg-Marquardt (Marquardt, J. SIAM 11, 431 (1963)) on Whittle (gamma)
+    deviance residuals, sign(d - m) sqrt(2 (d/m - ln(d/m) - 1)), with the
+    closed-form Jacobian of the rational model. Averaged periodogram bins are
+    chi-squared distributed, and this objective is their maximum likelihood:
+    weighting plain residuals by the noisy data instead biases the fitted
+    floor low by ~4/dof. The residuals depend on d/m only, so the fit is
+    exactly equivariant under rescaling of the input signal. A fit that has
+    not converged after ``FIT_MAX_NFEV`` residual evaluations raises
+    :class:`SpectralError`. The covariance is 2 cost / dof (J^T J)^-1 at the
+    solution.
+    """
+    f_lo, f_hi = guess_window
+    guess = _line_guess(psd, guess_window)
     data = psd.power
     if np.any(data <= 0):
         raise SpectralError("PSD contains non-positive bins; cannot fit")
 
-    def residuals(u):
-        omega0, xi, amplitude, floor = u * scales
-        model = _oscillator_psd(psd.freqs_Hz, omega0, xi, amplitude, floor)
-        if np.any(model <= 0):
-            return np.full(data.shape, 1e6)
-        ratio = data / model
-        return np.sign(ratio - 1.0) * np.sqrt(2.0 * np.maximum(ratio - np.log(ratio) - 1.0, 0.0))
+    def residuals(u):  # each coordinate in units of its guess
+        fitted = _deviance_and_jacobian(u * guess, psd.freqs_Hz, data)
+        return None if fitted is None else (fitted[0], fitted[1] * guess[None, :])
 
-    from scipy.optimize import least_squares
-
-    result = least_squares(residuals, np.ones(4), method="lm", max_nfev=2000)
-    if not result.success:
-        raise SpectralError(f"oscillator fit did not converge: {result.message} (nfev={result.nfev})")
-    omega0, xi, amplitude, floor = np.abs(result.x) * scales
+    u, fun, jac = _levenberg_marquardt(residuals, np.ones(4))
+    omega0, xi, amplitude, floor = np.abs(u) * guess
     if not f_lo <= omega0 / TWO_PI <= f_hi:
         raise SpectralError(
             f"fit walked out of the guess window: omega0/2pi = {omega0 / TWO_PI:.6g} Hz"
         )
 
-    n_res, n_par = result.jac.shape
-    jac = result.jac / scales[None, :] * np.sign(result.x)[None, :]
+    n_res, n_par = jac.shape
+    jac = jac / guess[None, :] * np.sign(u)[None, :]
     dof = max(n_res - n_par, 1)
-    variance = 2.0 * result.cost / dof
+    variance = float(fun @ fun) / dof
     try:
         covariance = np.linalg.inv(jac.T @ jac) * variance
     except np.linalg.LinAlgError:
@@ -177,9 +185,85 @@ def fit_lorentzian(psd: Psd, guess_window: tuple[float, float]) -> LorentzianFit
         linewidth_rad_s=float(xi),
         amplitude=float(amplitude),
         noise_floor=float(floor),
-        residual_rms=float(np.sqrt(np.mean(result.fun**2))),
+        residual_rms=float(np.sqrt(np.mean(fun**2))),
         covariance=covariance,
     )
+
+
+def _deviance_and_jacobian(params, freqs_Hz, data):
+    """Deviance residuals of ``data`` against the model at ``params`` =
+    (omega0, xi, amplitude, floor), and their Jacobian with respect to ``params``.
+
+    Returns ``None`` where the model is not positive at every bin.
+    """
+    omega0, xi, amplitude, floor = params
+    omega = TWO_PI * freqs_Hz
+    detuning = omega**2 - omega0**2
+    denom = detuning**2 + (xi * omega) ** 2
+    line = amplitude / denom
+    model = line + floor
+    if np.any(model <= 0):
+        return None
+    excess = data / model - 1.0
+    res = np.sign(excess) * np.sqrt(2.0 * np.maximum(excess - np.log1p(excess), 0.0))
+    # d res / d model = -(excess / res) / model; excess / res -> 1 as d/m -> 1
+    zero = res == 0.0
+    slope = -np.divide(excess, res, out=np.ones_like(res), where=~zero) / model
+    dmodel = np.stack(
+        [4.0 * omega0 * detuning * line / denom, -2.0 * xi * omega**2 * line / denom, 1.0 / denom, np.ones_like(denom)],
+        axis=1,
+    )
+    return res, slope[:, None] * dmodel
+
+
+def _levenberg_marquardt(residuals, x):
+    """Minimise half the squared norm of ``residuals(x)``, which returns the
+    residual vector and its Jacobian (or ``None`` where undefined).
+
+    Marquardt's damping scales with the diagonal of J^T J, so the step does not
+    depend on the units of the parameters. Each diagonal entry is the larger of
+    its current value and ``FIT_SCALE_MEMORY`` times the previous scale: a
+    coordinate whose column fades stays damped (the linewidth of a line
+    narrower than a bin, where the model is flat in xi around 0, otherwise
+    throws steps across zero and stalls the other coordinates), while the large
+    curvatures of a poor starting guess are forgotten within a few dozen steps.
+    The damping itself adapts to the ratio of actual to predicted cost
+    decrease. Stops when a step changes the cost by a relative ``FIT_FTOL``,
+    moves ``x`` by a relative ``FIT_XTOL``, or the gradient is orthogonal to the
+    residual to within ``FIT_GTOL``; raises :class:`SpectralError` after
+    ``FIT_MAX_NFEV`` evaluations. Returns the solution, its residuals and their
+    Jacobian.
+    """
+    fun, jac = residuals(x)
+    cost = 0.5 * float(fun @ fun)
+    damping, growth = FIT_INITIAL_DAMPING, 2.0
+    scale = np.zeros(x.size)
+    for _ in range(FIT_MAX_NFEV - 1):
+        gradient = jac.T @ fun
+        cosines = np.abs(gradient) / np.maximum(np.linalg.norm(jac, axis=0) * np.sqrt(2.0 * cost), 1e-300)
+        if np.max(cosines) <= FIT_GTOL:
+            return x, fun, jac
+        normal = jac.T @ jac
+        scale = np.maximum(np.diag(normal), FIT_SCALE_MEMORY * scale)
+        step = np.linalg.solve(normal + damping * np.diag(scale), -gradient)
+        predicted = -float(gradient @ step) - 0.5 * float(step @ normal @ step)
+        trial = residuals(x + step)
+        new_cost = math.inf if trial is None else 0.5 * float(trial[0] @ trial[0])
+        actual = cost - new_cost
+        small_step = np.linalg.norm(step) <= FIT_XTOL * (np.linalg.norm(x) + FIT_XTOL)
+        if predicted > 0 and actual > 0:
+            gain = actual / predicted
+            x, (fun, jac), cost_before, cost = x + step, trial, cost, new_cost
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            growth = 2.0
+            if small_step or (actual <= FIT_FTOL * cost_before and predicted <= FIT_FTOL * cost_before):
+                return x, fun, jac
+        else:
+            if small_step:
+                return x, fun, jac
+            damping *= growth
+            growth *= 2.0
+    raise SpectralError(f"oscillator fit did not converge in {FIT_MAX_NFEV} evaluations")
 
 
 @dataclass(frozen=True)

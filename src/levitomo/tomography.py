@@ -284,29 +284,6 @@ def inverse_radon(
     return WignerGrid(z_grid_m=axis, p_grid=axis.copy(), values=values, dz=step, dp=step)
 
 
-def project_marginal(w: WignerGrid, theta: float) -> np.ndarray:
-    """Line-integral projection of the grid onto the theta quadrature.
-
-    Rotates the grid by theta and integrates along the conjugate axis with the
-    trapezoid rule and bilinear interpolation (zero outside the grid). Returns
-    the density over ``w.z_grid_m``.
-    """
-    if not 0.0 <= theta < TWO_PI:
-        raise TomographyError(f"theta must lie in [0, 2 pi), got {theta!r}")
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp = RegularGridInterpolator(
-        (w.z_grid_m, w.p_grid), w.values, method="linear", bounds_error=False, fill_value=0.0
-    )
-    s_axis = w.z_grid_m
-    u_axis = w.p_grid
-    ss, uu = np.meshgrid(s_axis, u_axis, indexing="ij")
-    x = ss * math.cos(theta) - uu * math.sin(theta)
-    y = ss * math.sin(theta) + uu * math.cos(theta)
-    sheet = interp(np.stack([x.ravel(), y.ravel()], axis=1)).reshape(ss.shape)
-    return np.trapezoid(sheet, u_axis, axis=1)
-
-
 @dataclass(frozen=True)
 class GaussianMomentFit:
     mean_z: float
@@ -384,7 +361,6 @@ def save_marginals(marginals: MarginalSet, path: str | Path) -> None:
         path,
         ["z_m"] + [f"theta_{theta:.9g}" for theta in marginals.angles_rad],
         [marginals.z_grid_m, *marginals.densities],
-        line_end=artifacts.CRLF,
     )
 
 
@@ -394,7 +370,6 @@ def save_wigner(w: WignerGrid, path: str | Path) -> None:
         path,
         ["z_m\\p_over_m_omega_m"] + artifacts.format_numbers(w.p_grid),
         [w.z_grid_m, *w.values.T],
-        line_end=artifacts.CRLF,
     )
 
 

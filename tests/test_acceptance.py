@@ -34,8 +34,9 @@ from levitomo.tomography import (
     default_z_grid,
     inverse_radon,
     oracle_marginals,
-    project_marginal,
 )
+
+from projection import project_marginal
 
 TWO_PI = 2.0 * math.pi
 

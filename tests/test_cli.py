@@ -86,6 +86,8 @@ def test_fractional_integer_setting_fails_before_any_stage(tmp_path, capsys):
         "psd_overlap=1",
         "linearity_guard=0",
         "electronic_noise_counts_rms=-1",
+        "marginal_grid_points=128",
+        "marginal_grid_points=1",
     ],
 )
 def test_invalid_setting_fails_before_any_stage(tmp_path, capsys, setting):
@@ -93,6 +95,15 @@ def test_invalid_setting_fails_before_any_stage(tmp_path, capsys, setting):
     assert run(["pipeline", "--seed", 1, "--out", out] + FAST_PIPELINE + ["--set", setting]) == 2
     assert setting.split("=")[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fock_grid_below_the_output_minimum_fails_before_any_stage(tmp_path, capsys):
+    """fock1 reconstructs onto its marginal grid, so that grid obeys the output-grid minimum instead."""
+    out = tmp_path / "run"
+    assert run(["pipeline", "--seed", 1, "--out", out, "--state", "fock1", "--set", "marginal_grid_points=5"]) == 2
+    assert "marginal_grid_points" in capsys.readouterr().err
+    assert not out.exists()
+    assert PipelineSettings(sim_state="fock1", marginal_grid_points=128).marginal_grid_points == 128
 
 
 @pytest.mark.parametrize("command", ["pipeline", "simulate"])
@@ -123,14 +134,43 @@ def test_every_setting_default_has_its_annotated_type(cls, count):
         assert type(f.default).__name__ == f.type, f.name
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy is imported inside the functions that use it, so derive/decoherence/fock1 runs never load it."""
+def loaded_scipy_modules(code: str) -> set[str]:
+    """The scipy modules loaded by a fresh interpreter that runs ``code`` with this package on its path."""
     src = str(Path(levitomo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, levitomo.cli; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy' and m.count('.') < 2))"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = set(result.stdout.split())
+    report = "import sys; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy' and m.count('.') < 2))"
+    result = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"], env=env, capture_output=True, text=True, check=True
+    )
+    return set(result.stdout.split())
+
+
+def test_cli_import_loads_no_scipy():
+    """The package is numpy-only: importing the CLI loads no scipy module.
+
+    The runs themselves load none either, see
+    ``test_thermal_runs_load_no_scipy``.
+    """
+    loaded = loaded_scipy_modules("import levitomo.cli")
     assert not loaded, f"import levitomo.cli loaded {sorted(loaded)}"
+
+
+def test_thermal_runs_load_no_scipy(tmp_path):
+    """A thermal pipeline run (simulate, detect, invert, Welch, line fit, tomography)
+    and a ``psd --traj`` run on its trajectory load no scipy module."""
+    out = tmp_path / "run"
+    argv = ["pipeline", "--seed", "1", "--out", str(out)] + FAST_PIPELINE
+    psd_argv = ["psd", "--traj", str(out / "trajectory.csv"), "--out", str(tmp_path / "psd")] + FAST_PIPELINE
+    code = (
+        "from contextlib import redirect_stdout\n"
+        "from io import StringIO\n"
+        "from levitomo.cli import main\n"
+        "with redirect_stdout(StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        f"    assert main({psd_argv!r}) == 0"
+    )
+    loaded = loaded_scipy_modules(code)
+    assert not loaded, f"the runs loaded {sorted(loaded)}"
 
 
 def test_decoherence_single_point(tmp_path):
@@ -334,13 +374,26 @@ def test_missing_trajectory_exits_3_with_one_line(tmp_path, capsys):
 def test_non_finite_trajectory_exits_3_naming_the_row(tmp_path, capsys, command):
     assert run(["simulate", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
     path = tmp_path / "trajectory.csv"
-    rows = path.read_bytes().split(b"\r\n")
+    rows = path.read_bytes().split(b"\n")
     rows[100] = rows[100].split(b",")[0] + b",nan"
-    path.write_bytes(b"\r\n".join(rows))
+    path.write_bytes(b"\n".join(rows))
     capsys.readouterr()
     assert run([command, "--traj", path, "--out", tmp_path / command] + FAST_PIPELINE) == 3
     err = capsys.readouterr().err
     assert f"{path}:101: row holds a non-finite value" in err and len(err.splitlines()) == 1
+
+
+def test_legacy_crlf_trajectory_loads_through_traj(tmp_path):
+    """Trajectory tables were written with CRLF line ends before every table moved to LF; they still load."""
+    assert run(["simulate", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
+    legacy = tmp_path / "legacy"
+    legacy.mkdir()
+    (legacy / "trajectory.csv").write_bytes((tmp_path / "trajectory.csv").read_bytes().replace(b"\n", b"\r\n"))
+    (legacy / "trajectory.json").write_bytes((tmp_path / "trajectory.json").read_bytes())
+    for source in (tmp_path, legacy):
+        assert run(["psd", "--traj", source / "trajectory.csv", "--out", source / "psd"] + FAST_PIPELINE) == 0
+    for name in ("psd.csv", "fit.json"):
+        assert (legacy / "psd" / name).read_bytes() == (tmp_path / "psd" / name).read_bytes(), name
 
 
 def test_unexpected_exception_marks_the_run_and_propagates(tmp_path, monkeypatch):

@@ -1,4 +1,11 @@
-"""The block-formatted CSV writer must reproduce the per-value loops it replaced, byte for byte."""
+"""The block-formatted CSV writer must reproduce the per-value loops it replaced.
+
+Every table now ends lines with LF. The ``csv.writer`` loop that wrote the
+trajectory, count, marginal and Wigner tables ended them with CRLF, so its
+output is compared after CRLF -> LF; the row loop of the other tables is
+compared byte for byte. Each case runs against both loops, named by the line
+ending each one wrote.
+"""
 
 import csv
 import math
@@ -49,14 +56,20 @@ def legacy_lf(path, header, columns):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-LEGACY = {csvfile.CRLF: legacy_crlf, csvfile.LF: legacy_lf}
+LF, CRLF = "\n", "\r\n"
+LEGACY = {CRLF: legacy_crlf, LF: legacy_lf}
 
 
-def assert_same_bytes(tmp_path, header, columns, line_end):
+def as_lf(data: bytes) -> bytes:
+    return data.replace(CRLF.encode(), LF.encode())
+
+
+def assert_same_bytes(tmp_path, header, columns, legacy_end):
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    csvfile.write_columns(new, header, columns, line_end=line_end)
-    LEGACY[line_end](old, header, columns)
-    assert new.read_bytes() == old.read_bytes()
+    csvfile.write_columns(new, header, columns)
+    LEGACY[legacy_end](old, header, columns)
+    assert CRLF.encode() not in new.read_bytes()
+    assert new.read_bytes() == as_lf(old.read_bytes())
 
 
 def mixed_values(n_rows, seed):
@@ -66,35 +79,35 @@ def mixed_values(n_rows, seed):
     return np.resize(pool, n_rows)
 
 
-@pytest.mark.parametrize("line_end", [csvfile.LF, csvfile.CRLF])
-def test_special_and_integral_values(tmp_path, line_end):
+@pytest.mark.parametrize("legacy_end", [LF, CRLF])
+def test_special_and_integral_values(tmp_path, legacy_end):
     values = mixed_values(len(SPECIAL) + 64, seed=1)
-    assert_same_bytes(tmp_path, ["a", "b"], [values, values[::-1].copy()], line_end)
+    assert_same_bytes(tmp_path, ["a", "b"], [values, values[::-1].copy()], legacy_end)
 
 
-@pytest.mark.parametrize("line_end", [csvfile.LF, csvfile.CRLF])
-def test_single_row(tmp_path, line_end):
-    assert_same_bytes(tmp_path, ["t_s", "z_m"], [np.array([-0.0]), np.array([math.nan])], line_end)
+@pytest.mark.parametrize("legacy_end", [LF, CRLF])
+def test_single_row(tmp_path, legacy_end):
+    assert_same_bytes(tmp_path, ["t_s", "z_m"], [np.array([-0.0]), np.array([math.nan])], legacy_end)
 
 
-@pytest.mark.parametrize("line_end", [csvfile.LF, csvfile.CRLF])
+@pytest.mark.parametrize("legacy_end", [LF, CRLF])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_rows_around_a_block_boundary(tmp_path, line_end, offset):
+def test_rows_around_a_block_boundary(tmp_path, legacy_end, offset):
     block_rows = csvfile.BLOCK_VALUES // 2
     n_rows = block_rows + offset
     times = np.arange(n_rows) / 1e6
-    assert_same_bytes(tmp_path, ["t_s", "z_m"], [times, mixed_values(n_rows, seed=2)], line_end)
+    assert_same_bytes(tmp_path, ["t_s", "z_m"], [times, mixed_values(n_rows, seed=2)], legacy_end)
 
 
-@pytest.mark.parametrize("line_end", [csvfile.LF, csvfile.CRLF])
+@pytest.mark.parametrize("legacy_end", [LF, CRLF])
 @pytest.mark.parametrize("n_rows", [1, 6, 7, 8, 15])
-def test_matrix_with_axis_header(tmp_path, monkeypatch, line_end, n_rows):
+def test_matrix_with_axis_header(tmp_path, monkeypatch, legacy_end, n_rows):
     """Wide rows, as the Wigner writer passes them: seven rows per block at 9 columns."""
     monkeypatch.setattr(csvfile, "BLOCK_VALUES", 63)
     axis = mixed_values(8, seed=3)
     matrix = mixed_values(n_rows * 8, seed=4).reshape(n_rows, 8)
     header = ["z_m\\p_over_m_omega_m"] + csvfile.format_numbers(axis)
-    assert_same_bytes(tmp_path, header, [np.linspace(-1.0, 1.0, n_rows), *matrix.T], line_end)
+    assert_same_bytes(tmp_path, header, [np.linspace(-1.0, 1.0, n_rows), *matrix.T], legacy_end)
 
 
 def test_save_wigner_matches_legacy_loop(tmp_path):
@@ -107,7 +120,7 @@ def test_save_wigner_matches_legacy_loop(tmp_path):
         writer.writerow(["z_m\\p_over_m_omega_m"] + [f"{p:.17g}" for p in axis])
         for i, z in enumerate(axis):
             writer.writerow([f"{z:.17g}"] + [f"{v:.17g}" for v in values[i]])
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes() == as_lf((tmp_path / "old.csv").read_bytes())
 
 
 def test_columns_must_be_one_dimensional_and_equal_length(tmp_path):

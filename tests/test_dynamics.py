@@ -7,7 +7,9 @@ import pytest
 
 from levitomo.constants import KB
 from levitomo.dynamics import (
+    SCAN_MAX_BLOCK,
     Trajectory,
+    _propagate_position,
     _propagator,
     _transition_noise_chol,
     gas_damping_rate,
@@ -247,10 +249,49 @@ def test_trajectory_load_rejects_non_finite_rows(tmp_path, dq, column, sidecar):
     save_trajectory(simulate_coherent(dq, 1e-9, 0.0, 1e-4, 1e6), path)
     if not sidecar:
         path.with_suffix(".json").unlink()
-    rows = path.read_bytes().split(b"\r\n")
+    rows = path.read_bytes().split(b"\n")
     cells = rows[5].split(b",")
     cells[column] = b"nan"
     rows[5] = b",".join(cells)
-    path.write_bytes(b"\r\n".join(rows))
+    path.write_bytes(b"\n".join(rows))
     with pytest.raises(SimulationError, match="traj.csv:6: row holds a non-finite value"):
         load_trajectory(path)
+
+
+def lfilter_position(m, var_z, var_v, temp, x0, n_total, rng):
+    """The AR(2) position recursion run through ``scipy.signal.lfilter``: the reference for the scan."""
+    signal = pytest.importorskip("scipy.signal")
+    tr_m = m[0, 0] + m[1, 1]
+    det_m = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if temp > 0:
+        eta = _transition_noise_chol(m, var_z, var_v) @ rng.standard_normal((2, n_total - 1))
+    else:
+        eta = np.zeros((2, n_total - 1))
+    z = np.empty(n_total)
+    z[0] = x0[0]
+    z[1] = (m @ x0 + eta[:, 0])[0]
+    eps = eta[0, 1:] - m[1, 1] * eta[0, :-1] + m[0, 1] * eta[1, :-1]
+    a_coeffs = [1.0, -tr_m, det_m]
+    zi = signal.lfiltic([1.0], a_coeffs, y=[z[1], z[0]])
+    z[2:], _ = signal.lfilter([1.0], a_coeffs, eps, zi=zi)
+    return z
+
+
+@pytest.mark.parametrize(
+    "xi_over_omega, temperature_K, n_total",
+    [
+        (0.025, 0.03, 5 * SCAN_MAX_BLOCK + 7),  # 1 mbar: many blocks, the last one partial
+        (1.99, 0.03, 20_011),  # next to the underdamped guard, where |lam| is smallest
+        (0.0, 0.0, 200_003),  # T = 0 without damping: a pure cosine, |lam| = 1
+    ],
+)
+def test_position_scan_matches_lfilter(dq, xi_over_omega, temperature_K, n_total):
+    omega = dq.omega_s_rad_s
+    m = _propagator(omega, xi_over_omega * omega, 1e-6)
+    var_z, var_v = equipartition_var(dq, temperature_K), KB * temperature_K / dq.mass_kg
+    x0 = np.array([1e-9, 2e-4]) if temperature_K == 0 else np.array([math.sqrt(var_z), 0.0])
+    args = (m, var_z, var_v, temperature_K, x0, n_total)
+    scan = _propagate_position(*args, np.random.default_rng(5))
+    reference = lfilter_position(*args, np.random.default_rng(5))
+    assert np.all(np.isfinite(scan))
+    assert np.max(np.abs(scan - reference)) <= 1e-9 * np.max(np.abs(reference))
