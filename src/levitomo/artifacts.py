@@ -1,5 +1,9 @@
 """The one owner of the package's text formats: CSV tables and JSON reports.
 
+Every file the package creates is written here, so this module also knows
+which files a run wrote: each open :func:`journal` gets the path of every file
+before the file is opened.
+
 JSON is written with two-space indentation and sorted keys, one trailing
 newline on disk; a CSV table's metadata goes to a ``.json`` sidecar next to it.
 
@@ -16,6 +20,7 @@ full-record ``column_stack`` copy is ever made.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -25,6 +30,30 @@ NUMBER = "%.17g"
 SEPARATOR = ","
 LF = "\n"
 BLOCK_VALUES = 1 << 13  # numbers per formatting block; larger blocks gain no speed and add peak RSS
+
+_open_journals: list[list[Path]] = []
+
+
+@contextmanager
+def journal():
+    """Yield a list that gets the path of every file written inside the block.
+
+    A path is added before its file is opened, so a write that fails part-way
+    is listed too. Journals nest: a path goes to every journal that is open.
+    """
+    paths: list[Path] = []
+    _open_journals.append(paths)
+    try:
+        yield paths
+    finally:
+        _open_journals.pop()
+
+
+def _create(path: str | Path) -> Path:
+    path = Path(path)
+    for paths in _open_journals:
+        paths.append(path)
+    return path
 
 
 def format_numbers(values) -> list[str]:
@@ -45,7 +74,7 @@ def write_columns(
         raise ValueError("CSV columns must be 1-D and of equal length")
     row_format = SEPARATOR.join([NUMBER] * n_cols) + LF
     block_rows = max(1, BLOCK_VALUES // n_cols)
-    with Path(path).open("w", newline="") as fh:
+    with _create(path).open("w", newline="") as fh:
         fh.write(SEPARATOR.join(header) + LF)
         for start in range(0, n_rows, block_rows):
             stop = min(start + block_rows, n_rows)
@@ -62,7 +91,7 @@ def dumps(payload) -> str:
 
 def write_json(path: str | Path, payload) -> Path:
     """Write ``payload`` to ``path`` as JSON and return the path."""
-    path = Path(path)
+    path = _create(path)
     path.write_text(dumps(payload) + "\n")
     return path
 

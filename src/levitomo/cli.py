@@ -16,9 +16,15 @@ Every run is reproducible: (config, seed) determine all artifacts, and
 ``manifest.json`` records the resolved configuration plus a digest of every
 file the run read or wrote. Wall-clock timings go to a sibling
 ``timings.json``, deliberately outside the manifest so re-runs are
-byte-identical. Exit codes: 0 success, 2 usage/config error, 3 stage failure
-or a file that cannot be read or written; a failed ``pipeline`` run renames
-every file it wrote to ``<name>.partial``.
+byte-identical.
+
+``main`` drives every subcommand the same way. It resolves the settings
+before ``--out`` exists, then runs the subcommand's body inside an
+``artifacts.journal`` that lists every file the body writes. On success it
+prints the body's report (``derive``, ``tomo``, the fock1 ``pipeline``) or
+``wrote`` and every file written. On failure it renames every file written to
+``<name>.partial`` and exits 2 for a configuration error or 3 for a stage
+failure or a file that cannot be read or written, with one line on stderr.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +46,6 @@ from .errors import ConfigError, LevitomoError
 from .physics import (
     ExperimentConfig,
     decoherence_curve,
-    default_config,
     derive,
     load_key_values,
     typed_fields,
@@ -133,14 +138,11 @@ class PipelineSettings:
             raise ConfigError(f"marginal_grid_points must be odd and at least 3 to contain 0, got {points!r}")
 
 
-def resolve_settings(
-    config_path: str | None, overrides: list[str]
-) -> tuple[ExperimentConfig, PipelineSettings, dict]:
+def resolve_settings(config_path: str | None, overrides: list[str]) -> tuple[ExperimentConfig, PipelineSettings]:
     """Merge config file (or built-in defaults) with ``--set key=value`` overrides.
 
-    Returns the experiment config, the validated pipeline settings and the
-    resolved snapshot mapping that goes into the manifest. Unknown keys are an
-    error.
+    Returns the experiment config and the validated pipeline settings. Unknown
+    keys are an error.
     """
     pipe_keys = {f.name for f in fields(PipelineSettings)}
     mapping: dict = {}
@@ -151,10 +153,9 @@ def resolve_settings(
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         mapping[key] = value
-    exp_mapping = {k: v for k, v in mapping.items() if k not in pipe_keys}
-    config = replace(default_config(), **typed_fields(ExperimentConfig, exp_mapping))
+    config = ExperimentConfig.from_mapping({k: v for k, v in mapping.items() if k not in pipe_keys})
     settings = PipelineSettings.from_mapping({k: v for k, v in mapping.items() if k in pipe_keys})
-    return config, settings, {**asdict(config), **asdict(settings)}
+    return config, settings
 
 
 def _sha256(path: Path) -> str:
@@ -174,21 +175,23 @@ class RunManifest:
         self.out_dir = out_dir
         self.stages: list[dict] = []
         self.timings: dict[str, float] = {}
-        self.written: list[Path] = []  # every stage's outputs, failed stages too, for mark_partial
 
-    def record(self, name: str, inputs: dict[str, Path], outputs: list[Path], elapsed_s: float):
+    @contextmanager
+    def stage(self, name: str, inputs: dict[str, Path]):
+        """Run one stage; if it succeeds, record its inputs, every file it wrote and its time."""
+        start = time.perf_counter()
+        with artifacts.journal() as written:
+            yield
+        self.timings[name] = time.perf_counter() - start
         self.stages.append(
             {
                 "name": name,
                 "inputs": {key: _sha256(path) for key, path in sorted(inputs.items())},
-                "outputs": {
-                    str(path.relative_to(self.out_dir)): _sha256(path) for path in sorted(outputs)
-                },
+                "outputs": {str(path.relative_to(self.out_dir)): _sha256(path) for path in sorted(written)},
             }
         )
-        self.timings[name] = elapsed_s
 
-    def write(self) -> Path:
+    def write(self) -> None:
         manifest = {
             "package_version": __version__,
             "seed": self.seed,
@@ -196,12 +199,7 @@ class RunManifest:
             "stages": self.stages,
         }
         artifacts.write_json(self.out_dir / "timings.json", {"timings_s": self.timings})
-        return artifacts.write_json(self.out_dir / "manifest.json", manifest)
-
-    def mark_partial(self) -> None:
-        for path in self.written:
-            if path.is_file():
-                path.rename(path.with_name(path.name + ".partial"))
+        artifacts.write_json(self.out_dir / "manifest.json", manifest)
 
 
 def _auto_segment_len(n_samples: int, requested: int) -> int:
@@ -213,8 +211,7 @@ def _auto_segment_len(n_samples: int, requested: int) -> int:
 
 # ---------------------------------------------------------------------------
 # stages: each computes one step of the chain and writes its artifacts into
-# ``out_dir``, appending each path to ``outputs`` before the file is written so
-# a write that fails part-way still leaves every written file listed
+# ``out_dir``; ``artifacts.journal`` lists the files it wrote
 
 
 def _stage_seeds(seed: int) -> tuple[int, int, int]:
@@ -223,7 +220,7 @@ def _stage_seeds(seed: int) -> tuple[int, int, int]:
     return sim, ch, cbh
 
 
-def _simulate(config, settings, dq, seed, out_dir, outputs) -> dynamics.Trajectory:
+def _simulate(config, settings, dq, seed, out_dir) -> dynamics.Trajectory:
     if settings.sim_state == "thermal":
         traj = dynamics.simulate_thermal(
             config,
@@ -245,13 +242,11 @@ def _simulate(config, settings, dq, seed, out_dir, outputs) -> dynamics.Trajecto
         raise ConfigError(
             f"state {settings.sim_state!r} has no trajectory simulation (fock1 is an oracle state)"
         )
-    path = out_dir / "trajectory.csv"
-    outputs += [path, artifacts.sidecar(path)]
-    dynamics.save_trajectory(traj, path)
+    dynamics.save_trajectory(traj, out_dir / "trajectory.csv")
     return traj
 
 
-def _detect(config, settings, traj, seed, out_dir, outputs) -> dict[str, detection.CountRecord]:
+def _detect(config, settings, traj, seed, out_dir) -> dict[str, detection.CountRecord]:
     detect = detection.detect_exact if settings.detection_model == "exact" else detection.detect_linear
     records = {}
     for scheme, det_seed in zip(detection.SCHEMES, _stage_seeds(seed)[1:]):
@@ -265,13 +260,11 @@ def _detect(config, settings, traj, seed, out_dir, outputs) -> dict[str, detecti
             linearity_guard=settings.linearity_guard,
         )
         records[scheme] = detect(traj, params, seed=det_seed)
-        path = out_dir / f"counts_{scheme}.csv"
-        outputs += [path, artifacts.sidecar(path)]
-        detection.save_count_record(records[scheme], path)
+        detection.save_count_record(records[scheme], out_dir / f"counts_{scheme}.csv")
     return records
 
 
-def _invert(settings, dq, record, out_dir, outputs) -> dynamics.Trajectory:
+def _invert(settings, dq, record, out_dir) -> dynamics.Trajectory:
     """Calibrated positions; ``auto`` rescales to equipartition only a thermal record with shot noise."""
     calibration = settings.calibration
     if calibration == "auto":
@@ -279,9 +272,7 @@ def _invert(settings, dq, record, out_dir, outputs) -> dynamics.Trajectory:
         calibration = "equipartition" if thermal_noisy else "linear"
     target_var = KB * settings.sim_temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
     inverted = detection.invert_counts(record, calibration=calibration, target_variance_m2=target_var)
-    path = out_dir / "inverted.csv"
-    outputs += [path, artifacts.sidecar(path)]
-    dynamics.save_trajectory(inverted, path)
+    dynamics.save_trajectory(inverted, out_dir / "inverted.csv")
     return inverted
 
 
@@ -292,13 +283,11 @@ def _fit_line(series, dq, settings) -> tuple[spectral.Psd, spectral.LorentzianFi
     return psd, spectral.fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
 
 
-def _save_line(psd, fit, out_dir, suffix, outputs) -> None:
+def _save_line(psd, fit, out_dir, suffix) -> None:
     """Write ``psd<suffix>.csv`` and the line fit ``fit<suffix>.json``."""
-    psd_path, fit_path = out_dir / f"psd{suffix}.csv", out_dir / f"fit{suffix}.json"
-    outputs += [psd_path, fit_path]
-    artifacts.write_columns(psd_path, ["freq_Hz", "power"], [psd.freqs_Hz, psd.power])
+    artifacts.write_columns(out_dir / f"psd{suffix}.csv", ["freq_Hz", "power"], [psd.freqs_Hz, psd.power])
     artifacts.write_json(
-        fit_path,
+        out_dir / f"fit{suffix}.json",
         {
             "omega0_rad_s": fit.omega0_rad_s,
             "linewidth_rad_s": fit.linewidth_rad_s,
@@ -306,42 +295,39 @@ def _save_line(psd, fit, out_dir, suffix, outputs) -> None:
             "noise_floor": fit.noise_floor,
             "residual_rms": fit.residual_rms,
             "covariance": fit.covariance.tolist(),
-            "snr_db": spectral.noise_floor_and_snr(psd, fit).snr_db,
+            "snr_db": spectral.peak_snr(psd)[2],
         },
     )
 
 
-def _reconstruct(marginals, grid_size, cutoff_fraction, out_dir, outputs) -> tomography.WignerReport:
+def _reconstruct(marginals, grid_size, cutoff_fraction, out_dir) -> tomography.WignerReport:
     wigner = tomography.inverse_radon(marginals, grid_size, cutoff_fraction=cutoff_fraction)
     report = tomography.analyze(wigner)
-    paths = [out_dir / "marginals.csv", out_dir / "wigner.csv", out_dir / "analyze.json"]
-    outputs += paths
-    tomography.save_marginals(marginals, paths[0])
-    tomography.save_wigner(wigner, paths[1])
-    tomography.save_report(report, paths[2])
+    tomography.save_marginals(marginals, out_dir / "marginals.csv")
+    tomography.save_wigner(wigner, out_dir / "wigner.csv")
+    tomography.save_report(report, out_dir / "analyze.json")
     return report
 
 
-def _tomography(series, omega_rad_s, settings, out_dir, outputs) -> tomography.WignerReport:
+def _tomography(series, omega_rad_s, settings, out_dir) -> tomography.WignerReport:
     grid = tomography.default_z_grid(series.z_m, settings.marginal_grid_points, settings.marginal_span_sigmas)
     marginals = tomography.bin_marginals(series, omega_rad_s, settings.n_angles, grid)
-    return _reconstruct(marginals, settings.wigner_grid_size, settings.cutoff_fraction, out_dir, outputs)
+    return _reconstruct(marginals, settings.wigner_grid_size, settings.cutoff_fraction, out_dir)
 
 
-def _decoherence(settings, dq, out_dir, outputs) -> None:
+def _decoherence(settings, dq, out_dir) -> None:
     zmin, zmax, n = settings.decoherence_zmin_m, settings.decoherence_zmax_m, settings.decoherence_points
     grid = np.logspace(math.log10(zmin), math.log10(zmax), n) if n > 1 else np.array([zmin])
     curve = np.array(decoherence_curve(grid, dq))
-    path = out_dir / "decoherence.csv"
-    outputs.append(path)
-    artifacts.write_columns(path, ["delta_z_m", "tau_s"], [curve[:, 0], curve[:, 1]])
+    artifacts.write_columns(out_dir / "decoherence.csv", ["delta_z_m", "tau_s"], [curve[:, 0], curve[:, 1]])
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each body gets the resolved config and settings and an existing
+# ``out_dir``, and returns the report ``main`` prints, or None
 
 
-def _load(args) -> tuple[ExperimentConfig, PipelineSettings, dict]:
+def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     """Resolve ``--config`` and ``--set``; a flag named after a setting (``--state``) overrides both."""
     overrides = list(args.set or [])
     for f in fields(PipelineSettings):
@@ -350,145 +336,84 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings, dict]:
     return resolve_settings(args.config, overrides)
 
 
-def _out_dir(args) -> Path:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
-def _print_written(outputs: list[Path]) -> int:
-    print("wrote " + ", ".join(str(path) for path in outputs))
-    return 0
-
-
-def cmd_derive(args) -> int:
-    config, _, _ = _load(args)
+def cmd_derive(args, config, settings, out_dir) -> dict:
     payload = asdict(derive(config))
-    artifacts.write_json(_out_dir(args) / "derived.json", payload)
-    print(artifacts.dumps(payload))
-    return 0
+    artifacts.write_json(out_dir / "derived.json", payload)
+    return payload
 
 
-def cmd_simulate(args) -> int:
-    config, settings, _ = _load(args)
-    outputs: list[Path] = []
-    _simulate(config, settings, derive(config), args.seed, _out_dir(args), outputs)
-    return _print_written(outputs)
+def cmd_simulate(args, config, settings, out_dir) -> None:
+    _simulate(config, settings, derive(config), args.seed, out_dir)
 
 
-def cmd_detect(args) -> int:
-    config, settings, _ = _load(args)
-    outputs: list[Path] = []
-    _detect(config, settings, dynamics.load_trajectory(args.traj), args.seed, _out_dir(args), outputs)
-    return _print_written(outputs)
+def cmd_detect(args, config, settings, out_dir) -> None:
+    _detect(config, settings, dynamics.load_trajectory(args.traj), args.seed, out_dir)
 
 
-def cmd_psd(args) -> int:
-    config, settings, _ = _load(args)
+def cmd_psd(args, config, settings, out_dir) -> None:
     psd, fit = _fit_line(dynamics.load_trajectory(args.traj), derive(config), settings)
-    outputs: list[Path] = []
-    _save_line(psd, fit, _out_dir(args), "", outputs)
-    return _print_written(outputs)
+    _save_line(psd, fit, out_dir, "")
 
 
-def cmd_tomo(args) -> int:
-    config, settings, _ = _load(args)
+def cmd_tomo(args, config, settings, out_dir) -> dict:
     traj = dynamics.load_trajectory(args.traj)
     _, fit = _fit_line(traj, derive(config), settings)
-    report = _tomography(traj, fit.omega0_rad_s, settings, _out_dir(args), [])
-    print(artifacts.dumps(asdict(report)))
-    return 0
+    return asdict(_tomography(traj, fit.omega0_rad_s, settings, out_dir))
 
 
-def cmd_decoherence(args) -> int:
-    config, settings, _ = _load(args)
-    outputs: list[Path] = []
-    _decoherence(settings, derive(config), _out_dir(args), outputs)
-    return _print_written(outputs)
+def cmd_decoherence(args, config, settings, out_dir) -> None:
+    _decoherence(settings, derive(config), out_dir)
 
 
-def cmd_pipeline(args) -> int:
-    config, settings, snapshot = _load(args)
-    out_dir = _out_dir(args)
-    manifest = RunManifest(snapshot, args.seed, out_dir)
+def cmd_pipeline(args, config, settings, out_dir) -> dict | None:
+    """Run every stage in order; ``plotdata/style.json`` names each figure's source file.
+
+    Returns the Wigner report of a fock1 oracle run and None for a simulated record.
+    """
+    manifest = RunManifest({**asdict(config), **asdict(settings)}, args.seed, out_dir)
     config_inputs = {"config_file": Path(args.config)} if args.config else {}
-    try:
-        _run_pipeline(config, settings, args.seed, out_dir, manifest, config_inputs)
-        manifest.write()
-    except (LevitomoError, OSError) as exc:
-        manifest.mark_partial()
-        print(f"pipeline stage failed: {exc}", file=sys.stderr)
-        return 3
-    except BaseException:
-        manifest.mark_partial()
-        raise
-    print(f"wrote {out_dir / 'manifest.json'}")
-    return 0
-
-
-@contextmanager
-def _stage(manifest: RunManifest, name: str, inputs: dict[str, Path]):
-    """Yield the list a stage appends its outputs to; record them and the timing if it succeeds."""
-    outputs: list[Path] = []
-    start = time.perf_counter()
-    try:
-        yield outputs
-    finally:
-        manifest.written.extend(outputs)
-    manifest.record(name, inputs, outputs, time.perf_counter() - start)
-
-
-def _run_pipeline(config, settings, seed, out_dir, manifest, config_inputs):
-    """Run every stage in order; ``plotdata/style.json`` names each figure's source file."""
     dq = derive(config)
     plot_dir = out_dir / "plotdata"
     plot_dir.mkdir(exist_ok=True)
     figures: dict = {}
+    report = None
 
-    with _stage(manifest, "derive", config_inputs) as outputs:
-        path = out_dir / "derived.json"
-        outputs.append(path)
-        artifacts.write_json(path, asdict(dq))
+    with manifest.stage("derive", config_inputs):
+        artifacts.write_json(out_dir / "derived.json", asdict(dq))
 
     if settings.sim_state == "fock1":
         # oracle reconstruction of the first excited state, in natural units (s = 1)
-        with _stage(manifest, "tomography", {}) as outputs:
+        with manifest.stage("tomography", {}):
             angles = TWO_PI * np.arange(settings.n_angles) / settings.n_angles
             grid = np.linspace(-5.0, 5.0, settings.marginal_grid_points)
             marginals = tomography.oracle_marginals("fock1", angles, grid, z_zpf_m=1.0 / math.sqrt(2.0))
-            report = _reconstruct(marginals, settings.marginal_grid_points, 1.0, out_dir, outputs)
-            print(artifacts.dumps(asdict(report)))
+            report = asdict(_reconstruct(marginals, settings.marginal_grid_points, 1.0, out_dir))
         figures["fig2c"] = {
             "file": "wigner.csv",
             "matrix": "rows z, columns p (natural units)",
             "kind": "heatmap",
         }
     else:
-        with _stage(manifest, "simulate", config_inputs) as outputs:
-            traj = _simulate(config, settings, dq, seed, out_dir, outputs)
+        with manifest.stage("simulate", config_inputs):
+            traj = _simulate(config, settings, dq, args.seed, out_dir)
 
-        with _stage(manifest, "detect", {"trajectory": out_dir / "trajectory.csv"}) as outputs:
-            records = _detect(config, settings, traj, seed, out_dir, outputs)
+        with manifest.stage("detect", {"trajectory": out_dir / "trajectory.csv"}):
+            records = _detect(config, settings, traj, args.seed, out_dir)
         primary = "cbh" if "cbh" in records else "ch"
 
-        with _stage(manifest, "invert", {}) as outputs:
-            inverted = _invert(settings, dq, records[primary], out_dir, outputs)
-            n_plot = min(len(inverted.z_m), 2000)
-            fig2a = plot_dir / "fig2a_position_signal.csv"
-            outputs.append(fig2a)
-            artifacts.write_columns(fig2a, ["t_s", "z_m"], [inverted.times_s[:n_plot], inverted.z_m[:n_plot]])
-        figures["fig2a"] = {"file": "plotdata/" + fig2a.name, "x": "t_s", "y": "z_m", "kind": "line"}
+        with manifest.stage("invert", {}):
+            inverted = _invert(settings, dq, records[primary], out_dir)
+        figures["fig2a"] = {"file": "inverted.csv", "x": "t_s", "y": "z_m", "kind": "line", "rows": 2000}
 
         psds: dict[str, spectral.Psd] = {}
         fits: dict[str, spectral.LorentzianFit] = {}
-        with _stage(manifest, "spectral", {}) as outputs:
+        with manifest.stage("spectral", {}):
             for scheme, rec in records.items():
                 psds[scheme], fits[scheme] = _fit_line(detection.invert_counts(rec), dq, settings)
-                _save_line(psds[scheme], fits[scheme], out_dir, f"_{scheme}", outputs)
+                _save_line(psds[scheme], fits[scheme], out_dir, f"_{scheme}")
             if len(records) == 2:
-                path = out_dir / "noise_floors.json"
-                outputs.append(path)
-                artifacts.write_json(path, asdict(detection.compare_noise_floor(psds["ch"], psds["cbh"])))
+                floors = detection.compare_noise_floor(psds["ch"], psds["cbh"])
+                artifacts.write_json(out_dir / "noise_floors.json", asdict(floors))
         figures["fig2d"] = {
             "file": [f"psd_{scheme}.csv" for scheme in psds],
             "x": "freq_Hz",
@@ -499,13 +424,13 @@ def _run_pipeline(config, settings, seed, out_dir, manifest, config_inputs):
             "floors": {scheme: fit.noise_floor for scheme, fit in fits.items()},
         }
 
-        with _stage(manifest, "tomography", {}) as outputs:
-            _tomography(inverted, fits[primary].omega0_rad_s, settings, out_dir, outputs)
+        with manifest.stage("tomography", {}):
+            _tomography(inverted, fits[primary].omega0_rad_s, settings, out_dir)
         figures["fig2b"] = {"file": "marginals.csv", "matrix": "rows z, columns theta", "kind": "heatmap"}
         figures["fig2c"] = {"file": "wigner.csv", "matrix": "rows z, columns p/(m omega)", "kind": "heatmap"}
 
-    with _stage(manifest, "decoherence", {}) as outputs:
-        _decoherence(settings, dq, out_dir, outputs)
+    with manifest.stage("decoherence", {}):
+        _decoherence(settings, dq, out_dir)
     figures["fig3"] = {
         "file": "decoherence.csv",
         "x": "delta_z_m",
@@ -515,10 +440,10 @@ def _run_pipeline(config, settings, seed, out_dir, manifest, config_inputs):
         "yscale": "log",
     }
 
-    with _stage(manifest, "plot-style", {}) as outputs:
-        path = plot_dir / "style.json"
-        outputs.append(path)
-        artifacts.write_json(path, {"figures": figures})
+    with manifest.stage("plot-style", {}):
+        artifacts.write_json(plot_dir / "style.json", {"figures": figures})
+    manifest.write()
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -599,16 +524,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: settings first, then the body with every file it writes journaled.
+
+    A body that fails leaves each file it wrote as ``<name>.partial``.
+    """
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config, settings = _load(args)
+        out_dir = Path(args.out)
+        with artifacts.journal() as written:
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                report = args.func(args, config, settings, out_dir)
+            except BaseException:
+                for path in written:
+                    if path.is_file():
+                        path.rename(path.with_name(path.name + ".partial"))
+                raise
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (LevitomoError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{args.command} stage failed: {exc}", file=sys.stderr)
         return 3
+    print(artifacts.dumps(report) if report is not None else "wrote " + ", ".join(map(str, written)))
+    return 0
 
 
 if __name__ == "__main__":

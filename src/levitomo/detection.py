@@ -34,7 +34,7 @@ from .constants import C, EPS0, HBAR, TWO_PI
 from .errors import DetectionError
 from .dynamics import Trajectory
 from .physics import ExperimentConfig
-from .spectral import Psd
+from .spectral import Psd, peak_snr
 
 SCHEMES = ("ch", "cbh")
 
@@ -283,23 +283,11 @@ def compare_noise_floor(psd_ch: Psd, psd_cbh: Psd) -> NoiseFloorReport:
 
     ``psd_ch`` and ``psd_cbh`` are Welch spectra of the linearly inverted
     single-detector and balanced records; they must share one frequency grid.
-    The floor is the median power outside a +-25 % band around the spectral
-    peak.
+    Floor, peak and SNR of each are those of :func:`spectral.peak_snr`.
     """
     if not np.array_equal(psd_ch.freqs_Hz, psd_cbh.freqs_Hz):
         raise DetectionError("spectra on different frequency grids: window rates or segment lengths differ")
-
-    results = []
-    for psd in (psd_ch, psd_cbh):
-        peak_idx = int(np.argmax(psd.power))
-        peak_freq = psd.freqs_Hz[peak_idx]
-        off_peak = np.abs(psd.freqs_Hz - peak_freq) > 0.25 * peak_freq
-        if not np.any(off_peak):
-            raise DetectionError("spectrum too short to estimate an off-resonance floor")
-        floor = float(np.median(psd.power[off_peak]))
-        peak = float(psd.power[peak_idx])
-        results.append((floor, peak))
-    (floor_ch, peak_ch), (floor_cbh, peak_cbh) = results
+    (floor_ch, peak_ch, snr_ch), (floor_cbh, peak_cbh, snr_cbh) = peak_snr(psd_ch), peak_snr(psd_cbh)
     ratio = floor_ch / floor_cbh if floor_cbh > 0 else (1.0 if floor_ch == floor_cbh else math.inf)
     return NoiseFloorReport(
         floor_ch=floor_ch,
@@ -307,8 +295,8 @@ def compare_noise_floor(psd_ch: Psd, psd_cbh: Psd) -> NoiseFloorReport:
         floor_ratio_ch_over_cbh=ratio,
         peak_power_ch=peak_ch,
         peak_power_cbh=peak_cbh,
-        snr_ch_db=10.0 * math.log10(peak_ch / floor_ch) if floor_ch > 0 else math.inf,
-        snr_cbh_db=10.0 * math.log10(peak_cbh / floor_cbh) if floor_cbh > 0 else math.inf,
+        snr_ch_db=snr_ch,
+        snr_cbh_db=snr_cbh,
     )
 
 

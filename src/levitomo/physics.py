@@ -91,8 +91,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "ExperimentConfig":
-        """Build a config from string key/value pairs; unknown keys are an error."""
-        return cls(**typed_fields(cls, mapping))
+        """:func:`default_config` with the string key/value pairs applied; unknown keys are an error."""
+        return replace(default_config(), **typed_fields(cls, mapping))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":

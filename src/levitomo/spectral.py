@@ -266,23 +266,21 @@ def _levenberg_marquardt(residuals, x):
     raise SpectralError(f"oscillator fit did not converge in {FIT_MAX_NFEV} evaluations")
 
 
-@dataclass(frozen=True)
-class SnrReport:
-    floor: float
-    peak_power: float
-    snr_db: float
+def peak_snr(psd: Psd) -> tuple[float, float, float]:
+    """Off-resonance floor, peak power and peak SNR in dB of one spectrum.
 
-
-def noise_floor_and_snr(psd: Psd, fit: LorentzianFit) -> SnrReport:
-    """Noise floor and peak signal-to-noise ratio implied by a line fit."""
-    if fit.noise_floor <= 0:
-        raise SpectralError("fit has a non-positive noise floor")
-    peak = fit.amplitude / (fit.linewidth_rad_s * fit.omega0_rad_s) ** 2 + fit.noise_floor
-    return SnrReport(
-        floor=fit.noise_floor,
-        peak_power=peak,
-        snr_db=10.0 * math.log10(peak / fit.noise_floor),
-    )
+    The peak is the strongest bin and the floor the median power outside a
+    +-25 % band around it. Neither depends on a line fit, so the SNR holds
+    when the record is too short to resolve the linewidth.
+    """
+    peak_idx = int(np.argmax(psd.power))
+    peak_freq = psd.freqs_Hz[peak_idx]
+    off_peak = np.abs(psd.freqs_Hz - peak_freq) > 0.25 * peak_freq
+    if not np.any(off_peak):
+        raise SpectralError("spectrum too short to estimate an off-resonance floor")
+    floor = float(np.median(psd.power[off_peak]))
+    peak = float(psd.power[peak_idx])
+    return floor, peak, 10.0 * math.log10(peak / floor) if floor > 0 else math.inf
 
 
 def estimate_radius(fit: LorentzianFit, temperature_K: float, density_kg_m3: float) -> float:

@@ -270,11 +270,14 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path):
         "derived.json",
         "manifest.json",
         "timings.json",
-        "plotdata/fig2a_position_signal.csv",
         "plotdata/style.json",
     ]
     for name in expected:
         assert (out_a / name).is_file(), name
+    # the position-signal figure reads the head of inverted.csv instead of a copy of it
+    assert sorted(path.name for path in (out_a / "plotdata").iterdir()) == ["style.json"]
+    fig2a = json.loads((out_a / "plotdata" / "style.json").read_text())["figures"]["fig2a"]
+    assert (fig2a["file"], fig2a["rows"]) == ("inverted.csv", 2000)
     assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
     report = json.loads((out_a / "analyze.json").read_text())
     assert abs(report["total_integral"] - 1.0) < 0.05
@@ -307,10 +310,11 @@ def test_pipeline_seed_changes_artifacts(tmp_path):
     assert (out_a / "manifest.json").read_bytes() != (out_b / "manifest.json").read_bytes()
 
 
-def test_pipeline_fock_oracle_mode(tmp_path):
+def test_pipeline_fock_oracle_mode(tmp_path, capsys):
     assert run(["pipeline", "--state", "fock1", "--out", tmp_path, "--seed", 2]) == 0
     report = json.loads((tmp_path / "analyze.json").read_text())
     assert report["min_value"] < -0.2
+    assert json.loads(capsys.readouterr().out) == report
 
 
 def test_pipeline_stage_failure_keeps_partial_artifacts(tmp_path, capsys):
@@ -361,6 +365,46 @@ def test_unwritable_output_is_a_stage_failure(tmp_path, capsys, blocked, written
     for name in written:
         assert (tmp_path / f"{name}.partial").is_file(), name
         assert not (tmp_path / name).exists(), name
+
+
+@pytest.mark.parametrize(
+    "command, blocked, written",
+    [
+        ("derive", "derived.json", []),
+        ("simulate", "trajectory.json", ["trajectory.csv"]),
+        ("detect", "counts_cbh.csv", ["counts_ch.csv", "counts_ch.json"]),
+        ("psd", "fit.json", ["psd.csv"]),
+        ("tomo", "analyze.json", ["marginals.csv", "wigner.csv"]),
+        ("decoherence", "decoherence.csv", []),
+    ],
+)
+def test_failed_subcommand_marks_every_file_it_wrote(tmp_path, capsys, command, blocked, written):
+    """Every subcommand, not only ``pipeline``, leaves no file of a failed run under its final name."""
+    assert run(["simulate", "--seed", 1, "--out", tmp_path / "input"] + FAST_PIPELINE) == 0
+    out = tmp_path / "run"
+    (out / blocked).mkdir(parents=True)
+    traj = ["--traj", tmp_path / "input" / "trajectory.csv"] if command in ("detect", "psd", "tomo") else []
+    capsys.readouterr()
+    assert run([command, "--seed", 1, "--out", out] + traj + FAST_PIPELINE) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{command} stage failed:") and blocked in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert sorted(path.name for path in out.iterdir()) == sorted([blocked] + [name + ".partial" for name in written])
+
+
+def test_fit_snr_is_the_noise_floor_snr(tmp_path):
+    """A fit file's SNR is its spectrum's peak bin over the off-resonance floor, as in noise_floors.json.
+
+    A 0.1 s record cannot resolve the linewidth, so an SNR taken from the fitted
+    line's peak would read about 80 dB too high.
+    """
+    argv = ["pipeline", "--config", "reference.cfg", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.1"]
+    assert run(argv) == 0
+    floors = json.loads((tmp_path / "noise_floors.json").read_text())
+    for scheme in ("ch", "cbh"):
+        fit = json.loads((tmp_path / f"fit_{scheme}.json").read_text())
+        assert fit["snr_db"] == floors[f"snr_{scheme}_db"], scheme
 
 
 def test_missing_trajectory_exits_3_with_one_line(tmp_path, capsys):
@@ -470,10 +514,12 @@ def test_pipeline_full_temperature_exact_model_fails_cleanly(tmp_path, capsys):
     assert "no peak" in capsys.readouterr().err
 
 
-def test_manifest_digests_match_files(tmp_path):
+def test_manifest_digests_match_files(tmp_path, capsys):
     import hashlib
 
     assert run(["pipeline", "--seed", 11, "--out", tmp_path] + FAST_PIPELINE) == 0
+    printed = capsys.readouterr().out.removeprefix("wrote ").rstrip("\n").split(", ")
+    assert sorted(printed) == sorted(str(path) for path in tmp_path.rglob("*") if path.is_file())
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seed"] == 11
     checked = 0

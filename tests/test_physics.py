@@ -202,6 +202,14 @@ def test_config_file_round_trip(tmp_path):
     assert derive(cfg).omega_s_rad_s == pytest.approx(TWO_PI * 70e3, rel=1e-9)
 
 
+def test_config_mapping_starts_from_the_reference_config(tmp_path):
+    """A file without ``waist_m`` keeps the calibrated 70 kHz waist, as ``levitomo --config`` does."""
+    assert ExperimentConfig.from_mapping({}) == default_config()
+    path = tmp_path / "power.cfg"
+    path.write_text("power_W = 0.65\n")
+    assert derive(ExperimentConfig.from_file(path)).omega_s_rad_s == pytest.approx(TWO_PI * 70e3, rel=1e-12)
+
+
 def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("wavelength_m = 1550e-9\nwaist_um = 1.0\n")

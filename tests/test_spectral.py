@@ -15,7 +15,7 @@ from levitomo.spectral import (
     estimate_psd,
     estimate_radius,
     fit_lorentzian,
-    noise_floor_and_snr,
+    peak_snr,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -143,15 +143,17 @@ def test_fitted_floor_tracks_injected_variance(damped_config, damped_dq):
     assert floors[1] / floors[0] == pytest.approx(2.0, rel=0.10)
 
 
-def test_snr_report():
-    omega0, xi, amplitude, floor = TWO_PI * 7e4, 5e3, 50.0, 1e-21
-    psd = _synthetic_psd(omega0, xi, amplitude, floor)
-    fit = fit_lorentzian(psd, (4e4, 1e5))
-    report = noise_floor_and_snr(psd, fit)
-    assert report.floor == fit.noise_floor
-    expected_peak = fit.amplitude / (fit.linewidth_rad_s * fit.omega0_rad_s) ** 2 + fit.noise_floor
-    assert report.peak_power == pytest.approx(expected_peak, rel=1e-12)
-    assert report.snr_db == pytest.approx(10 * math.log10(expected_peak / fit.noise_floor), rel=1e-12)
+def test_peak_snr_is_the_peak_bin_over_the_off_peak_median():
+    freqs = np.arange(1.0, 101.0)
+    power = np.full(100, 2.0)
+    power[35:45] = 50.0  # the line's skirt, inside +-25 % of the 40 Hz peak: not floor
+    power[39] = 200.0
+    power[90:95] = 100.0  # a few strong bins off the line leave the median floor where it is
+    floor, peak, snr_db = peak_snr(Psd(freqs, power, n_segments=1, segment_len=200))
+    assert (floor, peak) == (2.0, 200.0)
+    assert snr_db == pytest.approx(20.0, rel=1e-12)
+    with pytest.raises(SpectralError, match="too short"):
+        peak_snr(Psd(freqs[39:40], power[39:40], n_segments=1, segment_len=2))
 
 
 def test_radius_from_thermal_record(damped_config, damped_dq):
