@@ -1,11 +1,17 @@
-"""The one owner of the package's text formats: CSV tables and JSON reports.
+"""The one owner of the package's file formats: CSV tables, JSON reports and
+binary float64 arrays.
 
 Every file the package creates is written here, so this module also knows
 which files a run wrote: each open :func:`journal` gets the path of every file
 before the file is opened.
 
 JSON is written with two-space indentation and sorted keys, one trailing
-newline on disk; a CSV table's metadata goes to a ``.json`` sidecar next to it.
+newline on disk; the metadata of an array or a CSV table goes to a ``.json``
+sidecar next to it.
+
+A bulk series (a trajectory, a count record) is one 1-D little-endian float64
+``.npy`` array, written by ``np.save`` without pickling. It carries no time
+column: its sidecar holds ``t0_s`` and the rate that place each sample in time.
 
 The CSV format is fixed here: numbers as ``%.17g`` (round-trips every float64,
 and ``nan``, ``inf``, ``-0`` spelled as Python spells them), fields separated
@@ -84,6 +90,12 @@ def write_columns(
             fh.write((row_format * (stop - start)) % tuple(flat))
 
 
+def write_array(path: str | Path, values) -> None:
+    """Write ``values`` to exactly ``path`` as a little-endian float64 ``.npy`` array."""
+    with _create(path).open("wb") as fh:
+        np.save(fh, np.asarray(values, dtype="<f8"), allow_pickle=False)
+
+
 def dumps(payload) -> str:
     """The JSON text of a report, as written to disk and printed."""
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -97,5 +109,5 @@ def write_json(path: str | Path, payload) -> Path:
 
 
 def sidecar(path: str | Path) -> Path:
-    """The JSON file that carries the metadata of the CSV table at ``path``."""
+    """The JSON file that carries the metadata of the array or CSV table at ``path``."""
     return Path(path).with_suffix(".json")

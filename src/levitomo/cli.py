@@ -1,8 +1,8 @@
-"""Command-line pipeline: reproducible end-to-end runs with CSV/JSON artifacts.
+"""Command-line pipeline: reproducible end-to-end runs with CSV, JSON and .npy artifacts.
 
 Subcommands
     derive       closed-form derived quantities -> JSON
-    simulate     thermal/coherent trajectory -> CSV
+    simulate     thermal/coherent trajectory -> trajectory.npy + JSON sidecar
     detect       trajectory -> count records (single and/or balanced scheme)
     psd          trajectory -> Welch PSD and oscillator-line fit
     tomo         trajectory -> marginals, Wigner grid, analysis report
@@ -12,6 +12,10 @@ Subcommands
 Each subcommand other than ``pipeline`` loads its input and runs one stage of
 the pipeline through the same function and with the same stage seed, so
 ``simulate`` then ``detect`` with one ``--seed`` write the pipeline's files.
+The four bulk series (``trajectory``, ``counts_ch``, ``counts_cbh``,
+``inverted``) are float64 ``.npy`` arrays whose time axis is in their JSON
+sidecars; every other table is CSV.
+
 Every run is reproducible: (config, seed) determine all artifacts, and
 ``manifest.json`` records the resolved configuration plus a digest of every
 file the run read or wrote. Wall-clock timings go to a sibling
@@ -221,6 +225,7 @@ def _stage_seeds(seed: int) -> tuple[int, int, int]:
 
 
 def _simulate(config, settings, dq, seed, out_dir) -> dynamics.Trajectory:
+    """The thermal or coherent record; ``_load`` has refused fock1, which has no trajectory."""
     if settings.sim_state == "thermal":
         traj = dynamics.simulate_thermal(
             config,
@@ -230,7 +235,7 @@ def _simulate(config, settings, dq, seed, out_dir) -> dynamics.Trajectory:
             _stage_seeds(seed)[0],
             temperature_K=settings.sim_temperature_K,
         )
-    elif settings.sim_state == "coherent":
+    else:
         traj = dynamics.simulate_coherent(
             dq,
             settings.coherent_amplitude_m,
@@ -238,11 +243,7 @@ def _simulate(config, settings, dq, seed, out_dir) -> dynamics.Trajectory:
             settings.sim_duration_s,
             settings.sim_sample_rate_hz,
         )
-    else:
-        raise ConfigError(
-            f"state {settings.sim_state!r} has no trajectory simulation (fock1 is an oracle state)"
-        )
-    dynamics.save_trajectory(traj, out_dir / "trajectory.csv")
+    dynamics.save_trajectory(traj, out_dir / "trajectory.npy")
     return traj
 
 
@@ -260,7 +261,7 @@ def _detect(config, settings, traj, seed, out_dir) -> dict[str, detection.CountR
             linearity_guard=settings.linearity_guard,
         )
         records[scheme] = detect(traj, params, seed=det_seed)
-        detection.save_count_record(records[scheme], out_dir / f"counts_{scheme}.csv")
+        detection.save_count_record(records[scheme], out_dir / f"counts_{scheme}.npy")
     return records
 
 
@@ -272,7 +273,7 @@ def _invert(settings, dq, record, out_dir) -> dynamics.Trajectory:
         calibration = "equipartition" if thermal_noisy else "linear"
     target_var = KB * settings.sim_temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
     inverted = detection.invert_counts(record, calibration=calibration, target_variance_m2=target_var)
-    dynamics.save_trajectory(inverted, out_dir / "inverted.csv")
+    dynamics.save_trajectory(inverted, out_dir / "inverted.npy")
     return inverted
 
 
@@ -328,12 +329,19 @@ def _decoherence(settings, dq, out_dir) -> None:
 
 
 def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
-    """Resolve ``--config`` and ``--set``; a flag named after a setting (``--state``) overrides both."""
+    """Resolve ``--config`` and ``--set``; a flag named after a setting (``--state``) overrides both.
+
+    ``simulate`` refuses fock1 here, however the state was set, so the error
+    comes before ``--out`` exists.
+    """
     overrides = list(args.set or [])
     for f in fields(PipelineSettings):
         if getattr(args, f.name, None) is not None:
             overrides.append(f"{f.name}={getattr(args, f.name)}")
-    return resolve_settings(args.config, overrides)
+    config, settings = resolve_settings(args.config, overrides)
+    if args.command == "simulate" and settings.sim_state == "fock1":
+        raise ConfigError("state 'fock1' has no trajectory simulation (fock1 is an oracle state)")
+    return config, settings
 
 
 def cmd_derive(args, config, settings, out_dir) -> dict:
@@ -397,13 +405,20 @@ def cmd_pipeline(args, config, settings, out_dir) -> dict | None:
         with manifest.stage("simulate", config_inputs):
             traj = _simulate(config, settings, dq, args.seed, out_dir)
 
-        with manifest.stage("detect", {"trajectory": out_dir / "trajectory.csv"}):
+        with manifest.stage("detect", {"trajectory": out_dir / "trajectory.npy"}):
             records = _detect(config, settings, traj, args.seed, out_dir)
         primary = "cbh" if "cbh" in records else "ch"
 
         with manifest.stage("invert", {}):
             inverted = _invert(settings, dq, records[primary], out_dir)
-        figures["fig2a"] = {"file": "inverted.csv", "x": "t_s", "y": "z_m", "kind": "line", "rows": 2000}
+        figures["fig2a"] = {
+            "file": "inverted.npy",
+            "time_axis": "inverted.json",
+            "x": "t_s",
+            "y": "z_m",
+            "kind": "line",
+            "rows": 2000,
+        }
 
         psds: dict[str, spectral.Psd] = {}
         fits: dict[str, spectral.LorentzianFit] = {}
@@ -461,6 +476,9 @@ def _seed(text: str) -> int:
     return seed
 
 
+_TRAJ_HELP = "trajectory.npy from 'simulate', with its .json sidecar, or a t_s,z_m CSV table"
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--seed", type=_seed, default=0, help="run seed, a non-negative integer (default 0)")
@@ -493,18 +511,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_det = sub.add_parser("detect", help="convert a trajectory into count records")
     _add_common(p_det)
-    p_det.add_argument("--traj", required=True, help="trajectory CSV from 'simulate'")
+    p_det.add_argument("--traj", required=True, help=_TRAJ_HELP)
     p_det.add_argument("--scheme", choices=_CHOICES["scheme"])
     p_det.set_defaults(func=cmd_detect)
 
     p_psd = sub.add_parser("psd", help="Welch PSD and oscillator-line fit")
     _add_common(p_psd)
-    p_psd.add_argument("--traj", required=True)
+    p_psd.add_argument("--traj", required=True, help=_TRAJ_HELP)
     p_psd.set_defaults(func=cmd_psd)
 
     p_tomo = sub.add_parser("tomo", help="marginals and Wigner reconstruction")
     _add_common(p_tomo)
-    p_tomo.add_argument("--traj", required=True)
+    p_tomo.add_argument("--traj", required=True, help=_TRAJ_HELP)
     p_tomo.set_defaults(func=cmd_tomo)
 
     p_dec = sub.add_parser("decoherence", help="superposition-size decoherence curve")

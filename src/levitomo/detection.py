@@ -301,8 +301,13 @@ def compare_noise_floor(psd_ch: Psd, psd_cbh: Psd) -> NoiseFloorReport:
 
 
 def save_count_record(rec: CountRecord, path: str | Path) -> Path:
-    """Write ``t_s,counts`` CSV plus a JSON sidecar with scheme and constants."""
-    artifacts.write_columns(path, ["t_s", "counts"], [rec.window_start_s, rec.counts])
+    """Write ``counts`` to ``path`` as a float64 ``.npy`` array and return its JSON sidecar.
+
+    The sidecar holds the scheme, model, (C1, C2, D), noise settings and seed,
+    and the ``t0_s`` and ``T_int_s`` that put window ``i``'s start at
+    ``t0_s + i T_int_s``.
+    """
+    artifacts.write_array(path, rec.counts)
     c1, c2, d = rec.linear_constants
     return artifacts.write_json(
         artifacts.sidecar(path),
@@ -313,6 +318,7 @@ def save_count_record(rec: CountRecord, path: str | Path) -> Path:
             "C2": c2,
             "D": d,
             "T_int_s": rec.params.T_int_s,
+            "t0_s": float(rec.window_start_s[0]),
             "shot_noise": rec.params.shot_noise,
             "electronic_noise_counts_rms": rec.params.electronic_noise_counts_rms,
             "seed": rec.seed,

@@ -264,8 +264,12 @@ def simulate_coherent(
 
 
 def save_trajectory(traj: Trajectory, path: str | Path) -> Path:
-    """Write ``t_s,z_m`` CSV at full double precision plus a JSON sidecar."""
-    artifacts.write_columns(path, ["t_s", "z_m"], [traj.times_s, traj.z_m])
+    """Write ``z_m`` to ``path`` as a float64 ``.npy`` array and return its JSON sidecar.
+
+    The sidecar's ``t0_s`` and ``sample_rate_Hz`` place sample ``i`` at
+    ``t0_s + i / sample_rate_Hz``; it also holds ``n_samples`` and the provenance.
+    """
+    artifacts.write_array(path, traj.z_m)
     return artifacts.write_json(
         artifacts.sidecar(path),
         {
@@ -280,9 +284,75 @@ def save_trajectory(traj: Trajectory, path: str | Path) -> Path:
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
-    """Read a trajectory CSV written by :func:`save_trajectory`, with its sidecar if present."""
+    """Read a trajectory: a ``.npy`` array with its sidecar, or a ``t_s,z_m`` CSV table.
+
+    A ``.npy`` file is what :func:`save_trajectory` writes, and it needs its
+    sidecar. Any other suffix is read as CSV, for legacy files and measured
+    records; a CSV table's sidecar is optional. A file that cannot be read as
+    a trajectory raises :class:`SimulationError` naming it.
+    """
     path = Path(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    z_m, info = (_read_npy if path.suffix == ".npy" else _read_csv)(path)
+    try:
+        return Trajectory(
+            sample_rate_Hz=info["sample_rate_Hz"],
+            z_m=z_m,
+            t0_s=info.get("t0_s", 0.0),
+            seed=info.get("seed"),
+            state_kind=info.get("state_kind", "custom"),
+            meta=info.get("meta", {}),
+        )
+    except SimulationError as exc:
+        raise SimulationError(f"{path}: {exc}") from None
+
+
+def _read_sidecar(path: Path, required: bool) -> dict:
+    """The JSON sidecar of the series at ``path``; ``{}`` when an optional one is absent."""
+    info_path = artifacts.sidecar(path)
+    if not required and not info_path.is_file():
+        return {}
+    try:
+        info = json.loads(info_path.read_text())
+    except FileNotFoundError:
+        raise SimulationError(f"{path}: its sidecar {info_path} is missing") from None
+    except ValueError as exc:
+        raise SimulationError(f"{info_path}: not a JSON sidecar ({exc})") from None
+    numbers = ("sample_rate_Hz", "t0_s")
+    if not isinstance(info, dict) or any(type(info.get(key, 0.0)) not in (int, float) for key in numbers):
+        raise SimulationError(f"{info_path}: expected a JSON object whose sample_rate_Hz and t0_s are numbers")
+    return info
+
+
+def _read_npy(path: Path) -> tuple[np.ndarray, dict]:
+    """The samples of a ``.npy`` trajectory and its sidecar; no pickled data is ever loaded."""
+    info = _read_sidecar(path, required=True)
+    if "sample_rate_Hz" not in info:
+        raise SimulationError(f"{path}: its sidecar holds no sample_rate_Hz")
+    try:
+        with path.open("rb") as fh:
+            z = np.load(fh, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise SimulationError(f"{path}: not a readable .npy array ({exc})") from None
+    if not isinstance(z, np.ndarray) or z.dtype.kind != "f":  # an .npz archive, or integer, complex or text data
+        raise SimulationError(f"{path}: expected a floating-point .npy array")
+    if z.ndim != 1 or z.size < 2:
+        raise SimulationError(f"{path}: expected a 1-D array of at least 2 samples, got shape {z.shape}")
+    if info.get("n_samples") != z.size:
+        raise SimulationError(
+            f"{path}: sidecar n_samples {info.get('n_samples')!r} differs from the {z.size} samples of the array"
+        )
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise SimulationError(f"{path}: sample {bad[0]} holds a non-finite value")
+    return z.astype(float, copy=False), info
+
+
+def _read_csv(path: Path) -> tuple[np.ndarray, dict]:
+    """The ``z_m`` column of a ``t_s,z_m`` table and its sidecar; the time column supplies a missing rate or t0_s."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except ValueError as exc:
+        raise SimulationError(f"{path}: not a t_s,z_m CSV ({exc})") from None
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise SimulationError(f"{path}: expected a two-column t_s,z_m CSV with >= 2 rows")
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
@@ -292,17 +362,9 @@ def load_trajectory(path: str | Path) -> Trajectory:
     steps = np.diff(t)
     if np.any(steps <= 0) or abs(steps.max() - steps.min()) > 1e-9 * steps.mean():
         raise SimulationError(f"{path}: time column is not uniformly sampled")
-    info_path = artifacts.sidecar(path)
-    info = json.loads(info_path.read_text()) if info_path.is_file() else {}
     # the sidecar's exact rate: 1 / mean step can be an ulp off, which shifts derived times
-    rate = info.get("sample_rate_Hz", 1.0 / steps.mean())
+    info = {"sample_rate_Hz": 1.0 / steps.mean(), "t0_s": t[0], **_read_sidecar(path, required=False)}
+    rate = info["sample_rate_Hz"]
     if abs(rate * steps.mean() - 1.0) > 1e-9:
         raise SimulationError(f"{path}: sidecar sample rate {rate!r} Hz does not match the time column")
-    return Trajectory(
-        sample_rate_Hz=rate,
-        z_m=data[:, 1],
-        t0_s=info.get("t0_s", t[0]),
-        seed=info.get("seed"),
-        state_kind=info.get("state_kind", "custom"),
-        meta=info.get("meta", {}),
-    )
+    return data[:, 1], info

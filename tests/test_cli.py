@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import fields
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import levitomo
-from levitomo import spectral, tomography
+from levitomo import artifacts, dynamics, spectral, tomography
 from levitomo.cli import PipelineSettings, main
 from levitomo.errors import SpectralError
 from levitomo.physics import ExperimentConfig, decoherence_time, default_config, derive
@@ -29,6 +30,14 @@ FAST_PIPELINE = [
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def csv_copy(npy_path: Path) -> Path:
+    """The ``t_s,z_m`` table of a saved trajectory, written next to it so both share one sidecar."""
+    traj = dynamics.load_trajectory(npy_path)
+    csv_path = npy_path.with_suffix(".csv")
+    artifacts.write_columns(csv_path, ["t_s", "z_m"], [traj.times_s, traj.z_m])
+    return csv_path
 
 
 def test_derive_writes_json_and_prints(tmp_path, capsys):
@@ -160,7 +169,7 @@ def test_thermal_runs_load_no_scipy(tmp_path):
     and a ``psd --traj`` run on its trajectory load no scipy module."""
     out = tmp_path / "run"
     argv = ["pipeline", "--seed", "1", "--out", str(out)] + FAST_PIPELINE
-    psd_argv = ["psd", "--traj", str(out / "trajectory.csv"), "--out", str(tmp_path / "psd")] + FAST_PIPELINE
+    psd_argv = ["psd", "--traj", str(out / "trajectory.npy"), "--out", str(tmp_path / "psd")] + FAST_PIPELINE
     code = (
         "from contextlib import redirect_stdout\n"
         "from io import StringIO\n"
@@ -216,12 +225,12 @@ def test_simulate_then_detect_then_psd(tmp_path):
     assert run(
         ["simulate", "--out", tmp_path, "--seed", 3, "--set", "sim_duration_s=0.05", "--set", "pressure_mbar=1.0"]
     ) == 0
-    traj_csv = tmp_path / "trajectory.csv"
-    assert traj_csv.is_file()
-    assert run(["detect", "--traj", traj_csv, "--out", tmp_path, "--seed", 4]) == 0
-    assert (tmp_path / "counts_ch.csv").is_file()
-    assert (tmp_path / "counts_cbh.csv").is_file()
-    assert run(["psd", "--traj", traj_csv, "--out", tmp_path, "--set", "psd_segment_len=8192"]) == 0
+    traj_npy = tmp_path / "trajectory.npy"
+    assert traj_npy.is_file()
+    assert run(["detect", "--traj", traj_npy, "--out", tmp_path, "--seed", 4]) == 0
+    assert (tmp_path / "counts_ch.npy").is_file()
+    assert (tmp_path / "counts_cbh.npy").is_file()
+    assert run(["psd", "--traj", traj_npy, "--out", tmp_path, "--set", "psd_segment_len=8192"]) == 0
     fit = json.loads((tmp_path / "fit.json").read_text())
     assert fit["omega0_rad_s"] == pytest.approx(TWO_PI * 70e3, rel=0.01)
 
@@ -230,23 +239,29 @@ def test_simulate_then_detect_then_psd(tmp_path):
 def test_staged_subcommands_reproduce_pipeline_files(tmp_path, rate):
     """simulate then detect with the pipeline's --seed derive its stage seeds and write its files.
 
-    At 3 MHz the reciprocal of the mean sample step read back from the CSV is
-    an ulp off the simulated rate; the sidecar's rate is the one used.
+    At 3 MHz the reciprocal of a mean sample step would be an ulp off the
+    simulated rate; ``detect`` takes the exact rate from the sidecar.
     """
     staged, piped = tmp_path / "staged", tmp_path / "pipeline"
     common = ["--seed", 9, "--set", f"sim_sample_rate_hz={rate}"] + FAST_PIPELINE
     assert run(["simulate", "--out", staged] + common) == 0
-    assert run(["detect", "--traj", staged / "trajectory.csv", "--out", staged] + common) == 0
+    assert run(["detect", "--traj", staged / "trajectory.npy", "--out", staged] + common) == 0
     assert run(["pipeline", "--out", piped] + common) == 0
     for name in ("trajectory", "counts_ch", "counts_cbh"):
-        for suffix in (".csv", ".json"):
+        for suffix in (".npy", ".json"):
             rel = name + suffix
             assert (staged / rel).read_bytes() == (piped / rel).read_bytes(), rel
 
 
 def test_simulate_fock_state_rejected(tmp_path, capsys):
-    assert run(["simulate", "--out", tmp_path, "--state", "fock1"]) == 2
-    assert "oracle" in capsys.readouterr().err
+    """One rule for every way the state is set: fock1 has no trajectory, and no ``--out`` is made for it."""
+    cfg = tmp_path / "fock.cfg"
+    cfg.write_text("sim_state = fock1\n")
+    for n, state in enumerate((["--state", "fock1"], ["--set", "sim_state=fock1"], ["--config", cfg])):
+        out = tmp_path / f"run{n}"
+        assert run(["simulate", "--out", out] + state) == 2
+        assert "oracle" in capsys.readouterr().err
+        assert not out.exists(), state
 
 
 def test_pipeline_end_to_end_and_deterministic(tmp_path):
@@ -254,10 +269,14 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path):
     for out in (out_a, out_b):
         assert run(["pipeline", "--config", "reference.cfg", "--seed", 11, "--out", out] + FAST_PIPELINE) == 0
     expected = [
-        "trajectory.csv",
-        "counts_ch.csv",
-        "counts_cbh.csv",
-        "inverted.csv",
+        "trajectory.npy",
+        "trajectory.json",
+        "counts_ch.npy",
+        "counts_ch.json",
+        "counts_cbh.npy",
+        "counts_cbh.json",
+        "inverted.npy",
+        "inverted.json",
         "psd_ch.csv",
         "psd_cbh.csv",
         "fit_ch.json",
@@ -274,10 +293,10 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path):
     ]
     for name in expected:
         assert (out_a / name).is_file(), name
-    # the position-signal figure reads the head of inverted.csv instead of a copy of it
+    # the position-signal figure reads the head of inverted.npy, timed by its sidecar, instead of a copy
     assert sorted(path.name for path in (out_a / "plotdata").iterdir()) == ["style.json"]
     fig2a = json.loads((out_a / "plotdata" / "style.json").read_text())["figures"]["fig2a"]
-    assert (fig2a["file"], fig2a["rows"]) == ("inverted.csv", 2000)
+    assert (fig2a["file"], fig2a["time_axis"], fig2a["rows"]) == ("inverted.npy", "inverted.json", 2000)
     assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
     report = json.loads((out_a / "analyze.json").read_text())
     assert abs(report["total_integral"] - 1.0) < 0.05
@@ -324,8 +343,8 @@ def test_pipeline_stage_failure_keeps_partial_artifacts(tmp_path, capsys):
     assert code == 3
     assert "under-sampled" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
-    assert (tmp_path / "trajectory.csv.partial").is_file()
-    assert not (tmp_path / "trajectory.csv").exists()
+    assert (tmp_path / "trajectory.npy.partial").is_file()
+    assert not (tmp_path / "trajectory.npy").exists()
 
 
 def test_failed_second_line_fit_marks_the_first_schemes_files(tmp_path, monkeypatch, capsys):
@@ -342,7 +361,7 @@ def test_failed_second_line_fit_marks_the_first_schemes_files(tmp_path, monkeypa
     monkeypatch.setattr(spectral, "fit_lorentzian", second_fit_fails)
     assert run(["pipeline", "--seed", 5, "--out", tmp_path] + FAST_PIPELINE) == 3
     assert "no line in the second spectrum" in capsys.readouterr().err
-    for name in ("trajectory.csv", "psd_ch.csv", "fit_ch.json"):
+    for name in ("trajectory.npy", "psd_ch.csv", "fit_ch.json"):
         assert (tmp_path / f"{name}.partial").is_file(), name
         assert not (tmp_path / name).exists(), name
 
@@ -350,8 +369,9 @@ def test_failed_second_line_fit_marks_the_first_schemes_files(tmp_path, monkeypa
 @pytest.mark.parametrize(
     "blocked, written",
     [
-        ("psd_ch.csv", ["trajectory.csv", "trajectory.json", "counts_cbh.csv", "inverted.csv"]),
-        ("trajectory.json", ["trajectory.csv"]),
+        ("psd_ch.csv", ["trajectory.npy", "trajectory.json", "counts_cbh.npy", "inverted.npy"]),
+        ("trajectory.json", ["trajectory.npy"]),
+        ("counts_cbh.npy", ["trajectory.npy", "trajectory.json", "counts_ch.npy", "counts_ch.json"]),
     ],
 )
 def test_unwritable_output_is_a_stage_failure(tmp_path, capsys, blocked, written):
@@ -371,8 +391,8 @@ def test_unwritable_output_is_a_stage_failure(tmp_path, capsys, blocked, written
     "command, blocked, written",
     [
         ("derive", "derived.json", []),
-        ("simulate", "trajectory.json", ["trajectory.csv"]),
-        ("detect", "counts_cbh.csv", ["counts_ch.csv", "counts_ch.json"]),
+        ("simulate", "trajectory.json", ["trajectory.npy"]),
+        ("detect", "counts_cbh.npy", ["counts_ch.npy", "counts_ch.json"]),
         ("psd", "fit.json", ["psd.csv"]),
         ("tomo", "analyze.json", ["marginals.csv", "wigner.csv"]),
         ("decoherence", "decoherence.csv", []),
@@ -383,7 +403,7 @@ def test_failed_subcommand_marks_every_file_it_wrote(tmp_path, capsys, command, 
     assert run(["simulate", "--seed", 1, "--out", tmp_path / "input"] + FAST_PIPELINE) == 0
     out = tmp_path / "run"
     (out / blocked).mkdir(parents=True)
-    traj = ["--traj", tmp_path / "input" / "trajectory.csv"] if command in ("detect", "psd", "tomo") else []
+    traj = ["--traj", tmp_path / "input" / "trajectory.npy"] if command in ("detect", "psd", "tomo") else []
     capsys.readouterr()
     assert run([command, "--seed", 1, "--out", out] + traj + FAST_PIPELINE) == 3
     captured = capsys.readouterr()
@@ -417,7 +437,7 @@ def test_missing_trajectory_exits_3_with_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["detect", "psd", "tomo"])
 def test_non_finite_trajectory_exits_3_naming_the_row(tmp_path, capsys, command):
     assert run(["simulate", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
-    path = tmp_path / "trajectory.csv"
+    path = csv_copy(tmp_path / "trajectory.npy")
     rows = path.read_bytes().split(b"\n")
     rows[100] = rows[100].split(b",")[0] + b",nan"
     path.write_bytes(b"\n".join(rows))
@@ -428,16 +448,106 @@ def test_non_finite_trajectory_exits_3_naming_the_row(tmp_path, capsys, command)
 
 
 def test_legacy_crlf_trajectory_loads_through_traj(tmp_path):
-    """Trajectory tables were written with CRLF line ends before every table moved to LF; they still load."""
+    """Trajectory tables were written with CRLF line ends before every table moved to LF; they still load.
+
+    The array, its LF table and its CRLF table load to the same samples, so ``psd`` writes the same bytes.
+    """
     assert run(["simulate", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
+    npy = tmp_path / "trajectory.npy"
     legacy = tmp_path / "legacy"
     legacy.mkdir()
-    (legacy / "trajectory.csv").write_bytes((tmp_path / "trajectory.csv").read_bytes().replace(b"\n", b"\r\n"))
+    (legacy / "trajectory.csv").write_bytes(csv_copy(npy).read_bytes().replace(b"\n", b"\r\n"))
     (legacy / "trajectory.json").write_bytes((tmp_path / "trajectory.json").read_bytes())
-    for source in (tmp_path, legacy):
-        assert run(["psd", "--traj", source / "trajectory.csv", "--out", source / "psd"] + FAST_PIPELINE) == 0
+    sources = (npy, tmp_path / "trajectory.csv", legacy / "trajectory.csv")
+    for n, source in enumerate(sources):
+        assert dynamics.load_trajectory(source).z_m.tobytes() == dynamics.load_trajectory(npy).z_m.tobytes()
+        assert run(["psd", "--traj", source, "--out", tmp_path / f"psd{n}"] + FAST_PIPELINE) == 0
     for name in ("psd.csv", "fit.json"):
-        assert (legacy / "psd" / name).read_bytes() == (tmp_path / "psd" / name).read_bytes(), name
+        for n in (1, 2):
+            assert (tmp_path / f"psd{n}" / name).read_bytes() == (tmp_path / "psd0" / name).read_bytes(), name
+
+
+class _Touch:
+    """Unpickling this creates ``path``: proof of whether a loader ran pickled code."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (Path.touch, (self.path,))
+
+
+def _with_sidecar(info, **fields):
+    info.write_text(json.dumps(dict(json.loads(info.read_text()), **fields)))
+
+
+def _nan_at_99(z):
+    z[99] = np.nan
+    return z
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        pytest.param(
+            lambda npy, info, marker: np.save(npy, np.array([_Touch(marker), 1.0], dtype=object), allow_pickle=True),
+            "not a readable .npy array",
+            id="object-dtype",
+        ),
+        pytest.param(
+            lambda npy, info, marker: npy.write_bytes(pickle.dumps(_Touch(marker))),
+            "not a readable .npy array",
+            id="pickle",
+        ),
+        pytest.param(
+            lambda npy, info, marker: npy.write_bytes(npy.read_bytes()[:20]),
+            "not a readable .npy array",
+            id="truncated-header",
+        ),
+        pytest.param(
+            lambda npy, info, marker: npy.write_bytes(npy.read_bytes()[:1000]),
+            "not a readable .npy array",
+            id="truncated-data",
+        ),
+        pytest.param(
+            lambda npy, info, marker: npy.write_bytes(npy.read_bytes().replace(b"'descr'", b"'dscr!'", 1)),
+            "not a readable .npy array",
+            id="corrupt-header",
+        ),
+        pytest.param(
+            lambda npy, info, marker: np.save(npy, np.load(npy).reshape(2, -1)),
+            "expected a 1-D array",
+            id="two-dimensional",
+        ),
+        pytest.param(
+            lambda npy, info, marker: np.save(npy, np.load(npy)[:1]),
+            "expected a 1-D array of at least 2 samples",
+            id="one-sample",
+        ),
+        pytest.param(lambda npy, info, marker: info.unlink(), "trajectory.json is missing", id="no-sidecar"),
+        pytest.param(
+            lambda npy, info, marker: _with_sidecar(info, n_samples=12345),
+            "sidecar n_samples 12345 differs",
+            id="sidecar-count",
+        ),
+        pytest.param(
+            lambda npy, info, marker: np.save(npy, _nan_at_99(np.load(npy))),
+            "sample 99 holds a non-finite value",
+            id="non-finite",
+        ),
+    ],
+)
+def test_unreadable_npy_trajectory_exits_3_naming_the_file(tmp_path, capsys, damage, message):
+    """Every way a ``.npy`` trajectory can be unfit ends in one stage-failure line, and no pickled code runs."""
+    assert run(["simulate", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
+    npy, marker = tmp_path / "trajectory.npy", tmp_path / "unpickled"
+    damage(npy, tmp_path / "trajectory.json", marker)
+    capsys.readouterr()
+    assert run(["psd", "--traj", npy, "--out", tmp_path / "psd"] + FAST_PIPELINE) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"psd stage failed: {npy}") and message in err, err
+    assert len(err.splitlines()) == 1
+    assert not marker.exists()
 
 
 def test_unexpected_exception_marks_the_run_and_propagates(tmp_path, monkeypatch):
@@ -477,7 +587,7 @@ def test_tomo_subcommand(tmp_path):
         [
             "tomo",
             "--traj",
-            tmp_path / "trajectory.csv",
+            tmp_path / "trajectory.npy",
             "--out",
             tmp_path,
             "--set",

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -262,14 +263,18 @@ def test_electronic_noise_floor_scales_with_variance(config, dq):
     assert floors[1] / floors[0] == pytest.approx(4.0, rel=0.10)
 
 
-def test_count_record_csv(tmp_path, config, dq):
+def test_count_record_npy(tmp_path, config, dq):
+    """The counts go to a float64 array; the sidecar's t0_s and T_int_s place every window."""
     params = params_from_config(config, "cbh", T_int_s=1.0 / 1.4e6)
-    rec = detect_linear(flat_trajectory(dq), params)
-    path = tmp_path / "counts.csv"
+    rec = detect_linear(dataclasses.replace(flat_trajectory(dq), t0_s=2.5e-6), params)
+    path = tmp_path / "counts.npy"
     sidecar = save_count_record(rec, path)
-    assert path.read_text().splitlines()[0] == "t_s,counts"
-    import json
-
+    counts = np.load(path, allow_pickle=False)
+    assert counts.dtype == np.dtype("<f8") and counts.tobytes() == rec.counts.tobytes()
     info = json.loads(sidecar.read_text())
     assert info["scheme"] == "cbh"
     assert info["D"] == pytest.approx(rec.linear_constants[2])
+    assert (info["t0_s"], info["T_int_s"], info["n_windows"]) == (2.5e-6, params.T_int_s, len(counts))
+    np.testing.assert_allclose(
+        info["t0_s"] + np.arange(len(counts)) * info["T_int_s"], rec.window_start_s, rtol=0, atol=1e-15
+    )

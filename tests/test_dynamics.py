@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from levitomo import artifacts
 from levitomo.constants import KB
 from levitomo.dynamics import (
     SCAN_MAX_BLOCK,
@@ -26,6 +27,13 @@ TWO_PI = 2.0 * math.pi
 
 def equipartition_var(dq, temperature_K):
     return KB * temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
+
+
+def save_csv(traj, path):
+    """Write ``traj`` as a ``t_s,z_m`` table at ``path``, next to the sidecar :func:`save_trajectory` writes."""
+    sidecar = save_trajectory(traj, path.with_suffix(".npy"))
+    artifacts.write_columns(path, ["t_s", "z_m"], [traj.times_s, traj.z_m])
+    return sidecar
 
 
 def variance_tolerance(duration_s, xi, var, n_sigma=3.0):
@@ -205,10 +213,23 @@ def test_oracle_unknown_state():
         oracle_marginals("squeezed", [0.0], np.linspace(-1, 1, 11), sigma_m=1.0)
 
 
+def test_trajectory_npy_round_trip(tmp_path, damped_config, damped_dq):
+    """Every sample bitwise, the exact rate and t0_s, and the provenance survive a save and load."""
+    traj = dataclasses.replace(simulate_thermal(damped_config, damped_dq, 0.01, 3e6, seed=55), t0_s=1.0 / 3e6)
+    path = tmp_path / "traj.npy"
+    sidecar = save_trajectory(traj, path)
+    assert sidecar == tmp_path / "traj.json"
+    assert np.load(path, allow_pickle=False).dtype == np.dtype("<f8")
+    back = load_trajectory(path)
+    assert back.z_m.tobytes() == traj.z_m.tobytes()
+    assert (back.sample_rate_Hz, back.t0_s) == (traj.sample_rate_Hz, traj.t0_s)
+    assert (back.seed, back.state_kind, back.meta) == (55, "thermal", traj.meta)
+
+
 def test_trajectory_csv_round_trip(tmp_path, damped_config, damped_dq):
     traj = simulate_thermal(damped_config, damped_dq, 0.01, 1e6, seed=55)
     path = tmp_path / "traj.csv"
-    save_trajectory(traj, path)
+    save_csv(traj, path)
     back = load_trajectory(path)
     assert np.array_equal(back.z_m, traj.z_m)
     assert back.sample_rate_Hz == pytest.approx(traj.sample_rate_Hz, rel=1e-9)
@@ -220,7 +241,7 @@ def test_trajectory_load_takes_exact_rate_from_sidecar(tmp_path, dq):
     """At 3 MHz the reciprocal of the mean CSV time step is an ulp off the rate."""
     traj = simulate_coherent(dq, 1e-9, 0.0, 50000 / 3e6, 3e6)
     path = tmp_path / "traj.csv"
-    sidecar = save_trajectory(traj, path)
+    sidecar = save_csv(traj, path)
     assert load_trajectory(path).sample_rate_Hz == traj.sample_rate_Hz
     info = json.loads(sidecar.read_text())
     sidecar.write_text(json.dumps(dict(info, sample_rate_Hz=1e6)))
@@ -246,7 +267,7 @@ def test_trajectory_rejects_non_finite_rate(rate):
 def test_trajectory_load_rejects_non_finite_rows(tmp_path, dq, column, sidecar):
     """A nan in either column names the file and its line; the sidecar does not hide it."""
     path = tmp_path / "traj.csv"
-    save_trajectory(simulate_coherent(dq, 1e-9, 0.0, 1e-4, 1e6), path)
+    save_csv(simulate_coherent(dq, 1e-9, 0.0, 1e-4, 1e6), path)
     if not sidecar:
         path.with_suffix(".json").unlink()
     rows = path.read_bytes().split(b"\n")
