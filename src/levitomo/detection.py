@@ -101,13 +101,14 @@ def params_from_config(config: ExperimentConfig, scheme: str, **overrides) -> De
 class CountRecord:
     """Integrated photon counts per detector window.
 
-    ``counts`` are expected values when noise is off, sampled otherwise (the
-    balanced difference signal may be negative). ``linear_constants`` always
-    carries the (C1, C2, D) of the small-displacement expansion of the
-    response, which is what calibrated inversion uses.
+    Window ``i`` starts at ``t0_s + i T_int_s``. ``counts`` are expected values
+    when noise is off, sampled otherwise (the balanced difference signal may be
+    negative). ``linear_constants`` always carries the (C1, C2, D) of the
+    small-displacement expansion of the response, which is what calibrated
+    inversion uses.
     """
 
-    window_start_s: np.ndarray
+    t0_s: float
     counts: np.ndarray
     params: DetectionParams
     linear_constants: tuple[float, float, float]
@@ -118,13 +119,9 @@ class CountRecord:
     def window_rate_Hz(self) -> float:
         return 1.0 / self.params.T_int_s
 
-    @property
-    def window_centers_s(self) -> np.ndarray:
-        return self.window_start_s + 0.5 * self.params.T_int_s
 
-
-def _window_means(traj: Trajectory, t_int_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Window starts and per-window mean positions; windows tile without overlap.
+def _window_means(traj: Trajectory, t_int_s: float) -> np.ndarray:
+    """Per-window mean positions; windows tile without overlap from the trajectory's first sample.
 
     The window mean stands in for the (assumed slow) mechanical coordinate over
     one integration time. The window must hold an integral number of samples.
@@ -141,9 +138,7 @@ def _window_means(traj: Trajectory, t_int_s: float) -> tuple[np.ndarray, np.ndar
         raise DetectionError(
             f"window of {t_int_s:.6g} s is longer than the {traj.duration_s:.6g} s trajectory"
         )
-    z = traj.z_m[: n_windows * n_per].reshape(n_windows, n_per).mean(axis=1)
-    starts = traj.t0_s + np.arange(n_windows) * n_per / traj.sample_rate_Hz
-    return starts, z
+    return traj.z_m[: n_windows * n_per].reshape(n_windows, n_per).mean(axis=1)
 
 
 def _arm_counts(params: DetectionParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +151,9 @@ def _arm_counts(params: DetectionParams, z: np.ndarray) -> tuple[np.ndarray, np.
     return n1, n2
 
 
-def _sample(params: DetectionParams, starts, arms: tuple[np.ndarray, ...], model: str, seed) -> CountRecord:
+def _sample(
+    params: DetectionParams, t0_s: float, arms: tuple[np.ndarray, ...], model: str, seed
+) -> CountRecord:
     """Count record from the expected counts of each physical detector.
 
     ``arms`` holds one array for the single-detector scheme and the two
@@ -173,7 +170,7 @@ def _sample(params: DetectionParams, starts, arms: tuple[np.ndarray, ...], model
     if params.electronic_noise_counts_rms > 0:
         counts = counts + params.electronic_noise_counts_rms * rng.standard_normal(counts.shape)
     return CountRecord(
-        window_start_s=starts,
+        t0_s=float(t0_s),
         counts=counts,
         params=params,
         linear_constants=params.linear_constants(),
@@ -184,9 +181,8 @@ def _sample(params: DetectionParams, starts, arms: tuple[np.ndarray, ...], model
 
 def detect_exact(traj: Trajectory, params: DetectionParams, seed: int | None = None) -> CountRecord:
     """Integrate the full interferometric response over tiled windows."""
-    starts, z = _window_means(traj, params.T_int_s)
-    n1, n2 = _arm_counts(params, z)
-    return _sample(params, starts, (n1,) if params.scheme == "ch" else (n1, n2), "exact", seed)
+    n1, n2 = _arm_counts(params, _window_means(traj, params.T_int_s))
+    return _sample(params, traj.t0_s, (n1,) if params.scheme == "ch" else (n1, n2), "exact", seed)
 
 
 def detect_linear(traj: Trajectory, params: DetectionParams, seed: int | None = None) -> CountRecord:
@@ -205,13 +201,13 @@ def detect_linear(traj: Trajectory, params: DetectionParams, seed: int | None = 
             f" {threshold:.4g} rad ({params.linearity_guard:g} x phase margin"
             f" {params.phase_margin_rad():.4g} rad); use detect_exact or reduce the amplitude"
         )
-    starts, z = _window_means(traj, params.T_int_s)
+    z = _window_means(traj, params.T_int_s)
     c1, c2, d = params.linear_constants()
     if params.scheme == "ch":
         arms = (c1 + c2 + d * z,)
     else:
         arms = (c1 + (c2 + d * z), c1 - (c2 + d * z))
-    return _sample(params, starts, arms, "linear", seed)
+    return _sample(params, traj.t0_s, arms, "linear", seed)
 
 
 def invert_counts(
@@ -260,7 +256,7 @@ def invert_counts(
     return Trajectory(
         sample_rate_Hz=rec.window_rate_Hz,
         z_m=z,
-        t0_s=float(rec.window_centers_s[0]),
+        t0_s=rec.t0_s + 0.5 * rec.params.T_int_s,  # the first window's center
         seed=rec.seed,
         state_kind="inverted",
         meta=meta,
@@ -318,7 +314,7 @@ def save_count_record(rec: CountRecord, path: str | Path) -> Path:
             "C2": c2,
             "D": d,
             "T_int_s": rec.params.T_int_s,
-            "t0_s": float(rec.window_start_s[0]),
+            "t0_s": rec.t0_s,
             "shot_noise": rec.params.shot_noise,
             "electronic_noise_counts_rms": rec.params.electronic_noise_counts_rms,
             "seed": rec.seed,

@@ -6,11 +6,20 @@ z cos(theta) + (p / m omega) sin(theta). Histogramming samples by phase yields
 the marginals mu(z; theta); the Wigner function follows from the inverse Radon
 transform, implemented as ramp-filtered back-projection:
 
-  1. FFT each marginal along z (zero-padded against wrap-around);
-  2. multiply by the ramp |nu| apodized with a Hann window up to a cutoff;
-  3. inverse FFT;
+  1. real FFT of each marginal along z (zero-padded against wrap-around);
+  2. multiply by the half-spectrum of the ramp |nu|, apodized with a Hann
+     window up to a cutoff;
+  3. inverse real FFT;
   4. back-project with linear interpolation onto a square (z, p/m omega) grid,
-     each angle weighted by pi / n_angles.
+     each angle weighted by pi / n_angles. The angles are taken one
+     quarter-turn orbit (theta, theta + pi/2, theta + pi, theta + 3 pi/2) at a
+     time. The position grid is symmetric about 0, so the projection at
+     theta + pi is the mirror image of the one at theta: its filtered row,
+     reversed, is added to theta's and the sum is back-projected once. On the
+     square output grid the sample points of theta + pi/2 are those of theta
+     turned a quarter turn, so its folded row is gathered with theta's
+     interpolation indices and weights and the result is turned back. An
+     angle without partners is an orbit of its own.
 
 The momentum axis is expressed in position-equivalent units p/(m omega_s) so
 free evolution is literally a circular rotation of the grid. The zero-frequency
@@ -41,6 +50,9 @@ DEFAULT_MIN_OCCUPANCY = 100
 DEFAULT_GRID_POINTS = 129  # odd, symmetric about zero
 DEFAULT_SPAN_SIGMAS = 5.0
 PAD_FACTOR = 4
+QUARTER_TURN = 0.5 * math.pi
+ORBIT_TOLERANCE = 1e-9  # largest shift, in z bins, an orbit's shared indices may give a sample point
+BLOCK_ROWS = 64  # output rows per pass over all orbits, so a pass's sums and indices stay in L2 cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,13 +60,15 @@ class MarginalSet:
     """Normalized quadrature densities indexed by oscillator phase: the one input of the reconstruction.
 
     Valid by construction: at least ``MIN_ANGLES`` angles, all in [0, 2 pi), a
-    uniform strictly increasing position grid, and one density row per angle.
+    uniform strictly increasing position grid symmetric about 0 (the
+    back-projection mirrors the projection at theta + pi onto theta), and one
+    density row per angle.
     ``counts_per_bin`` is the raw occupancy of a binned set (for error bars)
     and ``None`` for analytic densities.
     """
 
     angles_rad: np.ndarray  # bin centers in [0, 2 pi)
-    z_grid_m: np.ndarray  # uniform, strictly increasing
+    z_grid_m: np.ndarray  # uniform, strictly increasing, z[0] = -z[-1]
     densities: np.ndarray  # (n_angles, n_z), rows integrate to 1 (trapezoid)
     counts_per_bin: np.ndarray | None = None  # (n_angles, n_z) for binned sets
 
@@ -65,7 +79,7 @@ class MarginalSet:
             raise TomographyError(f"need at least {MIN_ANGLES} angles, got {self.angles_rad.size}")
         if np.any(self.angles_rad < 0) or np.any(self.angles_rad >= TWO_PI):
             raise TomographyError("angles must lie in [0, 2 pi)")
-        _check_uniform_grid(self.z_grid_m)
+        _check_z_grid(self.z_grid_m)
         if self.densities.shape != (self.angles_rad.size, self.z_grid_m.size):
             raise TomographyError("densities must have shape (n_angles, n_z)")
 
@@ -112,7 +126,7 @@ def bin_marginals(
     if z_grid is None:
         z_grid = default_z_grid(samples.z_m)
     z_grid = np.asarray(z_grid, dtype=float)
-    _check_uniform_grid(z_grid)
+    _check_z_grid(z_grid)
 
     phases = (omega_hat * samples.times_s) % TWO_PI
     bin_width = TWO_PI / n_angles
@@ -211,41 +225,86 @@ class WignerGrid:
     dp: float
 
 
-def _check_uniform_grid(grid: np.ndarray) -> None:
+def _check_z_grid(grid: np.ndarray) -> None:
     if grid.ndim != 1 or grid.size < 3:
         raise TomographyError("position grid must be 1-D with at least 3 points")
     steps = np.diff(grid)
     if np.any(steps <= 0) or (steps.max() - steps.min()) > 1e-9 * steps.mean():
         raise TomographyError("position grid must be uniform and strictly increasing")
+    if abs(grid[0] + grid[-1]) > 1e-9 * steps.mean():
+        raise TomographyError(
+            f"position grid must be symmetric about 0, but z[0] + z[-1] = {grid[0] + grid[-1]:.6g}"
+        )
 
 
 def _ramp_filter(n_fft: int, dz: float, cutoff_fraction: float) -> np.ndarray:
-    """Hann-apodized ramp |nu| with the DC bin restored to its bin mean.
+    """Half-spectrum (``rfft`` bins) of the Hann-apodized ramp |nu|, DC bin restored to its bin mean.
 
     The discrete DC coefficient should carry the average of |nu| over the first
     frequency bin, delta_nu / 4, not zero; this keeps each filtered projection's
     constant mode and pins the total integral of the reconstruction.
     """
-    nu = np.fft.fftfreq(n_fft, d=dz)
+    nu = np.fft.rfftfreq(n_fft, d=dz)
     nyquist = 0.5 / dz
     cutoff = cutoff_fraction * nyquist
-    ramp = np.abs(nu)
+    ramp = nu.copy()
     ramp[0] = 0.25 / (n_fft * dz)
-    window = np.where(np.abs(nu) <= cutoff, 0.5 * (1.0 + np.cos(math.pi * nu / cutoff)), 0.0)
+    window = np.where(nu <= cutoff, 0.5 * (1.0 + np.cos(math.pi * nu / cutoff)), 0.0)
     return ramp * window
 
 
 def filtered_projections(marginals: MarginalSet, cutoff_fraction: float = 1.0) -> np.ndarray:
-    """Ramp-filter every marginal along z (step 1-3 of the reconstruction)."""
+    """Ramp-filter every marginal along z (step 1-3 of the reconstruction); a new (n_angles, n_z) array."""
     dens = marginals.densities
     n_z = dens.shape[1]
     dz = marginals.z_grid_m[1] - marginals.z_grid_m[0]
     n_fft = 1 << int(math.ceil(math.log2(PAD_FACTOR * n_z)))
-    response = _ramp_filter(n_fft, dz, cutoff_fraction)
-    padded = np.zeros((dens.shape[0], n_fft))
-    padded[:, :n_z] = dens
-    spectra = np.fft.fft(padded, axis=1) * response[None, :]
-    return np.real(np.fft.ifft(spectra, axis=1))[:, :n_z]
+    spectra = np.fft.rfft(dens, n=n_fft, axis=1)
+    spectra *= _ramp_filter(n_fft, dz, cutoff_fraction)
+    return np.fft.irfft(spectra, n=n_fft, axis=1)[:, :n_z].copy()
+
+
+def _quarter_turn_orbits(angles: np.ndarray, tolerance: float) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Group the angles into orbits whose members lie whole quarter turns apart, to within ``tolerance``.
+
+    Returns ``(theta, members, quarters)`` per orbit: ``members`` index
+    ``angles``, ``theta`` is the angle of the first one, and ``members[k]``
+    lies ``quarters[k]`` (0 to 3) quarter turns beyond ``theta``. An angle
+    with no partner is an orbit of its own.
+    """
+    residues = np.mod(angles, QUARTER_TURN)
+    # a residue just short of a quarter turn belongs with those just above 0
+    residues[residues > QUARTER_TURN - tolerance] -= QUARTER_TURN
+    groups: list[list[int]] = []
+    start = -math.inf
+    for i in np.argsort(residues, kind="stable"):
+        if residues[i] - start > tolerance:
+            start = residues[i]
+            groups.append([])
+        groups[-1].append(i)
+    orbits = []
+    for group in groups:
+        members = np.array(group)
+        theta = float(angles[members[0]])
+        quarters = np.rint((angles[members] - theta) / QUARTER_TURN).astype(np.int64) % 4
+        orbits.append((theta, members, quarters))
+    return orbits
+
+
+def _folded_rows(filtered: np.ndarray, members: np.ndarray, quarters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One orbit's filtered rows folded onto theta (row 0) and theta + pi/2 (row 1), with their slopes.
+
+    The row of theta + pi is added reversed to theta's, that of theta + 3 pi/2
+    to theta + pi/2's. Both tables end in an extra 0, the value of every sample
+    point outside the grid.
+    """
+    n_z = filtered.shape[1]
+    rows = np.zeros((2, n_z + 1))
+    for m, q in zip(members, quarters):
+        rows[q % 2, :n_z] += filtered[m] if q < 2 else filtered[m, ::-1]
+    slopes = np.zeros_like(rows)
+    slopes[:, : n_z - 1] = np.diff(rows[:, :n_z], axis=1)
+    return rows, slopes
 
 
 def inverse_radon(
@@ -260,26 +319,59 @@ def inverse_radon(
     copies of the same projection and are all used with weight pi / n_angles.
     ``cutoff_fraction`` scales the ramp-filter cutoff relative to the grid
     Nyquist frequency; lower it to suppress histogram noise. The output square
-    is inscribed in the marginal support (half-width z_max / sqrt(2)).
+    is inscribed in the marginal support (half-width z[-1] / sqrt(2)).
+
+    Each quarter-turn orbit of angles is back-projected once. The position grid
+    is symmetric about 0 (a ``MarginalSet`` invariant), so the projection at
+    theta + pi samples s -> -s and folds onto theta's row reversed. The output
+    axis is symmetric too, so s_{theta + pi/2}[i, j] = s_theta[j, n - 1 - i]:
+    the folded row of theta + pi/2 is gathered with theta's indices and
+    weights into a second sum, which is added turned by np.rot90
+    (rot90(G)[i, j] = G[j, n - 1 - i]). Angles join an orbit when they lie
+    whole quarter turns apart to within an angle that moves no sample point by
+    more than ``ORBIT_TOLERANCE`` of a z bin; any angle set, of any size, goes
+    this one way.
     """
     if not 0.0 < cutoff_fraction <= 1.0:
         raise TomographyError("cutoff_fraction must be in (0, 1]")
 
     z_grid = marginals.z_grid_m
+    n_z = z_grid.size
     if grid_size is None:
-        grid_size = z_grid.size
+        grid_size = n_z
     if grid_size < MIN_GRID_SIZE:
         raise TomographyError(f"output grid must have at least {MIN_GRID_SIZE} points per axis")
 
     filtered = filtered_projections(marginals, cutoff_fraction)
-    half_width = float(min(abs(z_grid[0]), z_grid[-1])) / math.sqrt(2.0)
-    axis = np.linspace(-half_width, half_width, grid_size)
-    zz, pp = np.meshgrid(axis, axis, indexing="ij")
-    values = np.zeros_like(zz)
-    for j, theta in enumerate(marginals.angles_rad):
-        s = zz * math.cos(theta) + pp * math.sin(theta)
-        values += np.interp(s, z_grid, filtered[j], left=0.0, right=0.0)
-    values *= math.pi / marginals.angles_rad.size
+    z_max = float(z_grid[-1])
+    dz = 2.0 * z_max / (n_z - 1)
+    axis = np.linspace(-z_max / math.sqrt(2.0), z_max / math.sqrt(2.0), grid_size)
+    angles = marginals.angles_rad
+    orbits = []
+    for theta, members, quarters in _quarter_turn_orbits(angles, ORBIT_TOLERANCE * dz / z_max):
+        rows, slopes = _folded_rows(filtered, members, quarters)
+        # s = z cos(theta) + p sin(theta) on the grid as a fractional z index: u[i, j] = a[i] + b[j]
+        a = (axis * math.cos(theta) + z_max) / dz
+        b = axis * math.sin(theta) / dz
+        orbits.append((a, b, rows, slopes, np.unique(quarters % 2)))
+    # sums[0] gathers the rows of theta, sums[1] those of theta + pi/2 on theta's sample points
+    sums = np.zeros((2, grid_size, grid_size))
+    for first in range(0, grid_size, BLOCK_ROWS):
+        block = slice(first, first + BLOCK_ROWS)
+        part = sums[:, block]
+        for a, b, rows, slopes, halves in orbits:
+            u = a[block, None] + b
+            index = u.astype(np.intp)
+            if a[block].min() + b.min() < 0.0 or a[block].max() + b.max() > n_z - 1:
+                index[(u < 0.0) | (u > n_z - 1)] = n_z
+            u -= index
+            for h in halves:
+                part[h] += rows[h][index]
+                weighted = slopes[h][index]
+                weighted *= u
+                part[h] += weighted
+    values = sums[0] + np.rot90(sums[1])
+    values *= math.pi / angles.size
     step = axis[1] - axis[0]
     return WignerGrid(z_grid_m=axis, p_grid=axis.copy(), values=values, dz=step, dp=step)
 

@@ -13,11 +13,12 @@ from levitomo.tomography import (
     analyze,
     bin_marginals,
     default_z_grid,
+    filtered_projections,
     inverse_radon,
     oracle_marginals,
 )
 
-from projection import project_marginal
+from projection import project_marginal, reference_filtered_projections, reference_inverse_radon
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,6 +28,13 @@ def gaussian_marginals(n_angles=90, n_z=129, span=5.0, sigma=1.0, scale=1.0):
     angles = TWO_PI * np.arange(n_angles) / n_angles
     row = scale * np.exp(-(grid**2) / (2 * sigma**2)) / math.sqrt(TWO_PI * sigma**2)
     return MarginalSet(angles, grid, np.tile(row[None, :], (n_angles, 1)))
+
+
+def random_marginals(angles, n_z, seed):
+    """Independent random rows under a Gaussian envelope: no symmetry in z, in p or between angles."""
+    grid = np.linspace(-5.0, 5.0, n_z)
+    densities = np.random.default_rng(seed).random((angles.size, n_z)) * np.exp(-(grid**2) / 8.0)
+    return MarginalSet(angles, grid, densities)
 
 
 def analytic_gaussian_grid(n=129, span=3.5, sigma=1.0):
@@ -234,6 +242,44 @@ def test_dc_fidelity_tracks_marginal_mass():
         assert abs(total - mass) < 0.005 * max(mass, 1.0)
 
 
+def lattice(n_angles, shift=0.0):
+    return (TWO_PI * (np.arange(n_angles) + shift) / n_angles) % TWO_PI
+
+
+@pytest.mark.parametrize(
+    "angles, n_z, grid_size, cutoff",
+    [
+        (lattice(720), 513, None, 1.0),
+        (lattice(90), 129, 128, 0.5),
+        (lattice(13), 129, None, 1.0),
+        (lattice(16, shift=3), 129, None, 1.0),
+        (lattice(16, shift=0.3), 129, None, 1.0),
+    ],
+    ids=["720x513", "90x129-to-128-cutoff-half", "13-angles", "16-angles-from-bin-3", "16-angles-off-lattice"],
+)
+def test_inverse_radon_matches_per_angle_reference(angles, n_z, grid_size, cutoff):
+    """Folding theta + pi and turning theta's samples for theta + pi/2 reproduce the per-angle loop."""
+    marginals = random_marginals(angles, n_z, seed=angles.size)
+    w = inverse_radon(marginals, grid_size, cutoff_fraction=cutoff)
+    reference = reference_inverse_radon(marginals, grid_size, cutoff_fraction=cutoff)
+    np.testing.assert_array_equal(w.z_grid_m, reference.z_grid_m)
+    peak = np.max(np.abs(reference.values))
+    assert np.max(np.abs(w.values - reference.values)) <= 1e-10 * peak
+
+
+@pytest.mark.parametrize("cutoff", [1.0, 0.5])
+@pytest.mark.parametrize("kind", ["fock1", "random"])
+def test_filtered_projections_match_complex_fft(kind, cutoff):
+    angles = lattice(720)
+    if kind == "fock1":
+        marginals = oracle_marginals("fock1", angles, np.linspace(-5.0, 5.0, 513), z_zpf_m=1.0 / math.sqrt(2.0))
+    else:
+        marginals = random_marginals(angles, 513, seed=7)
+    filtered = filtered_projections(marginals, cutoff)
+    assert filtered.flags.c_contiguous and filtered.shape == marginals.densities.shape
+    np.testing.assert_allclose(filtered, reference_filtered_projections(marginals, cutoff), rtol=0, atol=1e-14)
+
+
 def test_inverse_radon_validations():
     with pytest.raises(TomographyError, match="angles"):
         inverse_radon(gaussian_marginals(n_angles=6))
@@ -255,8 +301,9 @@ ANGLES = TWO_PI * np.arange(16) / 16
         (np.append(ANGLES[:15], TWO_PI), GRID, np.ones((16, 129)), r"\[0, 2 pi\)"),
         (ANGLES, GRID**3, np.ones((16, 129)), "uniform"),
         (ANGLES, GRID, np.ones((16, 128)), "shape"),
+        (ANGLES, GRID + 1e-3, np.ones((16, 129)), "symmetric about 0"),
     ],
-    ids=["seven-angles", "angle-at-two-pi", "non-uniform-grid", "shape-mismatch"],
+    ids=["seven-angles", "angle-at-two-pi", "non-uniform-grid", "shape-mismatch", "asymmetric-grid"],
 )
 def test_marginal_set_is_valid_by_construction(angles, grid, densities, message):
     with pytest.raises(TomographyError, match=message):
