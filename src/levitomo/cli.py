@@ -1,4 +1,4 @@
-"""Command-line pipeline: reproducible end-to-end runs with CSV, JSON and .npy artifacts.
+"""Command-line pipeline: reproducible end-to-end runs with .npy and JSON artifacts.
 
 Subcommands
     derive       closed-form derived quantities -> JSON
@@ -6,15 +6,16 @@ Subcommands
     detect       trajectory -> count records (single and/or balanced scheme)
     psd          trajectory -> Welch PSD and oscillator-line fit
     tomo         trajectory -> marginals, Wigner grid, analysis report
-    decoherence  superposition-size decoherence curve -> CSV
+    decoherence  superposition-size decoherence curve -> decoherence.npy + JSON sidecar
     pipeline     simulate -> detect -> invert -> PSD/fit -> bin -> reconstruct
 
 Each subcommand other than ``pipeline`` loads its input and runs one stage of
 the pipeline through the same function and with the same stage seed, so
 ``simulate`` then ``detect`` with one ``--seed`` write the pipeline's files.
-The four bulk series (``trajectory``, ``counts_ch``, ``counts_cbh``,
-``inverted``) are float64 ``.npy`` arrays whose time axis is in their JSON
-sidecars; every other table is CSV.
+Every table is a float64 ``.npy`` array whose axes are in its JSON sidecar:
+the four bulk series (``trajectory``, ``counts_ch``, ``counts_cbh``,
+``inverted``), the spectra, the marginals, the Wigner grid and the
+decoherence curve.
 
 Every run is reproducible: (config, seed) determine all artifacts, and
 ``manifest.json`` records the resolved configuration plus a digest of every
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import __version__, artifacts, detection, dynamics, spectral, tomography
 from .constants import KB, TWO_PI
-from .errors import ConfigError, LevitomoError
+from .errors import ConfigError, DetectionError, LevitomoError
 from .physics import (
     ExperimentConfig,
     decoherence_curve,
@@ -284,9 +285,19 @@ def _fit_line(series, dq, settings) -> tuple[spectral.Psd, spectral.LorentzianFi
     return psd, spectral.fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
 
 
-def _save_line(psd, fit, out_dir, suffix) -> None:
-    """Write ``psd<suffix>.csv`` and the line fit ``fit<suffix>.json``."""
-    artifacts.write_columns(out_dir / f"psd{suffix}.csv", ["freq_Hz", "power"], [psd.freqs_Hz, psd.power])
+def _save_line(psd, fit, out_dir, scheme=None) -> None:
+    """Write the power ``psd_<scheme>.npy`` (bin k at (k + 1) ``df_Hz``) and the line fit ``fit_<scheme>.json``.
+
+    The spectrum of a trajectory has no scheme; it goes to ``psd.npy`` and ``fit.json``.
+    """
+    suffix = f"_{scheme}" if scheme else ""
+    info = {
+        "df_Hz": float(psd.freqs_Hz[0]),
+        "segment_len": psd.segment_len,
+        "n_segments": psd.n_segments,
+        "scheme": scheme,
+    }
+    artifacts.write_array(out_dir / f"psd{suffix}.npy", psd.power, info)
     artifacts.write_json(
         out_dir / f"fit{suffix}.json",
         {
@@ -304,8 +315,8 @@ def _save_line(psd, fit, out_dir, suffix) -> None:
 def _reconstruct(marginals, grid_size, cutoff_fraction, out_dir) -> tomography.WignerReport:
     wigner = tomography.inverse_radon(marginals, grid_size, cutoff_fraction=cutoff_fraction)
     report = tomography.analyze(wigner)
-    tomography.save_marginals(marginals, out_dir / "marginals.csv")
-    tomography.save_wigner(wigner, out_dir / "wigner.csv")
+    tomography.save_marginals(marginals, out_dir / "marginals.npy")
+    tomography.save_wigner(wigner, out_dir / "wigner.npy")
     tomography.save_report(report, out_dir / "analyze.json")
     return report
 
@@ -320,7 +331,7 @@ def _decoherence(settings, dq, out_dir) -> None:
     zmin, zmax, n = settings.decoherence_zmin_m, settings.decoherence_zmax_m, settings.decoherence_points
     grid = np.logspace(math.log10(zmin), math.log10(zmax), n) if n > 1 else np.array([zmin])
     curve = np.array(decoherence_curve(grid, dq))
-    artifacts.write_columns(out_dir / "decoherence.csv", ["delta_z_m", "tau_s"], [curve[:, 0], curve[:, 1]])
+    artifacts.write_array(out_dir / "decoherence.npy", curve[:, 1], {"delta_z_m": curve[:, 0].tolist()})
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +342,9 @@ def _decoherence(settings, dq, out_dir) -> None:
 def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     """Resolve ``--config`` and ``--set``; a flag named after a setting (``--state``) overrides both.
 
-    ``simulate`` refuses fock1 here, however the state was set, so the error
-    comes before ``--out`` exists.
+    ``simulate`` refuses fock1 here, however the state was set, and a command
+    that simulates refuses a detection window that cannot tile the record it
+    will simulate, so these errors come before ``--out`` exists.
     """
     overrides = list(args.set or [])
     for f in fields(PipelineSettings):
@@ -341,6 +353,12 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     config, settings = resolve_settings(args.config, overrides)
     if args.command == "simulate" and settings.sim_state == "fock1":
         raise ConfigError("state 'fock1' has no trajectory simulation (fock1 is an oracle state)")
+    if args.command in ("simulate", "pipeline") and settings.sim_state != "fock1":
+        rate = settings.sim_sample_rate_hz
+        try:
+            detection.samples_per_window(config.integration_time_s, rate, int(round(settings.sim_duration_s * rate)))
+        except DetectionError as exc:
+            raise ConfigError(str(exc)) from None
     return config, settings
 
 
@@ -360,7 +378,7 @@ def cmd_detect(args, config, settings, out_dir) -> None:
 
 def cmd_psd(args, config, settings, out_dir) -> None:
     psd, fit = _fit_line(dynamics.load_trajectory(args.traj), derive(config), settings)
-    _save_line(psd, fit, out_dir, "")
+    _save_line(psd, fit, out_dir)
 
 
 def cmd_tomo(args, config, settings, out_dir) -> dict:
@@ -397,7 +415,7 @@ def cmd_pipeline(args, config, settings, out_dir) -> dict | None:
             marginals = tomography.oracle_marginals("fock1", angles, grid, z_zpf_m=1.0 / math.sqrt(2.0))
             report = asdict(_reconstruct(marginals, settings.marginal_grid_points, 1.0, out_dir))
         figures["fig2c"] = {
-            "file": "wigner.csv",
+            "file": "wigner.npy",
             "matrix": "rows z, columns p (natural units)",
             "kind": "heatmap",
         }
@@ -425,13 +443,13 @@ def cmd_pipeline(args, config, settings, out_dir) -> dict | None:
         with manifest.stage("spectral", {}):
             for scheme, rec in records.items():
                 psds[scheme], fits[scheme] = _fit_line(detection.invert_counts(rec), dq, settings)
-                _save_line(psds[scheme], fits[scheme], out_dir, f"_{scheme}")
+                _save_line(psds[scheme], fits[scheme], out_dir, scheme)
             if len(records) == 2:
                 floors = detection.compare_noise_floor(psds["ch"], psds["cbh"])
                 artifacts.write_json(out_dir / "noise_floors.json", asdict(floors))
         figures["fig2d"] = {
-            "file": [f"psd_{scheme}.csv" for scheme in psds],
-            "x": "freq_Hz",
+            "file": [f"psd_{scheme}.npy" for scheme in psds],
+            "x": "(k + 1) * df_Hz",
             "y": "power",
             "kind": "line",
             "xscale": "log",
@@ -441,13 +459,13 @@ def cmd_pipeline(args, config, settings, out_dir) -> dict | None:
 
         with manifest.stage("tomography", {}):
             _tomography(inverted, fits[primary].omega0_rad_s, settings, out_dir)
-        figures["fig2b"] = {"file": "marginals.csv", "matrix": "rows z, columns theta", "kind": "heatmap"}
-        figures["fig2c"] = {"file": "wigner.csv", "matrix": "rows z, columns p/(m omega)", "kind": "heatmap"}
+        figures["fig2b"] = {"file": "marginals.npy", "matrix": "rows theta, columns z", "kind": "heatmap"}
+        figures["fig2c"] = {"file": "wigner.npy", "matrix": "rows z, columns p/(m omega)", "kind": "heatmap"}
 
     with manifest.stage("decoherence", {}):
         _decoherence(settings, dq, out_dir)
     figures["fig3"] = {
-        "file": "decoherence.csv",
+        "file": "decoherence.npy",
         "x": "delta_z_m",
         "y": "tau_s",
         "kind": "line",

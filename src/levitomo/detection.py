@@ -120,24 +120,34 @@ class CountRecord:
         return 1.0 / self.params.T_int_s
 
 
-def _window_means(traj: Trajectory, t_int_s: float) -> np.ndarray:
-    """Per-window mean positions; windows tile without overlap from the trajectory's first sample.
+def samples_per_window(t_int_s: float, sample_rate_Hz: float, n_samples: int) -> int:
+    """The number of samples one detection window of ``t_int_s`` averages in a record of ``n_samples``.
 
-    The window mean stands in for the (assumed slow) mechanical coordinate over
-    one integration time. The window must hold an integral number of samples.
+    The window must hold an integral number of samples, and the record at
+    least one window; otherwise :class:`DetectionError` names the rule broken.
     """
-    per_window = t_int_s * traj.sample_rate_Hz
+    per_window = t_int_s * sample_rate_Hz
     n_per = int(round(per_window))
     if n_per < 1 or abs(per_window - n_per) > 1e-6 * per_window:
         raise DetectionError(
             f"integration time {t_int_s:.6g} s must cover an integral number of"
-            f" trajectory samples at {traj.sample_rate_Hz:.6g} Hz (got {per_window:.9g})"
+            f" trajectory samples at {sample_rate_Hz:.6g} Hz (got {per_window:.9g})"
         )
-    n_windows = len(traj.z_m) // n_per
-    if n_windows < 1:
+    if n_samples < n_per:
         raise DetectionError(
-            f"window of {t_int_s:.6g} s is longer than the {traj.duration_s:.6g} s trajectory"
+            f"window of {t_int_s:.6g} s is longer than the {n_samples / sample_rate_Hz:.6g} s trajectory"
         )
+    return n_per
+
+
+def _window_means(traj: Trajectory, t_int_s: float) -> np.ndarray:
+    """Per-window mean positions; windows tile without overlap from the trajectory's first sample.
+
+    The window mean stands in for the (assumed slow) mechanical coordinate over
+    one integration time.
+    """
+    n_per = samples_per_window(t_int_s, traj.sample_rate_Hz, len(traj.z_m))
+    n_windows = len(traj.z_m) // n_per
     return traj.z_m[: n_windows * n_per].reshape(n_windows, n_per).mean(axis=1)
 
 
@@ -303,10 +313,10 @@ def save_count_record(rec: CountRecord, path: str | Path) -> Path:
     and the ``t0_s`` and ``T_int_s`` that put window ``i``'s start at
     ``t0_s + i T_int_s``.
     """
-    artifacts.write_array(path, rec.counts)
     c1, c2, d = rec.linear_constants
-    return artifacts.write_json(
-        artifacts.sidecar(path),
+    return artifacts.write_array(
+        path,
+        rec.counts,
         {
             "scheme": rec.params.scheme,
             "model": rec.model,

@@ -269,9 +269,9 @@ def save_trajectory(traj: Trajectory, path: str | Path) -> Path:
     The sidecar's ``t0_s`` and ``sample_rate_Hz`` place sample ``i`` at
     ``t0_s + i / sample_rate_Hz``; it also holds ``n_samples`` and the provenance.
     """
-    artifacts.write_array(path, traj.z_m)
-    return artifacts.write_json(
-        artifacts.sidecar(path),
+    return artifacts.write_array(
+        path,
+        traj.z_m,
         {
             "sample_rate_Hz": traj.sample_rate_Hz,
             "t0_s": traj.t0_s,

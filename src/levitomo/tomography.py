@@ -447,22 +447,24 @@ def analyze(w: WignerGrid) -> WignerReport:
     )
 
 
-def save_marginals(marginals: MarginalSet, path: str | Path) -> None:
-    """CSV matrix: rows are z grid points, one column per angle bin."""
-    artifacts.write_columns(
-        path,
-        ["z_m"] + [f"theta_{theta:.9g}" for theta in marginals.angles_rad],
-        [marginals.z_grid_m, *marginals.densities],
-    )
+def save_marginals(marginals: MarginalSet, path: str | Path) -> Path:
+    """Write the ``(n_angles, n_z)`` densities as a float64 ``.npy`` array and return its JSON sidecar.
+
+    Row ``k`` is the density at ``angles_rad[k]`` on ``z_grid_m``; the sidecar holds both axes.
+    """
+    info = {"angles_rad": marginals.angles_rad.tolist(), "z_grid_m": marginals.z_grid_m.tolist()}
+    return artifacts.write_array(path, marginals.densities, info)
 
 
-def save_wigner(w: WignerGrid, path: str | Path) -> None:
-    """CSV matrix with axis header rows: momentum axis first, then z rows."""
-    artifacts.write_columns(
-        path,
-        ["z_m\\p_over_m_omega_m"] + artifacts.format_numbers(w.p_grid),
-        [w.z_grid_m, *w.values.T],
-    )
+def save_wigner(w: WignerGrid, path: str | Path) -> Path:
+    """Write ``values`` as a float64 ``.npy`` array and return its JSON sidecar.
+
+    ``values[i, j]`` is W at (``axis_m[i]``, ``axis_m[j]``): the reconstruction
+    shares one axis between z and p/(m omega), and the sidecar holds it.
+    """
+    if not np.array_equal(w.z_grid_m, w.p_grid):
+        raise TomographyError("a Wigner grid is saved with one shared axis, but its z and p axes differ")
+    return artifacts.write_array(path, w.values, {"axis_m": w.z_grid_m.tolist()})
 
 
 def save_report(report: WignerReport, path: str | Path) -> None:

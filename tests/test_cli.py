@@ -36,7 +36,8 @@ def csv_copy(npy_path: Path) -> Path:
     """The ``t_s,z_m`` table of a saved trajectory, written next to it so both share one sidecar."""
     traj = dynamics.load_trajectory(npy_path)
     csv_path = npy_path.with_suffix(".csv")
-    artifacts.write_columns(csv_path, ["t_s", "z_m"], [traj.times_s, traj.z_m])
+    table = np.column_stack([traj.times_s, traj.z_m])
+    np.savetxt(csv_path, table, fmt="%.17g", delimiter=",", header="t_s,z_m", comments="")
     return csv_path
 
 
@@ -104,6 +105,24 @@ def test_invalid_setting_fails_before_any_stage(tmp_path, capsys, setting):
     assert run(["pipeline", "--seed", 1, "--out", out] + FAST_PIPELINE + ["--set", setting]) == 2
     assert setting.split("=")[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "simulate"])
+@pytest.mark.parametrize("window", ["1.5e-6", "0.2"], ids=["fractional-samples", "longer-than-record"])
+def test_detection_window_that_cannot_tile_the_record_fails_before_any_stage(tmp_path, capsys, command, window):
+    """The window follows from the settings alone, so a command that simulates refuses it before ``--out`` exists.
+
+    ``detect --traj`` learns the rate from its file, so there the same window is a stage failure.
+    """
+    out = tmp_path / "run"
+    window_set = ["--set", "sim_duration_s=0.1", "--set", f"integration_time_s={window}"]
+    assert run([command, "--seed", 1, "--out", out] + window_set) == 2
+    assert "configuration error: " in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["simulate", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.1"]) == 0
+    capsys.readouterr()
+    assert run(["detect", "--traj", tmp_path / "trajectory.npy", "--out", out] + window_set) == 3
+    assert "detect stage failed: " in capsys.readouterr().err
 
 
 def test_fock_grid_below_the_output_minimum_fails_before_any_stage(tmp_path, capsys):
@@ -186,9 +205,10 @@ def test_decoherence_single_point(tmp_path):
     assert run(
         ["decoherence", "--out", tmp_path, "--zmin", "1e-10", "--zmax", "1e-9", "--npoints", "1"]
     ) == 0
-    rows = (tmp_path / "decoherence.csv").read_text().splitlines()
-    assert rows[0] == "delta_z_m,tau_s"
-    dz, tau = (float(v) for v in rows[1].split(","))
+    taus = np.load(tmp_path / "decoherence.npy", allow_pickle=False)
+    info = json.loads((tmp_path / "decoherence.json").read_text())
+    assert set(info) == {"delta_z_m"}
+    [dz], [tau] = info["delta_z_m"], taus.tolist()
     assert dz == 1e-10
     assert tau == pytest.approx(decoherence_time(1e-10, derive(default_config())), rel=1e-12)
 
@@ -212,8 +232,7 @@ def test_decoherence_doubling_power_halves_saturated_tau(tmp_path):
                 f"power_W={power}",
             ]
         ) == 0
-        last = (out / "decoherence.csv").read_text().splitlines()[-1]
-        taus.append(float(last.split(",")[1]))
+        taus.append(float(np.load(out / "decoherence.npy", allow_pickle=False)[-1]))
     assert taus[1] == pytest.approx(0.5 * taus[0], rel=1e-6)
 
 
@@ -277,15 +296,20 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path):
         "counts_cbh.json",
         "inverted.npy",
         "inverted.json",
-        "psd_ch.csv",
-        "psd_cbh.csv",
+        "psd_ch.npy",
+        "psd_ch.json",
+        "psd_cbh.npy",
+        "psd_cbh.json",
         "fit_ch.json",
         "fit_cbh.json",
         "noise_floors.json",
-        "marginals.csv",
-        "wigner.csv",
+        "marginals.npy",
+        "marginals.json",
+        "wigner.npy",
+        "wigner.json",
         "analyze.json",
-        "decoherence.csv",
+        "decoherence.npy",
+        "decoherence.json",
         "derived.json",
         "manifest.json",
         "timings.json",
@@ -361,7 +385,7 @@ def test_failed_second_line_fit_marks_the_first_schemes_files(tmp_path, monkeypa
     monkeypatch.setattr(spectral, "fit_lorentzian", second_fit_fails)
     assert run(["pipeline", "--seed", 5, "--out", tmp_path] + FAST_PIPELINE) == 3
     assert "no line in the second spectrum" in capsys.readouterr().err
-    for name in ("trajectory.npy", "psd_ch.csv", "fit_ch.json"):
+    for name in ("trajectory.npy", "psd_ch.npy", "psd_ch.json", "fit_ch.json"):
         assert (tmp_path / f"{name}.partial").is_file(), name
         assert not (tmp_path / name).exists(), name
 
@@ -369,7 +393,7 @@ def test_failed_second_line_fit_marks_the_first_schemes_files(tmp_path, monkeypa
 @pytest.mark.parametrize(
     "blocked, written",
     [
-        ("psd_ch.csv", ["trajectory.npy", "trajectory.json", "counts_cbh.npy", "inverted.npy"]),
+        ("psd_ch.npy", ["trajectory.npy", "trajectory.json", "counts_cbh.npy", "inverted.npy"]),
         ("trajectory.json", ["trajectory.npy"]),
         ("counts_cbh.npy", ["trajectory.npy", "trajectory.json", "counts_ch.npy", "counts_ch.json"]),
     ],
@@ -393,9 +417,9 @@ def test_unwritable_output_is_a_stage_failure(tmp_path, capsys, blocked, written
         ("derive", "derived.json", []),
         ("simulate", "trajectory.json", ["trajectory.npy"]),
         ("detect", "counts_cbh.npy", ["counts_ch.npy", "counts_ch.json"]),
-        ("psd", "fit.json", ["psd.csv"]),
-        ("tomo", "analyze.json", ["marginals.csv", "wigner.csv"]),
-        ("decoherence", "decoherence.csv", []),
+        ("psd", "fit.json", ["psd.npy", "psd.json"]),
+        ("tomo", "analyze.json", ["marginals.npy", "marginals.json", "wigner.npy", "wigner.json"]),
+        ("decoherence", "decoherence.npy", []),
     ],
 )
 def test_failed_subcommand_marks_every_file_it_wrote(tmp_path, capsys, command, blocked, written):
@@ -462,7 +486,7 @@ def test_legacy_crlf_trajectory_loads_through_traj(tmp_path):
     for n, source in enumerate(sources):
         assert dynamics.load_trajectory(source).z_m.tobytes() == dynamics.load_trajectory(npy).z_m.tobytes()
         assert run(["psd", "--traj", source, "--out", tmp_path / f"psd{n}"] + FAST_PIPELINE) == 0
-    for name in ("psd.csv", "fit.json"):
+    for name in ("psd.npy", "psd.json", "fit.json"):
         for n in (1, 2):
             assert (tmp_path / f"psd{n}" / name).read_bytes() == (tmp_path / "psd0" / name).read_bytes(), name
 
@@ -561,6 +585,45 @@ def test_unexpected_exception_marks_the_run_and_propagates(tmp_path, monkeypatch
     assert not (tmp_path / "derived.json").exists()
 
 
+def sidecar_shape(info: dict) -> tuple[int, ...]:
+    """The shape of a table as the axes in its sidecar give it."""
+    if "angles_rad" in info:
+        return len(info["angles_rad"]), len(info["z_grid_m"])
+    if "axis_m" in info:
+        return len(info["axis_m"]), len(info["axis_m"])
+    if "df_Hz" in info:
+        return (info["segment_len"] // 2,)
+    if "delta_z_m" in info:
+        return (len(info["delta_z_m"]),)
+    return (info["n_samples"],)
+
+
+@pytest.mark.parametrize(
+    "extra, tables",
+    [
+        (FAST_PIPELINE, ["decoherence", "inverted", "marginals", "psd_cbh", "psd_ch", "wigner"]),
+        (["--state", "fock1"], ["decoherence", "wigner"]),
+    ],
+    ids=["thermal", "fock1"],
+)
+def test_every_figure_table_loads_in_the_shape_of_its_sidecar(tmp_path, extra, tables):
+    """Each ``file`` of the figure map is float64 ``.npy`` that loads without pickle, shaped as its sidecar says."""
+    assert run(["pipeline", "--seed", 11, "--out", tmp_path] + extra) == 0
+    figures = json.loads((tmp_path / "plotdata" / "style.json").read_text())["figures"]
+    names = []
+    for fig in figures.values():
+        files = fig["file"] if isinstance(fig["file"], list) else [fig["file"]]
+        if "time_axis" in fig:
+            assert fig["time_axis"] == artifacts.sidecar(fig["file"]).name
+        for name in files:
+            values = np.load(tmp_path / name, allow_pickle=False)
+            info = json.loads(artifacts.sidecar(tmp_path / name).read_text())
+            assert values.dtype == np.dtype("<f8"), name
+            assert values.shape == sidecar_shape(info), name
+            names.append(name)
+    assert sorted(names) == [f"{table}.npy" for table in tables]
+
+
 @pytest.mark.parametrize("extra", [FAST_PIPELINE, ["--state", "fock1"]], ids=["thermal", "fock1"])
 def test_every_json_artifact_has_the_one_format(tmp_path, extra):
     """Two-space indent, sorted keys and one trailing newline: the bytes the manifest digests pin."""
@@ -598,8 +661,8 @@ def test_tomo_subcommand(tmp_path):
     ) == 0
     report = json.loads((tmp_path / "analyze.json").read_text())
     assert abs(report["total_integral"] - 1.0) < 0.05
-    assert (tmp_path / "marginals.csv").is_file()
-    assert (tmp_path / "wigner.csv").is_file()
+    assert (tmp_path / "marginals.npy").is_file()
+    assert (tmp_path / "wigner.npy").is_file()
 
 
 def test_pipeline_exact_detection_model(tmp_path):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from levitomo import artifacts
 from levitomo.constants import KB
 from levitomo.dynamics import (
     SCAN_MAX_BLOCK,
@@ -32,7 +31,8 @@ def equipartition_var(dq, temperature_K):
 def save_csv(traj, path):
     """Write ``traj`` as a ``t_s,z_m`` table at ``path``, next to the sidecar :func:`save_trajectory` writes."""
     sidecar = save_trajectory(traj, path.with_suffix(".npy"))
-    artifacts.write_columns(path, ["t_s", "z_m"], [traj.times_s, traj.z_m])
+    table = np.column_stack([traj.times_s, traj.z_m])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="t_s,z_m", comments="")
     return sidecar
 
 

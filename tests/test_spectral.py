@@ -56,6 +56,14 @@ def test_psd_excludes_dc():
     assert psd.freqs_Hz[0] > 0
 
 
+@pytest.mark.parametrize("rate", [1e6, 1.4e6, 3e6])
+def test_every_bin_is_a_whole_multiple_of_the_first(rate):
+    """A saved spectrum keeps only its bin spacing ``df_Hz``, so (k + 1) df_Hz must rebuild bin k exactly."""
+    psd = estimate_psd(np.random.default_rng(2).standard_normal(4096), rate, 256)
+    rebuilt = np.arange(1, psd.freqs_Hz.size + 1) * psd.freqs_Hz[0]
+    assert rebuilt.tobytes() == psd.freqs_Hz.tobytes()
+
+
 def _synthetic_psd(omega0, xi, amplitude, floor, noise=0.01, seed=3, n=4000, f_max=2e5):
     freqs = np.linspace(f_max / n, f_max, n)
     truth = _oscillator_psd(freqs, omega0, xi, amplitude, floor)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from levitomo.tomography import (
     filtered_projections,
     inverse_radon,
     oracle_marginals,
+    save_marginals,
+    save_wigner,
 )
 
 from projection import project_marginal, reference_filtered_projections, reference_inverse_radon
@@ -313,6 +316,27 @@ def test_marginal_set_is_valid_by_construction(angles, grid, densities, message)
 def test_oracle_set_has_no_counts():
     oracle = oracle_marginals("thermal", ANGLES, GRID, sigma_m=1.0)
     assert oracle.counts_per_bin is None
+
+
+def test_saved_marginals_and_wigner_rebuild_bitwise(tmp_path):
+    """The two array savers return the sidecar, and the array with the sidecar's axes rebuilds each set exactly."""
+    marginals = random_marginals(np.linspace(0.0, TWO_PI, 13, endpoint=False), 33, seed=4)
+    sidecar = save_marginals(marginals, tmp_path / "marginals.npy")
+    assert sidecar == tmp_path / "marginals.json"
+    info = json.loads(sidecar.read_text())
+    back = MarginalSet(info["angles_rad"], info["z_grid_m"], np.load(tmp_path / "marginals.npy", allow_pickle=False))
+    for name in ("angles_rad", "z_grid_m", "densities"):
+        assert getattr(back, name).tobytes() == getattr(marginals, name).tobytes(), name
+
+    wigner = inverse_radon(marginals, 17)
+    sidecar = save_wigner(wigner, tmp_path / "wigner.npy")
+    assert sidecar == tmp_path / "wigner.json"
+    axis = np.array(json.loads(sidecar.read_text())["axis_m"])
+    assert axis.tobytes() == wigner.z_grid_m.tobytes() == wigner.p_grid.tobytes()
+    assert np.load(tmp_path / "wigner.npy", allow_pickle=False).tobytes() == wigner.values.tobytes()
+    skewed = WignerGrid(wigner.z_grid_m, 2.0 * wigner.p_grid, wigner.values, wigner.dz, 2.0 * wigner.dp)
+    with pytest.raises(TomographyError, match="shared axis"):
+        save_wigner(skewed, tmp_path / "skewed.npy")
 
 
 # ---------------------------------------------------------------------------
