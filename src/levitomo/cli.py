@@ -26,10 +26,10 @@ byte-identical.
 ``main`` drives every subcommand the same way. It resolves the settings
 before ``--out`` exists, then runs the subcommand's body inside an
 ``artifacts.journal`` that lists every file the body writes. On success it
-prints the body's report (``derive``, ``tomo``, the fock1 ``pipeline``) or
-``wrote`` and every file written. On failure it renames every file written to
-``<name>.partial`` and exits 2 for a configuration error or 3 for a stage
-failure or a file that cannot be read or written, with one line on stderr.
+prints the body's report (``derive``, ``tomo``) or ``wrote`` and every file
+written. On failure it renames every file written to ``<name>.partial`` and
+exits 2 for a configuration error or 3 for a stage failure, a file that cannot
+be read or written or an array too large to allocate, with one line on stderr.
 """
 
 from __future__ import annotations
@@ -72,7 +72,10 @@ class PipelineSettings:
     ``sim_temperature_K`` is the effective motional temperature of the
     simulated record (an amplitude knob): the default 30 mK keeps the
     interferometer response linear, while the environment temperature in
-    ``ExperimentConfig`` still drives gas damping. ``cutoff_fraction`` < 1
+    ``ExperimentConfig`` still drives gas damping. Every state is
+    reconstructed onto its marginal grid, so ``marginal_grid_points`` is also
+    the output grid's size: it is odd, so that a sample falls on the origin,
+    and at least ``tomography.MIN_GRID_SIZE``. ``cutoff_fraction`` < 1
     suppresses histogram shot noise in the reconstruction.
     """
 
@@ -91,7 +94,6 @@ class PipelineSettings:
     n_angles: int = 90
     marginal_grid_points: int = 129
     marginal_span_sigmas: float = 5.0
-    wigner_grid_size: int = 128
     cutoff_fraction: float = 0.5
     psd_segment_len: int = 0  # 0 = auto: largest power of two <= n/4, capped at 2^17
     psd_overlap: float = 0.5
@@ -111,12 +113,17 @@ class PipelineSettings:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+        duration, rate = self.sim_duration_s, self.sim_sample_rate_hz
+        if not math.isfinite(duration * rate):
+            raise ConfigError(f"sample count sim_duration_s * sim_sample_rate_hz overflows: {duration!r} * {rate!r}")
         noise = self.electronic_noise_counts_rms
         if not (math.isfinite(noise) and noise >= 0):
             raise ConfigError(f"electronic_noise_counts_rms must be finite and non-negative, got {noise!r}")
-        for name, least in (("n_angles", tomography.MIN_ANGLES), ("wigner_grid_size", tomography.MIN_GRID_SIZE)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
+        if self.n_angles < tomography.MIN_ANGLES:
+            raise ConfigError(f"n_angles must be at least {tomography.MIN_ANGLES}, got {self.n_angles!r}")
+        points = self.marginal_grid_points
+        if points < tomography.MIN_GRID_SIZE or points % 2 == 0:
+            raise ConfigError(f"marginal_grid_points must be odd and >= {tomography.MIN_GRID_SIZE}, got {points!r}")
         segment, least = self.psd_segment_len, spectral.MIN_SEGMENT_LEN
         if segment and (segment < least or segment & (segment - 1)):
             raise ConfigError(f"psd_segment_len must be 0 (auto) or a power of two >= {least}, got {segment!r}")
@@ -133,14 +140,6 @@ class PipelineSettings:
         for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {getattr(self, name)!r}")
-        points = self.marginal_grid_points
-        if self.sim_state == "fock1":  # the oracle reconstructs onto its marginal grid
-            if points < tomography.MIN_GRID_SIZE:
-                raise ConfigError(
-                    f"marginal_grid_points must be at least {tomography.MIN_GRID_SIZE} for fock1, got {points!r}"
-                )
-        elif points < 3 or points % 2 == 0:
-            raise ConfigError(f"marginal_grid_points must be odd and at least 3 to contain 0, got {points!r}")
 
 
 def resolve_settings(config_path: str | None, overrides: list[str]) -> tuple[ExperimentConfig, PipelineSettings]:
@@ -312,19 +311,20 @@ def _save_line(psd, fit, out_dir, scheme=None) -> None:
     )
 
 
-def _reconstruct(marginals, grid_size, cutoff_fraction, out_dir) -> tomography.WignerReport:
-    wigner = tomography.inverse_radon(marginals, grid_size, cutoff_fraction=cutoff_fraction)
+def _binned(series, omega_rad_s, settings) -> tomography.MarginalSet:
+    """The record's marginals, binned at ``omega_rad_s`` on a grid of ``marginal_span_sigmas``."""
+    grid = tomography.default_z_grid(series.z_m, settings.marginal_grid_points, settings.marginal_span_sigmas)
+    return tomography.bin_marginals(series, omega_rad_s, settings.n_angles, grid)
+
+
+def _tomography(marginals, settings, out_dir) -> tomography.WignerReport:
+    """Reconstruct the Wigner function onto the marginal grid, analyze it and save all three."""
+    wigner = tomography.inverse_radon(marginals, cutoff_fraction=settings.cutoff_fraction)
     report = tomography.analyze(wigner)
     tomography.save_marginals(marginals, out_dir / "marginals.npy")
     tomography.save_wigner(wigner, out_dir / "wigner.npy")
     tomography.save_report(report, out_dir / "analyze.json")
     return report
-
-
-def _tomography(series, omega_rad_s, settings, out_dir) -> tomography.WignerReport:
-    grid = tomography.default_z_grid(series.z_m, settings.marginal_grid_points, settings.marginal_span_sigmas)
-    marginals = tomography.bin_marginals(series, omega_rad_s, settings.n_angles, grid)
-    return _reconstruct(marginals, settings.wigner_grid_size, settings.cutoff_fraction, out_dir)
 
 
 def _decoherence(settings, dq, out_dir) -> None:
@@ -384,17 +384,18 @@ def cmd_psd(args, config, settings, out_dir) -> None:
 def cmd_tomo(args, config, settings, out_dir) -> dict:
     traj = dynamics.load_trajectory(args.traj)
     _, fit = _fit_line(traj, derive(config), settings)
-    return asdict(_tomography(traj, fit.omega0_rad_s, settings, out_dir))
+    return asdict(_tomography(_binned(traj, fit.omega0_rad_s, settings), settings, out_dir))
 
 
 def cmd_decoherence(args, config, settings, out_dir) -> None:
     _decoherence(settings, derive(config), out_dir)
 
 
-def cmd_pipeline(args, config, settings, out_dir) -> dict | None:
+def cmd_pipeline(args, config, settings, out_dir) -> None:
     """Run every stage in order; ``plotdata/style.json`` names each figure's source file.
 
-    Returns the Wigner report of a fock1 oracle run and None for a simulated record.
+    A fock1 run takes its marginals from the oracle and skips the record
+    stages; every state then goes through the one tomography stage.
     """
     manifest = RunManifest({**asdict(config), **asdict(settings)}, args.seed, out_dir)
     config_inputs = {"config_file": Path(args.config)} if args.config else {}
@@ -402,24 +403,11 @@ def cmd_pipeline(args, config, settings, out_dir) -> dict | None:
     plot_dir = out_dir / "plotdata"
     plot_dir.mkdir(exist_ok=True)
     figures: dict = {}
-    report = None
 
     with manifest.stage("derive", config_inputs):
         artifacts.write_json(out_dir / "derived.json", asdict(dq))
 
-    if settings.sim_state == "fock1":
-        # oracle reconstruction of the first excited state, in natural units (s = 1)
-        with manifest.stage("tomography", {}):
-            angles = TWO_PI * np.arange(settings.n_angles) / settings.n_angles
-            grid = np.linspace(-5.0, 5.0, settings.marginal_grid_points)
-            marginals = tomography.oracle_marginals("fock1", angles, grid, z_zpf_m=1.0 / math.sqrt(2.0))
-            report = asdict(_reconstruct(marginals, settings.marginal_grid_points, 1.0, out_dir))
-        figures["fig2c"] = {
-            "file": "wigner.npy",
-            "matrix": "rows z, columns p (natural units)",
-            "kind": "heatmap",
-        }
-    else:
+    if settings.sim_state != "fock1":
         with manifest.stage("simulate", config_inputs):
             traj = _simulate(config, settings, dq, args.seed, out_dir)
 
@@ -457,10 +445,16 @@ def cmd_pipeline(args, config, settings, out_dir) -> dict | None:
             "floors": {scheme: fit.noise_floor for scheme, fit in fits.items()},
         }
 
-        with manifest.stage("tomography", {}):
-            _tomography(inverted, fits[primary].omega0_rad_s, settings, out_dir)
-        figures["fig2b"] = {"file": "marginals.npy", "matrix": "rows theta, columns z", "kind": "heatmap"}
-        figures["fig2c"] = {"file": "wigner.npy", "matrix": "rows z, columns p/(m omega)", "kind": "heatmap"}
+    with manifest.stage("tomography", {}):
+        if settings.sim_state == "fock1":  # the first excited state's oracle, in natural units (s = 1)
+            angles = TWO_PI * np.arange(settings.n_angles) / settings.n_angles
+            grid = np.linspace(-5.0, 5.0, settings.marginal_grid_points)
+            marginals = tomography.oracle_marginals("fock1", angles, grid, z_zpf_m=1.0 / math.sqrt(2.0))
+        else:
+            marginals = _binned(inverted, fits[primary].omega0_rad_s, settings)
+        _tomography(marginals, settings, out_dir)
+    figures["fig2b"] = {"file": "marginals.npy", "matrix": "rows theta, columns z", "kind": "heatmap"}
+    figures["fig2c"] = {"file": "wigner.npy", "matrix": "rows z, columns p/(m omega)", "kind": "heatmap"}
 
     with manifest.stage("decoherence", {}):
         _decoherence(settings, dq, out_dir)
@@ -476,7 +470,6 @@ def cmd_pipeline(args, config, settings, out_dir) -> dict | None:
     with manifest.stage("plot-style", {}):
         artifacts.write_json(plot_dir / "style.json", {"figures": figures})
     manifest.write()
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +573,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (LevitomoError, OSError) as exc:
+    except (LevitomoError, OSError, MemoryError) as exc:
         print(f"{args.command} stage failed: {exc}", file=sys.stderr)
         return 3
     print(artifacts.dumps(report) if report is not None else "wrote " + ", ".join(map(str, written)))

@@ -212,17 +212,19 @@ def oracle_marginals(
 
 @dataclass(frozen=True, eq=False)
 class WignerGrid:
-    """Reconstructed quasi-probability on a square phase-space grid.
+    """Reconstructed quasi-probability on a square phase-space grid with one axis.
 
-    ``values[i, j]`` is W at (z_grid_m[i], p_grid[j]); the momentum axis is in
-    position-equivalent units p/(m omega_s), meters.
+    ``values[i, j]`` is W at (z, p) = (axis_m[i], axis_m[j]); the momentum is
+    in position-equivalent units p/(m omega_s), meters, so z and p share the
+    axis and its step.
     """
 
-    z_grid_m: np.ndarray
-    p_grid: np.ndarray
+    axis_m: np.ndarray
     values: np.ndarray
-    dz: float
-    dp: float
+
+    # read-only views of the one axis, for callers that name z and p apart
+    z_grid_m = p_grid = property(lambda self: self.axis_m)
+    dz = dp = property(lambda self: float(self.axis_m[1] - self.axis_m[0]))
 
 
 def _check_z_grid(grid: np.ndarray) -> None:
@@ -319,7 +321,8 @@ def inverse_radon(
     copies of the same projection and are all used with weight pi / n_angles.
     ``cutoff_fraction`` scales the ramp-filter cutoff relative to the grid
     Nyquist frequency; lower it to suppress histogram noise. The output square
-    is inscribed in the marginal support (half-width z[-1] / sqrt(2)).
+    is inscribed in the marginal support (half-width z[-1] / sqrt(2)), with
+    ``grid_size`` points per axis, by default as many as the position grid.
 
     Each quarter-turn orbit of angles is back-projected once. The position grid
     is symmetric about 0 (a ``MarginalSet`` invariant), so the projection at
@@ -372,8 +375,7 @@ def inverse_radon(
                 part[h] += weighted
     values = sums[0] + np.rot90(sums[1])
     values *= math.pi / angles.size
-    step = axis[1] - axis[0]
-    return WignerGrid(z_grid_m=axis, p_grid=axis.copy(), values=values, dz=step, dp=step)
+    return WignerGrid(axis_m=axis, values=values)
 
 
 @dataclass(frozen=True)
@@ -395,8 +397,8 @@ class WignerReport:
     gaussian_fit: GaussianMomentFit
 
 
-def _trapz2d(values: np.ndarray, z_axis: np.ndarray, p_axis: np.ndarray) -> float:
-    return float(np.trapezoid(np.trapezoid(values, p_axis, axis=1), z_axis))
+def _trapz2d(values: np.ndarray, axis: np.ndarray) -> float:
+    return float(np.trapezoid(np.trapezoid(values, axis, axis=1), axis))
 
 
 def analyze(w: WignerGrid) -> WignerReport:
@@ -408,17 +410,17 @@ def analyze(w: WignerGrid) -> WignerReport:
     values = w.values
     if not np.all(np.isfinite(values)):
         raise TomographyError("Wigner grid contains non-finite values")
-    z_axis, p_axis = w.z_grid_m, w.p_grid
-    total = _trapz2d(values, z_axis, p_axis)
+    axis = w.axis_m
+    total = _trapz2d(values, axis)
     if total <= 0:
         raise TomographyError("Wigner grid has non-positive total integral; cannot fit moments")
-    zz, pp = np.meshgrid(z_axis, p_axis, indexing="ij")
-    mean_z = _trapz2d(values * zz, z_axis, p_axis) / total
-    mean_p = _trapz2d(values * pp, z_axis, p_axis) / total
+    zz, pp = np.meshgrid(axis, axis, indexing="ij")
+    mean_z = _trapz2d(values * zz, axis) / total
+    mean_p = _trapz2d(values * pp, axis) / total
     dz_c, dp_c = zz - mean_z, pp - mean_p
-    cov_zz = _trapz2d(values * dz_c**2, z_axis, p_axis) / total
-    cov_pp = _trapz2d(values * dp_c**2, z_axis, p_axis) / total
-    cov_zp = _trapz2d(values * dz_c * dp_c, z_axis, p_axis) / total
+    cov_zz = _trapz2d(values * dz_c**2, axis) / total
+    cov_pp = _trapz2d(values * dp_c**2, axis) / total
+    cov_zp = _trapz2d(values * dz_c * dp_c, axis) / total
     det = cov_zz * cov_pp - cov_zp**2
     if det <= 0:
         raise TomographyError("moment covariance is not positive definite")
@@ -434,8 +436,8 @@ def analyze(w: WignerGrid) -> WignerReport:
     return WignerReport(
         total_integral=total,
         min_value=float(values.min()),
-        negativity_volume=_trapz2d(np.maximum(0.0, -values), z_axis, p_axis),
-        abs_volume=_trapz2d(np.abs(values), z_axis, p_axis),
+        negativity_volume=_trapz2d(np.maximum(0.0, -values), axis),
+        abs_volume=_trapz2d(np.abs(values), axis),
         gaussian_fit=GaussianMomentFit(
             mean_z=mean_z,
             mean_p=mean_p,
@@ -459,12 +461,10 @@ def save_marginals(marginals: MarginalSet, path: str | Path) -> Path:
 def save_wigner(w: WignerGrid, path: str | Path) -> Path:
     """Write ``values`` as a float64 ``.npy`` array and return its JSON sidecar.
 
-    ``values[i, j]`` is W at (``axis_m[i]``, ``axis_m[j]``): the reconstruction
-    shares one axis between z and p/(m omega), and the sidecar holds it.
+    ``values[i, j]`` is W at (``axis_m[i]``, ``axis_m[j]``), rows z and
+    columns p/(m omega); the sidecar holds the axis.
     """
-    if not np.array_equal(w.z_grid_m, w.p_grid):
-        raise TomographyError("a Wigner grid is saved with one shared axis, but its z and p axes differ")
-    return artifacts.write_array(path, w.values, {"axis_m": w.z_grid_m.tolist()})
+    return artifacts.write_array(path, w.values, {"axis_m": w.axis_m.tolist()})
 
 
 def save_report(report: WignerReport, path: str | Path) -> None:

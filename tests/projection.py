@@ -16,20 +16,17 @@ def project_marginal(w: WignerGrid, theta: float) -> np.ndarray:
 
     Rotates the grid by theta and integrates along the conjugate axis with the
     trapezoid rule and bilinear interpolation (zero outside the grid). Returns
-    the density over ``w.z_grid_m``.
+    the density over ``w.axis_m``.
     """
     if not 0.0 <= theta < TWO_PI:
         raise TomographyError(f"theta must lie in [0, 2 pi), got {theta!r}")
-    interp = RegularGridInterpolator(
-        (w.z_grid_m, w.p_grid), w.values, method="linear", bounds_error=False, fill_value=0.0
-    )
-    s_axis = w.z_grid_m
-    u_axis = w.p_grid
-    ss, uu = np.meshgrid(s_axis, u_axis, indexing="ij")
+    axis = w.axis_m
+    interp = RegularGridInterpolator((axis, axis), w.values, method="linear", bounds_error=False, fill_value=0.0)
+    ss, uu = np.meshgrid(axis, axis, indexing="ij")
     x = ss * math.cos(theta) - uu * math.sin(theta)
     y = ss * math.sin(theta) + uu * math.cos(theta)
     sheet = interp(np.stack([x.ravel(), y.ravel()], axis=1)).reshape(ss.shape)
-    return np.trapezoid(sheet, u_axis, axis=1)
+    return np.trapezoid(sheet, axis, axis=1)
 
 
 def reference_filtered_projections(marginals: MarginalSet, cutoff_fraction: float = 1.0) -> np.ndarray:
@@ -68,5 +65,4 @@ def reference_inverse_radon(
         s = zz * math.cos(theta) + pp * math.sin(theta)
         values += np.interp(s, z_grid, filtered[j], left=0.0, right=0.0)
     values *= math.pi / marginals.angles_rad.size
-    step = axis[1] - axis[0]
-    return WignerGrid(z_grid_m=axis, p_grid=axis.copy(), values=values, dz=step, dp=step)
+    return WignerGrid(axis_m=axis, values=values)

@@ -13,7 +13,7 @@ import pytest
 import levitomo
 from levitomo import artifacts, dynamics, spectral, tomography
 from levitomo.cli import PipelineSettings, main
-from levitomo.errors import SpectralError
+from levitomo.errors import ConfigError, SpectralError
 from levitomo.physics import ExperimentConfig, decoherence_time, default_config, derive
 
 TWO_PI = 2.0 * math.pi
@@ -90,7 +90,8 @@ def test_fractional_integer_setting_fails_before_any_stage(tmp_path, capsys):
         "detection_model=foo",
         "cutoff_fraction=2",
         "n_angles=4",
-        "wigner_grid_size=4",
+        "marginal_grid_points=7",
+        "wigner_grid_size=64",  # the output grid is the marginal grid; the key is gone
         "marginal_span_sigmas=0",
         "psd_segment_len=1000",
         "psd_overlap=1",
@@ -126,12 +127,35 @@ def test_detection_window_that_cannot_tile_the_record_fails_before_any_stage(tmp
 
 
 def test_fock_grid_below_the_output_minimum_fails_before_any_stage(tmp_path, capsys):
-    """fock1 reconstructs onto its marginal grid, so that grid obeys the output-grid minimum instead."""
+    """Every state reconstructs onto its marginal grid, so one rule holds for all: odd, and the output-grid minimum."""
     out = tmp_path / "run"
     assert run(["pipeline", "--seed", 1, "--out", out, "--state", "fock1", "--set", "marginal_grid_points=5"]) == 2
     assert "marginal_grid_points" in capsys.readouterr().err
     assert not out.exists()
-    assert PipelineSettings(sim_state="fock1", marginal_grid_points=128).marginal_grid_points == 128
+    for state in ("thermal", "coherent", "fock1"):
+        with pytest.raises(ConfigError, match="marginal_grid_points must be odd"):
+            PipelineSettings(sim_state=state, marginal_grid_points=128)
+        assert PipelineSettings(sim_state=state, marginal_grid_points=9).marginal_grid_points == 9
+
+
+def test_sample_count_that_overflows_fails_before_any_stage(tmp_path, capsys):
+    """Each factor is finite, but their product, the record's sample count, is not."""
+    out = tmp_path / "run"
+    sets = ["--set", "sim_duration_s=1e300", "--set", "sim_sample_rate_hz=1e300"]
+    assert run(["pipeline", "--seed", 1, "--out", out] + sets) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+    assert "sim_duration_s" in err and "sim_sample_rate_hz" in err
+    assert not out.exists()
+
+
+def test_record_too_large_to_allocate_is_a_stage_failure(tmp_path, capsys):
+    """An exabyte record is refused by the allocator at once, before any of it is allocated."""
+    assert run(["pipeline", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=1e12"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline stage failed: ") and len(err.splitlines()) == 1
+    assert (tmp_path / "derived.json.partial").is_file()
+    assert not (tmp_path / "derived.json").exists()
 
 
 @pytest.mark.parametrize("command", ["pipeline", "simulate"])
@@ -154,7 +178,7 @@ def test_integer_settings_accept_integer_literals():
     assert (settings.n_angles, settings.psd_segment_len, settings.decoherence_points) == (120, 4096, 7)
 
 
-@pytest.mark.parametrize("cls, count", [(ExperimentConfig, 15), (PipelineSettings, 22)])
+@pytest.mark.parametrize("cls, count", [(ExperimentConfig, 15), (PipelineSettings, 21)])
 def test_every_setting_default_has_its_annotated_type(cls, count):
     """A setting's text is parsed as the type of the field's default, so that type must be the annotated one."""
     assert len(fields(cls)) == count
@@ -355,9 +379,19 @@ def test_pipeline_seed_changes_artifacts(tmp_path):
 
 def test_pipeline_fock_oracle_mode(tmp_path, capsys):
     assert run(["pipeline", "--state", "fock1", "--out", tmp_path, "--seed", 2]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("wrote ") and str(tmp_path / "analyze.json") in printed.split(", ")
     report = json.loads((tmp_path / "analyze.json").read_text())
     assert report["min_value"] < -0.2
-    assert json.loads(capsys.readouterr().out) == report
+
+
+def test_pipeline_fock_oracle_honours_the_cutoff(tmp_path):
+    """fock1 goes through the one tomography stage, so ``cutoff_fraction`` changes its reconstruction."""
+    default, lowered = tmp_path / "default", tmp_path / "lowered"
+    assert run(["pipeline", "--state", "fock1", "--out", default]) == 0
+    assert run(["pipeline", "--state", "fock1", "--out", lowered, "--set", "cutoff_fraction=0.3"]) == 0
+    assert (default / "marginals.npy").read_bytes() == (lowered / "marginals.npy").read_bytes()
+    assert (default / "wigner.npy").read_bytes() != (lowered / "wigner.npy").read_bytes()
 
 
 def test_pipeline_stage_failure_keeps_partial_artifacts(tmp_path, capsys):
@@ -602,7 +636,7 @@ def sidecar_shape(info: dict) -> tuple[int, ...]:
     "extra, tables",
     [
         (FAST_PIPELINE, ["decoherence", "inverted", "marginals", "psd_cbh", "psd_ch", "wigner"]),
-        (["--state", "fock1"], ["decoherence", "wigner"]),
+        (["--state", "fock1"], ["decoherence", "marginals", "wigner"]),
     ],
     ids=["thermal", "fock1"],
 )

@@ -44,8 +44,7 @@ def analytic_gaussian_grid(n=129, span=3.5, sigma=1.0):
     axis = np.linspace(-span, span, n)
     zz, pp = np.meshgrid(axis, axis, indexing="ij")
     values = np.exp(-(zz**2 + pp**2) / (2 * sigma**2)) / (TWO_PI * sigma**2)
-    step = axis[1] - axis[0]
-    return WignerGrid(z_grid_m=axis, p_grid=axis.copy(), values=values, dz=step, dp=step)
+    return WignerGrid(axis_m=axis, values=values)
 
 
 def analytic_fock1_grid(n=129, span=3.5):
@@ -53,8 +52,7 @@ def analytic_fock1_grid(n=129, span=3.5):
     zz, pp = np.meshgrid(axis, axis, indexing="ij")
     r2 = zz**2 + pp**2
     values = (2.0 * r2 - 1.0) * np.exp(-r2) / math.pi
-    step = axis[1] - axis[0]
-    return WignerGrid(z_grid_m=axis, p_grid=axis.copy(), values=values, dz=step, dp=step)
+    return WignerGrid(axis_m=axis, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +159,7 @@ def test_gaussian_reconstruction_peak_and_integral():
 
 def test_gaussian_reconstruction_matches_analytic_surface():
     w = inverse_radon(gaussian_marginals())
-    zz, pp = np.meshgrid(w.z_grid_m, w.p_grid, indexing="ij")
+    zz, pp = np.meshgrid(w.axis_m, w.axis_m, indexing="ij")
     truth = np.exp(-(zz**2 + pp**2) / 2.0) / TWO_PI
     assert np.max(np.abs(w.values - truth)) < 0.02 * truth.max()
 
@@ -171,7 +169,7 @@ def test_fock1_negativity_at_origin():
     angles = TWO_PI * np.arange(90) / 90
     oracle = oracle_marginals("fock1", angles, grid, z_zpf_m=1.0 / math.sqrt(2.0))
     w = inverse_radon(MarginalSet(angles, grid, oracle.densities))
-    center = np.argmin(np.abs(w.z_grid_m))
+    center = np.argmin(np.abs(w.axis_m))
     w00 = w.values[center, center]
     assert w00 <= -0.2
     assert abs(w00 - (-1.0 / math.pi)) <= 0.35 / math.pi
@@ -188,7 +186,7 @@ def test_point_object_concentrates_at_origin():
     angles = TWO_PI * np.arange(n_angles) / n_angles
     w = inverse_radon(MarginalSet(angles, grid, densities))
     mass = np.abs(w.values)
-    zz, pp = np.meshgrid(w.z_grid_m, w.p_grid, indexing="ij")
+    zz, pp = np.meshgrid(w.axis_m, w.axis_m, indexing="ij")
     within = mass[np.sqrt(zz**2 + pp**2) <= 3.0 * w.dz].sum()
     assert within / mass.sum() > 0.90
 
@@ -219,9 +217,9 @@ def test_rotation_covariance():
         MarginalSet((angles + dtheta) % TWO_PI, grid, densities)
     )
     interp = RegularGridInterpolator(
-        (base.z_grid_m, base.p_grid), base.values, bounds_error=False, fill_value=0.0
+        (base.axis_m, base.axis_m), base.values, bounds_error=False, fill_value=0.0
     )
-    zz, pp = np.meshgrid(base.z_grid_m, base.p_grid, indexing="ij")
+    zz, pp = np.meshgrid(base.axis_m, base.axis_m, indexing="ij")
     c, s = math.cos(dtheta), math.sin(dtheta)
     rotated = interp(
         np.stack([(c * zz + s * pp).ravel(), (-s * zz + c * pp).ravel()], axis=1)
@@ -232,7 +230,7 @@ def test_rotation_covariance():
 
 def test_normalization_preserved():
     w = inverse_radon(gaussian_marginals(n_angles=90, n_z=129), grid_size=128)
-    total = float(np.trapezoid(np.trapezoid(w.values, w.p_grid, axis=1), w.z_grid_m))
+    total = float(np.trapezoid(np.trapezoid(w.values, w.axis_m, axis=1), w.axis_m))
     assert abs(total - 1.0) < 0.01
 
 
@@ -241,7 +239,7 @@ def test_dc_fidelity_tracks_marginal_mass():
     the restored zero-frequency ramp coefficient is what pins this."""
     for mass in (1.0, 2.0):
         w = inverse_radon(gaussian_marginals(scale=mass))
-        total = float(np.trapezoid(np.trapezoid(w.values, w.p_grid, axis=1), w.z_grid_m))
+        total = float(np.trapezoid(np.trapezoid(w.values, w.axis_m, axis=1), w.axis_m))
         assert abs(total - mass) < 0.005 * max(mass, 1.0)
 
 
@@ -265,7 +263,7 @@ def test_inverse_radon_matches_per_angle_reference(angles, n_z, grid_size, cutof
     marginals = random_marginals(angles, n_z, seed=angles.size)
     w = inverse_radon(marginals, grid_size, cutoff_fraction=cutoff)
     reference = reference_inverse_radon(marginals, grid_size, cutoff_fraction=cutoff)
-    np.testing.assert_array_equal(w.z_grid_m, reference.z_grid_m)
+    np.testing.assert_array_equal(w.axis_m, reference.axis_m)
     peak = np.max(np.abs(reference.values))
     assert np.max(np.abs(w.values - reference.values)) <= 1e-10 * peak
 
@@ -332,11 +330,8 @@ def test_saved_marginals_and_wigner_rebuild_bitwise(tmp_path):
     sidecar = save_wigner(wigner, tmp_path / "wigner.npy")
     assert sidecar == tmp_path / "wigner.json"
     axis = np.array(json.loads(sidecar.read_text())["axis_m"])
-    assert axis.tobytes() == wigner.z_grid_m.tobytes() == wigner.p_grid.tobytes()
+    assert axis.tobytes() == wigner.axis_m.tobytes()
     assert np.load(tmp_path / "wigner.npy", allow_pickle=False).tobytes() == wigner.values.tobytes()
-    skewed = WignerGrid(wigner.z_grid_m, 2.0 * wigner.p_grid, wigner.values, wigner.dz, 2.0 * wigner.dp)
-    with pytest.raises(TomographyError, match="shared axis"):
-        save_wigner(skewed, tmp_path / "skewed.npy")
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +341,9 @@ def test_saved_marginals_and_wigner_rebuild_bitwise(tmp_path):
 def test_projection_of_isotropic_grid_matches_gaussian():
     w = analytic_gaussian_grid()
     proj = project_marginal(w, 0.0)
-    expected = np.exp(-w.z_grid_m**2 / 2.0) / math.sqrt(TWO_PI)
-    assert float(np.trapezoid(np.abs(proj - expected), w.z_grid_m)) < 0.01
-    variance = float(np.trapezoid(proj * w.z_grid_m**2, w.z_grid_m) / np.trapezoid(proj, w.z_grid_m))
+    expected = np.exp(-w.axis_m**2 / 2.0) / math.sqrt(TWO_PI)
+    assert float(np.trapezoid(np.abs(proj - expected), w.axis_m)) < 0.01
+    variance = float(np.trapezoid(proj * w.axis_m**2, w.axis_m) / np.trapezoid(proj, w.axis_m))
     assert variance == pytest.approx(1.0, rel=0.01)
 
 
@@ -357,7 +352,7 @@ def test_projection_rotation_invariant_on_isotropic_grid():
     reference = project_marginal(w, 0.0)
     for theta in (0.7, 2.0, 4.5):
         proj = project_marginal(w, theta)
-        assert float(np.trapezoid(np.abs(proj - reference), w.z_grid_m)) < 1e-3
+        assert float(np.trapezoid(np.abs(proj - reference), w.axis_m)) < 1e-3
 
 
 def test_projection_theta_range():
@@ -368,10 +363,10 @@ def test_projection_theta_range():
 def test_round_trip_on_thermal_oracle():
     marginals = gaussian_marginals()
     w = inverse_radon(marginals)
-    mu = np.exp(-w.z_grid_m**2 / 2.0) / math.sqrt(TWO_PI)
+    mu = np.exp(-w.axis_m**2 / 2.0) / math.sqrt(TWO_PI)
     for theta in marginals.angles_rad[::9]:
         proj = project_marginal(w, float(theta))
-        assert float(np.trapezoid(np.abs(proj - mu), w.z_grid_m)) < 0.05
+        assert float(np.trapezoid(np.abs(proj - mu), w.axis_m)) < 0.05
 
 
 def test_analyze_on_exact_gaussian():
@@ -393,6 +388,6 @@ def test_analyze_fock1_negativity_matches_quadrature():
 
 def test_analyze_rejects_bad_grids():
     w = analytic_gaussian_grid()
-    broken = WignerGrid(w.z_grid_m, w.p_grid, w.values * np.nan, w.dz, w.dp)
+    broken = WignerGrid(w.axis_m, w.values * np.nan)
     with pytest.raises(TomographyError):
         analyze(broken)
