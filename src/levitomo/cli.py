@@ -400,8 +400,6 @@ def cmd_pipeline(args, config, settings, out_dir) -> None:
     manifest = RunManifest({**asdict(config), **asdict(settings)}, args.seed, out_dir)
     config_inputs = {"config_file": Path(args.config)} if args.config else {}
     dq = derive(config)
-    plot_dir = out_dir / "plotdata"
-    plot_dir.mkdir(exist_ok=True)
     figures: dict = {}
 
     with manifest.stage("derive", config_inputs):
@@ -467,7 +465,9 @@ def cmd_pipeline(args, config, settings, out_dir) -> None:
         "yscale": "log",
     }
 
-    with manifest.stage("plot-style", {}):
+    with manifest.stage("plot-style", {}):  # the folder too, so a failed run leaves none
+        plot_dir = out_dir / "plotdata"
+        plot_dir.mkdir(exist_ok=True)
         artifacts.write_json(plot_dir / "style.json", {"figures": figures})
     manifest.write()
 

@@ -9,7 +9,9 @@ transform, implemented as ramp-filtered back-projection:
   1. real FFT of each marginal along z (zero-padded against wrap-around);
   2. multiply by the half-spectrum of the ramp |nu|, apodized with a Hann
      window up to a cutoff;
-  3. inverse real FFT;
+  3. inverse real FFT. Steps 1-3 take BLOCK_ROWS marginals at a time into
+     one (n_angles, n_z) result, so the padded spectra never hold more than
+     one block, whatever the angle count;
   4. back-project with linear interpolation onto a square (z, p/m omega) grid,
      each angle weighted by pi / n_angles. The angles are taken one
      quarter-turn orbit (theta, theta + pi/2, theta + pi, theta + 3 pi/2) at a
@@ -27,7 +29,10 @@ ramp coefficient is restored to its bin average (delta_nu / 4 instead of 0);
 without it every filtered projection loses its constant mode and the total
 integral of the reconstruction drifts. The output square is inscribed in the
 marginal support (half-width z_max / sqrt(2)) so back-projection never reads
-outside measured data.
+outside measured data. ``analyze`` integrates its moments BLOCK_ROWS grid rows
+at a time as well. Besides the filtered rows, the same size as the marginals,
+a reconstruction holds two output-sized sums and per-block temporaries, and
+its analysis one output-sized array.
 """
 
 from __future__ import annotations
@@ -52,7 +57,9 @@ DEFAULT_SPAN_SIGMAS = 5.0
 PAD_FACTOR = 4
 QUARTER_TURN = 0.5 * math.pi
 ORBIT_TOLERANCE = 1e-9  # largest shift, in z bins, an orbit's shared indices may give a sample point
-BLOCK_ROWS = 64  # output rows per pass over all orbits, so a pass's sums and indices stay in L2 cache
+# rows per block: marginals per pass of the ramp filter, output rows per pass over all orbits and grid rows
+# per pass of analyze, so each pass's temporaries stay in L2 cache whatever the grid's size
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,14 +263,24 @@ def _ramp_filter(n_fft: int, dz: float, cutoff_fraction: float) -> np.ndarray:
 
 
 def filtered_projections(marginals: MarginalSet, cutoff_fraction: float = 1.0) -> np.ndarray:
-    """Ramp-filter every marginal along z (step 1-3 of the reconstruction); a new (n_angles, n_z) array."""
+    """Ramp-filter every marginal along z (step 1-3 of the reconstruction); a new (n_angles, n_z) array.
+
+    ``BLOCK_ROWS`` marginals go through the padded transforms at a time. The
+    FFT transforms each row on its own, so the result equals the one-shot
+    transform of all rows bit for bit.
+    """
     dens = marginals.densities
     n_z = dens.shape[1]
     dz = marginals.z_grid_m[1] - marginals.z_grid_m[0]
     n_fft = 1 << int(math.ceil(math.log2(PAD_FACTOR * n_z)))
-    spectra = np.fft.rfft(dens, n=n_fft, axis=1)
-    spectra *= _ramp_filter(n_fft, dz, cutoff_fraction)
-    return np.fft.irfft(spectra, n=n_fft, axis=1)[:, :n_z].copy()
+    ramp = _ramp_filter(n_fft, dz, cutoff_fraction)
+    filtered = np.empty_like(dens)
+    for first in range(0, dens.shape[0], BLOCK_ROWS):
+        block = slice(first, first + BLOCK_ROWS)
+        spectra = np.fft.rfft(dens[block], n=n_fft, axis=1)
+        spectra *= ramp
+        filtered[block] = np.fft.irfft(spectra, n=n_fft, axis=1)[:, :n_z]
+    return filtered
 
 
 def _quarter_turn_orbits(angles: np.ndarray, tolerance: float) -> list[tuple[float, np.ndarray, np.ndarray]]:
@@ -309,20 +326,15 @@ def _folded_rows(filtered: np.ndarray, members: np.ndarray, quarters: np.ndarray
     return rows, slopes
 
 
-def inverse_radon(
-    marginals: MarginalSet,
-    grid_size: int | None = None,
-    *,
-    cutoff_fraction: float = 1.0,
-) -> WignerGrid:
+def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> WignerGrid:
     """Filtered back-projection of the marginals onto a square phase-space grid.
 
     Angle bins may cover [0, 2 pi); diametrically opposed bins carry mirrored
     copies of the same projection and are all used with weight pi / n_angles.
     ``cutoff_fraction`` scales the ramp-filter cutoff relative to the grid
     Nyquist frequency; lower it to suppress histogram noise. The output square
-    is inscribed in the marginal support (half-width z[-1] / sqrt(2)), with
-    ``grid_size`` points per axis, by default as many as the position grid.
+    is inscribed in the marginal support (half-width z[-1] / sqrt(2)), with as
+    many points per axis as the position grid.
 
     Each quarter-turn orbit of angles is back-projected once. The position grid
     is symmetric about 0 (a ``MarginalSet`` invariant), so the projection at
@@ -340,15 +352,13 @@ def inverse_radon(
 
     z_grid = marginals.z_grid_m
     n_z = z_grid.size
-    if grid_size is None:
-        grid_size = n_z
-    if grid_size < MIN_GRID_SIZE:
+    if n_z < MIN_GRID_SIZE:
         raise TomographyError(f"output grid must have at least {MIN_GRID_SIZE} points per axis")
 
     filtered = filtered_projections(marginals, cutoff_fraction)
     z_max = float(z_grid[-1])
     dz = 2.0 * z_max / (n_z - 1)
-    axis = np.linspace(-z_max / math.sqrt(2.0), z_max / math.sqrt(2.0), grid_size)
+    axis = np.linspace(-z_max / math.sqrt(2.0), z_max / math.sqrt(2.0), n_z)
     angles = marginals.angles_rad
     orbits = []
     for theta, members, quarters in _quarter_turn_orbits(angles, ORBIT_TOLERANCE * dz / z_max):
@@ -357,11 +367,11 @@ def inverse_radon(
         a = (axis * math.cos(theta) + z_max) / dz
         b = axis * math.sin(theta) / dz
         orbits.append((a, b, rows, slopes, np.unique(quarters % 2)))
+    del filtered  # the folded rows hold all the orbits read
     # sums[0] gathers the rows of theta, sums[1] those of theta + pi/2 on theta's sample points
-    sums = np.zeros((2, grid_size, grid_size))
-    for first in range(0, grid_size, BLOCK_ROWS):
+    sums = (np.zeros((n_z, n_z)), np.zeros((n_z, n_z)))
+    for first in range(0, n_z, BLOCK_ROWS):
         block = slice(first, first + BLOCK_ROWS)
-        part = sums[:, block]
         for a, b, rows, slopes, halves in orbits:
             u = a[block, None] + b
             index = u.astype(np.intp)
@@ -369,11 +379,13 @@ def inverse_radon(
                 index[(u < 0.0) | (u > n_z - 1)] = n_z
             u -= index
             for h in halves:
-                part[h] += rows[h][index]
+                part = sums[h][block]
+                part += rows[h][index]
                 weighted = slopes[h][index]
                 weighted *= u
-                part[h] += weighted
-    values = sums[0] + np.rot90(sums[1])
+                part += weighted
+    values, turned = sums
+    values += np.rot90(turned)
     values *= math.pi / angles.size
     return WignerGrid(axis_m=axis, values=values)
 
@@ -397,47 +409,87 @@ class WignerReport:
     gaussian_fit: GaussianMomentFit
 
 
-def _trapz2d(values: np.ndarray, axis: np.ndarray) -> float:
-    return float(np.trapezoid(np.trapezoid(values, axis, axis=1), axis))
+def _row_integrals(values: np.ndarray, axis: np.ndarray, integrands) -> list[float]:
+    """Nested trapezoid over (z, p) of each ``integrand(v, z)``, evaluated ``BLOCK_ROWS`` rows of z at a time.
+
+    ``v`` is a block of rows of ``values`` and ``z`` its z values as a column.
+    Each row is integrated over p on its own, then the row integrals over z,
+    so the result equals the integral of the full-grid integrand bit for bit.
+    """
+    inner = np.empty((len(integrands), axis.size))
+    for first in range(0, axis.size, BLOCK_ROWS):
+        block = slice(first, first + BLOCK_ROWS)
+        v, z = values[block], axis[block, None]
+        for k, integrand in enumerate(integrands):
+            inner[k, block] = np.trapezoid(integrand(v, z), axis, axis=1)
+    return [float(np.trapezoid(row, axis)) for row in inner]
 
 
 def analyze(w: WignerGrid) -> WignerReport:
     """Normalization, negativity and moment-matched Gaussian fit of a grid.
 
     The Gaussian surface is built from the grid's first and second moments and
-    r^2 measures how much of the grid's variance that surface explains.
+    r^2 measures how much of the grid's variance that surface explains. The
+    moments are integrated ``BLOCK_ROWS`` rows at a time; the residual sums
+    take one grid-sized array.
     """
     values = w.values
     if not np.all(np.isfinite(values)):
         raise TomographyError("Wigner grid contains non-finite values")
     axis = w.axis_m
-    total = _trapz2d(values, axis)
+    total, int_z, int_p, negativity, abs_volume = _row_integrals(
+        values,
+        axis,
+        (
+            lambda v, z: v,
+            lambda v, z: v * z,
+            lambda v, z: v * axis,
+            lambda v, z: np.maximum(0.0, -v),
+            lambda v, z: np.abs(v),
+        ),
+    )
     if total <= 0:
         raise TomographyError("Wigner grid has non-positive total integral; cannot fit moments")
-    zz, pp = np.meshgrid(axis, axis, indexing="ij")
-    mean_z = _trapz2d(values * zz, axis) / total
-    mean_p = _trapz2d(values * pp, axis) / total
-    dz_c, dp_c = zz - mean_z, pp - mean_p
-    cov_zz = _trapz2d(values * dz_c**2, axis) / total
-    cov_pp = _trapz2d(values * dp_c**2, axis) / total
-    cov_zp = _trapz2d(values * dz_c * dp_c, axis) / total
+    mean_z = int_z / total
+    mean_p = int_p / total
+    dp_c = axis - mean_p
+    int_zz, int_pp, int_zp = _row_integrals(
+        values,
+        axis,
+        (
+            lambda v, z: v * (z - mean_z) ** 2,
+            lambda v, z: v * dp_c**2,
+            lambda v, z: v * (z - mean_z) * dp_c,
+        ),
+    )
+    cov_zz = int_zz / total
+    cov_pp = int_pp / total
+    cov_zp = int_zp / total
     det = cov_zz * cov_pp - cov_zp**2
     if det <= 0:
         raise TomographyError("moment covariance is not positive definite")
     inv_zz, inv_pp, inv_zp = cov_pp / det, cov_zz / det, -cov_zp / det
-    gauss = (
-        total
-        / (TWO_PI * math.sqrt(det))
-        * np.exp(-0.5 * (inv_zz * dz_c**2 + 2.0 * inv_zp * dz_c * dp_c + inv_pp * dp_c**2))
-    )
-    ss_res = float(np.sum((values - gauss) ** 2))
-    ss_tot = float(np.sum((values - values.mean()) ** 2))
+    dz_c = axis - mean_z
+    # the surface in one grid-sized array, by the full-grid formula's operations in its order (a + b is b + a
+    # exactly), so r^2 does not depend on how the moments were integrated
+    gauss = (2.0 * inv_zp * dz_c)[:, None] * dp_c
+    gauss += (inv_zz * dz_c**2)[:, None]
+    gauss += inv_pp * dp_c**2
+    gauss *= -0.5
+    np.exp(gauss, out=gauss)
+    gauss *= total / (TWO_PI * math.sqrt(det))
+    residual = np.subtract(values, gauss, out=gauss)
+    residual **= 2
+    ss_res = float(np.sum(residual))
+    residual = np.subtract(values, values.mean(), out=residual)
+    residual **= 2
+    ss_tot = float(np.sum(residual))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     return WignerReport(
         total_integral=total,
         min_value=float(values.min()),
-        negativity_volume=_trapz2d(np.maximum(0.0, -values), axis),
-        abs_volume=_trapz2d(np.abs(values), axis),
+        negativity_volume=negativity,
+        abs_volume=abs_volume,
         gaussian_fit=GaussianMomentFit(
             mean_z=mean_z,
             mean_p=mean_p,

@@ -1,5 +1,6 @@
 """Forward projection of a reconstructed Wigner grid, for round-trip checks in the tests, and the
-per-angle filtered back-projection that the tests check ``tomography.inverse_radon`` against."""
+references the tests check ``tomography`` against: the per-angle filtered back-projection, the
+one-shot ramp filter and the full-grid moment analysis."""
 
 import math
 
@@ -8,7 +9,14 @@ from scipy.interpolate import RegularGridInterpolator
 
 from levitomo.constants import TWO_PI
 from levitomo.errors import TomographyError
-from levitomo.tomography import PAD_FACTOR, MarginalSet, WignerGrid
+from levitomo.tomography import (
+    PAD_FACTOR,
+    GaussianMomentFit,
+    MarginalSet,
+    WignerGrid,
+    WignerReport,
+    _ramp_filter,
+)
 
 
 def project_marginal(w: WignerGrid, theta: float) -> np.ndarray:
@@ -46,19 +54,23 @@ def reference_filtered_projections(marginals: MarginalSet, cutoff_fraction: floa
     return np.real(np.fft.ifft(spectra, axis=1))[:, :n_z]
 
 
-def reference_inverse_radon(
-    marginals: MarginalSet,
-    grid_size: int | None = None,
-    *,
-    cutoff_fraction: float = 1.0,
-) -> WignerGrid:
+def oneshot_filtered_projections(marginals: MarginalSet, cutoff_fraction: float = 1.0) -> np.ndarray:
+    """Ramp filter by one batched real FFT of every marginal row at once, zero-padded as the package pads."""
+    dens = marginals.densities
+    n_z = dens.shape[1]
+    dz = marginals.z_grid_m[1] - marginals.z_grid_m[0]
+    n_fft = 1 << int(math.ceil(math.log2(PAD_FACTOR * n_z)))
+    spectra = np.fft.rfft(dens, n=n_fft, axis=1)
+    spectra *= _ramp_filter(n_fft, dz, cutoff_fraction)
+    return np.fft.irfft(spectra, n=n_fft, axis=1)[:, :n_z].copy()
+
+
+def reference_inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> WignerGrid:
     """Filtered back-projection one angle at a time, each by ``np.interp`` (zero outside the z grid)."""
     z_grid = marginals.z_grid_m
-    if grid_size is None:
-        grid_size = z_grid.size
     filtered = reference_filtered_projections(marginals, cutoff_fraction)
     half_width = float(min(abs(z_grid[0]), z_grid[-1])) / math.sqrt(2.0)
-    axis = np.linspace(-half_width, half_width, grid_size)
+    axis = np.linspace(-half_width, half_width, z_grid.size)
     zz, pp = np.meshgrid(axis, axis, indexing="ij")
     values = np.zeros_like(zz)
     for j, theta in enumerate(marginals.angles_rad):
@@ -66,3 +78,43 @@ def reference_inverse_radon(
         values += np.interp(s, z_grid, filtered[j], left=0.0, right=0.0)
     values *= math.pi / marginals.angles_rad.size
     return WignerGrid(axis_m=axis, values=values)
+
+
+def _trapz2d(values: np.ndarray, axis: np.ndarray) -> float:
+    return float(np.trapezoid(np.trapezoid(values, axis, axis=1), axis))
+
+
+def reference_analyze(w: WignerGrid) -> WignerReport:
+    """``tomography.analyze``'s report from full-grid integrands on a meshgrid, with no checks."""
+    values, axis = w.values, w.axis_m
+    total = _trapz2d(values, axis)
+    zz, pp = np.meshgrid(axis, axis, indexing="ij")
+    mean_z = _trapz2d(values * zz, axis) / total
+    mean_p = _trapz2d(values * pp, axis) / total
+    dz_c, dp_c = zz - mean_z, pp - mean_p
+    cov_zz = _trapz2d(values * dz_c**2, axis) / total
+    cov_pp = _trapz2d(values * dp_c**2, axis) / total
+    cov_zp = _trapz2d(values * dz_c * dp_c, axis) / total
+    det = cov_zz * cov_pp - cov_zp**2
+    inv_zz, inv_pp, inv_zp = cov_pp / det, cov_zz / det, -cov_zp / det
+    gauss = (
+        total
+        / (TWO_PI * math.sqrt(det))
+        * np.exp(-0.5 * (inv_zz * dz_c**2 + 2.0 * inv_zp * dz_c * dp_c + inv_pp * dp_c**2))
+    )
+    ss_res = float(np.sum((values - gauss) ** 2))
+    ss_tot = float(np.sum((values - values.mean()) ** 2))
+    return WignerReport(
+        total_integral=total,
+        min_value=float(values.min()),
+        negativity_volume=_trapz2d(np.maximum(0.0, -values), axis),
+        abs_volume=_trapz2d(np.abs(values), axis),
+        gaussian_fit=GaussianMomentFit(
+            mean_z=mean_z,
+            mean_p=mean_p,
+            cov_zz=cov_zz,
+            cov_pp=cov_pp,
+            cov_zp=cov_zp,
+            r_squared=1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0,
+        ),
+    )

@@ -44,7 +44,6 @@ SEED = 7
 EFFECTIVE_TEMPERATURE_K = 0.03
 ACCEPTANCE_PRESSURE_MBAR = 1.0
 N_ANGLES = 90
-WIGNER_GRID = 128
 CUTOFF_FRACTION = 0.5
 
 
@@ -54,7 +53,7 @@ def _report(criterion: int, ok: bool, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def thermal_run():
-    """Criterion-1 pipeline: 1 s at 1 MHz, 90 angles, 128^2 grid."""
+    """Criterion-1 pipeline: 1 s at 1 MHz, 90 angles, reconstructed onto the 129-point marginal grid."""
     config = dataclasses.replace(default_config(), pressure_mbar=ACCEPTANCE_PRESSURE_MBAR)
     dq = derive(config)
     target_var = KB * EFFECTIVE_TEMPERATURE_K / (dq.mass_kg * dq.omega_s_rad_s**2)
@@ -75,7 +74,7 @@ def thermal_run():
         f0 = dq.omega_s_rad_s / TWO_PI
         fits[scheme] = fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
     marginals = bin_marginals(inverted, fits["cbh"].omega0_rad_s, N_ANGLES, default_z_grid(inverted.z_m))
-    wigner = inverse_radon(marginals, WIGNER_GRID, cutoff_fraction=CUTOFF_FRACTION)
+    wigner = inverse_radon(marginals, cutoff_fraction=CUTOFF_FRACTION)
     report = analyze(wigner)
     elapsed = time.perf_counter() - start
 

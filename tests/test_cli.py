@@ -403,6 +403,13 @@ def test_pipeline_stage_failure_keeps_partial_artifacts(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
     assert (tmp_path / "trajectory.npy.partial").is_file()
     assert not (tmp_path / "trajectory.npy").exists()
+    assert not (tmp_path / "plotdata").exists()
+
+
+def test_failed_pipeline_leaves_no_plot_folder(tmp_path, capsys):
+    """The plot folder is made by the last stage, so a run that fails earlier leaves only ``.partial`` files."""
+    assert run(["pipeline", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=1e12"]) == 3
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["derived.json.partial"]
 
 
 def test_failed_second_line_fit_marks_the_first_schemes_files(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,7 +23,13 @@ from levitomo.tomography import (
     save_wigner,
 )
 
-from projection import project_marginal, reference_filtered_projections, reference_inverse_radon
+from projection import (
+    oneshot_filtered_projections,
+    project_marginal,
+    reference_analyze,
+    reference_filtered_projections,
+    reference_inverse_radon,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -229,7 +237,7 @@ def test_rotation_covariance():
 
 
 def test_normalization_preserved():
-    w = inverse_radon(gaussian_marginals(n_angles=90, n_z=129), grid_size=128)
+    w = inverse_radon(gaussian_marginals(n_angles=90, n_z=129))
     total = float(np.trapezoid(np.trapezoid(w.values, w.axis_m, axis=1), w.axis_m))
     assert abs(total - 1.0) < 0.01
 
@@ -248,21 +256,21 @@ def lattice(n_angles, shift=0.0):
 
 
 @pytest.mark.parametrize(
-    "angles, n_z, grid_size, cutoff",
+    "angles, n_z, cutoff",
     [
-        (lattice(720), 513, None, 1.0),
-        (lattice(90), 129, 128, 0.5),
-        (lattice(13), 129, None, 1.0),
-        (lattice(16, shift=3), 129, None, 1.0),
-        (lattice(16, shift=0.3), 129, None, 1.0),
+        (lattice(720), 513, 1.0),
+        (lattice(90), 129, 0.5),
+        (lattice(13), 129, 1.0),
+        (lattice(16, shift=3), 129, 1.0),
+        (lattice(16, shift=0.3), 129, 1.0),
     ],
-    ids=["720x513", "90x129-to-128-cutoff-half", "13-angles", "16-angles-from-bin-3", "16-angles-off-lattice"],
+    ids=["720x513", "90x129-cutoff-half", "13-angles", "16-angles-from-bin-3", "16-angles-off-lattice"],
 )
-def test_inverse_radon_matches_per_angle_reference(angles, n_z, grid_size, cutoff):
+def test_inverse_radon_matches_per_angle_reference(angles, n_z, cutoff):
     """Folding theta + pi and turning theta's samples for theta + pi/2 reproduce the per-angle loop."""
     marginals = random_marginals(angles, n_z, seed=angles.size)
-    w = inverse_radon(marginals, grid_size, cutoff_fraction=cutoff)
-    reference = reference_inverse_radon(marginals, grid_size, cutoff_fraction=cutoff)
+    w = inverse_radon(marginals, cutoff_fraction=cutoff)
+    reference = reference_inverse_radon(marginals, cutoff_fraction=cutoff)
     np.testing.assert_array_equal(w.axis_m, reference.axis_m)
     peak = np.max(np.abs(reference.values))
     assert np.max(np.abs(w.values - reference.values)) <= 1e-10 * peak
@@ -279,6 +287,31 @@ def test_filtered_projections_match_complex_fft(kind, cutoff):
     filtered = filtered_projections(marginals, cutoff)
     assert filtered.flags.c_contiguous and filtered.shape == marginals.densities.shape
     np.testing.assert_allclose(filtered, reference_filtered_projections(marginals, cutoff), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_angles", [720, 64, 13])
+def test_filtered_projections_equal_oneshot_transform_bitwise(n_angles):
+    """Filtering in blocks of rows gives the bytes of one batched transform of every row."""
+    marginals = random_marginals(lattice(n_angles), 513, seed=n_angles)
+    for cutoff in (1.0, 0.5):
+        np.testing.assert_array_equal(
+            filtered_projections(marginals, cutoff), oneshot_filtered_projections(marginals, cutoff)
+        )
+
+
+def _traced_peak(call, *args) -> int:
+    """Peak bytes that ``call(*args)`` allocates, its result included."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_inverse_radon_working_set_at_720_by_513():
+    """Filtering and back-projection hold a few grid-sized arrays, not a padded row per angle (50 MB)."""
+    assert _traced_peak(inverse_radon, random_marginals(lattice(720), 513, seed=720)) <= 20e6
 
 
 def test_inverse_radon_validations():
@@ -326,7 +359,7 @@ def test_saved_marginals_and_wigner_rebuild_bitwise(tmp_path):
     for name in ("angles_rad", "z_grid_m", "densities"):
         assert getattr(back, name).tobytes() == getattr(marginals, name).tobytes(), name
 
-    wigner = inverse_radon(marginals, 17)
+    wigner = inverse_radon(marginals)
     sidecar = save_wigner(wigner, tmp_path / "wigner.npy")
     assert sidecar == tmp_path / "wigner.json"
     axis = np.array(json.loads(sidecar.read_text())["axis_m"])
@@ -384,6 +417,37 @@ def test_analyze_fock1_negativity_matches_quadrature():
     negative_mass, _ = quad(lambda r: (1 - 2 * r**2) * math.exp(-(r**2)) * 2 * r, 0.0, 1.0 / math.sqrt(2.0))
     assert report.negativity_volume == pytest.approx(negative_mass, rel=1e-3)
     assert report.min_value == pytest.approx(-1.0 / math.pi, rel=1e-3)
+
+
+def shifted_anisotropic_grid(n=129, span=4.0):
+    """A correlated Gaussian off the origin with a negative dip, so every moment and the negativity are nonzero."""
+    axis = np.linspace(-span, span, n)
+    zz, pp = np.meshgrid(axis, axis, indexing="ij")
+    dz, dp = zz - 0.3, pp + 0.2
+    values = np.exp(-(1.3 * dz**2 - 0.8 * dz * dp + 0.7 * dp**2)) - 0.05 * np.exp(-4.0 * (zz**2 + pp**2))
+    return WignerGrid(axis_m=axis, values=values)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        pytest.param(lambda: analytic_gaussian_grid(span=5.0, n=201), id="gaussian-201"),
+        pytest.param(lambda: analytic_fock1_grid(span=4.5, n=241), id="fock1-241"),
+        pytest.param(shifted_anisotropic_grid, id="anisotropic-129"),
+        pytest.param(lambda: shifted_anisotropic_grid(n=513), id="anisotropic-513"),
+        pytest.param(lambda: inverse_radon(random_marginals(lattice(90), 129, seed=3)), id="random-fbp"),
+    ],
+)
+def test_analyze_equals_full_grid_formula(grid):
+    """Integrating in blocks of rows reproduces the full-grid report field for field."""
+    w = grid()
+    assert asdict(analyze(w)) == asdict(reference_analyze(w))
+
+
+def test_analyze_working_set_at_513():
+    """The moments are integrated in blocks of rows; only the residual sums take a grid-sized array."""
+    w = shifted_anisotropic_grid(n=513)
+    assert _traced_peak(analyze, w) <= 3 * w.values.nbytes
 
 
 def test_analyze_rejects_bad_grids():
