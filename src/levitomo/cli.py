@@ -113,9 +113,6 @@ class PipelineSettings:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-        duration, rate = self.sim_duration_s, self.sim_sample_rate_hz
-        if not math.isfinite(duration * rate):
-            raise ConfigError(f"sample count sim_duration_s * sim_sample_rate_hz overflows: {duration!r} * {rate!r}")
         noise = self.electronic_noise_counts_rms
         if not (math.isfinite(noise) and noise >= 0):
             raise ConfigError(f"electronic_noise_counts_rms must be finite and non-negative, got {noise!r}")
@@ -343,8 +340,10 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     """Resolve ``--config`` and ``--set``; a flag named after a setting (``--state``) overrides both.
 
     ``simulate`` refuses fock1 here, however the state was set, and a command
-    that simulates refuses a detection window that cannot tile the record it
-    will simulate, so these errors come before ``--out`` exists.
+    that simulates a record refuses a sample count that overflows and a
+    detection window that cannot tile the record, so these errors come before
+    ``--out`` exists. fock1 simulates nothing, so its record settings are not
+    checked.
     """
     overrides = list(args.set or [])
     for f in fields(PipelineSettings):
@@ -354,9 +353,11 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     if args.command == "simulate" and settings.sim_state == "fock1":
         raise ConfigError("state 'fock1' has no trajectory simulation (fock1 is an oracle state)")
     if args.command in ("simulate", "pipeline") and settings.sim_state != "fock1":
-        rate = settings.sim_sample_rate_hz
+        duration, rate = settings.sim_duration_s, settings.sim_sample_rate_hz
+        if not math.isfinite(duration * rate):
+            raise ConfigError(f"sample count sim_duration_s * sim_sample_rate_hz overflows: {duration!r} * {rate!r}")
         try:
-            detection.samples_per_window(config.integration_time_s, rate, int(round(settings.sim_duration_s * rate)))
+            detection.samples_per_window(config.integration_time_s, rate, int(round(duration * rate)))
         except DetectionError as exc:
             raise ConfigError(str(exc)) from None
     return config, settings

@@ -21,7 +21,12 @@ transform, implemented as ramp-filtered back-projection:
      square output grid the sample points of theta + pi/2 are those of theta
      turned a quarter turn, so its folded row is gathered with theta's
      interpolation indices and weights and the result is turned back. An
-     angle without partners is an orbit of its own.
+     angle without partners is an orbit of its own. The output rows are
+     back-projected BLOCK_ROWS at a time, each block by one of as many threads
+     as the process may use CPUs (no more than there are blocks); numpy
+     releases the GIL in the gathers and arithmetic. A block adds the orbits
+     in one order whatever thread sums it, so the result is the same bit for
+     bit on any number of CPUs.
 
 The momentum axis is expressed in position-equivalent units p/(m omega_s) so
 free evolution is literally a circular rotation of the grid. The zero-frequency
@@ -31,13 +36,15 @@ integral of the reconstruction drifts. The output square is inscribed in the
 marginal support (half-width z_max / sqrt(2)) so back-projection never reads
 outside measured data. ``analyze`` integrates its moments BLOCK_ROWS grid rows
 at a time as well. Besides the filtered rows, the same size as the marginals,
-a reconstruction holds two output-sized sums and per-block temporaries, and
-its analysis one output-sized array.
+a reconstruction holds two output-sized sums and one set of per-block
+temporaries per thread, and its analysis one output-sized array.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -326,6 +333,38 @@ def _folded_rows(filtered: np.ndarray, members: np.ndarray, quarters: np.ndarray
     return rows, slopes
 
 
+def _worker_count(n_blocks: int) -> int:
+    """Threads that back-project ``n_blocks`` row blocks: one per CPU this process may run on, at most one per block."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(n_blocks, cpus)
+
+
+def _back_project_block(first: int, orbits: list, sums: tuple, buffers: tuple) -> None:
+    """Add every orbit, in order, into output rows ``first`` to ``first + BLOCK_ROWS`` of both sums.
+
+    ``buffers`` are the ``(BLOCK_ROWS, n_z)`` arrays the block's sample points,
+    their z indices and one gathered row are written into. Every index lies in
+    [0, n_z], an out-of-grid point sent to the tables' trailing 0, so the
+    gathers clip nothing.
+    """
+    n_z = sums[0].shape[1]
+    block = slice(first, first + BLOCK_ROWS)
+    n_rows = min(BLOCK_ROWS, n_z - first)
+    u, index, gathered = (buffer[:n_rows] for buffer in buffers)
+    for a, b, off_grid, rows, slopes, halves in orbits:
+        np.add(a[block, None], b, out=u)
+        np.copyto(index, u, casting="unsafe")
+        if off_grid:
+            index[(u < 0.0) | (u > n_z - 1)] = n_z
+        u -= index
+        for h in halves:
+            part = sums[h][block]
+            part += np.take(rows[h], index, out=gathered, mode="clip")
+            np.take(slopes[h], index, out=gathered, mode="clip")
+            gathered *= u
+            part += gathered
+
+
 def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> WignerGrid:
     """Filtered back-projection of the marginals onto a square phase-space grid.
 
@@ -345,7 +384,8 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
     (rot90(G)[i, j] = G[j, n - 1 - i]). Angles join an orbit when they lie
     whole quarter turns apart to within an angle that moves no sample point by
     more than ``ORBIT_TOLERANCE`` of a z bin; any angle set, of any size, goes
-    this one way.
+    this one way. Each ``BLOCK_ROWS`` block of output rows is summed by one
+    worker thread; an exception in a worker is raised here.
     """
     if not 0.0 < cutoff_fraction <= 1.0:
         raise TomographyError("cutoff_fraction must be in (0, 1]")
@@ -366,24 +406,35 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
         # s = z cos(theta) + p sin(theta) on the grid as a fractional z index: u[i, j] = a[i] + b[j]
         a = (axis * math.cos(theta) + z_max) / dz
         b = axis * math.sin(theta) / dz
-        orbits.append((a, b, rows, slopes, np.unique(quarters % 2)))
+        off_grid = a.min() + b.min() < 0.0 or a.max() + b.max() > n_z - 1  # by rounding at most
+        orbits.append((a, b, off_grid, rows, slopes, np.unique(quarters % 2)))
     del filtered  # the folded rows hold all the orbits read
     # sums[0] gathers the rows of theta, sums[1] those of theta + pi/2 on theta's sample points
     sums = (np.zeros((n_z, n_z)), np.zeros((n_z, n_z)))
-    for first in range(0, n_z, BLOCK_ROWS):
-        block = slice(first, first + BLOCK_ROWS)
-        for a, b, rows, slopes, halves in orbits:
-            u = a[block, None] + b
-            index = u.astype(np.intp)
-            if a[block].min() + b.min() < 0.0 or a[block].max() + b.max() > n_z - 1:
-                index[(u < 0.0) | (u > n_z - 1)] = n_z
-            u -= index
-            for h in halves:
-                part = sums[h][block]
-                part += rows[h][index]
-                weighted = slopes[h][index]
-                weighted *= u
-                part += weighted
+    n_blocks = -(-n_z // BLOCK_ROWS)
+    workers = _worker_count(n_blocks)
+    # each worker's u, index and gathered row, allocated here: a worker thread that allocated its own would get a
+    # malloc arena of its own, and the process would keep each arena's pages
+    buffers = [
+        (np.empty((BLOCK_ROWS, n_z)), np.empty((BLOCK_ROWS, n_z), dtype=np.intp), np.empty((BLOCK_ROWS, n_z)))
+        for _ in range(workers)
+    ]
+    errors = []
+
+    def work(k):
+        try:
+            for first in range(k * BLOCK_ROWS, n_z, workers * BLOCK_ROWS):
+                _back_project_block(first, orbits, sums, buffers[k])
+        except BaseException as exc:  # re-raised by the caller, so no partial sum is returned
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     values, turned = sums
     values += np.rot90(turned)
     values *= math.pi / angles.size

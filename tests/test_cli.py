@@ -142,11 +142,20 @@ def test_sample_count_that_overflows_fails_before_any_stage(tmp_path, capsys):
     """Each factor is finite, but their product, the record's sample count, is not."""
     out = tmp_path / "run"
     sets = ["--set", "sim_duration_s=1e300", "--set", "sim_sample_rate_hz=1e300"]
-    assert run(["pipeline", "--seed", 1, "--out", out] + sets) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
-    assert "sim_duration_s" in err and "sim_sample_rate_hz" in err
-    assert not out.exists()
+    for command, state in (("pipeline", "thermal"), ("pipeline", "coherent"), ("simulate", "thermal")):
+        assert run([command, "--seed", 1, "--out", out, "--set", f"sim_state={state}"] + sets) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+        assert "sim_duration_s" in err and "sim_sample_rate_hz" in err
+        assert not out.exists()
+
+
+def test_fock1_pipeline_ignores_the_record_size(tmp_path, capsys):
+    """fock1 simulates no record, so a sample count that would overflow does not stop it."""
+    sets = ["--set", "sim_duration_s=1e300", "--set", "sim_sample_rate_hz=1e300"]
+    assert run(["pipeline", "--state", "fock1", "--seed", 1, "--out", tmp_path] + sets) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "wigner.npy").is_file()
 
 
 def test_record_too_large_to_allocate_is_a_stage_failure(tmp_path, capsys):
@@ -476,6 +485,18 @@ def test_failed_subcommand_marks_every_file_it_wrote(tmp_path, capsys, command, 
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
     assert sorted(path.name for path in out.iterdir()) == sorted([blocked] + [name + ".partial" for name in written])
+
+
+def test_failed_back_projection_worker_is_a_stage_failure(tmp_path, capsys, monkeypatch):
+    """A row block that runs out of memory fails the tomography stage; no Wigner grid is written."""
+
+    def out_of_memory(*args):
+        raise MemoryError("row block")
+
+    monkeypatch.setattr(tomography, "_back_project_block", out_of_memory)
+    assert run(["pipeline", "--state", "fock1", "--seed", 1, "--out", tmp_path]) == 3
+    assert capsys.readouterr().err.startswith("pipeline stage failed: row block")
+    assert not (tmp_path / "wigner.npy").exists() and not (tmp_path / "analyze.json").exists()
 
 
 def test_fit_snr_is_the_noise_floor_snr(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import asdict
 
@@ -8,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import RegularGridInterpolator
 
+from levitomo import tomography
 from levitomo.dynamics import Trajectory, simulate_coherent, simulate_thermal
 from levitomo.errors import TomographyError
 from levitomo.tomography import (
@@ -309,9 +311,59 @@ def _traced_peak(call, *args) -> int:
         tracemalloc.stop()
 
 
-def test_inverse_radon_working_set_at_720_by_513():
-    """Filtering and back-projection hold a few grid-sized arrays, not a padded row per angle (50 MB)."""
-    assert _traced_peak(inverse_radon, random_marginals(lattice(720), 513, seed=720)) <= 20e6
+def test_inverse_radon_working_set_at_720_by_513(monkeypatch):
+    """Filtering and back-projection hold a few grid-sized arrays, not a padded row per angle (50 MB).
+
+    Each back-projection worker adds one set of row-block buffers; tracemalloc
+    counts what every thread allocates.
+    """
+    marginals = random_marginals(lattice(720), 513, seed=720)
+    assert _traced_peak(inverse_radon, marginals) <= 20e6
+    monkeypatch.setattr(tomography, "_worker_count", lambda n_blocks: 5)
+    assert _traced_peak(inverse_radon, marginals) <= 20e6
+
+
+@pytest.mark.parametrize(
+    "n_angles, n_z",
+    [(720, 513), (90, 129), (91, 33), (13, 201)],
+    ids=["720x513", "90x129", "91x33-one-block", "13x201-partial-block"],
+)
+def test_inverse_radon_bitwise_whatever_the_worker_count(monkeypatch, n_angles, n_z):
+    """Each row block goes to one worker, which adds the orbits in one order: the bytes do not depend on the count.
+
+    The threads switch as often as the interpreter allows, so two workers that
+    shared a row would lose an update.
+    """
+    marginals = random_marginals(lattice(n_angles), n_z, seed=n_angles)
+    values = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(tomography, "_worker_count", lambda n_blocks: workers)
+            values.append(inverse_radon(marginals, cutoff_fraction=0.5).values.tobytes())
+    finally:
+        sys.setswitchinterval(interval)
+    assert values[1] == values[0] and values[2] == values[0]
+
+
+def test_failing_worker_fails_the_reconstruction(monkeypatch):
+    """The exception of a worker reaches the caller, however many workers there are; no partial grid is returned."""
+    failure = MemoryError("row block 128")
+    back_project_block = tomography._back_project_block
+
+    def fail_on_third_block(first, *args):
+        if first == 2 * tomography.BLOCK_ROWS:
+            raise failure
+        back_project_block(first, *args)
+
+    monkeypatch.setattr(tomography, "_back_project_block", fail_on_third_block)
+    marginals = random_marginals(lattice(90), 513, seed=90)
+    for workers in (1, 2, 5):
+        monkeypatch.setattr(tomography, "_worker_count", lambda n_blocks: workers)
+        with pytest.raises(MemoryError) as raised:
+            inverse_radon(marginals)
+        assert raised.value is failure
 
 
 def test_inverse_radon_validations():
