@@ -15,7 +15,10 @@ the pipeline through the same function and with the same stage seed, so
 Every table is a float64 ``.npy`` array whose axes are in its JSON sidecar:
 the four bulk series (``trajectory``, ``counts_ch``, ``counts_cbh``,
 ``inverted``), the spectra, the marginals, the Wigner grid and the
-decoherence curve.
+decoherence curve. A bulk series goes through a stage ``artifacts.CHUNK_SAMPLES``
+samples at a time: each stage writes its series chunk by chunk and the next
+reads the file back the same way, so no stage holds a whole record and the
+peak memory of a run does not grow with the record's length.
 
 Every run is reproducible: (config, seed) determine all artifacts, and
 ``manifest.json`` records the resolved configuration plus a digest of every
@@ -27,20 +30,23 @@ byte-identical.
 before ``--out`` exists, then runs the subcommand's body inside an
 ``artifacts.journal`` that lists every file the body writes. On success it
 prints the body's report (``derive``, ``tomo``) or ``wrote`` and every file
-written. On failure it renames every file written to ``<name>.partial`` and
-exits 2 for a configuration error or 3 for a stage failure, a file that cannot
-be read or written or an array too large to allocate, with one line on stderr.
+written. On failure it renames every file written to ``<name>.partial``, and
+so too the results an earlier pipeline run's ``manifest.json`` lists in
+``--out``, and exits 2 for a configuration error or 3 for a stage failure, a
+file that cannot be read or written or an array too large to allocate, with
+one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -222,9 +228,12 @@ def _stage_seeds(seed: int) -> tuple[int, int, int]:
 
 
 def _simulate(config, settings, dq, seed, out_dir) -> dynamics.Trajectory:
-    """The thermal or coherent record; ``_load`` has refused fock1, which has no trajectory."""
+    """The thermal or coherent record, written chunk by chunk and read back from its file.
+
+    ``_load`` has refused fock1, which has no trajectory.
+    """
     if settings.sim_state == "thermal":
-        traj = dynamics.simulate_thermal(
+        traj = dynamics.thermal_series(
             config,
             dq,
             settings.sim_duration_s,
@@ -233,7 +242,7 @@ def _simulate(config, settings, dq, seed, out_dir) -> dynamics.Trajectory:
             temperature_K=settings.sim_temperature_K,
         )
     else:
-        traj = dynamics.simulate_coherent(
+        traj = dynamics.coherent_series(
             dq,
             settings.coherent_amplitude_m,
             settings.coherent_phase_rad,
@@ -241,10 +250,11 @@ def _simulate(config, settings, dq, seed, out_dir) -> dynamics.Trajectory:
             settings.sim_sample_rate_hz,
         )
     dynamics.save_trajectory(traj, out_dir / "trajectory.npy")
-    return traj
+    return dynamics.read_trajectory(out_dir / "trajectory.npy")
 
 
 def _detect(config, settings, traj, seed, out_dir) -> dict[str, detection.CountRecord]:
+    """Each scheme's counts, written chunk by chunk; the records returned read them back from their files."""
     detect = detection.detect_exact if settings.detection_model == "exact" else detection.detect_linear
     records = {}
     for scheme, det_seed in zip(detection.SCHEMES, _stage_seeds(seed)[1:]):
@@ -257,13 +267,15 @@ def _detect(config, settings, traj, seed, out_dir) -> dict[str, detection.CountR
             electronic_noise_counts_rms=settings.electronic_noise_counts_rms,
             linearity_guard=settings.linearity_guard,
         )
-        records[scheme] = detect(traj, params, seed=det_seed)
-        detection.save_count_record(records[scheme], out_dir / f"counts_{scheme}.npy")
+        record, path = detect(traj, params, seed=det_seed), out_dir / f"counts_{scheme}.npy"
+        detection.save_count_record(record, path)
+        records[scheme] = replace(record, counts=artifacts.read_series(path))
     return records
 
 
 def _invert(settings, dq, record, out_dir) -> dynamics.Trajectory:
-    """Calibrated positions; ``auto`` rescales to equipartition only a thermal record with shot noise."""
+    """Calibrated positions, read back from ``inverted.npy``; ``auto`` rescales to equipartition only a thermal
+    record with shot noise."""
     calibration = settings.calibration
     if calibration == "auto":
         thermal_noisy = settings.sim_state == "thermal" and settings.shot_noise
@@ -271,20 +283,25 @@ def _invert(settings, dq, record, out_dir) -> dynamics.Trajectory:
     target_var = KB * settings.sim_temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
     inverted = detection.invert_counts(record, calibration=calibration, target_variance_m2=target_var)
     dynamics.save_trajectory(inverted, out_dir / "inverted.npy")
-    return inverted
+    return dynamics.read_trajectory(out_dir / "inverted.npy")
 
 
-def _fit_line(series, dq, settings) -> tuple[spectral.Psd, spectral.LorentzianFit]:
+def _psd(series, settings) -> spectral.Psd:
     segment = _auto_segment_len(len(series.z_m), settings.psd_segment_len)
-    psd = spectral.estimate_psd(series.z_m, series.sample_rate_Hz, segment, settings.psd_overlap)
+    return spectral.estimate_psd(series.z_m, series.sample_rate_Hz, segment, settings.psd_overlap)
+
+
+def _fit(psd, dq) -> spectral.LorentzianFit:
     f0 = dq.omega_s_rad_s / TWO_PI
-    return psd, spectral.fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
+    return spectral.fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
 
 
 def _save_line(psd, fit, out_dir, scheme=None) -> None:
     """Write the power ``psd_<scheme>.npy`` (bin k at (k + 1) ``df_Hz``) and the line fit ``fit_<scheme>.json``.
 
-    The spectrum of a trajectory has no scheme; it goes to ``psd.npy`` and ``fit.json``.
+    The spectrum of a trajectory has no scheme; it goes to ``psd.npy`` and ``fit.json``. The fit's
+    ``linewidth_resolved`` is false when the fitted linewidth is under one bin, 2 pi ``df_Hz``: the spectrum
+    cannot tell that line's width, and the fit drives it towards 0.
     """
     suffix = f"_{scheme}" if scheme else ""
     info = {
@@ -303,9 +320,27 @@ def _save_line(psd, fit, out_dir, scheme=None) -> None:
             "noise_floor": fit.noise_floor,
             "residual_rms": fit.residual_rms,
             "covariance": fit.covariance.tolist(),
+            "linewidth_resolved": fit.linewidth_rad_s >= TWO_PI * info["df_Hz"],
             "snr_db": spectral.peak_snr(psd)[2],
         },
     )
+
+
+def _spectral(records, dq, settings, out_dir) -> dict[str, spectral.LorentzianFit]:
+    """Each scheme's spectrum of its linearly inverted counts and its line fit, and the noise floors of two schemes.
+
+    Every spectrum is estimated before any line is fitted, so the second Welch
+    pass reuses the first one's buffers; only the fits outlive the stage.
+    """
+    psds = {scheme: _psd(detection.invert_counts(rec), settings) for scheme, rec in records.items()}
+    fits = {}
+    for scheme, psd in psds.items():
+        fits[scheme] = _fit(psd, dq)
+        _save_line(psd, fits[scheme], out_dir, scheme)
+    if len(psds) == 2:
+        floors = detection.compare_noise_floor(psds["ch"], psds["cbh"])
+        artifacts.write_json(out_dir / "noise_floors.json", asdict(floors))
+    return fits
 
 
 def _binned(series, omega_rad_s, settings) -> tomography.MarginalSet:
@@ -374,17 +409,17 @@ def cmd_simulate(args, config, settings, out_dir) -> None:
 
 
 def cmd_detect(args, config, settings, out_dir) -> None:
-    _detect(config, settings, dynamics.load_trajectory(args.traj), args.seed, out_dir)
+    _detect(config, settings, dynamics.read_trajectory(args.traj), args.seed, out_dir)
 
 
 def cmd_psd(args, config, settings, out_dir) -> None:
-    psd, fit = _fit_line(dynamics.load_trajectory(args.traj), derive(config), settings)
-    _save_line(psd, fit, out_dir)
+    psd = _psd(dynamics.read_trajectory(args.traj), settings)
+    _save_line(psd, _fit(psd, derive(config)), out_dir)
 
 
 def cmd_tomo(args, config, settings, out_dir) -> dict:
-    traj = dynamics.load_trajectory(args.traj)
-    _, fit = _fit_line(traj, derive(config), settings)
+    traj = dynamics.read_trajectory(args.traj)
+    fit = _fit(_psd(traj, settings), derive(config))
     return asdict(_tomography(_binned(traj, fit.omega0_rad_s, settings), settings, out_dir))
 
 
@@ -425,17 +460,10 @@ def cmd_pipeline(args, config, settings, out_dir) -> None:
             "rows": 2000,
         }
 
-        psds: dict[str, spectral.Psd] = {}
-        fits: dict[str, spectral.LorentzianFit] = {}
         with manifest.stage("spectral", {}):
-            for scheme, rec in records.items():
-                psds[scheme], fits[scheme] = _fit_line(detection.invert_counts(rec), dq, settings)
-                _save_line(psds[scheme], fits[scheme], out_dir, scheme)
-            if len(records) == 2:
-                floors = detection.compare_noise_floor(psds["ch"], psds["cbh"])
-                artifacts.write_json(out_dir / "noise_floors.json", asdict(floors))
+            fits = _spectral(records, dq, settings, out_dir)
         figures["fig2d"] = {
-            "file": [f"psd_{scheme}.npy" for scheme in psds],
+            "file": [f"psd_{scheme}.npy" for scheme in fits],
             "x": "(k + 1) * df_Hz",
             "y": "power",
             "kind": "line",
@@ -553,10 +581,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _retire_earlier_run(out_dir: Path) -> None:
+    """Rename to ``<name>.partial`` an earlier run's ``manifest.json``, its ``timings.json`` and every output file
+    the manifest lists in ``out_dir``, so that a failed run leaves no result that looks valid.
+
+    Only files inside ``out_dir`` are renamed; a manifest that cannot be read retires itself and its timings.
+    """
+    manifest = out_dir / "manifest.json"
+    if not manifest.is_file():
+        return
+    try:
+        listed = [out_dir / name for stage in json.loads(manifest.read_text())["stages"] for name in stage["outputs"]]
+    except (ValueError, KeyError, TypeError):
+        listed = []
+    inside = out_dir.resolve()
+    for path in listed + [out_dir / "timings.json", manifest]:
+        if path.is_file() and path.resolve().is_relative_to(inside):
+            path.rename(path.with_name(path.name + ".partial"))
+
+
 def main(argv=None) -> int:
     """Run one subcommand: settings first, then the body with every file it writes journaled.
 
-    A body that fails leaves each file it wrote as ``<name>.partial``.
+    A body that fails leaves each file it wrote as ``<name>.partial``, and retires the results of an earlier
+    pipeline run into the same ``--out`` (:func:`_retire_earlier_run`).
     """
     args = build_parser().parse_args(argv)
     try:
@@ -570,6 +618,7 @@ def main(argv=None) -> int:
                 for path in written:
                     if path.is_file():
                         path.rename(path.with_name(path.name + ".partial"))
+                _retire_earlier_run(out_dir)
                 raise
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -19,6 +19,15 @@ N = C1 + C2 + D z and N = 2 C2 + 2 D z, with
 pf = c eps0 sigma_d T / (hbar omega_L). Shot noise draws each physical
 detector's count from a Poisson law (the balanced output is the difference of
 two Poisson arms), and detector electronics add zero-mean Gaussian counts.
+
+Detection and inversion run ``artifacts.CHUNK_SAMPLES`` samples at a time:
+the windows tile across chunk boundaries, each Poisson arm and the electronic
+noise draw from their own generator, spawned in that order from the stage
+seed, and the equipartition moments are those of ``artifacts.Series``, so no
+count or position depends on the chunk length. A function given a trajectory
+or record whose samples are an ``artifacts.Series`` returns its record as a
+series that is computed on each pass; given samples in memory, it returns
+them in memory.
 """
 
 from __future__ import annotations
@@ -103,13 +112,14 @@ class CountRecord:
 
     Window ``i`` starts at ``t0_s + i T_int_s``. ``counts`` are expected values
     when noise is off, sampled otherwise (the balanced difference signal may be
-    negative). ``linear_constants`` always carries the (C1, C2, D) of the
+    negative); they are in memory or an ``artifacts.Series``.
+    ``linear_constants`` always carries the (C1, C2, D) of the
     small-displacement expansion of the response, which is what calibrated
     inversion uses.
     """
 
     t0_s: float
-    counts: np.ndarray
+    counts: np.ndarray | artifacts.Series
     params: DetectionParams
     linear_constants: tuple[float, float, float]
     model: str = "exact"  # which response generated the counts: "exact" | "linear"
@@ -118,6 +128,25 @@ class CountRecord:
     @property
     def window_rate_Hz(self) -> float:
         return 1.0 / self.params.T_int_s
+
+    @property
+    def info(self) -> dict:
+        """The sidecar: scheme, model, (C1, C2, D), noise settings, seed, and the ``t0_s`` and ``T_int_s`` that
+        put window ``i``'s start at ``t0_s + i T_int_s``."""
+        c1, c2, d = self.linear_constants
+        return {
+            "scheme": self.params.scheme,
+            "model": self.model,
+            "C1": c1,
+            "C2": c2,
+            "D": d,
+            "T_int_s": self.params.T_int_s,
+            "t0_s": self.t0_s,
+            "shot_noise": self.params.shot_noise,
+            "electronic_noise_counts_rms": self.params.electronic_noise_counts_rms,
+            "seed": self.seed,
+            "n_windows": len(self.counts),
+        }
 
 
 def samples_per_window(t_int_s: float, sample_rate_Hz: float, n_samples: int) -> int:
@@ -140,15 +169,23 @@ def samples_per_window(t_int_s: float, sample_rate_Hz: float, n_samples: int) ->
     return n_per
 
 
-def _window_means(traj: Trajectory, t_int_s: float) -> np.ndarray:
+def _window_means(traj: Trajectory, t_int_s: float) -> artifacts.Series:
     """Per-window mean positions; windows tile without overlap from the trajectory's first sample.
 
     The window mean stands in for the (assumed slow) mechanical coordinate over
-    one integration time.
+    one integration time. The samples are taken a whole number of windows at a
+    time, so a window never straddles two pieces.
     """
-    n_per = samples_per_window(t_int_s, traj.sample_rate_Hz, len(traj.z_m))
-    n_windows = len(traj.z_m) // n_per
-    return traj.z_m[: n_windows * n_per].reshape(n_windows, n_per).mean(axis=1)
+    z = traj.series
+    n_per = samples_per_window(t_int_s, traj.sample_rate_Hz, z.n)
+
+    def read():
+        for block in z.blocks(n_per * max(1, artifacts.CHUNK_SAMPLES // n_per)):
+            whole = block.size - block.size % n_per
+            if whole:
+                yield block[:whole].reshape(-1, n_per).mean(axis=1)
+
+    return artifacts.Series(z.n // n_per, read)
 
 
 def _arm_counts(params: DetectionParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,27 +198,36 @@ def _arm_counts(params: DetectionParams, z: np.ndarray) -> tuple[np.ndarray, np.
     return n1, n2
 
 
-def _sample(
-    params: DetectionParams, t0_s: float, arms: tuple[np.ndarray, ...], model: str, seed
-) -> CountRecord:
-    """Count record from the expected counts of each physical detector.
+def _sample(params: DetectionParams, traj: Trajectory, arms_of, model: str, seed) -> CountRecord:
+    """Count record from the expected counts ``arms_of(z)`` of each physical detector at the window means ``z``.
 
-    ``arms`` holds one array for the single-detector scheme and the two
+    ``arms_of`` returns one array for the single-detector scheme and the two
     balanced arms otherwise; with shot noise each arm is a Poisson draw.
     """
-    rng = np.random.default_rng(seed)
-    if params.shot_noise:
-        for name, arm in enumerate(arms, 1):
-            bad = np.flatnonzero(arm < 0)
-            if bad.size:
-                raise DetectionError(f"arm {name} has negative expected count at window {bad[0]}")
-        arms = tuple(rng.poisson(arm).astype(float) for arm in arms)
-    counts = arms[0] if len(arms) == 1 else arms[0] - arms[1]
-    if params.electronic_noise_counts_rms > 0:
-        counts = counts + params.electronic_noise_counts_rms * rng.standard_normal(counts.shape)
+    means = _window_means(traj, params.T_int_s)
+    entropy = np.random.SeedSequence(seed).entropy  # one draw of fresh entropy for seed None, reused on every pass
+
+    def read():
+        arm_rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(entropy).spawn(3)]
+        noise_rng = arm_rngs.pop()
+        first = 0
+        for z in means.chunks():
+            arms = arms_of(z)
+            if params.shot_noise:
+                for name, arm in enumerate(arms, 1):
+                    bad = np.flatnonzero(arm < 0)
+                    if bad.size:
+                        raise DetectionError(f"arm {name} has negative expected count at window {first + bad[0]}")
+                arms = tuple(rng.poisson(arm).astype(float) for rng, arm in zip(arm_rngs, arms))
+            counts = arms[0] if len(arms) == 1 else arms[0] - arms[1]
+            if params.electronic_noise_counts_rms > 0:
+                counts = counts + params.electronic_noise_counts_rms * noise_rng.standard_normal(counts.shape)
+            first += z.size
+            yield counts
+
     return CountRecord(
-        t0_s=float(t0_s),
-        counts=counts,
+        t0_s=float(traj.t0_s),
+        counts=artifacts.like(traj.z_m, artifacts.Series(means.n, read)),
         params=params,
         linear_constants=params.linear_constants(),
         model=model,
@@ -191,19 +237,23 @@ def _sample(
 
 def detect_exact(traj: Trajectory, params: DetectionParams, seed: int | None = None) -> CountRecord:
     """Integrate the full interferometric response over tiled windows."""
-    n1, n2 = _arm_counts(params, _window_means(traj, params.T_int_s))
-    return _sample(params, traj.t0_s, (n1,) if params.scheme == "ch" else (n1, n2), "exact", seed)
+
+    def arms_of(z):
+        n1, n2 = _arm_counts(params, z)
+        return (n1,) if params.scheme == "ch" else (n1, n2)
+
+    return _sample(params, traj, arms_of, "exact", seed)
 
 
 def detect_linear(traj: Trajectory, params: DetectionParams, seed: int | None = None) -> CountRecord:
     """Linearized counts C1 + C2 + D z (single) or 2 C2 + 2 D z (balanced).
 
     Refuses to run outside the linear regime: the largest |2 k z| over the raw
-    trajectory must stay below ``linearity_guard`` times the distance of dphi
-    from the nearest multiple of pi, so distorted data is never produced
-    silently.
+    trajectory, found in a pass of its own before any count is drawn, must
+    stay below ``linearity_guard`` times the distance of dphi from the nearest
+    multiple of pi, so distorted data is never produced silently.
     """
-    max_excursion = 2.0 * params.k_rad_per_m * float(np.max(np.abs(traj.z_m)))
+    max_excursion = 2.0 * params.k_rad_per_m * traj.series.max_abs()
     threshold = params.linearity_guard * params.phase_margin_rad()
     if max_excursion >= threshold:
         raise DetectionError(
@@ -211,13 +261,14 @@ def detect_linear(traj: Trajectory, params: DetectionParams, seed: int | None = 
             f" {threshold:.4g} rad ({params.linearity_guard:g} x phase margin"
             f" {params.phase_margin_rad():.4g} rad); use detect_exact or reduce the amplitude"
         )
-    z = _window_means(traj, params.T_int_s)
     c1, c2, d = params.linear_constants()
-    if params.scheme == "ch":
-        arms = (c1 + c2 + d * z,)
-    else:
-        arms = (c1 + (c2 + d * z), c1 - (c2 + d * z))
-    return _sample(params, traj.t0_s, arms, "linear", seed)
+
+    def arms_of(z):
+        if params.scheme == "ch":
+            return (c1 + c2 + d * z,)
+        return (c1 + (c2 + d * z), c1 - (c2 + d * z))
+
+    return _sample(params, traj, arms_of, "linear", seed)
 
 
 def invert_counts(
@@ -234,8 +285,9 @@ def invert_counts(
     calibration = "equipartition": the offset-subtracted counts are rescaled so
     the sample variance equals ``target_variance_m2`` (= k_B T / m omega_s^2).
     This mirrors how a real record is calibrated when the absolute slope is
-    unknown, and it is the right choice for noisy records. The method used is
-    flagged in the trajectory metadata.
+    unknown, and it is the right choice for noisy records. The mean and
+    variance take one pass over the counts. The method used is flagged in the
+    trajectory metadata.
     """
     c1, c2, d = rec.linear_constants
     if d == 0.0:
@@ -244,7 +296,7 @@ def invert_counts(
         offset, d_eff = c1 + c2, d
     else:
         offset, d_eff = 2.0 * c2, 2.0 * d
-    z = (rec.counts - offset) / d_eff
+    z = artifacts.Series.of(rec.counts).map(lambda counts: (counts - offset) / d_eff)
     meta = {
         "calibration": calibration,
         "scheme": rec.params.scheme,
@@ -254,18 +306,18 @@ def invert_counts(
     if calibration == "equipartition":
         if target_variance_m2 is None or target_variance_m2 <= 0:
             raise DetectionError("equipartition calibration needs target_variance_m2 > 0")
-        variance = float(np.var(z))
+        mean, variance = z.moments()
         if variance == 0.0:
             raise DetectionError("cannot equipartition-calibrate a constant record")
         scale = math.sqrt(target_variance_m2 / variance)
-        z = (z - z.mean()) * scale
+        z = z.map(lambda positions: (positions - mean) * scale)
         meta["equipartition_scale"] = scale
         meta["target_variance_m2"] = target_variance_m2
     elif calibration != "linear":
         raise DetectionError(f"unknown calibration {calibration!r} (expected linear | equipartition)")
     return Trajectory(
         sample_rate_Hz=rec.window_rate_Hz,
-        z_m=z,
+        z_m=artifacts.like(rec.counts, z),
         t0_s=rec.t0_s + 0.5 * rec.params.T_int_s,  # the first window's center
         seed=rec.seed,
         state_kind="inverted",
@@ -307,27 +359,6 @@ def compare_noise_floor(psd_ch: Psd, psd_cbh: Psd) -> NoiseFloorReport:
 
 
 def save_count_record(rec: CountRecord, path: str | Path) -> Path:
-    """Write ``counts`` to ``path`` as a float64 ``.npy`` array and return its JSON sidecar.
-
-    The sidecar holds the scheme, model, (C1, C2, D), noise settings and seed,
-    and the ``t0_s`` and ``T_int_s`` that put window ``i``'s start at
-    ``t0_s + i T_int_s``.
-    """
-    c1, c2, d = rec.linear_constants
-    return artifacts.write_array(
-        path,
-        rec.counts,
-        {
-            "scheme": rec.params.scheme,
-            "model": rec.model,
-            "C1": c1,
-            "C2": c2,
-            "D": d,
-            "T_int_s": rec.params.T_int_s,
-            "t0_s": rec.t0_s,
-            "shot_noise": rec.params.shot_noise,
-            "electronic_noise_counts_rms": rec.params.electronic_noise_counts_rms,
-            "seed": rec.seed,
-            "n_windows": len(rec.counts),
-        },
-    )
+    """Write ``counts`` to ``path`` as a float64 ``.npy`` array, chunk by chunk; return the sidecar, holding
+    :attr:`CountRecord.info`."""
+    return artifacts.write_series(path, artifacts.Series.of(rec.counts), rec.info)

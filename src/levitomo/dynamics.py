@@ -9,6 +9,17 @@ with the thermal force fixed by fluctuation-dissipation so the stationary
 position variance is k_B T / (m omega_s^2). The (z, v) pair is propagated with
 the exact Gaussian transition of the linear system (matrix exponential plus
 exact conditional covariance), so results carry no step-size bias.
+
+A record is simulated ``artifacts.CHUNK_SAMPLES`` samples at a time: the
+recursion carries its scan state and the last transition noise from chunk to
+chunk, and every chunk boundary is a boundary of the scan's blocks, so the
+samples do not depend on the chunk length. The initial state, the position
+noise and the velocity noise each draw from their own generator, spawned in
+that order from the stage seed, so each stream is drawn in sample order
+whatever the chunking. :func:`thermal_series` and :func:`coherent_series`
+return a trajectory whose samples are an ``artifacts.Series`` that simulates
+them on each pass; :func:`simulate_thermal` and :func:`simulate_coherent`
+return the same samples in memory.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,21 +50,25 @@ MIN_SAMPLES = 64
 # the position recursion runs as a cumulative-sum scan in blocks: within a block
 # the weights |lam|^-k grow to at most SCAN_GROWTH, far from overflow even near
 # the underdamped guard, and the block is never longer than SCAN_MAX_BLOCK
-# samples, which bounds the phase rounding of lam^k
+# samples, which bounds the phase rounding of lam^k. A block is a power of two
+# no longer than SCAN_MAX_BLOCK, so it divides every chunk
 SCAN_GROWTH = 2.0**64
-SCAN_MAX_BLOCK = 1 << 14
+SCAN_MAX_BLOCK = artifacts.BLOCK_SAMPLES
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Uniformly sampled axial position record.
 
-    ``z_m[i]`` is the position at time ``t0_s + i / sample_rate_Hz``. ``seed``
-    records the RNG seed for provenance (``None`` for deterministic signals).
+    ``z_m[i]`` is the position at time ``t0_s + i / sample_rate_Hz``. ``z_m``
+    holds the samples in memory, or is an ``artifacts.Series`` that yields
+    them chunk by chunk; every function that takes a trajectory accepts both
+    and returns its own record the same way. ``seed`` records the RNG seed
+    for provenance (``None`` for deterministic signals).
     """
 
     sample_rate_Hz: float
-    z_m: np.ndarray
+    z_m: np.ndarray | artifacts.Series
     t0_s: float = 0.0
     seed: int | None = None
     state_kind: str = "custom"
@@ -64,6 +79,34 @@ class Trajectory:
             raise SimulationError(f"sample_rate_Hz must be finite and positive, got {self.sample_rate_Hz!r}")
         if len(self.z_m) < 2:
             raise SimulationError("a trajectory needs at least 2 samples")
+
+    @classmethod
+    def from_info(cls, info: dict, z_m) -> "Trajectory":
+        """The trajectory of the samples ``z_m`` described by the sidecar ``info``."""
+        return cls(
+            sample_rate_Hz=info["sample_rate_Hz"],
+            z_m=z_m,
+            t0_s=info.get("t0_s", 0.0),
+            seed=info.get("seed"),
+            state_kind=info.get("state_kind", "custom"),
+            meta=info.get("meta", {}),
+        )
+
+    @property
+    def info(self) -> dict:
+        """The sidecar: ``t0_s`` and ``sample_rate_Hz`` place sample ``i``; also ``n_samples`` and the provenance."""
+        return {
+            "sample_rate_Hz": self.sample_rate_Hz,
+            "t0_s": self.t0_s,
+            "seed": self.seed,
+            "state_kind": self.state_kind,
+            "n_samples": len(self.z_m),
+            "meta": self.meta,
+        }
+
+    @property
+    def series(self) -> artifacts.Series:
+        return artifacts.Series.of(self.z_m)
 
     @property
     def times_s(self) -> np.ndarray:
@@ -118,6 +161,13 @@ def _transition_noise_chol(m: np.ndarray, var_z: float, var_v: float) -> np.ndar
 
 
 def simulate_thermal(
+    config: ExperimentConfig, dq: DerivedQuantities, duration_s: float, sample_rate_Hz: float, seed: int, **overrides
+) -> Trajectory:
+    """:func:`thermal_series` with its samples in memory; ``overrides`` are its keyword arguments."""
+    return _in_memory(thermal_series(config, dq, duration_s, sample_rate_Hz, seed, **overrides))
+
+
+def thermal_series(
     config: ExperimentConfig,
     dq: DerivedQuantities,
     duration_s: float,
@@ -128,7 +178,7 @@ def simulate_thermal(
     damping_rate_s: float | None = None,
     initial_state: tuple[float, float] | None = None,
 ) -> Trajectory:
-    """Simulate thermal axial motion; deterministic for a given seed.
+    """Thermal axial motion, simulated chunk by chunk on each pass; deterministic for a given seed.
 
     ``temperature_K`` and ``damping_rate_s`` override the values implied by the
     config (useful for effective-temperature runs and for the noise-free
@@ -136,7 +186,8 @@ def simulate_thermal(
     ``initial_state = (z0, v0)`` is given the trajectory starts there with no
     burn-in; otherwise the start is drawn from the stationary ensemble and a
     burn-in of 10 damping times (capped at 1e6 samples) is discarded, so the
-    returned record is stationary by construction.
+    returned record is stationary by construction. Every parameter is checked
+    here, before any sample is simulated.
     """
     omega = dq.omega_s_rad_s
     mass = dq.mass_kg
@@ -158,27 +209,33 @@ def simulate_thermal(
     n_samples = int(round(duration_s * sample_rate_Hz))
     if n_samples < MIN_SAMPLES:
         raise SimulationError(f"duration x sample_rate = {n_samples} samples, need at least {MIN_SAMPLES}")
+    if initial_state is None and temp > 0 and xi == 0.0:
+        raise SimulationError("a thermal state needs damping: xi = 0 with T > 0 has no stationary ensemble")
 
-    dt = 1.0 / sample_rate_Hz
     var_z = KB * temp / (mass * omega**2)
     var_v = KB * temp / mass
-    m = _propagator(omega, xi, dt)
+    m = _propagator(omega, xi, 1.0 / sample_rate_Hz)
+    n_burn = 0
+    if initial_state is None and xi > 0:
+        n_burn = min(int(math.ceil(BURN_IN_DAMPING_TIMES / xi * sample_rate_Hz)), BURN_IN_MAX_SAMPLES)
 
-    rng = np.random.default_rng(seed)
-    if initial_state is not None:
-        x0 = np.asarray(initial_state, dtype=float)
-        n_burn = 0
-    else:
-        if temp > 0 and xi == 0.0:
-            raise SimulationError("a thermal state needs damping: xi = 0 with T > 0 has no stationary ensemble")
-        x0 = np.array([math.sqrt(var_z), math.sqrt(var_v)]) * rng.standard_normal(2)
-        n_burn = min(int(math.ceil(BURN_IN_DAMPING_TIMES / xi * sample_rate_Hz)), BURN_IN_MAX_SAMPLES) if xi > 0 else 0
+    entropy = np.random.SeedSequence(seed).entropy  # one draw of fresh entropy for seed None, reused on every pass
 
-    n_total = n_samples + n_burn
-    z = _propagate_position(m, var_z, var_v, temp, x0, n_total, rng)
+    def read():
+        x0_rng, z_rng, v_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(entropy).spawn(3))
+        if initial_state is None:
+            x0 = np.array([math.sqrt(var_z), math.sqrt(var_v)]) * x0_rng.standard_normal(2)
+        else:
+            x0 = np.asarray(initial_state, dtype=float)
+        first = 0
+        for z in _propagate_position(m, var_z, var_v, temp, x0, n_samples + n_burn, z_rng, v_rng):
+            if first + z.size > n_burn:
+                yield z[max(n_burn - first, 0) :]
+            first += z.size
+
     return Trajectory(
         sample_rate_Hz=sample_rate_Hz,
-        z_m=z[n_burn:],
+        z_m=artifacts.Series(n_samples, read),
         t0_s=0.0,
         seed=seed,
         state_kind="thermal",
@@ -191,59 +248,84 @@ def simulate_thermal(
     )
 
 
-def _propagate_position(m, var_z, var_v, temp, x0, n_total, rng) -> np.ndarray:
-    """Run the exact linear recursion X_n = M X_{n-1} + eta_n, returning z only.
+def _propagate_position(m, var_z, var_v, temp, x0, n_total, z_rng, v_rng):
+    """Run the exact linear recursion X_n = M X_{n-1} + eta_n, yielding z only, ``artifacts.CHUNK_SAMPLES`` at a time.
 
     The vector AR(1) is reduced to a scalar AR(2) via Cayley-Hamilton,
     z_n = tr(M) z_{n-1} - det(M) z_{n-2} + eps_n with
     eps_n = eta_n,z - M22 eta_{n-1},z + M12 eta_{n-1},v; the two initial
     samples enter as eps_0 = z_0 and eps_1 = z_1 - tr(M) z_0 from rest. The
+    noise is eta = L (g_z, g_v) with L the Cholesky factor of its covariance
+    and g_z, g_v standard normals drawn from ``z_rng`` and ``v_rng``. The
     motion is underdamped, so the AR(2) has complex-conjugate poles lam and
     conj(lam), and z_n = 2 Re(c u_n) with c = lam / (lam - conj(lam)) and the
     first-order complex recursion u_n = lam u_{n-1} + eps_n. That recursion is
     solved block by block with a cumulative sum,
     u_{s+j} = lam^j (lam u_{s-1} + sum_{k<=j} lam^-k eps_{s+k}),
-    where the block length B keeps |lam|^-B within ``SCAN_GROWTH``.
+    where the block length B, a power of two, keeps |lam|^-B within
+    ``SCAN_GROWTH``. A chunk carries lam u_{s-1} and the last eta to the next.
     """
     tr_m = m[0, 0] + m[1, 1]
     det_m = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    eps = np.zeros(n_total)
-    eta_0 = np.zeros(2)
+    l11, l21, l22 = 0.0, 0.0, 0.0
     if temp > 0:
         chol = _transition_noise_chol(m, var_z, var_v)
-        eta = chol @ rng.standard_normal((2, n_total - 1))
-        eps[2:] = eta[0, 1:] - m[1, 1] * eta[0, :-1] + m[0, 1] * eta[1, :-1]
-        eta_0 = eta[:, 0].copy()
-        del eta
-    eps[0] = x0[0]
-    eps[1] = (m @ x0 + eta_0)[0] - tr_m * x0[0]
+        l11, l21, l22 = chol[0, 0], chol[1, 0], chol[1, 1]
 
     lam = complex(0.5 * tr_m, math.sqrt(det_m - 0.25 * tr_m**2))
     log_lam = cmath.log(lam)
-    block = SCAN_MAX_BLOCK if log_lam.real >= 0 else int(math.log(SCAN_GROWTH) / -log_lam.real)
-    block = max(1, min(block, SCAN_MAX_BLOCK, n_total))
+    longest = SCAN_MAX_BLOCK if log_lam.real >= 0 else int(math.log(SCAN_GROWTH) / -log_lam.real)
+    block = 1 << max(0, min(longest, SCAN_MAX_BLOCK).bit_length() - 1)
     k = np.arange(block)
     rise = np.exp(-k * log_lam)  # lam^-k
     decay = np.exp(k * log_lam) * (lam / (2j * lam.imag))  # c lam^j
-    z = np.empty(n_total)
     carry = 0j  # lam u_{s-1}
-    for start in range(0, n_total, block):
-        size = min(block, n_total - start)
-        partial = np.cumsum(rise[:size] * eps[start : start + size])
-        partial += carry
-        z[start : start + size] = 2.0 * (decay[:size] * partial).real
-        carry = partial[-1] * cmath.exp(size * log_lam)
-    return z
+    last_eta = np.zeros(2)
+    for first in range(0, n_total, artifacts.CHUNK_SAMPLES):
+        size = min(artifacts.CHUNK_SAMPLES, n_total - first)
+        # column i holds eta_{first + i - 2}: the carried one, then the one each sample n needs as eta_{n-1}
+        eta = np.zeros((2, size + 1))
+        eta[:, 0] = last_eta
+        drawn = 2 if first == 0 else 1  # eta_{-2} and eta_{-1} do not exist
+        if temp > 0:
+            g_z = z_rng.standard_normal(size + 1 - drawn)
+            np.multiply(l11, g_z, out=eta[0, drawn:])
+            g_z *= l21
+            g_v = v_rng.standard_normal(size + 1 - drawn)
+            g_v *= l22
+            np.add(g_z, g_v, out=eta[1, drawn:])
+            del g_z, g_v
+        eps = eta[0, 1:] - m[1, 1] * eta[0, :-1] + m[0, 1] * eta[1, :-1]
+        if first == 0:
+            eps[0] = x0[0]
+            eps[1] = (m @ x0 + eta[:, 2])[0] - tr_m * x0[0]
+        last_eta = eta[:, -1].copy()
+        del eta
+        z = np.empty(size)
+        for start in range(0, size, block):
+            n = min(block, size - start)
+            partial = np.cumsum(rise[:n] * eps[start : start + n])
+            partial += carry
+            z[start : start + n] = 2.0 * (decay[:n] * partial).real
+            carry = partial[-1] * cmath.exp(n * log_lam)
+        yield z
 
 
 def simulate_coherent(
+    dq: DerivedQuantities, amplitude_m: float, phase_rad: float, duration_s: float, sample_rate_Hz: float
+) -> Trajectory:
+    """:func:`coherent_series` with its samples in memory."""
+    return _in_memory(coherent_series(dq, amplitude_m, phase_rad, duration_s, sample_rate_Hz))
+
+
+def coherent_series(
     dq: DerivedQuantities,
     amplitude_m: float,
     phase_rad: float,
     duration_s: float,
     sample_rate_Hz: float,
 ) -> Trajectory:
-    """Noise-free test signal z(t) = amplitude cos(omega_s t + phase)."""
+    """Noise-free test signal z(t) = amplitude cos(omega_s t + phase), computed chunk by chunk on each pass."""
     if amplitude_m < 0:
         raise SimulationError(f"amplitude must be non-negative, got {amplitude_m!r}")
     if sample_rate_Hz <= 0:
@@ -251,57 +333,56 @@ def simulate_coherent(
     n_samples = int(round(duration_s * sample_rate_Hz))
     if n_samples < 2:
         raise SimulationError("duration too short for a trajectory")
-    t = np.arange(n_samples) / sample_rate_Hz
-    z = amplitude_m * np.cos(dq.omega_s_rad_s * t + phase_rad)
+    omega = dq.omega_s_rad_s
+
+    def read():
+        for first in range(0, n_samples, artifacts.CHUNK_SAMPLES):
+            t = np.arange(first, min(first + artifacts.CHUNK_SAMPLES, n_samples)) / sample_rate_Hz
+            yield amplitude_m * np.cos(omega * t + phase_rad)
+
     return Trajectory(
         sample_rate_Hz=sample_rate_Hz,
-        z_m=z,
+        z_m=artifacts.Series(n_samples, read),
         t0_s=0.0,
         seed=None,
         state_kind="coherent",
-        meta={"amplitude_m": amplitude_m, "phase_rad": phase_rad, "omega_s_rad_s": dq.omega_s_rad_s},
+        meta={"amplitude_m": amplitude_m, "phase_rad": phase_rad, "omega_s_rad_s": omega},
     )
+
+
+def _in_memory(traj: Trajectory) -> Trajectory:
+    return replace(traj, z_m=traj.series.values())
 
 
 def save_trajectory(traj: Trajectory, path: str | Path) -> Path:
-    """Write ``z_m`` to ``path`` as a float64 ``.npy`` array and return its JSON sidecar.
+    """Write ``z_m`` to ``path`` as a float64 ``.npy`` array, chunk by chunk, and return its JSON sidecar.
 
-    The sidecar's ``t0_s`` and ``sample_rate_Hz`` place sample ``i`` at
-    ``t0_s + i / sample_rate_Hz``; it also holds ``n_samples`` and the provenance.
+    The sidecar is :attr:`Trajectory.info`: its ``t0_s`` and ``sample_rate_Hz``
+    place sample ``i`` at ``t0_s + i / sample_rate_Hz``; it also holds
+    ``n_samples`` and the provenance.
     """
-    return artifacts.write_array(
-        path,
-        traj.z_m,
-        {
-            "sample_rate_Hz": traj.sample_rate_Hz,
-            "t0_s": traj.t0_s,
-            "seed": traj.seed,
-            "state_kind": traj.state_kind,
-            "n_samples": len(traj.z_m),
-            "meta": traj.meta,
-        },
-    )
+    return artifacts.write_series(path, traj.series, traj.info)
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
-    """Read a trajectory: a ``.npy`` array with its sidecar, or a ``t_s,z_m`` CSV table.
+    """:func:`read_trajectory` with its samples in memory."""
+    return _in_memory(read_trajectory(path))
+
+
+def read_trajectory(path: str | Path) -> Trajectory:
+    """Open a trajectory: a ``.npy`` array with its sidecar, or a ``t_s,z_m`` CSV table.
 
     A ``.npy`` file is what :func:`save_trajectory` writes, and it needs its
-    sidecar. Any other suffix is read as CSV, for legacy files and measured
-    records; a CSV table's sidecar is optional. A file that cannot be read as
-    a trajectory raises :class:`SimulationError` naming it.
+    sidecar; its samples are read back chunk by chunk on each pass, and a
+    non-finite sample fails the pass that reaches it. Any other suffix is read
+    whole as CSV, for legacy files and measured records; a CSV table's sidecar
+    is optional. A file that cannot be read as a trajectory raises
+    :class:`SimulationError` naming it.
     """
     path = Path(path)
     z_m, info = (_read_npy if path.suffix == ".npy" else _read_csv)(path)
     try:
-        return Trajectory(
-            sample_rate_Hz=info["sample_rate_Hz"],
-            z_m=z_m,
-            t0_s=info.get("t0_s", 0.0),
-            seed=info.get("seed"),
-            state_kind=info.get("state_kind", "custom"),
-            meta=info.get("meta", {}),
-        )
+        return Trajectory.from_info(info, z_m)
     except SimulationError as exc:
         raise SimulationError(f"{path}: {exc}") from None
 
@@ -323,28 +404,30 @@ def _read_sidecar(path: Path, required: bool) -> dict:
     return info
 
 
-def _read_npy(path: Path) -> tuple[np.ndarray, dict]:
-    """The samples of a ``.npy`` trajectory and its sidecar; no pickled data is ever loaded."""
+def _read_npy(path: Path) -> tuple[artifacts.Series, dict]:
+    """The samples of a ``.npy`` trajectory, checked as they are read, and its sidecar; no pickle is ever loaded."""
     info = _read_sidecar(path, required=True)
     if "sample_rate_Hz" not in info:
         raise SimulationError(f"{path}: its sidecar holds no sample_rate_Hz")
     try:
-        with path.open("rb") as fh:
-            z = np.load(fh, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise SimulationError(f"{path}: not a readable .npy array ({exc})") from None
-    if not isinstance(z, np.ndarray) or z.dtype.kind != "f":  # an .npz archive, or integer, complex or text data
-        raise SimulationError(f"{path}: expected a floating-point .npy array")
-    if z.ndim != 1 or z.size < 2:
-        raise SimulationError(f"{path}: expected a 1-D array of at least 2 samples, got shape {z.shape}")
-    if info.get("n_samples") != z.size:
+        z = artifacts.read_series(path)
+    except ValueError as exc:
+        raise SimulationError(f"{path}: {exc}") from None
+    if info.get("n_samples") != z.n:
         raise SimulationError(
-            f"{path}: sidecar n_samples {info.get('n_samples')!r} differs from the {z.size} samples of the array"
+            f"{path}: sidecar n_samples {info.get('n_samples')!r} differs from the {z.n} samples of the array"
         )
-    bad = np.flatnonzero(~np.isfinite(z))
-    if bad.size:
-        raise SimulationError(f"{path}: sample {bad[0]} holds a non-finite value")
-    return z.astype(float, copy=False), info
+
+    def read():
+        first = 0
+        for chunk in z.chunks():
+            bad = np.flatnonzero(~np.isfinite(chunk))
+            if bad.size:
+                raise SimulationError(f"{path}: sample {first + bad[0]} holds a non-finite value")
+            first += chunk.size
+            yield chunk
+
+    return artifacts.Series(z.n, read), info
 
 
 def _read_csv(path: Path) -> tuple[np.ndarray, dict]:

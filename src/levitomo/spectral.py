@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .constants import KB, TWO_PI
 from .errors import SpectralError
 
@@ -26,6 +27,9 @@ FIT_MAX_NFEV = 2000
 FIT_FTOL = FIT_XTOL = FIT_GTOL = 1e-10
 FIT_INITIAL_DAMPING = 1e-3
 FIT_SCALE_MEMORY = 0.9  # per-step decay of the damping scales, see _levenberg_marquardt
+# spectrum bins per block of the Welch window and of the fit's sums: a block's dozen temporaries stay under a MB,
+# so the 65536 bins of a long record's spectrum need no more memory than the 8192 of a short one
+BLOCK_BINS = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,33 +53,33 @@ def estimate_psd(samples, sample_rate_Hz: float, segment_len: int, overlap_fract
     the mean of the segment periodograms is scaled to a one-sided density on
     the ``rfft`` frequency grid (Welch, IEEE Trans. Audio Electroacoust. 15,
     70 (1967)). ``segment_len`` must be a power of two and small enough for at
-    least four (overlapping) segments.
+    least four (overlapping) segments. ``samples`` is a 1-D array or an
+    ``artifacts.Series``; it is read in one pass, chunk by chunk, carrying the
+    samples from the next segment's start on to the next chunk, and each
+    segment's periodogram is added to a running sum in segment order, so the
+    spectrum does not depend on the chunk length.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:
+    if not isinstance(samples, artifacts.Series) and np.ndim(samples) != 1:
         raise SpectralError("samples must be 1-D")
+    x = artifacts.Series.of(samples)
     if segment_len < MIN_SEGMENT_LEN or segment_len & (segment_len - 1):
         raise SpectralError(f"segment_len must be a power of two >= {MIN_SEGMENT_LEN}, got {segment_len}")
     if not 0.0 <= overlap_fraction < 1.0:
         raise SpectralError("overlap_fraction must be in [0, 1)")
     noverlap = int(segment_len * overlap_fraction)
     step = segment_len - noverlap
-    n_segments = 0 if x.size < segment_len else 1 + (x.size - segment_len) // step
+    n_segments = 0 if x.n < segment_len else 1 + (x.n - segment_len) // step
     if n_segments < MIN_SEGMENTS:
         required = segment_len + (MIN_SEGMENTS - 1) * step
         raise SpectralError(
-            f"{x.size} samples give {n_segments} segments of {segment_len};"
+            f"{x.n} samples give {n_segments} segments of {segment_len};"
             f" need at least {required} samples for {MIN_SEGMENTS} segments"
         )
-    # every segment is a view into x; detrend and window make the one copy
-    segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::step]
-    segments = segments - segments.mean(axis=1, keepdims=True)
-    window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(segment_len) / segment_len)  # periodic Hann
-    segments *= window
-    spectra = np.fft.rfft(segments, axis=1)
-    power = np.mean(spectra.real**2 + spectra.imag**2, axis=0)
-    # one-sided density: every bin but DC and Nyquist carries its negative-frequency twin
-    power *= 2.0 / (sample_rate_Hz * np.sum(window**2))
+    power = _summed_periodograms(x, segment_len, step)
+    power /= n_segments
+    # one-sided density: every bin but DC and Nyquist carries its negative-frequency twin; 3 N / 8 is the sum of the
+    # squared window
+    power *= 2.0 / (sample_rate_Hz * 0.375 * segment_len)
     power[-1] *= 0.5
     freqs = np.fft.rfftfreq(segment_len, 1.0 / sample_rate_Hz)
     return Psd(
@@ -84,6 +88,54 @@ def estimate_psd(samples, sample_rate_Hz: float, segment_len: int, overlap_fract
         n_segments=n_segments,
         segment_len=segment_len,
     )
+
+
+def _summed_periodograms(x: artifacts.Series, segment_len: int, step: int) -> np.ndarray:
+    """The sum over the segments of x, in order, of the power of each segment's ``rfft``, mean removed and
+    Hann-windowed (bin 0 is left 0); its buffers are freed on return."""
+    half = segment_len // 2
+    batch = max(1, artifacts.CHUNK_SAMPLES // segment_len)  # segments per transform: about a chunk of samples
+    spectra = np.empty((batch, half + 1), dtype=complex)
+    total = np.zeros(half + 1)
+    held = np.empty(segment_len + artifacts.CHUNK_SAMPLES)  # held[:filled]: the samples from the next segment on
+    filled = 0
+    for chunk in x.chunks():
+        held[filled : filled + chunk.size] = chunk
+        filled += chunk.size
+        ready = 0 if filled < segment_len else 1 + (filled - segment_len) // step
+        for first in range(0, ready, batch):
+            count = min(batch, ready - first)
+            # every segment is a view into held, transformed as it is; the window is applied to its spectrum
+            raw = np.lib.stride_tricks.sliding_window_view(held[:filled], segment_len)[first * step :: step][:count]
+            np.fft.rfft(raw, axis=1, out=spectra[:count])
+            _add_hann_power(spectra[:count], total)
+        held[: filled - ready * step] = held[ready * step : filled]
+        filled -= ready * step
+    return total
+
+
+def _add_hann_power(spectra: np.ndarray, total: np.ndarray) -> None:
+    """Add each row's power, mean removed and Hann-windowed, to ``total[1:]``, row after row.
+
+    ``spectra`` holds the ``rfft`` of raw segments. Removing a segment's mean
+    zeroes bin 0 and leaves every other bin. The periodic Hann window
+    0.5 - 0.5 cos(2 pi n / N) is three-term in frequency (Harris, Proc. IEEE
+    66, 51 (1978)): the windowed bin k is 0.5 X[k] - 0.25 (X[k - 1] + X[k + 1]),
+    and the Nyquist bin's upper neighbour is the conjugate of its lower one.
+    ``BLOCK_BINS`` bins go at a time, so the temporaries stay small.
+    """
+    half = spectra.shape[1] - 1
+    spectra[:, 0] = 0.0
+    for first in range(1, half, BLOCK_BINS):
+        end = min(first + BLOCK_BINS, half)
+        windowed = spectra[:, first - 1 : end - 1] + spectra[:, first + 1 : end + 1]
+        windowed *= -0.25
+        windowed += 0.5 * spectra[:, first:end]
+        for row in windowed.real**2 + windowed.imag**2:
+            total[first:end] += row
+    nyquist = 0.5 * spectra[:, half] - 0.5 * spectra[:, half - 1].real
+    for value in nyquist.real**2 + nyquist.imag**2:
+        total[half] += value
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,17 +174,13 @@ def _line_guess(psd: Psd, guess_window: tuple[float, float]) -> np.ndarray:
 
     f_peak = f_win[peak_idx]
     floor0 = float(np.median(psd.power))
-    half_level = 0.5 * (peak_power + floor0)
-    above = p_win >= half_level
-    lo = peak_idx
-    while lo > 0 and above[lo - 1]:
-        lo -= 1
-    hi = peak_idx
-    while hi < p_win.size - 1 and above[hi + 1]:
-        hi += 1
-    fwhm = max(f_win[hi] - f_win[lo], f_win[1] - f_win[0])
+    df = f_win[1] - f_win[0]
+    # the width from the line's area: a line of peak excess P and width xi holds P xi / 4 of excess power over
+    # frequency. Summed over the window, the area holds up on a broad line, where noisy bins would end a run of
+    # bins above half power a few bins from the peak; a line narrower than a bin starts one bin wide
+    area = float(np.sum(np.maximum(p_win - floor0, 0.0))) * df
     omega0_0 = TWO_PI * f_peak
-    xi0 = TWO_PI * fwhm
+    xi0 = max(4.0 * area / max(peak_power - floor0, 1e-300), TWO_PI * df)
     amp0 = max(peak_power - floor0, peak_power * 1e-3) * (xi0 * omega0_0) ** 2
     floor0 = max(floor0, peak_power * 1e-12)
     return np.array([omega0_0, xi0, amp0, floor0])
@@ -161,33 +209,52 @@ def fit_lorentzian(psd: Psd, guess_window: tuple[float, float]) -> LorentzianFit
     if np.any(data <= 0):
         raise SpectralError("PSD contains non-positive bins; cannot fit")
 
-    def residuals(u):  # each coordinate in units of its guess
-        fitted = _deviance_and_jacobian(u * guess, psd.freqs_Hz, data)
-        return None if fitted is None else (fitted[0], fitted[1] * guess[None, :])
+    def equations(u):  # each coordinate in units of its guess
+        sums = _normal_equations(u * guess, psd.freqs_Hz, data)
+        return None if sums is None else (sums[0], sums[1] * np.outer(guess, guess), sums[2] * guess)
 
-    u, fun, jac = _levenberg_marquardt(residuals, np.ones(4))
+    u, cost, normal = _levenberg_marquardt(equations, np.ones(4))
     omega0, xi, amplitude, floor = np.abs(u) * guess
     if not f_lo <= omega0 / TWO_PI <= f_hi:
         raise SpectralError(
             f"fit walked out of the guess window: omega0/2pi = {omega0 / TWO_PI:.6g} Hz"
         )
 
-    n_res, n_par = jac.shape
-    jac = jac / guess[None, :] * np.sign(u)[None, :]
-    dof = max(n_res - n_par, 1)
-    variance = float(fun @ fun) / dof
+    signs = np.sign(u) / guess
+    normal = normal * np.outer(signs, signs)  # J^T J in the parameters themselves
+    dof = max(data.size - u.size, 1)
+    variance = 2.0 * cost / dof
     try:
-        covariance = np.linalg.inv(jac.T @ jac) * variance
+        covariance = np.linalg.inv(normal) * variance
     except np.linalg.LinAlgError:
-        covariance = np.linalg.pinv(jac.T @ jac) * variance
+        covariance = np.linalg.pinv(normal) * variance
     return LorentzianFit(
         omega0_rad_s=float(omega0),
         linewidth_rad_s=float(xi),
         amplitude=float(amplitude),
         noise_floor=float(floor),
-        residual_rms=float(np.sqrt(np.mean(fun**2))),
+        residual_rms=math.sqrt(2.0 * cost / data.size),
         covariance=covariance,
     )
+
+
+def _normal_equations(params, freqs_Hz, data):
+    """Half the squared norm of the deviance residuals at ``params``, J^T J and J^T r.
+
+    The sums run over ``BLOCK_BINS`` bins at a time, in bin order. Returns
+    ``None`` where the model is not positive at every bin.
+    """
+    cost, normal, gradient = 0.0, np.zeros((4, 4)), np.zeros(4)
+    for first in range(0, data.size, BLOCK_BINS):
+        block = slice(first, first + BLOCK_BINS)
+        fitted = _deviance_and_jacobian(params, freqs_Hz[block], data[block])
+        if fitted is None:
+            return None
+        res, jac = fitted
+        cost += 0.5 * float(res @ res)
+        normal += jac.T @ jac
+        gradient += jac.T @ res
+    return cost, normal, gradient
 
 
 def _deviance_and_jacobian(params, freqs_Hz, data):
@@ -216,9 +283,9 @@ def _deviance_and_jacobian(params, freqs_Hz, data):
     return res, slope[:, None] * dmodel
 
 
-def _levenberg_marquardt(residuals, x):
-    """Minimise half the squared norm of ``residuals(x)``, which returns the
-    residual vector and its Jacobian (or ``None`` where undefined).
+def _levenberg_marquardt(equations, x):
+    """Minimise the cost of ``equations(x)``, which returns half the squared
+    residual norm, J^T J and J^T r (or ``None`` where undefined).
 
     Marquardt's damping scales with the diagonal of J^T J, so the step does not
     depend on the units of the parameters. Each diagonal entry is the larger of
@@ -231,36 +298,33 @@ def _levenberg_marquardt(residuals, x):
     decrease. Stops when a step changes the cost by a relative ``FIT_FTOL``,
     moves ``x`` by a relative ``FIT_XTOL``, or the gradient is orthogonal to the
     residual to within ``FIT_GTOL``; raises :class:`SpectralError` after
-    ``FIT_MAX_NFEV`` evaluations. Returns the solution, its residuals and their
-    Jacobian.
+    ``FIT_MAX_NFEV`` evaluations. Returns the solution, its cost and its J^T J.
     """
-    fun, jac = residuals(x)
-    cost = 0.5 * float(fun @ fun)
+    cost, normal, gradient = equations(x)
     damping, growth = FIT_INITIAL_DAMPING, 2.0
     scale = np.zeros(x.size)
     for _ in range(FIT_MAX_NFEV - 1):
-        gradient = jac.T @ fun
-        cosines = np.abs(gradient) / np.maximum(np.linalg.norm(jac, axis=0) * np.sqrt(2.0 * cost), 1e-300)
+        # the cosine between the residual and each column of J
+        cosines = np.abs(gradient) / np.maximum(np.sqrt(np.diag(normal) * (2.0 * cost)), 1e-300)
         if np.max(cosines) <= FIT_GTOL:
-            return x, fun, jac
-        normal = jac.T @ jac
+            return x, cost, normal
         scale = np.maximum(np.diag(normal), FIT_SCALE_MEMORY * scale)
         step = np.linalg.solve(normal + damping * np.diag(scale), -gradient)
         predicted = -float(gradient @ step) - 0.5 * float(step @ normal @ step)
-        trial = residuals(x + step)
-        new_cost = math.inf if trial is None else 0.5 * float(trial[0] @ trial[0])
+        trial = equations(x + step)
+        new_cost = math.inf if trial is None else trial[0]
         actual = cost - new_cost
         small_step = np.linalg.norm(step) <= FIT_XTOL * (np.linalg.norm(x) + FIT_XTOL)
         if predicted > 0 and actual > 0:
             gain = actual / predicted
-            x, (fun, jac), cost_before, cost = x + step, trial, cost, new_cost
+            x, (cost, normal, gradient), cost_before = x + step, trial, cost
             damping *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             growth = 2.0
             if small_step or (actual <= FIT_FTOL * cost_before and predicted <= FIT_FTOL * cost_before):
-                return x, fun, jac
+                return x, cost, normal
         else:
             if small_step:
-                return x, fun, jac
+                return x, cost, normal
             damping *= growth
             growth *= 2.0
     raise SpectralError(f"oscillator fit did not converge in {FIT_MAX_NFEV} evaluations")

@@ -22,11 +22,12 @@ transform, implemented as ramp-filtered back-projection:
      turned a quarter turn, so its folded row is gathered with theta's
      interpolation indices and weights and the result is turned back. An
      angle without partners is an orbit of its own. The output rows are
-     back-projected BLOCK_ROWS at a time, each block by one of as many threads
-     as the process may use CPUs (no more than there are blocks); numpy
-     releases the GIL in the gathers and arithmetic. A block adds the orbits
-     in one order whatever thread sums it, so the result is the same bit for
-     bit on any number of CPUs.
+     back-projected BLOCK_ROWS at a time, each block by one of as many workers
+     as the process may use CPUs (no more than there are blocks, and none
+     with fewer than MIN_POINTS_PER_WORKER samples to interpolate); the
+     calling thread is one of them, and numpy releases the GIL in the gathers
+     and arithmetic. A block adds the orbits in one order whatever thread
+     sums it, so the result is the same bit for bit on any number of CPUs.
 
 The momentum axis is expressed in position-equivalent units p/(m omega_s) so
 free evolution is literally a circular rotation of the grid. The zero-frequency
@@ -67,6 +68,10 @@ ORBIT_TOLERANCE = 1e-9  # largest shift, in z bins, an orbit's shared indices ma
 # rows per block: marginals per pass of the ramp filter, output rows per pass over all orbits and grid rows
 # per pass of analyze, so each pass's temporaries stay in L2 cache whatever the grid's size
 BLOCK_ROWS = 64
+# interpolated samples (angles x output points) a back-projection worker must have to be worth its thread: measured
+# on two CPUs, a second worker costs more than it saves at 90 x 129 (1.5e6 samples: 19 against 22 ms), breaks even
+# near 90 x 257 (5.9e6: 35 against 33 ms) and saves 28 % at 720 x 513 (1.9e8: 0.52 against 0.38 s)
+MIN_POINTS_PER_WORKER = 5_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,11 +107,11 @@ class MarginalSet:
         return self.counts_per_bin.sum(axis=1)
 
 
-def default_z_grid(samples: np.ndarray, n_points: int = DEFAULT_GRID_POINTS, span_sigmas: float = DEFAULT_SPAN_SIGMAS):
-    """Symmetric odd grid spanning +-span_sigmas sample standard deviations."""
+def default_z_grid(samples, n_points: int = DEFAULT_GRID_POINTS, span_sigmas: float = DEFAULT_SPAN_SIGMAS):
+    """Symmetric odd grid spanning +-span_sigmas sample standard deviations of an array or ``artifacts.Series``."""
     if n_points % 2 == 0:
         raise TomographyError(f"z grid length must be odd to contain 0, got {n_points}")
-    scale = float(np.std(samples))
+    scale = math.sqrt(artifacts.Series.of(samples).moments()[1])
     if scale <= 0:
         raise TomographyError("samples have zero spread; cannot build a position grid")
     return np.linspace(-span_sigmas * scale, span_sigmas * scale, n_points)
@@ -126,7 +131,9 @@ def bin_marginals(
     2 pi k / n_angles. An angle bin holding fewer than ``min_occupancy``
     samples is an error: its histogram is too noisy to reconstruct from, and an
     empty one leaves the reconstruction ill-posed. Samples outside the grid are
-    dropped from the histograms.
+    dropped from the histograms. The samples are read in one pass, chunk by
+    chunk, and the integer counts of the chunks are summed (the default grid
+    takes one more pass for the spread).
     """
     if omega_hat <= 0:
         raise TomographyError(f"omega_hat must be positive, got {omega_hat!r}")
@@ -138,18 +145,20 @@ def bin_marginals(
             f"trajectory spans {n_periods:.1f} oscillation periods; need >= {MIN_PERIODS}"
         )
     if z_grid is None:
-        z_grid = default_z_grid(samples.z_m)
+        z_grid = default_z_grid(samples.series)
     z_grid = np.asarray(z_grid, dtype=float)
     _check_z_grid(z_grid)
 
-    phases = (omega_hat * samples.times_s) % TWO_PI
     bin_width = TWO_PI / n_angles
-    idx = np.rint(phases / bin_width).astype(np.int64) % n_angles
-
     dz = z_grid[1] - z_grid[0]
-    z_edges = np.concatenate([z_grid - 0.5 * dz, [z_grid[-1] + 0.5 * dz]])
-    counts, _, _ = np.histogram2d(idx, samples.z_m, bins=[np.arange(n_angles + 1) - 0.5, z_edges])
-    counts = counts.astype(np.int64)
+    edges = [np.arange(n_angles + 1) - 0.5, np.concatenate([z_grid - 0.5 * dz, [z_grid[-1] + 0.5 * dz]])]
+    counts = np.zeros((n_angles, z_grid.size), dtype=np.int64)
+    first = 0
+    for z in samples.series.chunks():
+        times = samples.t0_s + np.arange(first, first + z.size) / samples.sample_rate_Hz
+        idx = np.rint((omega_hat * times) % TWO_PI / bin_width).astype(np.int64) % n_angles
+        counts += np.histogram2d(idx, z, bins=edges)[0].astype(np.int64)
+        first += z.size
 
     occupancy = counts.sum(axis=1)
     sparse = np.flatnonzero(occupancy < min_occupancy)
@@ -333,10 +342,11 @@ def _folded_rows(filtered: np.ndarray, members: np.ndarray, quarters: np.ndarray
     return rows, slopes
 
 
-def _worker_count(n_blocks: int) -> int:
-    """Threads that back-project ``n_blocks`` row blocks: one per CPU this process may run on, at most one per block."""
+def _worker_count(points: int) -> int:
+    """Workers that back-project ``points`` interpolated samples: one per CPU this process may run on, and one per
+    ``MIN_POINTS_PER_WORKER`` samples; below that the calling thread works alone."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(n_blocks, cpus)
+    return max(1, min(cpus, points // MIN_POINTS_PER_WORKER))
 
 
 def _back_project_block(first: int, orbits: list, sums: tuple, buffers: tuple) -> None:
@@ -385,7 +395,8 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
     whole quarter turns apart to within an angle that moves no sample point by
     more than ``ORBIT_TOLERANCE`` of a z bin; any angle set, of any size, goes
     this one way. Each ``BLOCK_ROWS`` block of output rows is summed by one
-    worker thread; an exception in a worker is raised here.
+    worker, the calling thread or a thread of its own; an exception in a
+    worker is raised here.
     """
     if not 0.0 < cutoff_fraction <= 1.0:
         raise TomographyError("cutoff_fraction must be in (0, 1]")
@@ -411,8 +422,7 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
     del filtered  # the folded rows hold all the orbits read
     # sums[0] gathers the rows of theta, sums[1] those of theta + pi/2 on theta's sample points
     sums = (np.zeros((n_z, n_z)), np.zeros((n_z, n_z)))
-    n_blocks = -(-n_z // BLOCK_ROWS)
-    workers = _worker_count(n_blocks)
+    workers = min(-(-n_z // BLOCK_ROWS), _worker_count(angles.size * n_z * n_z))  # at most one per row block
     # each worker's u, index and gathered row, allocated here: a worker thread that allocated its own would get a
     # malloc arena of its own, and the process would keep each arena's pages
     buffers = [
@@ -428,9 +438,10 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
         except BaseException as exc:  # re-raised by the caller, so no partial sum is returned
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
     for thread in threads:
         thread.start()
+    work(0)  # the calling thread is worker 0
     for thread in threads:
         thread.join()
     if errors:

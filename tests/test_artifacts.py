@@ -1,0 +1,60 @@
+import errno
+
+import numpy as np
+import pytest
+
+from levitomo import artifacts
+from levitomo.artifacts import Series
+
+
+def irregular(values, sizes):
+    """A series over ``values`` whose chunks take the lengths ``sizes`` in turn."""
+
+    def read():
+        first, k = 0, 0
+        while first < values.size:
+            yield values[first : first + sizes[k % len(sizes)]]
+            first += sizes[k % len(sizes)]
+            k += 1
+
+    return Series(values.size, read)
+
+
+def test_blocks_repartition_any_chunks():
+    values = np.arange(1000.0)
+    blocks = list(irregular(values, (1, 300, 7, 64)).blocks(128))
+    assert [block.size for block in blocks] == [128] * 7 + [104]
+    assert np.array_equal(np.concatenate(blocks), values)
+
+
+def test_moments_depend_on_the_samples_alone():
+    """Mean and variance of fixed blocks merged in order: the same bits for any chunks, and np.var's value."""
+    values = 3.0 + np.random.default_rng(1).standard_normal(3 * artifacts.BLOCK_SAMPLES + 5)
+    whole = Series.of(values).moments()
+    assert irregular(values, (5, artifacts.BLOCK_SAMPLES - 1, 17)).moments() == whole
+    assert whole[0] == pytest.approx(values.mean(), rel=1e-14)
+    assert whole[1] == pytest.approx(values.var(), rel=1e-12)
+
+
+def test_series_round_trip_reads_the_file_in_chunks(tmp_path):
+    values = np.random.default_rng(2).standard_normal(2 * artifacts.CHUNK_SAMPLES + 3)
+    artifacts.write_series(tmp_path / "x.npy", irregular(values, (1000, 3)), {"n": values.size})
+    back = artifacts.read_series(tmp_path / "x.npy")
+    assert [chunk.size for chunk in back.chunks()] == [artifacts.CHUNK_SAMPLES] * 2 + [3]
+    assert back.values().tobytes() == values.tobytes()
+    assert back.max_abs() == np.max(np.abs(values))
+
+
+def test_series_that_cannot_fit_on_the_disk_is_refused_before_its_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(artifacts.shutil, "disk_usage", lambda path: type("Usage", (), {"free": 100})())
+    with artifacts.journal() as written, pytest.raises(OSError) as raised:
+        artifacts.write_series(tmp_path / "x.npy", Series.of(np.zeros(13)), {})
+    assert raised.value.errno == errno.ENOSPC
+    assert written == [] and not (tmp_path / "x.npy").exists()
+
+
+def test_a_record_in_memory_stays_in_memory():
+    values = np.arange(5.0)
+    series = Series.of(values)
+    assert artifacts.like(values, series.map(np.negative)).tolist() == [-0.0, -1.0, -2.0, -3.0, -4.0]
+    assert isinstance(artifacts.like(series, series), Series)

@@ -159,7 +159,7 @@ def test_fock1_pipeline_ignores_the_record_size(tmp_path, capsys):
 
 
 def test_record_too_large_to_allocate_is_a_stage_failure(tmp_path, capsys):
-    """An exabyte record is refused by the allocator at once, before any of it is allocated."""
+    """An exabyte record is refused at once, before any of it is simulated: its file cannot fit on the disk."""
     assert run(["pipeline", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=1e12"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("pipeline stage failed: ") and len(err.splitlines()) == 1
@@ -497,6 +497,77 @@ def test_failed_back_projection_worker_is_a_stage_failure(tmp_path, capsys, monk
     assert run(["pipeline", "--state", "fock1", "--seed", 1, "--out", tmp_path]) == 3
     assert capsys.readouterr().err.startswith("pipeline stage failed: row block")
     assert not (tmp_path / "wigner.npy").exists() and not (tmp_path / "analyze.json").exists()
+
+
+def test_failed_rerun_leaves_no_result_of_the_earlier_run(tmp_path, capsys):
+    """A rerun into the same ``--out`` that fails leaves only ``.partial`` names, the earlier run's results included."""
+    assert run(["pipeline", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.1"]) == 0
+    assert (tmp_path / "manifest.json").is_file() and (tmp_path / "wigner.npy").is_file()
+    rerun = ["pipeline", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.1", "--set", "n_angles=5000"]
+    assert run(rerun) == 3
+    assert "under-sampled" in capsys.readouterr().err
+    left = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*") if path.is_file())
+    assert "manifest.json.partial" in left and "plotdata/style.json.partial" in left
+    assert [name for name in left if not name.endswith(".partial")] == []
+
+
+def test_failed_stage_subcommand_keeps_the_record_it_read(tmp_path, capsys):
+    """Stage subcommands share one ``--out``: a detect that fails there leaves the trajectory it read."""
+    assert run(["simulate", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
+    traj = tmp_path / "trajectory.npy"
+    assert run(["detect", "--traj", traj, "--out", tmp_path, "--set", "linearity_guard=1e-6"] + FAST_PIPELINE) == 3
+    assert "linearity guard" in capsys.readouterr().err
+    assert traj.is_file() and (tmp_path / "trajectory.json").is_file()
+
+
+def test_linewidth_resolved_flags_a_line_narrower_than_a_bin(tmp_path):
+    """0.1 s at the reference 1e-2 mbar: the line is narrower than the 61 Hz bin; 1 s at 1 mbar resolves it."""
+    short, damped = tmp_path / "short", tmp_path / "damped"
+    common = ["pipeline", "--config", "reference.cfg", "--seed", 1]
+    assert run(common + ["--out", short, "--set", "sim_duration_s=0.1"]) == 0
+    assert run(common + ["--out", damped, "--set", "pressure_mbar=1.0"]) == 0
+    for out, resolved in ((short, False), (damped, True)):
+        for scheme in ("ch", "cbh"):
+            fit = json.loads((out / f"fit_{scheme}.json").read_text())
+            df_hz = json.loads((out / f"psd_{scheme}.json").read_text())["df_Hz"]
+            assert fit["linewidth_resolved"] is resolved, (out.name, scheme)
+            assert (fit["linewidth_rad_s"] >= TWO_PI * df_hz) is resolved
+
+
+@pytest.mark.parametrize("extra", [[], ["--set", "sim_sample_rate_hz=3e6", "--set", "detection_model=exact"]])
+def test_manifest_does_not_depend_on_the_chunk_length(tmp_path, monkeypatch, extra):
+    """Two other multiples of BLOCK_SAMPLES write the same bytes; at 3 MHz a window of 3 samples straddles chunks."""
+    manifests = []
+    for chunk in (artifacts.CHUNK_SAMPLES, 2 * artifacts.BLOCK_SAMPLES, 3 * artifacts.BLOCK_SAMPLES):
+        monkeypatch.setattr(artifacts, "CHUNK_SAMPLES", chunk)
+        out = tmp_path / str(chunk)
+        argv = ["pipeline", "--config", "reference.cfg", "--seed", 2, "--out", out, "--set", "sim_duration_s=0.05"]
+        assert run(argv + extra) == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[1] == manifests[0] and manifests[2] == manifests[0]
+
+
+def _peak_rss_mb(argv) -> float:
+    """Peak resident set of one ``levitomo`` run in a fresh interpreter, in MB."""
+    env = dict(os.environ, PYTHONPATH=str(Path(levitomo.__file__).parent.parent))
+    argv = [sys.executable, "-m", "levitomo.cli"] + [str(a) for a in argv]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, argv
+    return usage.ru_maxrss * 1024 / 1e6
+
+
+def test_peak_rss_does_not_grow_with_the_record(tmp_path):
+    """0.1 s and 0.8 s records peak within 5 MB of each other: the chain holds chunks, not the record.
+
+    A chain that holds whole records grows by about 100 MB per second of record at 1 MHz.
+    """
+    common = ["pipeline", "--config", "reference.cfg", "--seed", 1]
+    peaks = [
+        _peak_rss_mb(common + ["--out", tmp_path / duration, "--set", f"sim_duration_s={duration}"])
+        for duration in ("0.1", "0.8")
+    ]
+    assert abs(peaks[1] - peaks[0]) < 5.0, peaks
 
 
 def test_fit_snr_is_the_noise_floor_snr(tmp_path):

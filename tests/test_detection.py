@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from levitomo import artifacts
 from levitomo.constants import KB
 from levitomo.detection import (
     CountRecord,
@@ -176,6 +177,23 @@ def test_shot_noise_deterministic(config, dq):
     a = detect_exact(traj, params, seed=5)
     b = detect_exact(traj, params, seed=5)
     assert np.array_equal(a.counts, b.counts)
+
+
+def test_counts_do_not_depend_on_the_chunk_length(monkeypatch, config, dq):
+    """Windows of 3 samples straddle chunk ends; each Poisson arm and the electronic noise keep their own stream.
+
+    A trajectory whose samples are a series gives a record computed on each pass, with the same counts.
+    """
+    traj = simulate_thermal(config, dq, 0.03, 3e6, seed=2, temperature_K=0.03)
+    params = params_from_config(config, "cbh", shot_noise=True, electronic_noise_counts_rms=3.0, linearity_guard=0.35)
+    counts = []
+    for chunk in (artifacts.BLOCK_SAMPLES, 3 * artifacts.BLOCK_SAMPLES):
+        monkeypatch.setattr(artifacts, "CHUNK_SAMPLES", chunk)
+        counts.append(detect_linear(traj, params, seed=4).counts.tobytes())
+    assert counts[1] == counts[0]
+    lazy = detect_linear(dataclasses.replace(traj, z_m=artifacts.Series.of(traj.z_m)), params, seed=4)
+    assert isinstance(lazy.counts, artifacts.Series)
+    assert lazy.counts.values().tobytes() == counts[1]
 
 
 def test_equipartition_calibration_full_temperature(config, dq):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from levitomo import artifacts
 from levitomo.constants import KB
 from levitomo.dynamics import (
     SCAN_MAX_BLOCK,
@@ -19,6 +20,7 @@ from levitomo.dynamics import (
     simulate_thermal,
 )
 from levitomo.errors import ConfigError, SimulationError
+from levitomo.physics import derive
 from levitomo.tomography import oracle_marginals
 
 TWO_PI = 2.0 * math.pi
@@ -46,6 +48,12 @@ def variance_tolerance(duration_s, xi, var, n_sigma=3.0):
     return n_sigma * var * math.sqrt(2.0 / (duration_s * xi))
 
 
+def noise_streams(seed):
+    """The position and velocity normals' generators: the second and third that the simulator spawns from its seed."""
+    _, z_rng, v_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3))
+    return z_rng, v_rng
+
+
 def test_matches_naive_stepper(damped_config, damped_dq):
     """The lfilter-based recursion must reproduce a direct per-step propagation."""
     omega = damped_dq.omega_s_rad_s
@@ -59,8 +67,8 @@ def test_matches_naive_stepper(damped_config, damped_dq):
     m = _propagator(omega, xi, dt)
     var_z = equipartition_var(damped_dq, damped_config.temperature_K)
     chol = _transition_noise_chol(m, var_z, KB * damped_config.temperature_K / damped_dq.mass_kg)
-    rng = np.random.default_rng(99)
-    eta = chol @ rng.standard_normal((2, n - 1))
+    z_rng, v_rng = noise_streams(99)
+    eta = chol @ np.stack([z_rng.standard_normal(n - 1), v_rng.standard_normal(n - 1)])
     state = np.array([1e-9, 0.0])
     expected = np.empty(n)
     expected[0] = state[0]
@@ -113,6 +121,21 @@ def test_same_seed_bitwise_identical(damped_config, damped_dq):
     assert np.array_equal(a.z_m, b.z_m)
     c = simulate_thermal(damped_config, damped_dq, 0.02, 1e6, seed=124)
     assert not np.array_equal(a.z_m, c.z_m)
+
+
+@pytest.mark.parametrize("pressure_mbar", [1e-2, 1.0])
+def test_thermal_record_does_not_depend_on_the_chunk_length(monkeypatch, config, pressure_mbar):
+    """Chunks of other multiples of BLOCK_SAMPLES simulate the same samples bit for bit, burn-in included.
+
+    At 1e-2 mbar the 91k-sample burn-in ends inside a chunk; at 1 mbar the scan's blocks are shorter than a chunk.
+    """
+    damped = dataclasses.replace(config, pressure_mbar=pressure_mbar)
+    dq = derive(damped)
+    records = []
+    for chunk in (artifacts.CHUNK_SAMPLES, 2 * artifacts.BLOCK_SAMPLES, 5 * artifacts.BLOCK_SAMPLES):
+        monkeypatch.setattr(artifacts, "CHUNK_SAMPLES", chunk)
+        records.append(simulate_thermal(damped, dq, 0.03, 1e6, seed=8).z_m.tobytes())
+    assert records[1] == records[0] and records[2] == records[0]
 
 
 def test_nyquist_guard_names_minimum(config, dq):
@@ -226,6 +249,14 @@ def test_trajectory_npy_round_trip(tmp_path, damped_config, damped_dq):
     assert (back.seed, back.state_kind, back.meta) == (55, "thermal", traj.meta)
 
 
+def test_saved_trajectory_holds_the_bytes_np_save_writes(tmp_path, damped_config, damped_dq):
+    """The header for the known length, then every chunk appended: the file np.save writes for the whole array."""
+    traj = simulate_thermal(damped_config, damped_dq, 0.05, 1e6, seed=56)
+    save_trajectory(traj, tmp_path / "traj.npy")
+    np.save(tmp_path / "whole.npy", traj.z_m)
+    assert (tmp_path / "traj.npy").read_bytes() == (tmp_path / "whole.npy").read_bytes()
+
+
 def test_trajectory_csv_round_trip(tmp_path, damped_config, damped_dq):
     traj = simulate_thermal(damped_config, damped_dq, 0.01, 1e6, seed=55)
     path = tmp_path / "traj.csv"
@@ -279,13 +310,14 @@ def test_trajectory_load_rejects_non_finite_rows(tmp_path, dq, column, sidecar):
         load_trajectory(path)
 
 
-def lfilter_position(m, var_z, var_v, temp, x0, n_total, rng):
+def lfilter_position(m, var_z, var_v, temp, x0, n_total, z_rng, v_rng):
     """The AR(2) position recursion run through ``scipy.signal.lfilter``: the reference for the scan."""
     signal = pytest.importorskip("scipy.signal")
     tr_m = m[0, 0] + m[1, 1]
     det_m = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if temp > 0:
-        eta = _transition_noise_chol(m, var_z, var_v) @ rng.standard_normal((2, n_total - 1))
+        normals = np.stack([z_rng.standard_normal(n_total - 1), v_rng.standard_normal(n_total - 1)])
+        eta = _transition_noise_chol(m, var_z, var_v) @ normals
     else:
         eta = np.zeros((2, n_total - 1))
     z = np.empty(n_total)
@@ -312,7 +344,7 @@ def test_position_scan_matches_lfilter(dq, xi_over_omega, temperature_K, n_total
     var_z, var_v = equipartition_var(dq, temperature_K), KB * temperature_K / dq.mass_kg
     x0 = np.array([1e-9, 2e-4]) if temperature_K == 0 else np.array([math.sqrt(var_z), 0.0])
     args = (m, var_z, var_v, temperature_K, x0, n_total)
-    scan = _propagate_position(*args, np.random.default_rng(5))
-    reference = lfilter_position(*args, np.random.default_rng(5))
+    scan = np.concatenate(list(_propagate_position(*args, *noise_streams(5))))
+    reference = lfilter_position(*args, *noise_streams(5))
     assert np.all(np.isfinite(scan))
     assert np.max(np.abs(scan - reference)) <= 1e-9 * np.max(np.abs(reference))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from levitomo import spectral
+from levitomo import artifacts, spectral
 from levitomo.dynamics import simulate_thermal
 from levitomo.errors import SpectralError
 from levitomo.physics import derive
@@ -240,6 +240,38 @@ def test_fit_matches_scipy_least_squares(config, pressure_mbar, seed):
     fitted = np.array([fit.omega0_rad_s, fit.linewidth_rad_s, fit.amplitude, fit.noise_floor])
     assert fitted[0] == pytest.approx(reference[0], rel=1e-6)
     assert np.all(np.abs(fitted - reference) <= 1e-3 * np.sqrt(np.diag(fit.covariance)))
+
+
+def test_welch_does_not_depend_on_the_chunks():
+    """Chunks of any length up to a chunk give the spectrum of the whole record bit for bit."""
+    x = np.random.default_rng(4).standard_normal(100_003)
+    whole = estimate_psd(x, 1e6, 4096, 0.75)
+
+    def read():
+        first, sizes = 0, (1, 4093, artifacts.CHUNK_SAMPLES, 7)
+        while first < x.size:
+            size = sizes[first % len(sizes)]
+            yield x[first : first + size]
+            first += size
+
+    chunked = estimate_psd(artifacts.Series(x.size, read), 1e6, 4096, 0.75)
+    assert chunked.power.tobytes() == whole.power.tobytes()
+    assert chunked.n_segments == whole.n_segments
+
+
+@pytest.mark.parametrize("seed", [5, 6, 9])
+def test_line_guess_starts_a_broad_line_near_its_width(damped_config, damped_dq, seed):
+    """1 s at 1 mbar: the starting linewidth lies within 3x of the fitted one.
+
+    The run of bins above half power, the earlier start, ended at the first
+    noisy bin and started these lines 70 to 220 times too narrow.
+    """
+    traj = simulate_thermal(damped_config, damped_dq, 1.0, 1e6, seed=seed)
+    psd = estimate_psd(traj.z_m, traj.sample_rate_Hz, 1 << 17)
+    f0 = damped_dq.omega_s_rad_s / TWO_PI
+    window = (0.5 * f0, 1.5 * f0)
+    start, fitted = _line_guess(psd, window)[1], fit_lorentzian(psd, window).linewidth_rad_s
+    assert fitted / 3.0 <= start <= 3.0 * fitted
 
 
 def test_fit_that_does_not_converge_raises(monkeypatch):

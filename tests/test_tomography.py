@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import threading
 import tracemalloc
 from dataclasses import asdict
 
@@ -345,6 +346,35 @@ def test_inverse_radon_bitwise_whatever_the_worker_count(monkeypatch, n_angles, 
     finally:
         sys.setswitchinterval(interval)
     assert values[1] == values[0] and values[2] == values[0]
+
+
+def test_small_grids_back_project_on_the_calling_thread(monkeypatch):
+    """On two CPUs, 90 x 129 is summed by the calling thread alone and 720 x 513 by it and one thread more."""
+    monkeypatch.setattr(tomography.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(tomography.threading, "Thread", CountedThread)
+    for n_angles, n_z, workers in ((90, 129, 1), (720, 513, 2)):
+        assert tomography._worker_count(n_angles * n_z * n_z) == workers
+        started.clear()
+        inverse_radon(random_marginals(lattice(n_angles), n_z, seed=n_angles))
+        assert len(started) == workers - 1, (n_angles, n_z)
+
+
+def test_binning_does_not_depend_on_the_chunk_length(monkeypatch, damped_config, damped_dq):
+    """The grid's spread and the counts of every chunk add up to the same marginals bit for bit."""
+    traj = simulate_thermal(damped_config, damped_dq, 0.05, 1e6, seed=63, temperature_K=0.03)
+    sets = []
+    for chunk in (tomography.artifacts.BLOCK_SAMPLES, 3 * tomography.artifacts.BLOCK_SAMPLES):
+        monkeypatch.setattr(tomography.artifacts, "CHUNK_SAMPLES", chunk)
+        marginals = bin_marginals(traj, damped_dq.omega_s_rad_s, 16)
+        sets.append((marginals.z_grid_m.tobytes(), marginals.densities.tobytes()))
+    assert sets[1] == sets[0]
 
 
 def test_failing_worker_fails_the_reconstruction(monkeypatch):
