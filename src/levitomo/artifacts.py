@@ -5,7 +5,8 @@ which files a run wrote: each open :func:`journal` gets the path of every file
 before the file is opened.
 
 JSON is written with two-space indentation and sorted keys, one trailing
-newline on disk.
+newline on disk, and finite numbers only: a NaN or an infinity fails the write
+with an ``ArtifactError``.
 
 Every numeric table (a bulk series, a spectrum, the marginals, the Wigner
 grid, the decoherence curve) is one little-endian float64 ``.npy`` array,
@@ -33,6 +34,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+
+from .errors import ArtifactError
 
 # samples per chunk of a record: 128 kB per float64 array, so a stage's dozen chunk-sized temporaries stay near a
 # MB. Measured on the reference run, 2^14 peaks 0.6 MB below 2^15 and 2.7 MB below 2^16 at 0.1 s, in the same
@@ -67,14 +70,25 @@ def _create(path: str | Path) -> Path:
 
 
 def dumps(payload) -> str:
-    """The JSON text of a report, as written to disk and printed."""
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """The JSON text of a report, as written to disk and printed; NaN or infinity in it is an ``ArtifactError``."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ArtifactError("the report holds NaN or infinity, which JSON cannot store") from None
 
 
 def write_json(path: str | Path, payload) -> Path:
-    """Write ``payload`` to ``path`` as JSON and return the path."""
+    """Write ``payload`` to ``path`` as JSON and return the path.
+
+    The file is opened first, so a payload ``dumps`` refuses leaves it empty
+    and journaled, for the failed run to mark.
+    """
     path = _create(path)
-    path.write_text(dumps(payload) + "\n")
+    with path.open("w") as fh:
+        try:
+            fh.write(dumps(payload) + "\n")
+        except ArtifactError as exc:
+            raise ArtifactError(f"{path}: {exc}") from None
     return path
 
 

@@ -33,8 +33,8 @@ prints the body's report (``derive``, ``tomo``) or ``wrote`` and every file
 written. On failure it renames every file written to ``<name>.partial``, and
 so too the results an earlier pipeline run's ``manifest.json`` lists in
 ``--out``, and exits 2 for a configuration error or 3 for a stage failure, a
-file that cannot be read or written or an array too large to allocate, with
-one line on stderr.
+file that cannot be read or written, a report that holds NaN or infinity or an
+array too large to allocate, with one line on stderr.
 """
 
 from __future__ import annotations

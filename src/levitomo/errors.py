@@ -23,3 +23,7 @@ class TomographyError(LevitomoError):
 
 class SpectralError(LevitomoError):
     """Spectral estimation or fitting failed."""
+
+
+class ArtifactError(LevitomoError):
+    """A result holds a value its file format cannot store: NaN or infinity in a JSON report."""

@@ -148,6 +148,22 @@ class LorentzianFit:
     covariance: np.ndarray  # 4x4, parameter order (omega0, xi, amplitude, floor)
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D array, bit for bit, from one partition.
+
+    numpy's own median checks for NaN through ``numpy.ma``, whose import costs
+    a fresh process about 17 ms. The partition also puts the largest value
+    last, so a NaN anywhere gives NaN, as there; two middle values are
+    averaged as ``np.mean`` averages them, (a + b) / 2.
+    """
+    n = values.size
+    middle = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    part = np.partition(values, middle + [n - 1])
+    if np.isnan(part[-1]):
+        return math.nan
+    return float(part[n // 2] if n % 2 else (part[n // 2 - 1] + part[n // 2]) / 2.0)
+
+
 def _oscillator_psd(freqs_Hz: np.ndarray, omega0: float, xi: float, amplitude: float, floor: float):
     omega = TWO_PI * freqs_Hz
     return amplitude / ((omega**2 - omega0**2) ** 2 + (xi * omega) ** 2) + floor
@@ -163,7 +179,7 @@ def _line_guess(psd: Psd, guess_window: tuple[float, float]) -> np.ndarray:
     p_win = psd.power[in_window]
     peak_idx = int(np.argmax(p_win))
     peak_power = p_win[peak_idx]
-    window_median = float(np.median(p_win))
+    window_median = _median(p_win)
     interior = 0 < peak_idx < p_win.size - 1
     if not interior or peak_power < PEAK_OVER_MEDIAN * window_median:
         raise SpectralError(
@@ -173,7 +189,7 @@ def _line_guess(psd: Psd, guess_window: tuple[float, float]) -> np.ndarray:
         )
 
     f_peak = f_win[peak_idx]
-    floor0 = float(np.median(psd.power))
+    floor0 = _median(psd.power)
     df = f_win[1] - f_win[0]
     # the width from the line's area: a line of peak excess P and width xi holds P xi / 4 of excess power over
     # frequency. Summed over the window, the area holds up on a broad line, where noisy bins would end a run of
@@ -342,7 +358,7 @@ def peak_snr(psd: Psd) -> tuple[float, float, float]:
     off_peak = np.abs(psd.freqs_Hz - peak_freq) > 0.25 * peak_freq
     if not np.any(off_peak):
         raise SpectralError("spectrum too short to estimate an off-resonance floor")
-    floor = float(np.median(psd.power[off_peak]))
+    floor = _median(psd.power[off_peak])
     peak = float(psd.power[peak_idx])
     return floor, peak, 10.0 * math.log10(peak / floor) if floor > 0 else math.inf
 

@@ -6,28 +6,28 @@ z cos(theta) + (p / m omega) sin(theta). Histogramming samples by phase yields
 the marginals mu(z; theta); the Wigner function follows from the inverse Radon
 transform, implemented as ramp-filtered back-projection:
 
-  1. real FFT of each marginal along z (zero-padded against wrap-around);
+  1. real FFT of each row along z (zero-padded against wrap-around);
   2. multiply by the half-spectrum of the ramp |nu|, apodized with a Hann
      window up to a cutoff;
-  3. inverse real FFT. Steps 1-3 take BLOCK_ROWS marginals at a time into
-     one (n_angles, n_z) result, so the padded spectra never hold more than
-     one block, whatever the angle count;
+  3. inverse real FFT. Steps 1-3 take BLOCK_ROWS rows at a time, so the
+     padded spectra never hold more than one block, whatever the angle count;
   4. back-project with linear interpolation onto a square (z, p/m omega) grid,
-     each angle weighted by pi / n_angles. The angles are taken one
-     quarter-turn orbit (theta, theta + pi/2, theta + pi, theta + 3 pi/2) at a
-     time. The position grid is symmetric about 0, so the projection at
-     theta + pi is the mirror image of the one at theta: its filtered row,
-     reversed, is added to theta's and the sum is back-projected once. On the
-     square output grid the sample points of theta + pi/2 are those of theta
-     turned a quarter turn, so its folded row is gathered with theta's
-     interpolation indices and weights and the result is turned back. An
-     angle without partners is an orbit of its own. The output rows are
-     back-projected BLOCK_ROWS at a time, each block by one of as many workers
-     as the process may use CPUs (no more than there are blocks, and none
-     with fewer than MIN_POINTS_PER_WORKER samples to interpolate); the
-     calling thread is one of them, and numpy releases the GIL in the gathers
-     and arithmetic. A block adds the orbits in one order whatever thread
-     sums it, so the result is the same bit for bit on any number of CPUs.
+     each angle weighted by pi / n_angles.
+
+The angles are taken one dihedral group at a time: those whole quarter turns
+from theta or from -theta, the eight-fold symmetry of back-projection on a
+square grid (Kak & Slaney, Principles of Computerized Tomographic Imaging,
+ch. 3). On the symmetric position grid the marginal at phi + pi is the mirror
+image of phi's and is folded onto it before steps 1-3, so a group's up to
+eight marginals become four filtered rows. theta's interpolation indices and
+weights serve all four, which are gathered as two complex tables (see
+``inverse_radon``). An angle without partners is a group of its own.
+The output rows are back-projected BLOCK_ROWS at a time, each block by one of
+as many workers as the process may use CPUs (no more than there are blocks,
+and none with fewer than MIN_POINTS_PER_WORKER samples to interpolate); the
+calling thread is one of them, and numpy releases the GIL in the gathers and
+arithmetic. A block adds the groups in one order whatever thread sums it, so
+the result is the same bit for bit on any number of CPUs.
 
 The momentum axis is expressed in position-equivalent units p/(m omega_s) so
 free evolution is literally a circular rotation of the grid. The zero-frequency
@@ -36,9 +36,10 @@ without it every filtered projection loses its constant mode and the total
 integral of the reconstruction drifts. The output square is inscribed in the
 marginal support (half-width z_max / sqrt(2)) so back-projection never reads
 outside measured data. ``analyze`` integrates its moments BLOCK_ROWS grid rows
-at a time as well. Besides the filtered rows, the same size as the marginals,
-a reconstruction holds two output-sized sums and one set of per-block
-temporaries per thread, and its analysis one output-sized array.
+at a time as well. Besides the folded rows, at most the size of the marginals,
+and their tables, a reconstruction holds one complex output-sized sum and one
+set of per-block temporaries per thread, and its analysis one output-sized
+array.
 """
 
 from __future__ import annotations
@@ -64,13 +65,14 @@ DEFAULT_GRID_POINTS = 129  # odd, symmetric about zero
 DEFAULT_SPAN_SIGMAS = 5.0
 PAD_FACTOR = 4
 QUARTER_TURN = 0.5 * math.pi
-ORBIT_TOLERANCE = 1e-9  # largest shift, in z bins, an orbit's shared indices may give a sample point
-# rows per block: marginals per pass of the ramp filter, output rows per pass over all orbits and grid rows
-# per pass of analyze, so each pass's temporaries stay in L2 cache whatever the grid's size
+ORBIT_TOLERANCE = 1e-9  # largest shift, in z bins, a group's shared indices may give a sample point
+# rows per block: rows per pass of the ramp filter, output rows per pass over all groups and grid rows per pass of
+# analyze, so each pass's temporaries stay in L2 cache whatever the grid's size
 BLOCK_ROWS = 64
 # interpolated samples (angles x output points) a back-projection worker must have to be worth its thread: measured
-# on two CPUs, a second worker costs more than it saves at 90 x 129 (1.5e6 samples: 19 against 22 ms), breaks even
-# near 90 x 257 (5.9e6: 35 against 33 ms) and saves 28 % at 720 x 513 (1.9e8: 0.52 against 0.38 s)
+# on two CPUs (medians of 61 runs), a second worker costs more than it saves at 90 x 129 (1.5e6 samples: 13.5
+# against 16.2 ms), breaks even near 90 x 225 (4.6e6: 25.1 against 24.8 ms), saves 19 % at 90 x 257 (5.9e6: 42
+# against 34 ms, 11 runs) and 37 % at 720 x 513 (1.9e8: 0.51 against 0.32 s)
 MIN_POINTS_PER_WORKER = 5_000_000
 
 
@@ -278,68 +280,56 @@ def _ramp_filter(n_fft: int, dz: float, cutoff_fraction: float) -> np.ndarray:
     return ramp * window
 
 
-def filtered_projections(marginals: MarginalSet, cutoff_fraction: float = 1.0) -> np.ndarray:
-    """Ramp-filter every marginal along z (step 1-3 of the reconstruction); a new (n_angles, n_z) array.
+def filtered_projections(rows: np.ndarray, dz: float, cutoff_fraction: float = 1.0) -> np.ndarray:
+    """Ramp-filter every row of densities on a z grid of step ``dz`` (steps 1-3 of the reconstruction); a new array.
 
-    ``BLOCK_ROWS`` marginals go through the padded transforms at a time. The
-    FFT transforms each row on its own, so the result equals the one-shot
+    ``BLOCK_ROWS`` rows go through the padded transforms at a time. The FFT
+    transforms each row on its own, so the result equals the one-shot
     transform of all rows bit for bit.
     """
-    dens = marginals.densities
-    n_z = dens.shape[1]
-    dz = marginals.z_grid_m[1] - marginals.z_grid_m[0]
+    n_z = rows.shape[1]
     n_fft = 1 << int(math.ceil(math.log2(PAD_FACTOR * n_z)))
     ramp = _ramp_filter(n_fft, dz, cutoff_fraction)
-    filtered = np.empty_like(dens)
-    for first in range(0, dens.shape[0], BLOCK_ROWS):
+    filtered = np.empty_like(rows)
+    for first in range(0, rows.shape[0], BLOCK_ROWS):
         block = slice(first, first + BLOCK_ROWS)
-        spectra = np.fft.rfft(dens[block], n=n_fft, axis=1)
+        spectra = np.fft.rfft(rows[block], n=n_fft, axis=1)
         spectra *= ramp
         filtered[block] = np.fft.irfft(spectra, n=n_fft, axis=1)[:, :n_z]
     return filtered
 
 
-def _quarter_turn_orbits(angles: np.ndarray, tolerance: float) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Group the angles into orbits whose members lie whole quarter turns apart, to within ``tolerance``.
+def _dihedral_groups(angles: np.ndarray, tolerance: float) -> list[tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+    """Group the angles so that each member lies whole quarter turns from its group's theta or from -theta, to within
+    ``tolerance``.
 
-    Returns ``(theta, members, quarters)`` per orbit: ``members`` index
-    ``angles``, ``theta`` is the angle of the first one, and ``members[k]``
-    lies ``quarters[k]`` (0 to 3) quarter turns beyond ``theta``. An angle
-    with no partner is an orbit of its own.
+    Returns ``(theta, members, quarters, mirrored)`` per group: ``members``
+    index ``angles``, ``theta`` is the angle of the first one, and
+    ``members[k]`` lies ``quarters[k]`` (0 to 3) quarter turns beyond -theta
+    where ``mirrored[k]``, else beyond theta; a member that is both (theta on
+    a multiple of pi/4) counts as direct. An angle with no partner is a group
+    of its own.
     """
     residues = np.mod(angles, QUARTER_TURN)
-    # a residue just short of a quarter turn belongs with those just above 0
-    residues[residues > QUARTER_TURN - tolerance] -= QUARTER_TURN
-    groups: list[list[int]] = []
+    # theta and -theta share this key: a residue and the quarter turn less it
+    keys = np.minimum(residues, QUARTER_TURN - residues)
+    indices: list[list[int]] = []
     start = -math.inf
-    for i in np.argsort(residues, kind="stable"):
-        if residues[i] - start > tolerance:
-            start = residues[i]
-            groups.append([])
-        groups[-1].append(i)
-    orbits = []
-    for group in groups:
+    for i in np.argsort(keys, kind="stable"):
+        if keys[i] - start > tolerance:
+            start = keys[i]
+            indices.append([])
+        indices[-1].append(i)
+    groups = []
+    for group in indices:
         members = np.array(group)
         theta = float(angles[members[0]])
-        quarters = np.rint((angles[members] - theta) / QUARTER_TURN).astype(np.int64) % 4
-        orbits.append((theta, members, quarters))
-    return orbits
-
-
-def _folded_rows(filtered: np.ndarray, members: np.ndarray, quarters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One orbit's filtered rows folded onto theta (row 0) and theta + pi/2 (row 1), with their slopes.
-
-    The row of theta + pi is added reversed to theta's, that of theta + 3 pi/2
-    to theta + pi/2's. Both tables end in an extra 0, the value of every sample
-    point outside the grid.
-    """
-    n_z = filtered.shape[1]
-    rows = np.zeros((2, n_z + 1))
-    for m, q in zip(members, quarters):
-        rows[q % 2, :n_z] += filtered[m] if q < 2 else filtered[m, ::-1]
-    slopes = np.zeros_like(rows)
-    slopes[:, : n_z - 1] = np.diff(rows[:, :n_z], axis=1)
-    return rows, slopes
+        direct = (angles[members] - theta) / QUARTER_TURN
+        mirror = (angles[members] + theta) / QUARTER_TURN
+        mirrored = np.abs(mirror - np.rint(mirror)) < np.abs(direct - np.rint(direct))
+        quarters = np.rint(np.where(mirrored, mirror, direct)).astype(np.int64) % 4
+        groups.append((theta, members, quarters, mirrored))
+    return groups
 
 
 def _worker_count(points: int) -> int:
@@ -349,30 +339,34 @@ def _worker_count(points: int) -> int:
     return max(1, min(cpus, points // MIN_POINTS_PER_WORKER))
 
 
-def _back_project_block(first: int, orbits: list, sums: tuple, buffers: tuple) -> None:
-    """Add every orbit, in order, into output rows ``first`` to ``first + BLOCK_ROWS`` of both sums.
+def _back_project_block(first: int, groups: list, total: np.ndarray, buffers: tuple) -> None:
+    """Add every group, in order, into output rows ``first`` to ``first + BLOCK_ROWS`` of the complex sum.
 
-    ``buffers`` are the ``(BLOCK_ROWS, n_z)`` arrays the block's sample points,
-    their z indices and one gathered row are written into. Every index lies in
-    [0, n_z], an out-of-grid point sent to the tables' trailing 0, so the
-    gathers clip nothing.
+    ``buffers`` are the ``(BLOCK_ROWS, n_z)`` arrays the block's sample
+    points, their z indices, one gathered row and the sum of the mirrored
+    tables are written into. The mirrored sum is added to the block with its
+    columns reversed once, after the last group. Every index lies in [0, n_z],
+    an out-of-grid point sent to the tables' trailing 0, so the gathers clip
+    nothing.
     """
-    n_z = sums[0].shape[1]
+    n_z = total.shape[1]
     block = slice(first, first + BLOCK_ROWS)
     n_rows = min(BLOCK_ROWS, n_z - first)
-    u, index, gathered = (buffer[:n_rows] for buffer in buffers)
-    for a, b, off_grid, rows, slopes, halves in orbits:
+    u, index, gathered, mirrored_sum = (buffer[:n_rows] for buffer in buffers)
+    mirrored_sum.fill(0.0)
+    part = total[block]
+    for a, b, off_grid, tables, slopes, mirrored in groups:
         np.add(a[block, None], b, out=u)
         np.copyto(index, u, casting="unsafe")
         if off_grid:
             index[(u < 0.0) | (u > n_z - 1)] = n_z
         u -= index
-        for h in halves:
-            part = sums[h][block]
-            part += np.take(rows[h], index, out=gathered, mode="clip")
-            np.take(slopes[h], index, out=gathered, mode="clip")
+        for table, slope, target in zip(tables, slopes, (part, mirrored_sum)[: 1 + mirrored]):
+            target += np.take(table, index, out=gathered, mode="clip")
+            np.take(slope, index, out=gathered, mode="clip")
             gathered *= u
-            part += gathered
+            target += gathered
+    part += mirrored_sum[:, ::-1]
 
 
 def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> WignerGrid:
@@ -385,18 +379,26 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
     is inscribed in the marginal support (half-width z[-1] / sqrt(2)), with as
     many points per axis as the position grid.
 
-    Each quarter-turn orbit of angles is back-projected once. The position grid
-    is symmetric about 0 (a ``MarginalSet`` invariant), so the projection at
-    theta + pi samples s -> -s and folds onto theta's row reversed. The output
-    axis is symmetric too, so s_{theta + pi/2}[i, j] = s_theta[j, n - 1 - i]:
-    the folded row of theta + pi/2 is gathered with theta's indices and
-    weights into a second sum, which is added turned by np.rot90
-    (rot90(G)[i, j] = G[j, n - 1 - i]). Angles join an orbit when they lie
-    whole quarter turns apart to within an angle that moves no sample point by
-    more than ``ORBIT_TOLERANCE`` of a z bin; any angle set, of any size, goes
-    this one way. Each ``BLOCK_ROWS`` block of output rows is summed by one
-    worker, the calling thread or a thread of its own; an exception in a
-    worker is raised here.
+    The angles are back-projected one dihedral group at a time: theta and
+    -theta, each plus whole quarter turns, share one set of interpolation
+    indices and weights. The position grid is symmetric about 0 (a
+    ``MarginalSet`` invariant), so the projection at phi + pi samples s -> -s
+    and folds onto phi's row reversed. The folding is done on the densities,
+    before the ramp filter, which is real, linear and even: a group's four
+    folded rows (theta, theta + pi/2, -theta, -theta + pi/2) are filtered in
+    place of its up to eight marginals. The output axis is symmetric too, so
+    s_{theta + pi/2}[i, j] = s_theta[j, n - 1 - i] and
+    s_{-theta}[i, j] = s_theta[i, n - 1 - j]. Each group has two complex
+    tables, for theta and for -theta, whose real part is the row of the angle
+    and whose imaginary part is the row a quarter turn on. Both are gathered
+    with theta's indices into one complex sum, the table of -theta with its
+    columns reversed, and the result is the real part plus the imaginary part
+    turned by np.rot90 (rot90(G)[i, j] = G[j, n - 1 - i]). Angles join a group
+    when they lie whole quarter turns from theta or -theta to within an angle
+    that moves no sample point by more than ``ORBIT_TOLERANCE`` of a z bin;
+    any angle set, of any size, goes this one way. Each ``BLOCK_ROWS`` block of
+    output rows is summed by one worker, the calling thread or a thread of its
+    own; an exception in a worker is raised here.
     """
     if not 0.0 < cutoff_fraction <= 1.0:
         raise TomographyError("cutoff_fraction must be in (0, 1]")
@@ -406,27 +408,43 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
     if n_z < MIN_GRID_SIZE:
         raise TomographyError(f"output grid must have at least {MIN_GRID_SIZE} points per axis")
 
-    filtered = filtered_projections(marginals, cutoff_fraction)
     z_max = float(z_grid[-1])
     dz = 2.0 * z_max / (n_z - 1)
     axis = np.linspace(-z_max / math.sqrt(2.0), z_max / math.sqrt(2.0), n_z)
     angles = marginals.angles_rad
-    orbits = []
-    for theta, members, quarters in _quarter_turn_orbits(angles, ORBIT_TOLERANCE * dz / z_max):
-        rows, slopes = _folded_rows(filtered, members, quarters)
+    groups = _dihedral_groups(angles, ORBIT_TOLERANCE * dz / z_max)
+    # row 4 g + 2 m + h of the folded densities: group g's theta (m = 0) or -theta (m = 1), plus h quarter turns
+    folded = np.zeros((4 * len(groups), n_z))
+    for g, (_, members, quarters, mirrored) in enumerate(groups):
+        for k, q, m in zip(members, quarters, mirrored):
+            folded[4 * g + 2 * m + q % 2] += marginals.densities[k] if q < 2 else marginals.densities[k, ::-1]
+    filtered = filtered_projections(folded, z_grid[1] - z_grid[0], cutoff_fraction).reshape(len(groups), 2, 2, n_z)
+    del folded
+    # tables[g, m]: row of theta (m = 0) or -theta (m = 1) + i (row a quarter turn on), then the off-grid 0
+    tables = np.zeros((len(groups), 2, n_z + 1), dtype=complex)
+    tables.real[..., :n_z] = filtered[:, :, 0]
+    tables.imag[..., :n_z] = filtered[:, :, 1]
+    del filtered
+    slopes = np.zeros_like(tables)
+    slopes[..., : n_z - 1] = np.diff(tables[..., :n_z], axis=-1)
+    work_list = []
+    for g, (theta, _, _, mirrored) in enumerate(groups):
         # s = z cos(theta) + p sin(theta) on the grid as a fractional z index: u[i, j] = a[i] + b[j]
         a = (axis * math.cos(theta) + z_max) / dz
         b = axis * math.sin(theta) / dz
         off_grid = a.min() + b.min() < 0.0 or a.max() + b.max() > n_z - 1  # by rounding at most
-        orbits.append((a, b, off_grid, rows, slopes, np.unique(quarters % 2)))
-    del filtered  # the folded rows hold all the orbits read
-    # sums[0] gathers the rows of theta, sums[1] those of theta + pi/2 on theta's sample points
-    sums = (np.zeros((n_z, n_z)), np.zeros((n_z, n_z)))
+        work_list.append((a, b, off_grid, tables[g], slopes[g], bool(mirrored.any())))
+    total = np.zeros((n_z, n_z), dtype=complex)
     workers = min(-(-n_z // BLOCK_ROWS), _worker_count(angles.size * n_z * n_z))  # at most one per row block
-    # each worker's u, index and gathered row, allocated here: a worker thread that allocated its own would get a
-    # malloc arena of its own, and the process would keep each arena's pages
+    # each worker's u, index, gathered row and mirrored sum, allocated here: a worker thread that allocated its own
+    # would get a malloc arena of its own, and the process would keep each arena's pages
     buffers = [
-        (np.empty((BLOCK_ROWS, n_z)), np.empty((BLOCK_ROWS, n_z), dtype=np.intp), np.empty((BLOCK_ROWS, n_z)))
+        (
+            np.empty((BLOCK_ROWS, n_z)),
+            np.empty((BLOCK_ROWS, n_z), dtype=np.intp),
+            np.empty((BLOCK_ROWS, n_z), dtype=complex),
+            np.empty((BLOCK_ROWS, n_z), dtype=complex),
+        )
         for _ in range(workers)
     ]
     errors = []
@@ -434,7 +452,7 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
     def work(k):
         try:
             for first in range(k * BLOCK_ROWS, n_z, workers * BLOCK_ROWS):
-                _back_project_block(first, orbits, sums, buffers[k])
+                _back_project_block(first, work_list, total, buffers[k])
         except BaseException as exc:  # re-raised by the caller, so no partial sum is returned
             errors.append(exc)
 
@@ -446,8 +464,8 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
         thread.join()
     if errors:
         raise errors[0]
-    values, turned = sums
-    values += np.rot90(turned)
+    del work_list, tables, slopes, buffers  # before the result is allocated: the sum holds all they gave
+    values = total.real + np.rot90(total.imag)
     values *= math.pi / angles.size
     return WignerGrid(axis_m=axis, values=values)
 
@@ -493,7 +511,8 @@ def analyze(w: WignerGrid) -> WignerReport:
     The Gaussian surface is built from the grid's first and second moments and
     r^2 measures how much of the grid's variance that surface explains. The
     moments are integrated ``BLOCK_ROWS`` rows at a time; the residual sums
-    take one grid-sized array.
+    take one grid-sized array, and are taken over values divided by the peak
+    |W|. A covariance that is not positive definite is an error.
     """
     values = w.values
     if not np.all(np.isfinite(values)):
@@ -528,7 +547,7 @@ def analyze(w: WignerGrid) -> WignerReport:
     cov_pp = int_pp / total
     cov_zp = int_zp / total
     det = cov_zz * cov_pp - cov_zp**2
-    if det <= 0:
+    if cov_zz <= 0 or det <= 0:
         raise TomographyError("moment covariance is not positive definite")
     inv_zz, inv_pp, inv_zp = cov_pp / det, cov_zz / det, -cov_zp / det
     dz_c = axis - mean_z
@@ -540,10 +559,14 @@ def analyze(w: WignerGrid) -> WignerReport:
     gauss *= -0.5
     np.exp(gauss, out=gauss)
     gauss *= total / (TWO_PI * math.sqrt(det))
+    # both sums in units of the peak |W|, so no square overflows whatever the grid's unit
+    peak = float(np.max(np.abs(values)))
     residual = np.subtract(values, gauss, out=gauss)
+    residual /= peak
     residual **= 2
     ss_res = float(np.sum(residual))
     residual = np.subtract(values, values.mean(), out=residual)
+    residual /= peak
     residual **= 2
     ss_tot = float(np.sum(residual))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0

@@ -102,8 +102,9 @@ def reference_analyze(w: WignerGrid) -> WignerReport:
         / (TWO_PI * math.sqrt(det))
         * np.exp(-0.5 * (inv_zz * dz_c**2 + 2.0 * inv_zp * dz_c * dp_c + inv_pp * dp_c**2))
     )
-    ss_res = float(np.sum((values - gauss) ** 2))
-    ss_tot = float(np.sum((values - values.mean()) ** 2))
+    peak = float(np.max(np.abs(values)))
+    ss_res = float(np.sum(((values - gauss) / peak) ** 2))
+    ss_tot = float(np.sum(((values - values.mean()) / peak) ** 2))
     return WignerReport(
         total_integral=total,
         min_value=float(values.min()),

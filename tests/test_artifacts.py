@@ -5,6 +5,7 @@ import pytest
 
 from levitomo import artifacts
 from levitomo.artifacts import Series
+from levitomo.errors import ArtifactError, LevitomoError
 
 
 def irregular(values, sizes):
@@ -58,3 +59,15 @@ def test_a_record_in_memory_stays_in_memory():
     series = Series.of(values)
     assert artifacts.like(values, series.map(np.negative)).tolist() == [-0.0, -1.0, -2.0, -3.0, -4.0]
     assert isinstance(artifacts.like(series, series), Series)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_json_holds_no_nan_or_infinity(tmp_path, value):
+    """A non-finite number is refused with a named error, not written as the non-JSON ``Infinity`` or ``NaN``."""
+    path = tmp_path / "report.json"
+    with artifacts.journal() as written, pytest.raises(ArtifactError, match="report.json"):
+        artifacts.write_json(path, {"x": value})
+    assert issubclass(ArtifactError, LevitomoError)
+    assert written == [path] and path.read_text() == ""
+    with pytest.raises(ArtifactError):
+        artifacts.dumps({"nested": {"x": [1.0, value]}})

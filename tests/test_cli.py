@@ -4,7 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -195,11 +195,16 @@ def test_every_setting_default_has_its_annotated_type(cls, count):
         assert type(f.default).__name__ == f.type, f.name
 
 
-def loaded_scipy_modules(code: str) -> set[str]:
-    """The scipy modules loaded by a fresh interpreter that runs ``code`` with this package on its path."""
+def loaded_modules(code: str, package: str) -> set[str]:
+    """``package`` and its modules one level down, as far as a fresh interpreter that runs ``code`` with this package
+    on its path loaded them."""
     src = str(Path(levitomo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    report = "import sys; print(*(m for m in sys.modules if m.split('.')[0] == 'scipy' and m.count('.') < 2))"
+    depth = package.count(".") + 1
+    report = (
+        "import sys; print(*(m for m in sys.modules"
+        f" if m.split('.')[:{depth}] == {package.split('.')!r} and m.count('.') <= {depth}))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"], env=env, capture_output=True, text=True, check=True
     )
@@ -212,7 +217,7 @@ def test_cli_import_loads_no_scipy():
     The runs themselves load none either, see
     ``test_thermal_runs_load_no_scipy``.
     """
-    loaded = loaded_scipy_modules("import levitomo.cli")
+    loaded = loaded_modules("import levitomo.cli", "scipy")
     assert not loaded, f"import levitomo.cli loaded {sorted(loaded)}"
 
 
@@ -230,7 +235,26 @@ def test_thermal_runs_load_no_scipy(tmp_path):
         f"    assert main({argv!r}) == 0\n"
         f"    assert main({psd_argv!r}) == 0"
     )
-    loaded = loaded_scipy_modules(code)
+    loaded = loaded_modules(code, "scipy")
+    assert not loaded, f"the runs loaded {sorted(loaded)}"
+
+
+def test_runs_import_no_numpy_ma(tmp_path):
+    """A fock1 pipeline and a 0.05 s thermal pipeline never import ``numpy.ma``, about 17 ms of a fresh process.
+
+    ``np.median`` and ``np.unique`` would: the line fit takes its medians from a partition.
+    """
+    fock = ["pipeline", "--state", "fock1", "--out", str(tmp_path / "fock")]
+    thermal = ["pipeline", "--seed", "1", "--out", str(tmp_path / "thermal"), "--set", "sim_duration_s=0.05"]
+    code = (
+        "from contextlib import redirect_stdout\n"
+        "from io import StringIO\n"
+        "from levitomo.cli import main\n"
+        "with redirect_stdout(StringIO()):\n"
+        f"    assert main({fock!r}) == 0\n"
+        f"    assert main({thermal!r}) == 0"
+    )
+    loaded = loaded_modules(code, "numpy.ma")
     assert not loaded, f"the runs loaded {sorted(loaded)}"
 
 
@@ -485,6 +509,17 @@ def test_failed_subcommand_marks_every_file_it_wrote(tmp_path, capsys, command, 
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
     assert sorted(path.name for path in out.iterdir()) == sorted([blocked] + [name + ".partial" for name in written])
+
+
+def test_non_finite_report_is_a_stage_failure(tmp_path, capsys, monkeypatch):
+    """A report that holds an infinity, which JSON cannot store, fails the stage; its file is left ``.partial``."""
+    analyze = tomography.analyze
+    monkeypatch.setattr(tomography, "analyze", lambda w: replace(analyze(w), min_value=-math.inf))
+    assert run(["pipeline", "--state", "fock1", "--seed", 1, "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline stage failed:") and "analyze.json" in err and "NaN or infinity" in err
+    assert (tmp_path / "analyze.json.partial").is_file() and not (tmp_path / "analyze.json").exists()
+    assert (tmp_path / "wigner.npy.partial").is_file() and not (tmp_path / "manifest.json").exists()
 
 
 def test_failed_back_projection_worker_is_a_stage_failure(tmp_path, capsys, monkeypatch):

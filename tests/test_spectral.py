@@ -151,6 +151,18 @@ def test_fitted_floor_tracks_injected_variance(damped_config, damped_dq):
     assert floors[1] / floors[0] == pytest.approx(2.0, rel=0.10)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 8193, 16384])
+@pytest.mark.parametrize("ties", [False, True])
+def test_median_equals_numpy_median_bitwise(n, ties):
+    """The partition median gives np.median's bytes for odd and even lengths, with and without tied values."""
+    values = np.random.default_rng(n).standard_normal(n) * 1e-20
+    if ties:
+        values = np.round(values * 1e20) * 0.1  # a handful of distinct values, each many times over
+    assert np.float64(spectral._median(values)).tobytes() == np.median(values).tobytes()
+    values[n // 2] = math.nan
+    assert math.isnan(spectral._median(values)) and math.isnan(np.median(values))
+
+
 def test_peak_snr_is_the_peak_bin_over_the_off_peak_median():
     freqs = np.arange(1.0, 101.0)
     power = np.full(100, 2.0)

@@ -258,6 +258,13 @@ def lattice(n_angles, shift=0.0):
     return (TWO_PI * (np.arange(n_angles) + shift) / n_angles) % TWO_PI
 
 
+def mirror_partners_off_by(offset):
+    """``lattice(16, shift=0.5)``, whose angles k and 15 - k are mirror partners, with the second half moved."""
+    angles = lattice(16, shift=0.5)
+    angles[8:] += offset
+    return angles
+
+
 @pytest.mark.parametrize(
     "angles, n_z, cutoff",
     [
@@ -266,17 +273,50 @@ def lattice(n_angles, shift=0.0):
         (lattice(13), 129, 1.0),
         (lattice(16, shift=3), 129, 1.0),
         (lattice(16, shift=0.3), 129, 1.0),
+        (lattice(16, shift=0.5), 129, 1.0),
+        (lattice(91), 129, 1.0),
+        (np.random.default_rng(40).random(40) * TWO_PI, 129, 1.0),
+        (mirror_partners_off_by(1e-13), 129, 1.0),
     ],
-    ids=["720x513", "90x129-cutoff-half", "13-angles", "16-angles-from-bin-3", "16-angles-off-lattice"],
+    ids=[
+        "720x513",
+        "90x129-cutoff-half",
+        "13-angles",
+        "16-angles-from-bin-3",
+        "16-angles-off-lattice",
+        "16-angles-mirror-partners",
+        "91-angles",
+        "40-random-unsorted-angles",
+        "mirror-partners-1e-13-off",
+    ],
 )
 def test_inverse_radon_matches_per_angle_reference(angles, n_z, cutoff):
-    """Folding theta + pi and turning theta's samples for theta + pi/2 reproduce the per-angle loop."""
+    """Folding theta + pi and -theta and gathering every member of a group at theta's samples reproduce the
+    per-angle loop."""
     marginals = random_marginals(angles, n_z, seed=angles.size)
     w = inverse_radon(marginals, cutoff_fraction=cutoff)
     reference = reference_inverse_radon(marginals, cutoff_fraction=cutoff)
     np.testing.assert_array_equal(w.axis_m, reference.axis_m)
     peak = np.max(np.abs(reference.values))
     assert np.max(np.abs(w.values - reference.values)) <= 1e-10 * peak
+
+
+@pytest.mark.parametrize(
+    "angles, n_groups, n_mirrored",
+    [(lattice(720), 91, 89), (lattice(90), 23, 22), (lattice(91), 46, 45), (lattice(13), 7, 6), (lattice(16, 0.3), 4, 0)],
+    ids=["720", "90", "91", "13", "16-off-lattice"],
+)
+def test_dihedral_groups(angles, n_groups, n_mirrored):
+    """Each angle lies in one group, whole quarter turns from its theta or, where mirrored, from -theta."""
+    groups = tomography._dihedral_groups(angles, 1e-12)
+    assert len(groups) == n_groups
+    assert sum(bool(mirrored.any()) for _, _, _, mirrored in groups) == n_mirrored
+    members = np.concatenate([group[1] for group in groups])
+    assert np.array_equal(np.sort(members), np.arange(angles.size))
+    for theta, members, quarters, mirrored in groups:
+        start = np.where(mirrored, -theta, theta)
+        residual = np.angle(np.exp(1j * (angles[members] - start - quarters * math.pi / 2)))
+        assert np.all(np.abs(residual) <= 1e-12)
 
 
 @pytest.mark.parametrize("cutoff", [1.0, 0.5])
@@ -287,7 +327,7 @@ def test_filtered_projections_match_complex_fft(kind, cutoff):
         marginals = oracle_marginals("fock1", angles, np.linspace(-5.0, 5.0, 513), z_zpf_m=1.0 / math.sqrt(2.0))
     else:
         marginals = random_marginals(angles, 513, seed=7)
-    filtered = filtered_projections(marginals, cutoff)
+    filtered = filtered_projections(marginals.densities, marginals.z_grid_m[1] - marginals.z_grid_m[0], cutoff)
     assert filtered.flags.c_contiguous and filtered.shape == marginals.densities.shape
     np.testing.assert_allclose(filtered, reference_filtered_projections(marginals, cutoff), rtol=0, atol=1e-14)
 
@@ -296,9 +336,10 @@ def test_filtered_projections_match_complex_fft(kind, cutoff):
 def test_filtered_projections_equal_oneshot_transform_bitwise(n_angles):
     """Filtering in blocks of rows gives the bytes of one batched transform of every row."""
     marginals = random_marginals(lattice(n_angles), 513, seed=n_angles)
+    dz = marginals.z_grid_m[1] - marginals.z_grid_m[0]
     for cutoff in (1.0, 0.5):
         np.testing.assert_array_equal(
-            filtered_projections(marginals, cutoff), oneshot_filtered_projections(marginals, cutoff)
+            filtered_projections(marginals.densities, dz, cutoff), oneshot_filtered_projections(marginals, cutoff)
         )
 
 
@@ -330,7 +371,7 @@ def test_inverse_radon_working_set_at_720_by_513(monkeypatch):
     ids=["720x513", "90x129", "91x33-one-block", "13x201-partial-block"],
 )
 def test_inverse_radon_bitwise_whatever_the_worker_count(monkeypatch, n_angles, n_z):
-    """Each row block goes to one worker, which adds the orbits in one order: the bytes do not depend on the count.
+    """Each row block goes to one worker, which adds the groups in one order: the bytes do not depend on the count.
 
     The threads switch as often as the interpreter allows, so two workers that
     shared a row would lose an update.
@@ -491,6 +532,27 @@ def test_analyze_on_exact_gaussian():
     assert report.gaussian_fit.r_squared > 0.9999
     assert report.gaussian_fit.mean_z == pytest.approx(0.0, abs=1e-12)
     assert report.gaussian_fit.cov_zz == pytest.approx(1.0, rel=1e-3)
+
+
+def test_analyze_r_squared_does_not_overflow():
+    """The residual sums are taken in units of the peak: a grid 1e160 times larger has the same finite r^2."""
+    w = analytic_gaussian_grid(span=5.0, n=201)
+    w.values[100, 100] *= 1.01  # a residual to measure
+    report = analyze(w)
+    scaled = analyze(WignerGrid(w.axis_m, w.values * 1e160))
+    assert math.isfinite(scaled.gaussian_fit.r_squared)
+    assert scaled.gaussian_fit.r_squared == pytest.approx(report.gaussian_fit.r_squared, rel=0, abs=1e-12)
+
+
+def test_analyze_rejects_negative_variances():
+    """A narrow peak on a wider negative ring has a positive integral and a positive covariance determinant, but
+    negative variances: its moment Gaussian does not exist."""
+    axis = np.linspace(-4.0, 4.0, 129)
+    zz, pp = np.meshgrid(axis, axis, indexing="ij")
+    r2 = zz**2 + pp**2
+    values = np.exp(-r2 / 0.02) / (math.pi * 0.02) - 0.5 * r2 * np.exp(-r2) / math.pi
+    with pytest.raises(TomographyError, match="positive definite"):
+        analyze(WignerGrid(axis, values))
 
 
 def test_analyze_fock1_negativity_matches_quadrature():
