@@ -13,13 +13,13 @@ grid, the decoherence curve) is one little-endian float64 ``.npy`` array,
 written without pickling. Its axes and provenance go to a ``.json`` sidecar
 next to it, so the array holds no axis column or header.
 
-A record (a trajectory, a count series, an inverted series) is a
-:class:`Series`: ``n`` samples that are produced or read ``CHUNK_SAMPLES`` at
-a time, from memory, from a generator or from a ``.npy`` file, so no stage of
-the record chain holds a whole record. :func:`write_series` writes the
-``.npy`` header for the known length, then appends each chunk;
-:func:`read_series` reads a file back with plain reads, because the pages of a
-memory map count toward the resident set. A statistic of a whole record
+A record (a trajectory, a count series, the calibrated positions mapped from
+a count file) is a :class:`Series`: ``n`` samples that are produced or read
+``CHUNK_SAMPLES`` at a time, from memory, from a generator or from a ``.npy``
+file, so no stage of the record chain holds a whole record.
+:func:`write_series` writes the ``.npy`` header for the known length, then
+appends each chunk; :func:`read_series` reads a file back with plain reads,
+because the pages of a memory map count toward the resident set. A statistic of a whole record
 (:meth:`Series.moments`) runs over fixed ``BLOCK_SAMPLES`` blocks, so no
 artifact depends on the chunk length.
 """

@@ -13,18 +13,22 @@ Each subcommand other than ``pipeline`` loads its input and runs one stage of
 the pipeline through the same function and with the same stage seed, so
 ``simulate`` then ``detect`` with one ``--seed`` write the pipeline's files.
 Every table is a float64 ``.npy`` array whose axes are in its JSON sidecar:
-the four bulk series (``trajectory``, ``counts_ch``, ``counts_cbh``,
-``inverted``), the spectra, the marginals, the Wigner grid and the
-decoherence curve. A bulk series goes through a stage ``artifacts.CHUNK_SAMPLES``
-samples at a time: each stage writes its series chunk by chunk and the next
-reads the file back the same way, so no stage holds a whole record and the
-peak memory of a run does not grow with the record's length.
+the three bulk series (``trajectory``, ``counts_ch``, ``counts_cbh``), the
+head of the calibrated positions that ``fig2a`` plots, the spectra, the
+marginals, the Wigner grid and the decoherence curve. A bulk series goes
+through a stage ``artifacts.CHUNK_SAMPLES`` samples at a time: each stage
+writes its series chunk by chunk and the next reads the file back the same
+way, so no stage holds a whole record and the peak memory of a run does not
+grow with the record's length. The calibrated positions are not written: the
+invert stage records its map from counts to positions in
+``calibration.json``, and the tomography stage bins the primary scheme's
+counts file through that map as it reads it back.
 
 Every run is reproducible: (config, seed) determine all artifacts, and
-``manifest.json`` records the resolved configuration plus a digest of every
-file the run read or wrote. Wall-clock timings go to a sibling
-``timings.json``, deliberately outside the manifest so re-runs are
-byte-identical.
+``manifest.json`` records the settings the run read, with their resolved
+values, plus a digest of every file the run read or wrote. Wall-clock
+timings go to a sibling ``timings.json``, deliberately outside the manifest
+so re-runs are byte-identical.
 
 ``main`` drives every subcommand the same way. It resolves the settings
 before ``--out`` exists, then runs the subcommand's body inside an
@@ -69,6 +73,8 @@ _CHOICES = {
     "detection_model": ("linear", "exact"),  # exact handles large excursions, e.g. 300 K
     "calibration": ("auto", "linear", "equipartition"),
 }
+# samples of the calibrated positions that fig2a plots
+FIG2A_ROWS = 2000
 
 
 @dataclass(frozen=True)
@@ -174,35 +180,60 @@ def _sha256(path: Path) -> str:
 
 
 class RunManifest:
-    """Per-stage record of inputs, outputs and content digests."""
+    """Per-stage record of inputs, outputs and content digests, and of the settings the run read."""
 
-    def __init__(self, snapshot: dict, seed: int, out_dir: Path):
-        self.snapshot = snapshot
+    def __init__(self, seed: int, out_dir: Path):
         self.seed = seed
         self.out_dir = out_dir
+        self.config: dict = {}  # name -> value of every setting read through a ``recording`` copy
         self.stages: list[dict] = []
+        self.digests: dict[Path, str] = {}  # every output of the stages so far
         self.timings: dict[str, float] = {}
+
+    def recording(self, settings):
+        """A copy of the frozen dataclass ``settings`` that enters each field read from it, with its value, in the
+        manifest's ``config``, so the manifest lists the settings the run read and no other.
+
+        A property's body reads its fields through the copy, so they count as read too.
+        """
+        names, config = {f.name for f in fields(settings)}, self.config
+
+        class Recording(type(settings)):
+            def __getattribute__(self, name):
+                value = object.__getattribute__(self, name)
+                if name in names:
+                    config[name] = value
+                return value
+
+        copy = object.__new__(Recording)
+        copy.__dict__.update(vars(settings))  # no __init__: its checks would read every field
+        return copy
 
     @contextmanager
     def stage(self, name: str, inputs: dict[str, Path]):
-        """Run one stage; if it succeeds, record its inputs, every file it wrote and its time."""
+        """Run one stage; if it succeeds, record its inputs, every file it wrote and its time.
+
+        An input that an earlier stage wrote takes the digest recorded then; only other inputs are read to digest.
+        """
         start = time.perf_counter()
         with artifacts.journal() as written:
             yield
         self.timings[name] = time.perf_counter() - start
+        outputs = {path: _sha256(path) for path in sorted(written)}
         self.stages.append(
             {
                 "name": name,
-                "inputs": {key: _sha256(path) for key, path in sorted(inputs.items())},
-                "outputs": {str(path.relative_to(self.out_dir)): _sha256(path) for path in sorted(written)},
+                "inputs": {key: self.digests.get(path) or _sha256(path) for key, path in sorted(inputs.items())},
+                "outputs": {str(path.relative_to(self.out_dir)): digest for path, digest in outputs.items()},
             }
         )
+        self.digests.update(outputs)
 
     def write(self) -> None:
         manifest = {
             "package_version": __version__,
             "seed": self.seed,
-            "config": self.snapshot,
+            "config": self.config,
             "stages": self.stages,
         }
         artifacts.write_json(self.out_dir / "timings.json", {"timings_s": self.timings})
@@ -273,17 +304,28 @@ def _detect(config, settings, traj, seed, out_dir) -> dict[str, detection.CountR
     return records
 
 
-def _invert(settings, dq, record, out_dir) -> dynamics.Trajectory:
-    """Calibrated positions, read back from ``inverted.npy``; ``auto`` rescales to equipartition only a thermal
-    record with shot noise."""
+def _invert(settings, dq, record, counts_file, out_dir) -> dynamics.Trajectory:
+    """Calibrated positions of ``record``, whose counts are read back from ``counts_file``, mapped on each pass;
+    ``auto`` rescales to equipartition only a thermal record with shot noise.
+
+    ``calibration.json`` records the map: its constants, the counts file it applies to, and the time axis, so the
+    positions can be rebuilt from the counts. ``fig2a.npy`` holds the first ``FIG2A_ROWS`` positions, and its
+    sidecar their time axis.
+    """
     calibration = settings.calibration
     if calibration == "auto":
         thermal_noisy = settings.sim_state == "thermal" and settings.shot_noise
         calibration = "equipartition" if thermal_noisy else "linear"
-    target_var = KB * settings.sim_temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
-    inverted = detection.invert_counts(record, calibration=calibration, target_variance_m2=target_var)
-    dynamics.save_trajectory(inverted, out_dir / "inverted.npy")
-    return dynamics.read_trajectory(out_dir / "inverted.npy")
+    target_var = None
+    if calibration == "equipartition":
+        target_var = KB * settings.sim_temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
+    positions = detection.invert_counts(record, calibration=calibration, target_variance_m2=target_var)
+    axis = {"t0_s": positions.t0_s, "sample_rate_Hz": positions.sample_rate_Hz}
+    map_info = {"counts_file": counts_file, **positions.meta, **axis, "n_samples": len(positions.z_m)}
+    artifacts.write_json(out_dir / "calibration.json", map_info)
+    head = next(positions.series.blocks(FIG2A_ROWS))
+    artifacts.write_array(out_dir / "fig2a.npy", head, {**axis, "n_samples": head.size})
+    return positions
 
 
 def _psd(series, settings) -> spectral.Psd:
@@ -375,8 +417,10 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     """Resolve ``--config`` and ``--set``; a flag named after a setting (``--state``) overrides both.
 
     ``simulate`` refuses fock1 here, however the state was set, and a command
-    that simulates a record refuses a sample count that overflows and a
-    detection window that cannot tile the record, so these errors come before
+    that simulates a record refuses a sample count that overflows or is under
+    ``dynamics.MIN_SAMPLES``, and a detection window that cannot tile the
+    record; ``pipeline`` also refuses a window-rate record that holds fewer
+    than ``spectral.MIN_SEGMENTS`` Welch segments. So these errors come before
     ``--out`` exists. fock1 simulates nothing, so its record settings are not
     checked.
     """
@@ -391,10 +435,24 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
         duration, rate = settings.sim_duration_s, settings.sim_sample_rate_hz
         if not math.isfinite(duration * rate):
             raise ConfigError(f"sample count sim_duration_s * sim_sample_rate_hz overflows: {duration!r} * {rate!r}")
+        n_samples = int(round(duration * rate))
+        if n_samples < dynamics.MIN_SAMPLES:
+            raise ConfigError(
+                f"sim_duration_s * sim_sample_rate_hz = {n_samples} samples, need at least {dynamics.MIN_SAMPLES}"
+            )
         try:
-            detection.samples_per_window(config.integration_time_s, rate, int(round(duration * rate)))
+            per_window = detection.samples_per_window(config.integration_time_s, rate, n_samples)
         except DetectionError as exc:
             raise ConfigError(str(exc)) from None
+        if args.command == "pipeline":  # its spectra are of the counts, one sample per window
+            n_windows = n_samples // per_window
+            segment = _auto_segment_len(n_windows, settings.psd_segment_len)
+            n_segments = spectral.segment_count(n_windows, segment, settings.psd_overlap)
+            if n_segments < spectral.MIN_SEGMENTS:
+                raise ConfigError(
+                    f"the record's {n_windows} detection windows hold {n_segments} Welch segments of"
+                    f" psd_segment_len {segment} at psd_overlap {settings.psd_overlap}; need {spectral.MIN_SEGMENTS}"
+                )
     return config, settings
 
 
@@ -433,10 +491,12 @@ def cmd_pipeline(args, config, settings, out_dir) -> None:
     A fock1 run takes its marginals from the oracle and skips the record
     stages; every state then goes through the one tomography stage.
     """
-    manifest = RunManifest({**asdict(config), **asdict(settings)}, args.seed, out_dir)
+    manifest = RunManifest(args.seed, out_dir)
+    config, settings = manifest.recording(config), manifest.recording(settings)
     config_inputs = {"config_file": Path(args.config)} if args.config else {}
     dq = derive(config)
     figures: dict = {}
+    counts: dict[str, Path] = {}  # the primary scheme's counts file, which a record's reconstruction reads
 
     with manifest.stage("derive", config_inputs):
         artifacts.write_json(out_dir / "derived.json", asdict(dq))
@@ -448,16 +508,16 @@ def cmd_pipeline(args, config, settings, out_dir) -> None:
         with manifest.stage("detect", {"trajectory": out_dir / "trajectory.npy"}):
             records = _detect(config, settings, traj, args.seed, out_dir)
         primary = "cbh" if "cbh" in records else "ch"
+        counts = {"counts": out_dir / f"counts_{primary}.npy"}
 
-        with manifest.stage("invert", {}):
-            inverted = _invert(settings, dq, records[primary], out_dir)
+        with manifest.stage("invert", counts):
+            positions = _invert(settings, dq, records[primary], counts["counts"].name, out_dir)
         figures["fig2a"] = {
-            "file": "inverted.npy",
-            "time_axis": "inverted.json",
-            "x": "t_s",
+            "file": "fig2a.npy",
+            "time_axis": "fig2a.json",
+            "x": "t0_s + i / sample_rate_Hz",
             "y": "z_m",
             "kind": "line",
-            "rows": 2000,
         }
 
         with manifest.stage("spectral", {}):
@@ -472,13 +532,13 @@ def cmd_pipeline(args, config, settings, out_dir) -> None:
             "floors": {scheme: fit.noise_floor for scheme, fit in fits.items()},
         }
 
-    with manifest.stage("tomography", {}):
+    with manifest.stage("tomography", counts):
         if settings.sim_state == "fock1":  # the first excited state's oracle, in natural units (s = 1)
             angles = TWO_PI * np.arange(settings.n_angles) / settings.n_angles
             grid = np.linspace(-5.0, 5.0, settings.marginal_grid_points)
             marginals = tomography.oracle_marginals("fock1", angles, grid, z_zpf_m=1.0 / math.sqrt(2.0))
         else:
-            marginals = _binned(inverted, fits[primary].omega0_rad_s, settings)
+            marginals = _binned(positions, fits[primary].omega0_rad_s, settings)
         _tomography(marginals, settings, out_dir)
     figures["fig2b"] = {"file": "marginals.npy", "matrix": "rows theta, columns z", "kind": "heatmap"}
     figures["fig2c"] = {"file": "wigner.npy", "matrix": "rows z, columns p/(m omega)", "kind": "heatmap"}

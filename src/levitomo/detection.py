@@ -282,12 +282,18 @@ def invert_counts(
     and D_eff = D for the single-detector scheme, offset = 2 C2 and
     D_eff = 2 D for the balanced one.
 
-    calibration = "equipartition": the offset-subtracted counts are rescaled so
-    the sample variance equals ``target_variance_m2`` (= k_B T / m omega_s^2).
-    This mirrors how a real record is calibrated when the absolute slope is
-    unknown, and it is the right choice for noisy records. The mean and
-    variance take one pass over the counts. The method used is flagged in the
-    trajectory metadata.
+    calibration = "equipartition": the linear positions' mean ``mean_m`` is
+    removed and they are rescaled so the sample variance equals
+    ``target_variance_m2`` (= k_B T / m omega_s^2):
+    z = ((count - offset) / D_eff - mean_m) * scale. This mirrors how a real
+    record is calibrated when the absolute slope is unknown, and it is the
+    right choice for noisy records. The mean and variance take one pass over
+    the counts.
+
+    The trajectory metadata holds the method and every constant of the map
+    (``offset``, ``d_eff``, and ``mean_m``, ``equipartition_scale`` and
+    ``target_variance_m2`` for equipartition), so the positions can be rebuilt
+    from the counts alone in the same order of operations.
     """
     c1, c2, d = rec.linear_constants
     if d == 0.0:
@@ -302,6 +308,8 @@ def invert_counts(
         "scheme": rec.params.scheme,
         "source_model": rec.model,
         "shot_noise": rec.params.shot_noise,
+        "offset": offset,
+        "d_eff": d_eff,
     }
     if calibration == "equipartition":
         if target_variance_m2 is None or target_variance_m2 <= 0:
@@ -311,6 +319,7 @@ def invert_counts(
             raise DetectionError("cannot equipartition-calibrate a constant record")
         scale = math.sqrt(target_variance_m2 / variance)
         z = z.map(lambda positions: (positions - mean) * scale)
+        meta["mean_m"] = mean
         meta["equipartition_scale"] = scale
         meta["target_variance_m2"] = target_variance_m2
     elif calibration != "linear":

@@ -66,9 +66,8 @@ def estimate_psd(samples, sample_rate_Hz: float, segment_len: int, overlap_fract
         raise SpectralError(f"segment_len must be a power of two >= {MIN_SEGMENT_LEN}, got {segment_len}")
     if not 0.0 <= overlap_fraction < 1.0:
         raise SpectralError("overlap_fraction must be in [0, 1)")
-    noverlap = int(segment_len * overlap_fraction)
-    step = segment_len - noverlap
-    n_segments = 0 if x.n < segment_len else 1 + (x.n - segment_len) // step
+    step = segment_len - int(segment_len * overlap_fraction)
+    n_segments = segment_count(x.n, segment_len, overlap_fraction)
     if n_segments < MIN_SEGMENTS:
         required = segment_len + (MIN_SEGMENTS - 1) * step
         raise SpectralError(
@@ -88,6 +87,13 @@ def estimate_psd(samples, sample_rate_Hz: float, segment_len: int, overlap_fract
         n_segments=n_segments,
         segment_len=segment_len,
     )
+
+
+def segment_count(n_samples: int, segment_len: int, overlap_fraction: float) -> int:
+    """The number of Welch segments of ``segment_len`` samples, overlapping by ``overlap_fraction``, in a record of
+    ``n_samples``."""
+    step = segment_len - int(segment_len * overlap_fraction)
+    return 0 if n_samples < segment_len else 1 + (n_samples - segment_len) // step
 
 
 def _summed_periodograms(x: artifacts.Series, segment_len: int, step: int) -> np.ndarray:

@@ -150,6 +150,36 @@ def test_sample_count_that_overflows_fails_before_any_stage(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["pipeline", "simulate"])
+@pytest.mark.parametrize("state", ["thermal", "coherent"])
+def test_record_under_the_minimum_sample_count_fails_before_any_stage(tmp_path, capsys, command, state):
+    """5 samples at 1 MHz: a record of either state too short to simulate is refused before ``--out`` exists."""
+    out = tmp_path / "run"
+    assert run([command, "--state", state, "--seed", 1, "--out", out, "--set", "sim_duration_s=5e-6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+    assert f"5 samples, need at least {dynamics.MIN_SAMPLES}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        ["sim_duration_s=0.1", "psd_segment_len=1048576"],
+        ["sim_duration_s=64e-6", "integration_time_s=4e-6"],  # 16 windows: the auto segment of 8 fits 3 times
+    ],
+    ids=["explicit-segment", "auto-segment"],
+)
+def test_record_with_too_few_welch_segments_fails_before_any_stage(tmp_path, capsys, sets):
+    """The pipeline's spectra are of its window-rate counts; a record that holds too few segments is refused."""
+    out = tmp_path / "run"
+    assert run(["pipeline", "--seed", 1, "--out", out] + [arg for pair in sets for arg in ("--set", pair)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+    assert "psd_segment_len" in err and f"need {spectral.MIN_SEGMENTS}" in err
+    assert not out.exists()
+
+
 def test_fock1_pipeline_ignores_the_record_size(tmp_path, capsys):
     """fock1 simulates no record, so a sample count that would overflow does not stop it."""
     sets = ["--set", "sim_duration_s=1e300", "--set", "sim_sample_rate_hz=1e300"]
@@ -351,8 +381,9 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path):
         "counts_ch.json",
         "counts_cbh.npy",
         "counts_cbh.json",
-        "inverted.npy",
-        "inverted.json",
+        "calibration.json",
+        "fig2a.npy",
+        "fig2a.json",
         "psd_ch.npy",
         "psd_ch.json",
         "psd_cbh.npy",
@@ -374,10 +405,12 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path):
     ]
     for name in expected:
         assert (out_a / name).is_file(), name
-    # the position-signal figure reads the head of inverted.npy, timed by its sidecar, instead of a copy
+    # the position-signal figure reads its own 2000-sample table, timed by its sidecar; no whole calibrated record
+    assert not list(out_a.glob("inverted*"))
     assert sorted(path.name for path in (out_a / "plotdata").iterdir()) == ["style.json"]
     fig2a = json.loads((out_a / "plotdata" / "style.json").read_text())["figures"]["fig2a"]
-    assert (fig2a["file"], fig2a["time_axis"], fig2a["rows"]) == ("inverted.npy", "inverted.json", 2000)
+    assert (fig2a["file"], fig2a["time_axis"]) == ("fig2a.npy", "fig2a.json")
+    assert np.load(out_a / "fig2a.npy", allow_pickle=False).shape == (2000,)
     assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
     report = json.loads((out_a / "analyze.json").read_text())
     assert abs(report["total_integral"] - 1.0) < 0.05
@@ -395,12 +428,75 @@ def test_no_two_artifacts_share_a_digest(tmp_path, extra):
         by_digest[digest] = rel
 
 
+# the settings a fock1 oracle run reads: the trap's for derived.json, the grid, the cutoff and the decoherence curve
+FOCK1_SETTINGS = {
+    "wavelength_m",
+    "power_W",
+    "waist_m",
+    "particle_radius_m",
+    "density_kg_m3",
+    "epsilon_r",
+    "rayleigh_standard_form",
+    "sim_state",
+    "n_angles",
+    "marginal_grid_points",
+    "cutoff_fraction",
+    "decoherence_zmin_m",
+    "decoherence_zmax_m",
+    "decoherence_points",
+}
+EVERY_SETTING = {f.name for cls in (ExperimentConfig, PipelineSettings) for f in fields(cls)}
+
+
+@pytest.mark.parametrize(
+    "extra, unread, listed",
+    [
+        (["--state", "fock1"], ["marginal_span_sigmas=3", "psd_overlap=0.1"], FOCK1_SETTINGS),
+        (FAST_PIPELINE, ["coherent_amplitude_m=3e-9"], EVERY_SETTING - {"coherent_amplitude_m", "coherent_phase_rad"}),
+    ],
+    ids=["fock1", "thermal"],
+)
+def test_manifest_lists_only_the_settings_the_run_read(tmp_path, extra, unread, listed):
+    """A setting the run never reads is not in its manifest, so changing it leaves the manifest's bytes alone."""
+    plain, changed = tmp_path / "plain", tmp_path / "changed"
+    assert run(["pipeline", "--seed", 1, "--out", plain] + extra) == 0
+    assert run(["pipeline", "--seed", 1, "--out", changed] + extra + [a for s in unread for a in ("--set", s)]) == 0
+    assert (plain / "manifest.json").read_bytes() == (changed / "manifest.json").read_bytes()
+    assert set(json.loads((plain / "manifest.json").read_text())["config"]) == listed
+
+
 def test_pipeline_coherent_auto_calibration_is_linear(tmp_path):
     """A deterministic oscillation is never rescaled to the thermal equipartition variance."""
     assert run(["pipeline", "--state", "coherent", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
-    meta = json.loads((tmp_path / "inverted.json").read_text())["meta"]
+    meta = json.loads((tmp_path / "calibration.json").read_text())
     assert meta["calibration"] == "linear"
     assert "equipartition_scale" not in meta
+
+
+@pytest.mark.parametrize("state", ["thermal", "coherent"])
+def test_calibration_record_rebuilds_the_binned_positions(tmp_path, state):
+    """``calibration.json``'s map, applied with numpy to the counts file it names, gives ``fig2a.npy``, and binning
+    those positions at the fitted frequency on the marginals' grid gives ``marginals.npy``, both bit for bit."""
+    assert run(["pipeline", "--state", state, "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
+    cal = json.loads((tmp_path / "calibration.json").read_text())
+    z = (np.load(tmp_path / cal["counts_file"], allow_pickle=False) - cal["offset"]) / cal["d_eff"]
+    if cal["calibration"] == "equipartition":
+        z = (z - cal["mean_m"]) * cal["equipartition_scale"]
+    assert cal["calibration"] == ("equipartition" if state == "thermal" else "linear")
+    assert (cal["counts_file"], z.size) == ("counts_cbh.npy", cal["n_samples"])
+    assert np.load(tmp_path / "fig2a.npy", allow_pickle=False).tobytes() == z[:2000].tobytes()
+    axis = {key: cal[key] for key in ("t0_s", "sample_rate_Hz")}
+    assert json.loads((tmp_path / "fig2a.json").read_text()) == {**axis, "n_samples": 2000}
+
+    grid = json.loads((tmp_path / "marginals.json").read_text())
+    omega0 = json.loads((tmp_path / f"fit_{cal['scheme']}.json").read_text())["omega0_rad_s"]
+    positions = dynamics.Trajectory(z_m=z, **axis)
+    binned = tomography.bin_marginals(positions, omega0, len(grid["angles_rad"]), grid["z_grid_m"])
+    assert binned.densities.tobytes() == np.load(tmp_path / "marginals.npy", allow_pickle=False).tobytes()
+    # both stages that read the counts name them by the digest the detect stage recorded
+    stages = {stage["name"]: stage for stage in json.loads((tmp_path / "manifest.json").read_text())["stages"]}
+    counts = {"counts": stages["detect"]["outputs"][cal["counts_file"]]}
+    assert stages["invert"]["inputs"] == stages["tomography"]["inputs"] == counts
 
 
 def test_pipeline_seed_changes_artifacts(tmp_path):
@@ -467,7 +563,7 @@ def test_failed_second_line_fit_marks_the_first_schemes_files(tmp_path, monkeypa
 @pytest.mark.parametrize(
     "blocked, written",
     [
-        ("psd_ch.npy", ["trajectory.npy", "trajectory.json", "counts_cbh.npy", "inverted.npy"]),
+        ("psd_ch.npy", ["trajectory.npy", "trajectory.json", "counts_cbh.npy", "calibration.json", "fig2a.npy"]),
         ("trajectory.json", ["trajectory.npy"]),
         ("counts_cbh.npy", ["trajectory.npy", "trajectory.json", "counts_ch.npy", "counts_ch.json"]),
     ],
@@ -769,7 +865,7 @@ def sidecar_shape(info: dict) -> tuple[int, ...]:
 @pytest.mark.parametrize(
     "extra, tables",
     [
-        (FAST_PIPELINE, ["decoherence", "inverted", "marginals", "psd_cbh", "psd_ch", "wigner"]),
+        (FAST_PIPELINE, ["decoherence", "fig2a", "marginals", "psd_cbh", "psd_ch", "wigner"]),
         (["--state", "fock1"], ["decoherence", "marginals", "wigner"]),
     ],
     ids=["thermal", "fock1"],
