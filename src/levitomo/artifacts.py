@@ -190,11 +190,6 @@ class Series:
         return mean, m2 / count
 
 
-def like(source, series: Series):
-    """``series`` itself when ``source`` is a series, else its samples in memory: a record stays where it was."""
-    return series if isinstance(source, Series) else series.values()
-
-
 def write_series(path: str | Path, series: Series, info: dict) -> Path:
     """Write ``series`` to ``path`` as a little-endian float64 ``.npy`` array, chunk by chunk; ``info`` to its sidecar.
 

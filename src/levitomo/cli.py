@@ -57,7 +57,7 @@ import numpy as np
 
 from . import __version__, artifacts, detection, dynamics, spectral, tomography
 from .constants import KB, TWO_PI
-from .errors import ConfigError, DetectionError, LevitomoError
+from .errors import ConfigError, DetectionError, LevitomoError, SimulationError
 from .physics import (
     ExperimentConfig,
     decoherence_curve,
@@ -125,9 +125,12 @@ class PipelineSettings:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-        noise = self.electronic_noise_counts_rms
-        if not (math.isfinite(noise) and noise >= 0):
-            raise ConfigError(f"electronic_noise_counts_rms must be finite and non-negative, got {noise!r}")
+        for name in ("electronic_noise_counts_rms", "coherent_amplitude_m"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
+        if not math.isfinite(self.coherent_phase_rad):
+            raise ConfigError(f"coherent_phase_rad must be finite, got {self.coherent_phase_rad!r}")
         if self.n_angles < tomography.MIN_ANGLES:
             raise ConfigError(f"n_angles must be at least {tomography.MIN_ANGLES}, got {self.n_angles!r}")
         points = self.marginal_grid_points
@@ -263,25 +266,15 @@ def _simulate(config, settings, dq, seed, out_dir) -> dynamics.Trajectory:
 
     ``_load`` has refused fock1, which has no trajectory.
     """
+    duration, rate = settings.sim_duration_s, settings.sim_sample_rate_hz
     if settings.sim_state == "thermal":
-        traj = dynamics.thermal_series(
-            config,
-            dq,
-            settings.sim_duration_s,
-            settings.sim_sample_rate_hz,
-            _stage_seeds(seed)[0],
-            temperature_K=settings.sim_temperature_K,
-        )
+        temperature = settings.sim_temperature_K
+        traj = dynamics.simulate_thermal(config, dq, duration, rate, _stage_seeds(seed)[0], temperature_K=temperature)
     else:
-        traj = dynamics.coherent_series(
-            dq,
-            settings.coherent_amplitude_m,
-            settings.coherent_phase_rad,
-            settings.sim_duration_s,
-            settings.sim_sample_rate_hz,
-        )
+        amplitude, phase = settings.coherent_amplitude_m, settings.coherent_phase_rad
+        traj = dynamics.simulate_coherent(dq, amplitude, phase, duration, rate)
     dynamics.save_trajectory(traj, out_dir / "trajectory.npy")
-    return dynamics.read_trajectory(out_dir / "trajectory.npy")
+    return dynamics.load_trajectory(out_dir / "trajectory.npy")
 
 
 def _detect(config, settings, traj, seed, out_dir) -> dict[str, detection.CountRecord]:
@@ -323,7 +316,7 @@ def _invert(settings, dq, record, counts_file, out_dir) -> dynamics.Trajectory:
     axis = {"t0_s": positions.t0_s, "sample_rate_Hz": positions.sample_rate_Hz}
     map_info = {"counts_file": counts_file, **positions.meta, **axis, "n_samples": len(positions.z_m)}
     artifacts.write_json(out_dir / "calibration.json", map_info)
-    head = next(positions.series.blocks(FIG2A_ROWS))
+    head = next(positions.z_m.blocks(FIG2A_ROWS))
     artifacts.write_array(out_dir / "fig2a.npy", head, {**axis, "n_samples": head.size})
     return positions
 
@@ -417,9 +410,9 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     """Resolve ``--config`` and ``--set``; a flag named after a setting (``--state``) overrides both.
 
     ``simulate`` refuses fock1 here, however the state was set, and a command
-    that simulates a record refuses a sample count that overflows or is under
-    ``dynamics.MIN_SAMPLES``, and a detection window that cannot tile the
-    record; ``pipeline`` also refuses a window-rate record that holds fewer
+    that simulates a record refuses a record size that
+    ``dynamics.sample_count`` refuses, and a detection window that cannot tile
+    the record; ``pipeline`` also refuses a window-rate record that holds fewer
     than ``spectral.MIN_SEGMENTS`` Welch segments. So these errors come before
     ``--out`` exists. fock1 simulates nothing, so its record settings are not
     checked.
@@ -432,16 +425,12 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     if args.command == "simulate" and settings.sim_state == "fock1":
         raise ConfigError("state 'fock1' has no trajectory simulation (fock1 is an oracle state)")
     if args.command in ("simulate", "pipeline") and settings.sim_state != "fock1":
-        duration, rate = settings.sim_duration_s, settings.sim_sample_rate_hz
-        if not math.isfinite(duration * rate):
-            raise ConfigError(f"sample count sim_duration_s * sim_sample_rate_hz overflows: {duration!r} * {rate!r}")
-        n_samples = int(round(duration * rate))
-        if n_samples < dynamics.MIN_SAMPLES:
-            raise ConfigError(
-                f"sim_duration_s * sim_sample_rate_hz = {n_samples} samples, need at least {dynamics.MIN_SAMPLES}"
-            )
+        rate = settings.sim_sample_rate_hz
         try:
+            n_samples = dynamics.sample_count(settings.sim_duration_s, rate)
             per_window = detection.samples_per_window(config.integration_time_s, rate, n_samples)
+        except SimulationError as exc:
+            raise ConfigError(f"sim_duration_s and sim_sample_rate_hz: {exc}") from None
         except DetectionError as exc:
             raise ConfigError(str(exc)) from None
         if args.command == "pipeline":  # its spectra are of the counts, one sample per window
@@ -467,16 +456,16 @@ def cmd_simulate(args, config, settings, out_dir) -> None:
 
 
 def cmd_detect(args, config, settings, out_dir) -> None:
-    _detect(config, settings, dynamics.read_trajectory(args.traj), args.seed, out_dir)
+    _detect(config, settings, dynamics.load_trajectory(args.traj), args.seed, out_dir)
 
 
 def cmd_psd(args, config, settings, out_dir) -> None:
-    psd = _psd(dynamics.read_trajectory(args.traj), settings)
+    psd = _psd(dynamics.load_trajectory(args.traj), settings)
     _save_line(psd, _fit(psd, derive(config)), out_dir)
 
 
 def cmd_tomo(args, config, settings, out_dir) -> dict:
-    traj = dynamics.read_trajectory(args.traj)
+    traj = dynamics.load_trajectory(args.traj)
     fit = _fit(_psd(traj, settings), derive(config))
     return asdict(_tomography(_binned(traj, fit.omega0_rad_s, settings), settings, out_dir))
 

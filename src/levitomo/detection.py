@@ -24,10 +24,9 @@ Detection and inversion run ``artifacts.CHUNK_SAMPLES`` samples at a time:
 the windows tile across chunk boundaries, each Poisson arm and the electronic
 noise draw from their own generator, spawned in that order from the stage
 seed, and the equipartition moments are those of ``artifacts.Series``, so no
-count or position depends on the chunk length. A function given a trajectory
-or record whose samples are an ``artifacts.Series`` returns its record as a
-series that is computed on each pass; given samples in memory, it returns
-them in memory.
+count or position depends on the chunk length. Every record is an
+``artifacts.Series``: a function given a trajectory or count record returns
+its own record as a series computed from the input's on each pass.
 """
 
 from __future__ import annotations
@@ -112,18 +111,22 @@ class CountRecord:
 
     Window ``i`` starts at ``t0_s + i T_int_s``. ``counts`` are expected values
     when noise is off, sampled otherwise (the balanced difference signal may be
-    negative); they are in memory or an ``artifacts.Series``.
+    negative); they are an ``artifacts.Series``, and an array given for them is
+    held as one.
     ``linear_constants`` always carries the (C1, C2, D) of the
     small-displacement expansion of the response, which is what calibrated
     inversion uses.
     """
 
     t0_s: float
-    counts: np.ndarray | artifacts.Series
+    counts: artifacts.Series
     params: DetectionParams
     linear_constants: tuple[float, float, float]
     model: str = "exact"  # which response generated the counts: "exact" | "linear"
     seed: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "counts", artifacts.Series.of(self.counts))
 
     @property
     def window_rate_Hz(self) -> float:
@@ -176,7 +179,7 @@ def _window_means(traj: Trajectory, t_int_s: float) -> artifacts.Series:
     one integration time. The samples are taken a whole number of windows at a
     time, so a window never straddles two pieces.
     """
-    z = traj.series
+    z = traj.z_m
     n_per = samples_per_window(t_int_s, traj.sample_rate_Hz, z.n)
 
     def read():
@@ -227,7 +230,7 @@ def _sample(params: DetectionParams, traj: Trajectory, arms_of, model: str, seed
 
     return CountRecord(
         t0_s=float(traj.t0_s),
-        counts=artifacts.like(traj.z_m, artifacts.Series(means.n, read)),
+        counts=artifacts.Series(means.n, read),
         params=params,
         linear_constants=params.linear_constants(),
         model=model,
@@ -253,7 +256,7 @@ def detect_linear(traj: Trajectory, params: DetectionParams, seed: int | None = 
     stay below ``linearity_guard`` times the distance of dphi from the nearest
     multiple of pi, so distorted data is never produced silently.
     """
-    max_excursion = 2.0 * params.k_rad_per_m * traj.series.max_abs()
+    max_excursion = 2.0 * params.k_rad_per_m * traj.z_m.max_abs()
     threshold = params.linearity_guard * params.phase_margin_rad()
     if max_excursion >= threshold:
         raise DetectionError(
@@ -302,7 +305,7 @@ def invert_counts(
         offset, d_eff = c1 + c2, d
     else:
         offset, d_eff = 2.0 * c2, 2.0 * d
-    z = artifacts.Series.of(rec.counts).map(lambda counts: (counts - offset) / d_eff)
+    z = rec.counts.map(lambda counts: (counts - offset) / d_eff)
     meta = {
         "calibration": calibration,
         "scheme": rec.params.scheme,
@@ -326,7 +329,7 @@ def invert_counts(
         raise DetectionError(f"unknown calibration {calibration!r} (expected linear | equipartition)")
     return Trajectory(
         sample_rate_Hz=rec.window_rate_Hz,
-        z_m=artifacts.like(rec.counts, z),
+        z_m=z,
         t0_s=rec.t0_s + 0.5 * rec.params.T_int_s,  # the first window's center
         seed=rec.seed,
         state_kind="inverted",
@@ -370,4 +373,4 @@ def compare_noise_floor(psd_ch: Psd, psd_cbh: Psd) -> NoiseFloorReport:
 def save_count_record(rec: CountRecord, path: str | Path) -> Path:
     """Write ``counts`` to ``path`` as a float64 ``.npy`` array, chunk by chunk; return the sidecar, holding
     :attr:`CountRecord.info`."""
-    return artifacts.write_series(path, artifacts.Series.of(rec.counts), rec.info)
+    return artifacts.write_series(path, rec.counts, rec.info)

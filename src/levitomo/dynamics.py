@@ -16,10 +16,10 @@ chunk, and every chunk boundary is a boundary of the scan's blocks, so the
 samples do not depend on the chunk length. The initial state, the position
 noise and the velocity noise each draw from their own generator, spawned in
 that order from the stage seed, so each stream is drawn in sample order
-whatever the chunking. :func:`thermal_series` and :func:`coherent_series`
-return a trajectory whose samples are an ``artifacts.Series`` that simulates
-them on each pass; :func:`simulate_thermal` and :func:`simulate_coherent`
-return the same samples in memory.
+whatever the chunking. Every record is an ``artifacts.Series``: the
+simulators' series simulates the samples on each pass, that of
+:func:`load_trajectory` reads them back from the file, and an array given for
+a record is held as one. Both simulators size a record by :func:`sample_count`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -60,21 +60,21 @@ SCAN_MAX_BLOCK = artifacts.BLOCK_SAMPLES
 class Trajectory:
     """Uniformly sampled axial position record.
 
-    ``z_m[i]`` is the position at time ``t0_s + i / sample_rate_Hz``. ``z_m``
-    holds the samples in memory, or is an ``artifacts.Series`` that yields
-    them chunk by chunk; every function that takes a trajectory accepts both
-    and returns its own record the same way. ``seed`` records the RNG seed
-    for provenance (``None`` for deterministic signals).
+    Sample ``i`` of ``z_m`` is the position at time ``t0_s + i / sample_rate_Hz``.
+    ``z_m`` is an ``artifacts.Series``; an array given for it is held as one.
+    ``seed`` records the RNG seed for provenance (``None`` for deterministic
+    signals).
     """
 
     sample_rate_Hz: float
-    z_m: np.ndarray | artifacts.Series
+    z_m: artifacts.Series
     t0_s: float = 0.0
     seed: int | None = None
     state_kind: str = "custom"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "z_m", artifacts.Series.of(self.z_m))
         if not (math.isfinite(self.sample_rate_Hz) and self.sample_rate_Hz > 0):
             raise SimulationError(f"sample_rate_Hz must be finite and positive, got {self.sample_rate_Hz!r}")
         if len(self.z_m) < 2:
@@ -103,10 +103,6 @@ class Trajectory:
             "n_samples": len(self.z_m),
             "meta": self.meta,
         }
-
-    @property
-    def series(self) -> artifacts.Series:
-        return artifacts.Series.of(self.z_m)
 
     @property
     def times_s(self) -> np.ndarray:
@@ -160,14 +156,22 @@ def _transition_noise_chol(m: np.ndarray, var_z: float, var_v: float) -> np.ndar
     return np.array([[l11, 0.0], [l21, l22]])
 
 
+def sample_count(duration_s: float, sample_rate_Hz: float) -> int:
+    """The samples in a record of ``duration_s`` at ``sample_rate_Hz``: a finite count of at least ``MIN_SAMPLES`` at a
+    positive rate, or a :class:`SimulationError`."""
+    product = duration_s * sample_rate_Hz
+    if not (sample_rate_Hz > 0 and math.isfinite(product)):
+        raise SimulationError(f"a record of {duration_s!r} s at {sample_rate_Hz!r} Hz holds no finite sample count")
+    n_samples = int(round(product))
+    if n_samples < MIN_SAMPLES:
+        raise SimulationError(
+            f"a record of {duration_s!r} s at {sample_rate_Hz!r} Hz holds {n_samples} samples,"
+            f" need at least {MIN_SAMPLES}"
+        )
+    return n_samples
+
+
 def simulate_thermal(
-    config: ExperimentConfig, dq: DerivedQuantities, duration_s: float, sample_rate_Hz: float, seed: int, **overrides
-) -> Trajectory:
-    """:func:`thermal_series` with its samples in memory; ``overrides`` are its keyword arguments."""
-    return _in_memory(thermal_series(config, dq, duration_s, sample_rate_Hz, seed, **overrides))
-
-
-def thermal_series(
     config: ExperimentConfig,
     dq: DerivedQuantities,
     duration_s: float,
@@ -199,6 +203,7 @@ def thermal_series(
         raise SimulationError(
             f"damping rate {xi:.3e} 1/s is not underdamped (needs xi < 2 omega_s = {2 * omega:.3e})"
         )
+    n_samples = sample_count(duration_s, sample_rate_Hz)
     min_rate = NYQUIST_GUARD_FACTOR * omega / TWO_PI
     if sample_rate_Hz <= min_rate:
         raise SimulationError(
@@ -206,9 +211,6 @@ def thermal_series(
             f" required minimum is {min_rate:.6g} Hz"
             f" ({NYQUIST_GUARD_FACTOR:g} x omega_s / 2 pi)"
         )
-    n_samples = int(round(duration_s * sample_rate_Hz))
-    if n_samples < MIN_SAMPLES:
-        raise SimulationError(f"duration x sample_rate = {n_samples} samples, need at least {MIN_SAMPLES}")
     if initial_state is None and temp > 0 and xi == 0.0:
         raise SimulationError("a thermal state needs damping: xi = 0 with T > 0 has no stationary ensemble")
 
@@ -312,13 +314,6 @@ def _propagate_position(m, var_z, var_v, temp, x0, n_total, z_rng, v_rng):
 
 
 def simulate_coherent(
-    dq: DerivedQuantities, amplitude_m: float, phase_rad: float, duration_s: float, sample_rate_Hz: float
-) -> Trajectory:
-    """:func:`coherent_series` with its samples in memory."""
-    return _in_memory(coherent_series(dq, amplitude_m, phase_rad, duration_s, sample_rate_Hz))
-
-
-def coherent_series(
     dq: DerivedQuantities,
     amplitude_m: float,
     phase_rad: float,
@@ -326,13 +321,9 @@ def coherent_series(
     sample_rate_Hz: float,
 ) -> Trajectory:
     """Noise-free test signal z(t) = amplitude cos(omega_s t + phase), computed chunk by chunk on each pass."""
-    if amplitude_m < 0:
-        raise SimulationError(f"amplitude must be non-negative, got {amplitude_m!r}")
-    if sample_rate_Hz <= 0:
-        raise SimulationError("sample_rate_Hz must be positive")
-    n_samples = int(round(duration_s * sample_rate_Hz))
-    if n_samples < 2:
-        raise SimulationError("duration too short for a trajectory")
+    if not (math.isfinite(amplitude_m) and amplitude_m >= 0 and math.isfinite(phase_rad)):
+        raise SimulationError(f"amplitude {amplitude_m!r} m and phase {phase_rad!r} rad must be finite, amplitude >= 0")
+    n_samples = sample_count(duration_s, sample_rate_Hz)
     omega = dq.omega_s_rad_s
 
     def read():
@@ -350,10 +341,6 @@ def coherent_series(
     )
 
 
-def _in_memory(traj: Trajectory) -> Trajectory:
-    return replace(traj, z_m=traj.series.values())
-
-
 def save_trajectory(traj: Trajectory, path: str | Path) -> Path:
     """Write ``z_m`` to ``path`` as a float64 ``.npy`` array, chunk by chunk, and return its JSON sidecar.
 
@@ -361,15 +348,10 @@ def save_trajectory(traj: Trajectory, path: str | Path) -> Path:
     place sample ``i`` at ``t0_s + i / sample_rate_Hz``; it also holds
     ``n_samples`` and the provenance.
     """
-    return artifacts.write_series(path, traj.series, traj.info)
+    return artifacts.write_series(path, traj.z_m, traj.info)
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
-    """:func:`read_trajectory` with its samples in memory."""
-    return _in_memory(read_trajectory(path))
-
-
-def read_trajectory(path: str | Path) -> Trajectory:
     """Open a trajectory: a ``.npy`` array with its sidecar, or a ``t_s,z_m`` CSV table.
 
     A ``.npy`` file is what :func:`save_trajectory` writes, and it needs its

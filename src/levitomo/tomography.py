@@ -147,7 +147,7 @@ def bin_marginals(
             f"trajectory spans {n_periods:.1f} oscillation periods; need >= {MIN_PERIODS}"
         )
     if z_grid is None:
-        z_grid = default_z_grid(samples.series)
+        z_grid = default_z_grid(samples.z_m)
     z_grid = np.asarray(z_grid, dtype=float)
     _check_z_grid(z_grid)
 
@@ -156,7 +156,7 @@ def bin_marginals(
     edges = [np.arange(n_angles + 1) - 0.5, np.concatenate([z_grid - 0.5 * dz, [z_grid[-1] + 0.5 * dz]])]
     counts = np.zeros((n_angles, z_grid.size), dtype=np.int64)
     first = 0
-    for z in samples.series.chunks():
+    for z in samples.z_m.chunks():
         times = samples.t0_s + np.arange(first, first + z.size) / samples.sample_rate_Hz
         idx = np.rint((omega_hat * times) % TWO_PI / bin_width).astype(np.int64) % n_angles
         counts += np.histogram2d(idx, z, bins=edges)[0].astype(np.int64)

@@ -168,8 +168,8 @@ def test_criterion_5_detection_algebra(config, dq):
     ch = detect_exact(rest, params_from_config(config, "ch", delta_phi_rad=quarter, T_int_s=t_int))
     cbh = detect_exact(rest, params_from_config(config, "cbh", delta_phi_rad=quarter, T_int_s=t_int))
     c1, c2, _ = ch.linear_constants
-    ch_err = float(np.max(np.abs(ch.counts / (c1 + c2) - 1.0)))
-    cbh_err = float(np.max(np.abs(cbh.counts / (2.0 * c2) - 1.0)))
+    ch_err = float(np.max(np.abs(ch.counts.values() / (c1 + c2) - 1.0)))
+    cbh_err = float(np.max(np.abs(cbh.counts.values() / (2.0 * c2) - 1.0)))
 
     two_ka = 0.01
     k = TWO_PI / config.wavelength_m
@@ -183,7 +183,7 @@ def test_criterion_5_detection_algebra(config, dq):
         linear = detect_linear(tone, params)
         pf = params.count_prefactor
         fringe = (pf if scheme == "cbh" else 0.5 * pf) * 2.0 * params.field_amp_A * params.field_amp_B
-        deviation = float(np.max(np.abs(exact.counts - linear.counts))) / fringe
+        deviation = float(np.max(np.abs(exact.counts.values() - linear.counts.values()))) / fringe
         margins.append(deviation)
         taylor_ok &= deviation <= 5e-5
     ok = ch_err < 1e-12 and cbh_err < 1e-12 and taylor_ok
@@ -267,7 +267,7 @@ def test_criterion_8_property_suite(thermal_run, config, dq):
 
     # equipartition, 3 sigma of the variance-of-variance estimate
     traj = thermal_run["traj"]
-    var = float(traj.z_m.var())
+    var = float(traj.z_m.values().var())
     target = thermal_run["target_var"]
     xi = traj.meta["damping_rate_s"]
     sigma_est = target * math.sqrt(2.0 / (traj.duration_s * xi))
@@ -328,7 +328,8 @@ def test_criterion_8_property_suite(thermal_run, config, dq):
     params = params_from_config(config, "cbh", shot_noise=True, linearity_guard=0.35)
     det_a = detect_linear(again, params, seed=5)
     det_b = detect_linear(again2, params, seed=5)
-    det_ok = np.array_equal(again.z_m, again2.z_m) and np.array_equal(det_a.counts, det_b.counts)
+    det_ok = np.array_equal(again.z_m.values(), again2.z_m.values())
+    det_ok &= np.array_equal(det_a.counts.values(), det_b.counts.values())
     details.append(f"determinism {'bitwise' if det_ok else 'BROKEN'}")
 
     ok = equi_ok and lin_ok and rot_ok and parseval_ok and det_ok

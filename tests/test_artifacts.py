@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from levitomo import artifacts
 from levitomo.artifacts import Series
+from levitomo.detection import CountRecord, params_from_config
+from levitomo.dynamics import Trajectory
 from levitomo.errors import ArtifactError, LevitomoError
 
 
@@ -54,11 +57,21 @@ def test_series_that_cannot_fit_on_the_disk_is_refused_before_its_file(tmp_path,
     assert written == [] and not (tmp_path / "x.npy").exists()
 
 
-def test_a_record_in_memory_stays_in_memory():
-    values = np.arange(5.0)
-    series = Series.of(values)
-    assert artifacts.like(values, series.map(np.negative)).tolist() == [-0.0, -1.0, -2.0, -3.0, -4.0]
-    assert isinstance(artifacts.like(series, series), Series)
+def test_a_record_built_from_an_array_holds_a_series_of_its_bytes(config):
+    """A trajectory or count record given an array holds it as a series, also when ``replace`` builds it anew."""
+    values = np.random.default_rng(3).standard_normal(2 * artifacts.CHUNK_SAMPLES + 5)
+    params = params_from_config(config, "cbh")
+    records = {
+        "z_m": Trajectory(sample_rate_Hz=1e6, z_m=values),
+        "counts": CountRecord(t0_s=0.0, counts=values, params=params, linear_constants=params.linear_constants()),
+    }
+    for name, record in records.items():
+        kept = dataclasses.replace(record, t0_s=1.0)
+        swapped = dataclasses.replace(record, **{name: values[::-1]})
+        for copy, samples in ((record, values), (kept, values), (swapped, values[::-1])):
+            series = getattr(copy, name)
+            assert isinstance(series, Series) and len(series) == values.size, name
+            assert series.values().tobytes() == samples.tobytes(), name
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])

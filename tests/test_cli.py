@@ -36,7 +36,7 @@ def csv_copy(npy_path: Path) -> Path:
     """The ``t_s,z_m`` table of a saved trajectory, written next to it so both share one sidecar."""
     traj = dynamics.load_trajectory(npy_path)
     csv_path = npy_path.with_suffix(".csv")
-    table = np.column_stack([traj.times_s, traj.z_m])
+    table = np.column_stack([traj.times_s, traj.z_m.values()])
     np.savetxt(csv_path, table, fmt="%.17g", delimiter=",", header="t_s,z_m", comments="")
     return csv_path
 
@@ -99,6 +99,9 @@ def test_fractional_integer_setting_fails_before_any_stage(tmp_path, capsys):
         "electronic_noise_counts_rms=-1",
         "marginal_grid_points=128",
         "marginal_grid_points=1",
+        "coherent_amplitude_m=-1e-9",
+        "coherent_amplitude_m=nan",
+        "coherent_phase_rad=inf",
     ],
 )
 def test_invalid_setting_fails_before_any_stage(tmp_path, capsys, setting):
@@ -738,7 +741,8 @@ def test_non_finite_trajectory_exits_3_naming_the_row(tmp_path, capsys, command)
 def test_legacy_crlf_trajectory_loads_through_traj(tmp_path):
     """Trajectory tables were written with CRLF line ends before every table moved to LF; they still load.
 
-    The array, its LF table and its CRLF table load to the same samples, so ``psd`` writes the same bytes.
+    The array, its LF table and its CRLF table load to the same samples, so ``detect``, ``psd`` and ``tomo`` write
+    the same bytes from each. A table is read whole, so its record is the one that starts as an array.
     """
     assert run(["simulate", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
     npy = tmp_path / "trajectory.npy"
@@ -747,12 +751,22 @@ def test_legacy_crlf_trajectory_loads_through_traj(tmp_path):
     (legacy / "trajectory.csv").write_bytes(csv_copy(npy).read_bytes().replace(b"\n", b"\r\n"))
     (legacy / "trajectory.json").write_bytes((tmp_path / "trajectory.json").read_bytes())
     sources = (npy, tmp_path / "trajectory.csv", legacy / "trajectory.csv")
+    outputs = {
+        "detect": ("counts_ch.npy", "counts_cbh.npy"),
+        "psd": ("psd.npy", "psd.json", "fit.json"),
+        "tomo": ("marginals.npy", "wigner.npy", "analyze.json"),
+    }
+    samples = dynamics.load_trajectory(npy).z_m.values().tobytes()
     for n, source in enumerate(sources):
-        assert dynamics.load_trajectory(source).z_m.tobytes() == dynamics.load_trajectory(npy).z_m.tobytes()
-        assert run(["psd", "--traj", source, "--out", tmp_path / f"psd{n}"] + FAST_PIPELINE) == 0
-    for name in ("psd.npy", "psd.json", "fit.json"):
-        for n in (1, 2):
-            assert (tmp_path / f"psd{n}" / name).read_bytes() == (tmp_path / "psd0" / name).read_bytes(), name
+        assert dynamics.load_trajectory(source).z_m.values().tobytes() == samples
+        for command in outputs:
+            out = tmp_path / f"{command}{n}"
+            assert run([command, "--seed", 1, "--traj", source, "--out", out] + FAST_PIPELINE) == 0
+    for command, names in outputs.items():
+        for name in names:
+            first = (tmp_path / f"{command}0" / name).read_bytes()
+            for n in (1, 2):
+                assert (tmp_path / f"{command}{n}" / name).read_bytes() == first, (command, name)
 
 
 class _Touch:

@@ -39,21 +39,22 @@ def test_ch_flat_at_quadrature(config, dq):
     rec = detect_exact(flat_trajectory(dq), params)
     c1, c2, d = rec.linear_constants
     assert c2 == pytest.approx(0.0, abs=1e-9)  # cos(pi/2) = 0
-    np.testing.assert_allclose(rec.counts, c1, rtol=1e-12)
+    np.testing.assert_allclose(rec.counts.values(), c1, rtol=1e-12)
 
 
 def test_cbh_maximum_fringe(config, dq):
     params = params_from_config(config, "cbh", delta_phi_rad=0.0, T_int_s=1.0 / 1.4e6)
     rec = detect_exact(flat_trajectory(dq), params)
     expected = params.count_prefactor * 2.0 * params.field_amp_A * params.field_amp_B
-    np.testing.assert_allclose(rec.counts, expected, rtol=1e-12)
+    np.testing.assert_allclose(rec.counts.values(), expected, rtol=1e-12)
 
 
 def test_cbh_harmonic_distortion(config, dq):
     traj = small_tone(dq, two_ka=0.05, config=config)
     params = params_from_config(config, "cbh", T_int_s=1.0 / traj.sample_rate_Hz)
     rec = detect_exact(traj, params)
-    spectrum = np.abs(np.fft.rfft(rec.counts - rec.counts.mean()))
+    counts = rec.counts.values()
+    spectrum = np.abs(np.fft.rfft(counts - counts.mean()))
     fundamental = spectrum[16]  # 16 oscillation periods in the record
     third = spectrum[48]
     assert third / fundamental < 1e-3
@@ -70,16 +71,16 @@ def test_exact_vs_linear_taylor_bound(config, dq, scheme):
     fringe = (pf if scheme == "cbh" else 0.5 * pf) * 2.0 * params.field_amp_A * params.field_amp_B
     bound = fringe * two_ka**2 / 2.0
     assert bound == pytest.approx(fringe * 5e-5, rel=1e-12)
-    assert np.max(np.abs(exact.counts - linear.counts)) <= bound * (1.0 + 1e-9)
+    assert np.max(np.abs(exact.counts.values() - linear.counts.values())) <= bound * (1.0 + 1e-9)
 
 
 def test_linear_offsets_at_rest(config, dq):
     traj = flat_trajectory(dq)
     ch = detect_linear(traj, params_from_config(config, "ch", delta_phi_rad=math.pi / 4, T_int_s=1.0 / 1.4e6))
     c1, c2, _ = ch.linear_constants
-    np.testing.assert_allclose(ch.counts, c1 + c2, rtol=1e-12)
+    np.testing.assert_allclose(ch.counts.values(), c1 + c2, rtol=1e-12)
     cbh = detect_linear(traj, params_from_config(config, "cbh", delta_phi_rad=math.pi / 4, T_int_s=1.0 / 1.4e6))
-    np.testing.assert_allclose(cbh.counts, 2.0 * c2, rtol=1e-12)
+    np.testing.assert_allclose(cbh.counts.values(), 2.0 * c2, rtol=1e-12)
 
 
 def test_balanced_is_twice_dc_subtracted_single(config, dq):
@@ -90,7 +91,7 @@ def test_balanced_is_twice_dc_subtracted_single(config, dq):
     cbh = detect_exact(traj, params_from_config(config, "cbh", T_int_s=t_int))
     c1 = ch.linear_constants[0]
     fringe = ch.params.count_prefactor * 2.0 * ch.params.field_amp_A * ch.params.field_amp_B
-    np.testing.assert_allclose(cbh.counts, 2.0 * (ch.counts - c1), rtol=1e-12, atol=1e-12 * fringe)
+    np.testing.assert_allclose(cbh.counts.values(), 2.0 * (ch.counts.values() - c1), rtol=1e-12, atol=1e-12 * fringe)
 
 
 def test_linear_balanced_has_no_dc_term(config, dq):
@@ -99,7 +100,7 @@ def test_linear_balanced_has_no_dc_term(config, dq):
         params = params_from_config(config, "cbh", delta_phi_rad=dphi, T_int_s=1.0 / 1.4e6)
         rec = detect_linear(flat_trajectory(dq), params)
         _, c2, _ = rec.linear_constants
-        assert float(np.mean(rec.counts)) == pytest.approx(2.0 * c2, rel=1e-12)
+        assert float(np.mean(rec.counts.values())) == pytest.approx(2.0 * c2, rel=1e-12)
 
 
 def test_sensitivity_maximal_at_quadrature(config):
@@ -144,8 +145,9 @@ def test_invert_round_trip(config, dq):
     params = params_from_config(config, "cbh", T_int_s=4.0 / traj.sample_rate_Hz)
     rec = detect_linear(traj, params)
     inverted = invert_counts(rec)
-    window_means = traj.z_m[: 4 * (len(traj.z_m) // 4)].reshape(-1, 4).mean(axis=1)
-    np.testing.assert_allclose(inverted.z_m, window_means, rtol=1e-10, atol=1e-20)
+    z = traj.z_m.values()
+    window_means = z[: 4 * (z.size // 4)].reshape(-1, 4).mean(axis=1)
+    np.testing.assert_allclose(inverted.z_m.values(), window_means, rtol=1e-10, atol=1e-20)
     assert inverted.sample_rate_Hz == pytest.approx(1.0 / params.T_int_s, rel=1e-12)
 
 
@@ -168,7 +170,7 @@ def test_shot_noise_mean_converges(config, dq):
     rec = detect_exact(traj, params, seed=17)
     lam = params.linear_constants()[0] + params.linear_constants()[1]
     n = len(rec.counts)
-    assert abs(rec.counts.mean() - lam) < 3.0 * math.sqrt(lam / n)
+    assert abs(rec.counts.values().mean() - lam) < 3.0 * math.sqrt(lam / n)
 
 
 def test_shot_noise_deterministic(config, dq):
@@ -176,24 +178,23 @@ def test_shot_noise_deterministic(config, dq):
     traj = flat_trajectory(dq)
     a = detect_exact(traj, params, seed=5)
     b = detect_exact(traj, params, seed=5)
-    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(a.counts.values(), b.counts.values())
 
 
 def test_counts_do_not_depend_on_the_chunk_length(monkeypatch, config, dq):
     """Windows of 3 samples straddle chunk ends; each Poisson arm and the electronic noise keep their own stream.
 
-    A trajectory whose samples are a series gives a record computed on each pass, with the same counts.
+    A trajectory built from its samples in memory gives the same counts.
     """
     traj = simulate_thermal(config, dq, 0.03, 3e6, seed=2, temperature_K=0.03)
     params = params_from_config(config, "cbh", shot_noise=True, electronic_noise_counts_rms=3.0, linearity_guard=0.35)
     counts = []
     for chunk in (artifacts.BLOCK_SAMPLES, 3 * artifacts.BLOCK_SAMPLES):
         monkeypatch.setattr(artifacts, "CHUNK_SAMPLES", chunk)
-        counts.append(detect_linear(traj, params, seed=4).counts.tobytes())
+        counts.append(detect_linear(traj, params, seed=4).counts.values().tobytes())
     assert counts[1] == counts[0]
-    lazy = detect_linear(dataclasses.replace(traj, z_m=artifacts.Series.of(traj.z_m)), params, seed=4)
-    assert isinstance(lazy.counts, artifacts.Series)
-    assert lazy.counts.values().tobytes() == counts[1]
+    in_memory = detect_linear(dataclasses.replace(traj, z_m=traj.z_m.values()), params, seed=4)
+    assert in_memory.counts.values().tobytes() == counts[1]
 
 
 def test_equipartition_calibration_full_temperature(config, dq):
@@ -203,7 +204,7 @@ def test_equipartition_calibration_full_temperature(config, dq):
     rec = detect_exact(traj, params, seed=45)
     target = KB * config.temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
     inverted = invert_counts(rec, calibration="equipartition", target_variance_m2=target)
-    assert inverted.z_m.var() == pytest.approx(target, rel=0.05)
+    assert inverted.z_m.values().var() == pytest.approx(target, rel=0.05)
     assert inverted.meta["calibration"] == "equipartition"
     assert "equipartition_scale" in inverted.meta
 
@@ -288,7 +289,7 @@ def test_count_record_npy(tmp_path, config, dq):
     path = tmp_path / "counts.npy"
     sidecar = save_count_record(rec, path)
     counts = np.load(path, allow_pickle=False)
-    assert counts.dtype == np.dtype("<f8") and counts.tobytes() == rec.counts.tobytes()
+    assert counts.dtype == np.dtype("<f8") and counts.tobytes() == rec.counts.values().tobytes()
     info = json.loads(sidecar.read_text())
     assert info["scheme"] == "cbh"
     assert info["D"] == pytest.approx(rec.linear_constants[2])

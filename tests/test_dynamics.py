@@ -15,6 +15,7 @@ from levitomo.dynamics import (
     _transition_noise_chol,
     gas_damping_rate,
     load_trajectory,
+    sample_count,
     save_trajectory,
     simulate_coherent,
     simulate_thermal,
@@ -33,7 +34,7 @@ def equipartition_var(dq, temperature_K):
 def save_csv(traj, path):
     """Write ``traj`` as a ``t_s,z_m`` table at ``path``, next to the sidecar :func:`save_trajectory` writes."""
     sidecar = save_trajectory(traj, path.with_suffix(".npy"))
-    table = np.column_stack([traj.times_s, traj.z_m])
+    table = np.column_stack([traj.times_s, traj.z_m.values()])
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header="t_s,z_m", comments="")
     return sidecar
 
@@ -75,7 +76,7 @@ def test_matches_naive_stepper(damped_config, damped_dq):
     for k in range(1, n):
         state = m @ state + eta[:, k - 1]
         expected[k] = state[0]
-    np.testing.assert_allclose(traj.z_m, expected, rtol=1e-9, atol=1e-22)
+    np.testing.assert_allclose(traj.z_m.values(), expected, rtol=1e-9, atol=1e-22)
 
 
 def test_equipartition(damped_config, damped_dq):
@@ -83,7 +84,7 @@ def test_equipartition(damped_config, damped_dq):
     traj = simulate_thermal(damped_config, damped_dq, duration, 2e6, seed=11)
     xi = traj.meta["damping_rate_s"]
     var = equipartition_var(damped_dq, damped_config.temperature_K)
-    assert abs(traj.z_m.var() - var) < variance_tolerance(duration, xi, var)
+    assert abs(traj.z_m.values().var() - var) < variance_tolerance(duration, xi, var)
 
 
 def test_step_size_robust(damped_config, damped_dq):
@@ -93,7 +94,7 @@ def test_step_size_robust(damped_config, damped_dq):
     for rate, seed in ((1e6, 5), (4e6, 6)):
         traj = simulate_thermal(damped_config, damped_dq, duration, rate, seed=seed)
         tol = variance_tolerance(duration, traj.meta["damping_rate_s"], var)
-        assert abs(traj.z_m.var() - var) < tol
+        assert abs(traj.z_m.values().var() - var) < tol
 
 
 def test_zero_temperature_is_pure_cosine(config, dq):
@@ -112,15 +113,15 @@ def test_zero_temperature_is_pure_cosine(config, dq):
         initial_state=(z0, 0.0),
     )
     expected = z0 * np.cos(dq.omega_s_rad_s * traj.times_s)
-    np.testing.assert_allclose(traj.z_m, expected, rtol=0, atol=1e-9 * z0)
+    np.testing.assert_allclose(traj.z_m.values(), expected, rtol=0, atol=1e-9 * z0)
 
 
 def test_same_seed_bitwise_identical(damped_config, damped_dq):
     a = simulate_thermal(damped_config, damped_dq, 0.02, 1e6, seed=123)
     b = simulate_thermal(damped_config, damped_dq, 0.02, 1e6, seed=123)
-    assert np.array_equal(a.z_m, b.z_m)
+    assert np.array_equal(a.z_m.values(), b.z_m.values())
     c = simulate_thermal(damped_config, damped_dq, 0.02, 1e6, seed=124)
-    assert not np.array_equal(a.z_m, c.z_m)
+    assert not np.array_equal(a.z_m.values(), c.z_m.values())
 
 
 @pytest.mark.parametrize("pressure_mbar", [1e-2, 1.0])
@@ -134,7 +135,7 @@ def test_thermal_record_does_not_depend_on_the_chunk_length(monkeypatch, config,
     records = []
     for chunk in (artifacts.CHUNK_SAMPLES, 2 * artifacts.BLOCK_SAMPLES, 5 * artifacts.BLOCK_SAMPLES):
         monkeypatch.setattr(artifacts, "CHUNK_SAMPLES", chunk)
-        records.append(simulate_thermal(damped, dq, 0.03, 1e6, seed=8).z_m.tobytes())
+        records.append(simulate_thermal(damped, dq, 0.03, 1e6, seed=8).z_m.values().tobytes())
     assert records[1] == records[0] and records[2] == records[0]
 
 
@@ -169,8 +170,9 @@ def test_burn_in_construction(damped_config, damped_dq):
 def test_stationarity_between_halves(damped_config, damped_dq):
     duration = 0.3
     traj = simulate_thermal(damped_config, damped_dq, duration, 1e6, seed=21)
-    half = len(traj.z_m) // 2
-    v1, v2 = traj.z_m[:half].var(), traj.z_m[half:].var()
+    z = traj.z_m.values()
+    half = z.size // 2
+    v1, v2 = z[:half].var(), z[half:].var()
     xi = traj.meta["damping_rate_s"]
     var = equipartition_var(damped_dq, damped_config.temperature_K)
     # difference of two independent half-record estimates
@@ -181,27 +183,64 @@ def test_stationarity_between_halves(damped_config, damped_dq):
 def test_autocorrelation_negative_at_half_period(damped_config, damped_dq):
     traj = simulate_thermal(damped_config, damped_dq, 0.05, 1e6, seed=31)
     lag = int(round(math.pi / damped_dq.omega_s_rad_s * traj.sample_rate_Hz))
-    z = traj.z_m - traj.z_m.mean()
+    z = traj.z_m.values()
+    z = z - z.mean()
     acf = float(np.dot(z[:-lag], z[lag:]) / np.dot(z, z))
     assert acf < 0
 
 
 def test_coherent_zero_amplitude(dq):
     traj = simulate_coherent(dq, 0.0, 0.3, 1e-3, 1e6)
-    assert np.all(traj.z_m == 0.0)
+    assert np.all(traj.z_m.values() == 0.0)
 
 
 def test_coherent_half_period(dq):
     amp = 2e-9
     rate = 1.4e6  # half period is exactly 10 samples at 70 kHz
     traj = simulate_coherent(dq, amp, 0.0, 1e-3, rate)
-    assert traj.z_m[0] == pytest.approx(amp, rel=1e-12)
-    assert traj.z_m[10] == pytest.approx(-amp, rel=1e-9)
+    z = traj.z_m.values()
+    assert z[0] == pytest.approx(amp, rel=1e-12)
+    assert z[10] == pytest.approx(-amp, rel=1e-9)
 
 
 def test_coherent_negative_amplitude_rejected(dq):
     with pytest.raises(SimulationError):
         simulate_coherent(dq, -1e-9, 0.0, 1e-3, 1e6)
+
+
+@pytest.mark.parametrize("amplitude, phase", [(math.nan, 0.0), (math.inf, 0.0), (1e-9, math.inf), (1e-9, math.nan)])
+def test_coherent_non_finite_amplitude_or_phase_rejected(dq, amplitude, phase):
+    with pytest.raises(SimulationError, match="must be finite"):
+        simulate_coherent(dq, amplitude, phase, 1e-3, 1e6)
+
+
+@pytest.mark.parametrize("state", ["thermal", "coherent"])
+@pytest.mark.parametrize(
+    "duration, rate, match",
+    [
+        (math.inf, 1e6, "no finite sample count"),
+        (1e300, 1e300, "no finite sample count"),
+        (1e-3, math.nan, "no finite sample count"),
+        (-1e-3, -1e6, "no finite sample count"),
+        (2e-6, 1e6, "2 samples, need at least 64"),
+        (63e-6, 1e6, "63 samples, need at least 64"),
+    ],
+)
+def test_both_simulators_refuse_a_record_size_by_one_rule(config, dq, state, duration, rate, match):
+    """Every record size ``sample_count`` refuses is a ``SimulationError`` from either simulator."""
+    with pytest.raises(SimulationError, match=match):
+        sample_count(duration, rate)
+    with pytest.raises(SimulationError, match=match):
+        if state == "thermal":
+            simulate_thermal(config, dq, duration, rate, seed=0)
+        else:
+            simulate_coherent(dq, 1e-9, 0.0, duration, rate)
+
+
+def test_shortest_record_simulates(config, dq):
+    assert sample_count(64e-6, 1e6) == 64
+    assert len(simulate_thermal(config, dq, 64e-6, 1e6, seed=0).z_m.values()) == 64
+    assert len(simulate_coherent(dq, 1e-9, 0.0, 64e-6, 1e6).z_m.values()) == 64
 
 
 def test_oracle_thermal_angle_independent():
@@ -244,7 +283,7 @@ def test_trajectory_npy_round_trip(tmp_path, damped_config, damped_dq):
     assert sidecar == tmp_path / "traj.json"
     assert np.load(path, allow_pickle=False).dtype == np.dtype("<f8")
     back = load_trajectory(path)
-    assert back.z_m.tobytes() == traj.z_m.tobytes()
+    assert back.z_m.values().tobytes() == traj.z_m.values().tobytes()
     assert (back.sample_rate_Hz, back.t0_s) == (traj.sample_rate_Hz, traj.t0_s)
     assert (back.seed, back.state_kind, back.meta) == (55, "thermal", traj.meta)
 
@@ -253,7 +292,7 @@ def test_saved_trajectory_holds_the_bytes_np_save_writes(tmp_path, damped_config
     """The header for the known length, then every chunk appended: the file np.save writes for the whole array."""
     traj = simulate_thermal(damped_config, damped_dq, 0.05, 1e6, seed=56)
     save_trajectory(traj, tmp_path / "traj.npy")
-    np.save(tmp_path / "whole.npy", traj.z_m)
+    np.save(tmp_path / "whole.npy", traj.z_m.values())
     assert (tmp_path / "traj.npy").read_bytes() == (tmp_path / "whole.npy").read_bytes()
 
 
@@ -262,7 +301,7 @@ def test_trajectory_csv_round_trip(tmp_path, damped_config, damped_dq):
     path = tmp_path / "traj.csv"
     save_csv(traj, path)
     back = load_trajectory(path)
-    assert np.array_equal(back.z_m, traj.z_m)
+    assert np.array_equal(back.z_m.values(), traj.z_m.values())
     assert back.sample_rate_Hz == pytest.approx(traj.sample_rate_Hz, rel=1e-9)
     assert back.seed == 55
     assert back.state_kind == "thermal"

@@ -124,7 +124,7 @@ def test_thermal_fit_frequency_within_one_percent(config, dq):
 def test_parseval_on_thermal_record(damped_config, damped_dq):
     traj = simulate_thermal(damped_config, damped_dq, 0.2, 1e6, seed=19)
     psd = estimate_psd(traj.z_m, traj.sample_rate_Hz, 1 << 14)
-    assert float(np.trapezoid(psd.power, psd.freqs_Hz)) == pytest.approx(float(traj.z_m.var()), rel=0.02)
+    assert float(np.trapezoid(psd.power, psd.freqs_Hz)) == pytest.approx(float(traj.z_m.values().var()), rel=0.02)
 
 
 def test_time_shift_invariance():
@@ -141,12 +141,13 @@ def test_fitted_floor_tracks_injected_variance(damped_config, damped_dq):
     """Doubling an additive white-noise variance doubles the fitted floor."""
     traj = simulate_thermal(damped_config, damped_dq, 0.25, 1e6, seed=29, temperature_K=0.03)
     rng = np.random.default_rng(30)
-    noise = rng.standard_normal(len(traj.z_m))
+    z = traj.z_m.values()
+    noise = rng.standard_normal(z.size)
     f0 = damped_dq.omega_s_rad_s / TWO_PI
     floors = []
     for variance_scale in (1.0, 2.0):
         sigma = 2e-10 * math.sqrt(variance_scale)
-        psd = estimate_psd(traj.z_m + sigma * noise, traj.sample_rate_Hz, 1 << 14)
+        psd = estimate_psd(z + sigma * noise, traj.sample_rate_Hz, 1 << 14)
         floors.append(fit_lorentzian(psd, (0.5 * f0, 1.5 * f0)).noise_floor)
     assert floors[1] / floors[0] == pytest.approx(2.0, rel=0.10)
 
