@@ -121,10 +121,15 @@ class Series:
 
     @classmethod
     def of(cls, values) -> "Series":
-        """``values`` itself if it is a series, else a series over the 1-D array in memory."""
+        """``values`` itself if it is a series, else a series over the 1-D array in memory.
+
+        Raises ``ValueError`` for an array that is not 1-D, naming its shape.
+        """
         if isinstance(values, cls):
             return values
         values = np.asarray(values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError(f"expected a 1-D array of samples, got shape {values.shape}")
         return cls(values.size, lambda: (values[i : i + CHUNK_SAMPLES] for i in range(0, values.size, CHUNK_SAMPLES)))
 
     def __len__(self) -> int:

@@ -5,12 +5,14 @@ Subcommands
     simulate     thermal/coherent trajectory -> trajectory.npy + JSON sidecar
     detect       trajectory -> count records (single and/or balanced scheme)
     psd          trajectory -> Welch PSD and oscillator-line fit
-    tomo         trajectory -> marginals, Wigner grid, analysis report
+    tomo         trajectory -> PSD and line fit, marginals binned at the fitted frequency, Wigner grid, analysis report
     decoherence  superposition-size decoherence curve -> decoherence.npy + JSON sidecar
-    pipeline     simulate -> detect -> invert -> PSD/fit -> bin -> reconstruct
+    pipeline     derive -> simulate -> detect -> invert -> spectral -> tomography -> decoherence -> plot style
 
-Each subcommand other than ``pipeline`` loads its input and runs one stage of
-the pipeline through the same function and with the same stage seed, so
+The other subcommands run the pipeline's own stage bodies with its stage
+seeds: ``detect`` and ``psd`` are its detect and spectral stages on
+``--traj``, ``tomo`` its spectral then tomography stages, and the rest the
+stage of their name. ``pipeline`` calls these bodies in order, so
 ``simulate`` then ``detect`` with one ``--seed`` write the pipeline's files.
 Every table is a float64 ``.npy`` array whose axes are in its JSON sidecar:
 the three bulk series (``trajectory``, ``counts_ch``, ``counts_cbh``), the
@@ -24,23 +26,25 @@ invert stage records its map from counts to positions in
 ``calibration.json``, and the tomography stage bins the primary scheme's
 counts file through that map as it reads it back.
 
-Every run is reproducible: (config, seed) determine all artifacts, and
-``manifest.json`` records the settings the run read, with their resolved
-values, plus a digest of every file the run read or wrote. Wall-clock
-timings go to a sibling ``timings.json``, deliberately outside the manifest
-so re-runs are byte-identical.
+Every run is reproducible: (config, seed) determine all artifacts. The
+run's manifest, ``manifest.json`` for ``pipeline`` and
+``manifest_<command>.json`` for the others, records the settings the run
+read, with their resolved values, plus a digest of every file each stage
+read or wrote. Wall-clock timings go to its sibling ``timings.json``
+(``timings_<command>.json``), outside the manifest so re-runs are
+byte-identical.
 
 ``main`` drives every subcommand the same way. It resolves the settings
-before ``--out`` exists, then runs the subcommand's body inside an
-``artifacts.journal`` that lists every file the body writes. On success it
-prints the body's report (``derive``, ``tomo``) or ``wrote`` and every file
-written. On failure it renames every file written to ``<name>.partial``, and
-so too the results an earlier pipeline run's ``manifest.json`` lists in
-``--out``, and exits 2 for a configuration error or 3 for a stage failure, a
-file that cannot be read or written, a report that holds NaN or infinity or an
-array too large to allocate, with one line on stderr.
+before ``--out`` exists, then runs the subcommand's body on a
+:class:`RunManifest` inside an ``artifacts.journal`` that lists every file
+the body writes, and writes the manifest. On success it prints the body's
+report (``derive``, ``tomo``) or ``wrote`` and every file written. On failure
+it renames every file written to ``<name>.partial``, and so too the results
+the same command's earlier manifest lists in ``--out``, and exits 2 for a
+configuration error or 3 for a stage failure, a file that cannot be read or
+written, a report that holds NaN or infinity or an array too large to
+allocate, with one line on stderr.
 """
-
 from __future__ import annotations
 
 import argparse
@@ -183,14 +187,20 @@ def _sha256(path: Path) -> str:
 
 
 class RunManifest:
-    """Per-stage record of inputs, outputs and content digests, and of the settings the run read."""
+    """One run's record: per stage its inputs, outputs and content digests, and the settings the run read.
 
-    def __init__(self, seed: int, out_dir: Path):
+    ``pipeline`` writes it to ``manifest.json`` and its timings to ``timings.json``; every other command to
+    ``manifest_<command>.json`` and ``timings_<command>.json``.
+    """
+
+    def __init__(self, command: str, seed: int, out_dir: Path):
         self.seed = seed
         self.out_dir = out_dir
+        suffix = "" if command == "pipeline" else f"_{command}"
+        self.path, self.timings_path = out_dir / f"manifest{suffix}.json", out_dir / f"timings{suffix}.json"
         self.config: dict = {}  # name -> value of every setting read through a ``recording`` copy
         self.stages: list[dict] = []
-        self.digests: dict[Path, str] = {}  # every output of the stages so far
+        self.digests: dict[Path, str] = {}  # every file a stage so far read or wrote
         self.timings: dict[str, float] = {}
 
     def recording(self, settings):
@@ -216,17 +226,20 @@ class RunManifest:
     def stage(self, name: str, inputs: dict[str, Path]):
         """Run one stage; if it succeeds, record its inputs, every file it wrote and its time.
 
-        An input that an earlier stage wrote takes the digest recorded then; only other inputs are read to digest.
+        A file is read to digest once: an input that an earlier stage read or wrote takes the digest recorded then.
         """
         start = time.perf_counter()
         with artifacts.journal() as written:
             yield
         self.timings[name] = time.perf_counter() - start
+        for path in inputs.values():
+            if path not in self.digests:
+                self.digests[path] = _sha256(path)
         outputs = {path: _sha256(path) for path in sorted(written)}
         self.stages.append(
             {
                 "name": name,
-                "inputs": {key: self.digests.get(path) or _sha256(path) for key, path in sorted(inputs.items())},
+                "inputs": {key: self.digests[path] for key, path in sorted(inputs.items())},
                 "outputs": {str(path.relative_to(self.out_dir)): digest for path, digest in outputs.items()},
             }
         )
@@ -239,8 +252,8 @@ class RunManifest:
             "config": self.config,
             "stages": self.stages,
         }
-        artifacts.write_json(self.out_dir / "timings.json", {"timings_s": self.timings})
-        artifacts.write_json(self.out_dir / "manifest.json", manifest)
+        artifacts.write_json(self.timings_path, {"timings_s": self.timings})
+        artifacts.write_json(self.path, manifest)
 
 
 def _auto_segment_len(n_samples: int, requested: int) -> int:
@@ -251,8 +264,8 @@ def _auto_segment_len(n_samples: int, requested: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# stages: each computes one step of the chain and writes its artifacts into
-# ``out_dir``; ``artifacts.journal`` lists the files it wrote
+# stages: each runs as the stage of its name in ``run``, computes one step of
+# the chain and writes its artifacts into ``run.out_dir``
 
 
 def _stage_seeds(seed: int) -> tuple[int, int, int]:
@@ -261,74 +274,57 @@ def _stage_seeds(seed: int) -> tuple[int, int, int]:
     return sim, ch, cbh
 
 
-def _simulate(config, settings, dq, seed, out_dir) -> dynamics.Trajectory:
-    """The thermal or coherent record, written chunk by chunk and read back from its file.
-
-    ``_load`` has refused fock1, which has no trajectory.
-    """
-    duration, rate = settings.sim_duration_s, settings.sim_sample_rate_hz
-    if settings.sim_state == "thermal":
-        temperature = settings.sim_temperature_K
-        traj = dynamics.simulate_thermal(config, dq, duration, rate, _stage_seeds(seed)[0], temperature_K=temperature)
-    else:
-        amplitude, phase = settings.coherent_amplitude_m, settings.coherent_phase_rad
-        traj = dynamics.simulate_coherent(dq, amplitude, phase, duration, rate)
-    dynamics.save_trajectory(traj, out_dir / "trajectory.npy")
-    return dynamics.load_trajectory(out_dir / "trajectory.npy")
+def _config_file(args) -> dict[str, Path]:
+    """The input of a stage that reads the configuration: the ``--config`` file, if one is named."""
+    return {"config_file": Path(args.config)} if args.config else {}
 
 
-def _detect(config, settings, traj, seed, out_dir) -> dict[str, detection.CountRecord]:
-    """Each scheme's counts, written chunk by chunk; the records returned read them back from their files."""
+def _detect(config, settings, traj_path, seed, run) -> dict[str, detection.CountRecord]:
+    """The detect stage on the trajectory at ``traj_path``: each scheme's counts, written chunk by chunk; the records
+    returned read them back from their files."""
     detect = detection.detect_exact if settings.detection_model == "exact" else detection.detect_linear
     records = {}
-    for scheme, det_seed in zip(detection.SCHEMES, _stage_seeds(seed)[1:]):
-        if settings.scheme not in (scheme, "both"):
-            continue
-        params = detection.params_from_config(
-            config,
-            scheme,
-            shot_noise=settings.shot_noise,
-            electronic_noise_counts_rms=settings.electronic_noise_counts_rms,
-            linearity_guard=settings.linearity_guard,
-        )
-        record, path = detect(traj, params, seed=det_seed), out_dir / f"counts_{scheme}.npy"
-        detection.save_count_record(record, path)
-        records[scheme] = replace(record, counts=artifacts.read_series(path))
+    with run.stage("detect", {"trajectory": traj_path}):
+        traj = dynamics.load_trajectory(traj_path)
+        for scheme, det_seed in zip(detection.SCHEMES, _stage_seeds(seed)[1:]):
+            if settings.scheme not in (scheme, "both"):
+                continue
+            params = detection.params_from_config(
+                config,
+                scheme,
+                shot_noise=settings.shot_noise,
+                electronic_noise_counts_rms=settings.electronic_noise_counts_rms,
+                linearity_guard=settings.linearity_guard,
+            )
+            record, path = detect(traj, params, seed=det_seed), run.out_dir / f"counts_{scheme}.npy"
+            detection.save_count_record(record, path)
+            records[scheme] = replace(record, counts=artifacts.read_series(path))
     return records
 
 
-def _invert(settings, dq, record, counts_file, out_dir) -> dynamics.Trajectory:
-    """Calibrated positions of ``record``, whose counts are read back from ``counts_file``, mapped on each pass;
-    ``auto`` rescales to equipartition only a thermal record with shot noise.
+def _invert(settings, dq, record, counts_path, run) -> dynamics.Trajectory:
+    """The invert stage: calibrated positions of ``record``, whose counts are read back from ``counts_path``, mapped
+    on each pass; ``auto`` rescales to equipartition only a thermal record with shot noise.
 
     ``calibration.json`` records the map: its constants, the counts file it applies to, and the time axis, so the
     positions can be rebuilt from the counts. ``fig2a.npy`` holds the first ``FIG2A_ROWS`` positions, and its
     sidecar their time axis.
     """
-    calibration = settings.calibration
-    if calibration == "auto":
-        thermal_noisy = settings.sim_state == "thermal" and settings.shot_noise
-        calibration = "equipartition" if thermal_noisy else "linear"
-    target_var = None
-    if calibration == "equipartition":
-        target_var = KB * settings.sim_temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
-    positions = detection.invert_counts(record, calibration=calibration, target_variance_m2=target_var)
-    axis = {"t0_s": positions.t0_s, "sample_rate_Hz": positions.sample_rate_Hz}
-    map_info = {"counts_file": counts_file, **positions.meta, **axis, "n_samples": len(positions.z_m)}
-    artifacts.write_json(out_dir / "calibration.json", map_info)
-    head = next(positions.z_m.blocks(FIG2A_ROWS))
-    artifacts.write_array(out_dir / "fig2a.npy", head, {**axis, "n_samples": head.size})
+    with run.stage("invert", {"counts": counts_path}):
+        calibration = settings.calibration
+        if calibration == "auto":
+            thermal_noisy = settings.sim_state == "thermal" and settings.shot_noise
+            calibration = "equipartition" if thermal_noisy else "linear"
+        target_var = None
+        if calibration == "equipartition":
+            target_var = KB * settings.sim_temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
+        positions = detection.invert_counts(record, calibration=calibration, target_variance_m2=target_var)
+        axis = {"t0_s": positions.t0_s, "sample_rate_Hz": positions.sample_rate_Hz}
+        map_info = {"counts_file": counts_path.name, **positions.meta, **axis, "n_samples": len(positions.z_m)}
+        artifacts.write_json(run.out_dir / "calibration.json", map_info)
+        head = next(positions.z_m.blocks(FIG2A_ROWS))
+        artifacts.write_array(run.out_dir / "fig2a.npy", head, {**axis, "n_samples": head.size})
     return positions
-
-
-def _psd(series, settings) -> spectral.Psd:
-    segment = _auto_segment_len(len(series.z_m), settings.psd_segment_len)
-    return spectral.estimate_psd(series.z_m, series.sample_rate_Hz, segment, settings.psd_overlap)
-
-
-def _fit(psd, dq) -> spectral.LorentzianFit:
-    f0 = dq.omega_s_rad_s / TWO_PI
-    return spectral.fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
 
 
 def _save_line(psd, fit, out_dir, scheme=None) -> None:
@@ -361,49 +357,54 @@ def _save_line(psd, fit, out_dir, scheme=None) -> None:
     )
 
 
-def _spectral(records, dq, settings, out_dir) -> dict[str, spectral.LorentzianFit]:
-    """Each scheme's spectrum of its linearly inverted counts and its line fit, and the noise floors of two schemes.
+def _spectral(settings, dq, records, inputs, run) -> dict[str | None, spectral.LorentzianFit]:
+    """The spectral stage: each record's spectrum and line fit, and the noise floors of two schemes.
 
-    Every spectrum is estimated before any line is fitted, so the second Welch
-    pass reuses the first one's buffers; only the fits outlive the stage.
+    ``records`` maps each scheme to its linearly inverted counts, or ``None``
+    to a trajectory. Every spectrum is estimated before any line is fitted,
+    so the second Welch pass reuses the first one's buffers; only the fits
+    outlive the stage.
     """
-    psds = {scheme: _psd(detection.invert_counts(rec), settings) for scheme, rec in records.items()}
-    fits = {}
-    for scheme, psd in psds.items():
-        fits[scheme] = _fit(psd, dq)
-        _save_line(psd, fits[scheme], out_dir, scheme)
-    if len(psds) == 2:
-        floors = detection.compare_noise_floor(psds["ch"], psds["cbh"])
-        artifacts.write_json(out_dir / "noise_floors.json", asdict(floors))
+    f0 = dq.omega_s_rad_s / TWO_PI
+    with run.stage("spectral", inputs):
+        psds = {}
+        for scheme, series in records.items():
+            segment = _auto_segment_len(len(series.z_m), settings.psd_segment_len)
+            psds[scheme] = spectral.estimate_psd(series.z_m, series.sample_rate_Hz, segment, settings.psd_overlap)
+        fits = {}
+        for scheme, psd in psds.items():
+            fits[scheme] = spectral.fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
+            _save_line(psd, fits[scheme], run.out_dir, scheme)
+        if len(psds) == 2:
+            floors = detection.compare_noise_floor(psds["ch"], psds["cbh"])
+            artifacts.write_json(run.out_dir / "noise_floors.json", asdict(floors))
     return fits
 
 
-def _binned(series, omega_rad_s, settings) -> tomography.MarginalSet:
-    """The record's marginals, binned at ``omega_rad_s`` on a grid of ``marginal_span_sigmas``."""
-    grid = tomography.default_z_grid(series.z_m, settings.marginal_grid_points, settings.marginal_span_sigmas)
-    return tomography.bin_marginals(series, omega_rad_s, settings.n_angles, grid)
-
-
-def _tomography(marginals, settings, out_dir) -> tomography.WignerReport:
-    """Reconstruct the Wigner function onto the marginal grid, analyze it and save all three."""
-    wigner = tomography.inverse_radon(marginals, cutoff_fraction=settings.cutoff_fraction)
-    report = tomography.analyze(wigner)
-    tomography.save_marginals(marginals, out_dir / "marginals.npy")
-    tomography.save_wigner(wigner, out_dir / "wigner.npy")
-    tomography.save_report(report, out_dir / "analyze.json")
+def _tomography(settings, inputs, run, record=None, omega0_rad_s=None) -> tomography.WignerReport:
+    """The tomography stage: the marginals of ``record`` binned at ``omega0_rad_s`` on a grid of
+    ``marginal_span_sigmas``, or with no record the fock1 oracle's; the Wigner function reconstructed onto the
+    marginal grid, and its analysis. It saves all three."""
+    with run.stage("tomography", inputs):
+        if record is None:  # the first excited state's oracle, in natural units (s = 1)
+            angles = TWO_PI * np.arange(settings.n_angles) / settings.n_angles
+            grid = np.linspace(-5.0, 5.0, settings.marginal_grid_points)
+            marginals = tomography.oracle_marginals("fock1", angles, grid, z_zpf_m=1.0 / math.sqrt(2.0))
+        else:
+            grid = tomography.default_z_grid(record.z_m, settings.marginal_grid_points, settings.marginal_span_sigmas)
+            marginals = tomography.bin_marginals(record, omega0_rad_s, settings.n_angles, grid)
+        wigner = tomography.inverse_radon(marginals, cutoff_fraction=settings.cutoff_fraction)
+        report = tomography.analyze(wigner)
+        tomography.save_marginals(marginals, run.out_dir / "marginals.npy")
+        tomography.save_wigner(wigner, run.out_dir / "wigner.npy")
+        tomography.save_report(report, run.out_dir / "analyze.json")
     return report
 
 
-def _decoherence(settings, dq, out_dir) -> None:
-    zmin, zmax, n = settings.decoherence_zmin_m, settings.decoherence_zmax_m, settings.decoherence_points
-    grid = np.logspace(math.log10(zmin), math.log10(zmax), n) if n > 1 else np.array([zmin])
-    curve = np.array(decoherence_curve(grid, dq))
-    artifacts.write_array(out_dir / "decoherence.npy", curve[:, 1], {"delta_z_m": curve[:, 0].tolist()})
-
-
 # ---------------------------------------------------------------------------
-# subcommands: each body gets the resolved config and settings and an existing
-# ``out_dir``, and returns the report ``main`` prints, or None
+# subcommands: each body gets the resolved config and settings, read through
+# ``run``, and ``run`` itself, whose ``out_dir`` exists; it returns the report
+# ``main`` prints, or None
 
 
 def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
@@ -445,62 +446,70 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     return config, settings
 
 
-def cmd_derive(args, config, settings, out_dir) -> dict:
-    payload = asdict(derive(config))
-    artifacts.write_json(out_dir / "derived.json", payload)
+def cmd_derive(args, config, settings, run) -> dict:
+    with run.stage("derive", _config_file(args)):
+        payload = asdict(derive(config))
+        artifacts.write_json(run.out_dir / "derived.json", payload)
     return payload
 
 
-def cmd_simulate(args, config, settings, out_dir) -> None:
-    _simulate(config, settings, derive(config), args.seed, out_dir)
+def cmd_simulate(args, config, settings, run) -> None:
+    """The thermal or coherent record, written chunk by chunk; ``_load`` has refused fock1, which has no trajectory."""
+    with run.stage("simulate", _config_file(args)):
+        duration, rate, dq = settings.sim_duration_s, settings.sim_sample_rate_hz, derive(config)
+        if settings.sim_state == "thermal":
+            seed, temperature = _stage_seeds(args.seed)[0], settings.sim_temperature_K
+            traj = dynamics.simulate_thermal(config, dq, duration, rate, seed, temperature_K=temperature)
+        else:
+            amplitude, phase = settings.coherent_amplitude_m, settings.coherent_phase_rad
+            traj = dynamics.simulate_coherent(dq, amplitude, phase, duration, rate)
+        dynamics.save_trajectory(traj, run.out_dir / "trajectory.npy")
 
 
-def cmd_detect(args, config, settings, out_dir) -> None:
-    _detect(config, settings, dynamics.load_trajectory(args.traj), args.seed, out_dir)
+def cmd_detect(args, config, settings, run) -> None:
+    _detect(config, settings, Path(args.traj), args.seed, run)
 
 
-def cmd_psd(args, config, settings, out_dir) -> None:
-    psd = _psd(dynamics.load_trajectory(args.traj), settings)
-    _save_line(psd, _fit(psd, derive(config)), out_dir)
+def cmd_psd(args, config, settings, run) -> None:
+    path = Path(args.traj)
+    _spectral(settings, derive(config), {None: dynamics.load_trajectory(path)}, {"trajectory": path}, run)
 
 
-def cmd_tomo(args, config, settings, out_dir) -> dict:
-    traj = dynamics.load_trajectory(args.traj)
-    fit = _fit(_psd(traj, settings), derive(config))
-    return asdict(_tomography(_binned(traj, fit.omega0_rad_s, settings), settings, out_dir))
+def cmd_tomo(args, config, settings, run) -> dict:
+    """The spectral stage on the trajectory, then the tomography stage bins it at the fitted frequency."""
+    path = Path(args.traj)
+    traj, inputs = dynamics.load_trajectory(path), {"trajectory": path}
+    fit = _spectral(settings, derive(config), {None: traj}, inputs, run)[None]
+    return asdict(_tomography(settings, inputs, run, traj, fit.omega0_rad_s))
 
 
-def cmd_decoherence(args, config, settings, out_dir) -> None:
-    _decoherence(settings, derive(config), out_dir)
+def cmd_decoherence(args, config, settings, run) -> None:
+    with run.stage("decoherence", {}):
+        zmin, zmax, n = settings.decoherence_zmin_m, settings.decoherence_zmax_m, settings.decoherence_points
+        grid = np.logspace(math.log10(zmin), math.log10(zmax), n) if n > 1 else np.array([zmin])
+        curve = np.array(decoherence_curve(grid, derive(config)))
+        artifacts.write_array(run.out_dir / "decoherence.npy", curve[:, 1], {"delta_z_m": curve[:, 0].tolist()})
 
 
-def cmd_pipeline(args, config, settings, out_dir) -> None:
+def cmd_pipeline(args, config, settings, run) -> None:
     """Run every stage in order; ``plotdata/style.json`` names each figure's source file.
 
+    The stages are the other subcommands' bodies, each on the files the
+    stages before it wrote, with the invert and plot-style stages between.
     A fock1 run takes its marginals from the oracle and skips the record
     stages; every state then goes through the one tomography stage.
     """
-    manifest = RunManifest(args.seed, out_dir)
-    config, settings = manifest.recording(config), manifest.recording(settings)
-    config_inputs = {"config_file": Path(args.config)} if args.config else {}
-    dq = derive(config)
+    out_dir = run.out_dir
     figures: dict = {}
-    counts: dict[str, Path] = {}  # the primary scheme's counts file, which a record's reconstruction reads
-
-    with manifest.stage("derive", config_inputs):
-        artifacts.write_json(out_dir / "derived.json", asdict(dq))
-
-    if settings.sim_state != "fock1":
-        with manifest.stage("simulate", config_inputs):
-            traj = _simulate(config, settings, dq, args.seed, out_dir)
-
-        with manifest.stage("detect", {"trajectory": out_dir / "trajectory.npy"}):
-            records = _detect(config, settings, traj, args.seed, out_dir)
-        primary = "cbh" if "cbh" in records else "ch"
-        counts = {"counts": out_dir / f"counts_{primary}.npy"}
-
-        with manifest.stage("invert", counts):
-            positions = _invert(settings, dq, records[primary], counts["counts"].name, out_dir)
+    cmd_derive(args, config, settings, run)
+    if settings.sim_state == "fock1":
+        _tomography(settings, {}, run)
+    else:
+        cmd_simulate(args, config, settings, run)
+        records = _detect(config, settings, out_dir / "trajectory.npy", args.seed, run)
+        primary, dq = "cbh" if "cbh" in records else "ch", derive(config)
+        counts = out_dir / f"counts_{primary}.npy"  # the file a record's reconstruction reads
+        positions = _invert(settings, dq, records[primary], counts, run)
         figures["fig2a"] = {
             "file": "fig2a.npy",
             "time_axis": "fig2a.json",
@@ -508,9 +517,8 @@ def cmd_pipeline(args, config, settings, out_dir) -> None:
             "y": "z_m",
             "kind": "line",
         }
-
-        with manifest.stage("spectral", {}):
-            fits = _spectral(records, dq, settings, out_dir)
+        linear = {scheme: detection.invert_counts(record) for scheme, record in records.items()}
+        fits = _spectral(settings, dq, linear, {}, run)
         figures["fig2d"] = {
             "file": [f"psd_{scheme}.npy" for scheme in fits],
             "x": "(k + 1) * df_Hz",
@@ -520,20 +528,11 @@ def cmd_pipeline(args, config, settings, out_dir) -> None:
             "yscale": "log",
             "floors": {scheme: fit.noise_floor for scheme, fit in fits.items()},
         }
-
-    with manifest.stage("tomography", counts):
-        if settings.sim_state == "fock1":  # the first excited state's oracle, in natural units (s = 1)
-            angles = TWO_PI * np.arange(settings.n_angles) / settings.n_angles
-            grid = np.linspace(-5.0, 5.0, settings.marginal_grid_points)
-            marginals = tomography.oracle_marginals("fock1", angles, grid, z_zpf_m=1.0 / math.sqrt(2.0))
-        else:
-            marginals = _binned(positions, fits[primary].omega0_rad_s, settings)
-        _tomography(marginals, settings, out_dir)
+        _tomography(settings, {"counts": counts}, run, positions, fits[primary].omega0_rad_s)
     figures["fig2b"] = {"file": "marginals.npy", "matrix": "rows theta, columns z", "kind": "heatmap"}
     figures["fig2c"] = {"file": "wigner.npy", "matrix": "rows z, columns p/(m omega)", "kind": "heatmap"}
 
-    with manifest.stage("decoherence", {}):
-        _decoherence(settings, dq, out_dir)
+    cmd_decoherence(args, config, settings, run)
     figures["fig3"] = {
         "file": "decoherence.npy",
         "x": "delta_z_m",
@@ -543,11 +542,10 @@ def cmd_pipeline(args, config, settings, out_dir) -> None:
         "yscale": "log",
     }
 
-    with manifest.stage("plot-style", {}):  # the folder too, so a failed run leaves none
+    with run.stage("plot-style", {}):  # the folder too, so a failed run leaves none
         plot_dir = out_dir / "plotdata"
         plot_dir.mkdir(exist_ok=True)
         artifacts.write_json(plot_dir / "style.json", {"figures": figures})
-    manifest.write()
 
 
 # ---------------------------------------------------------------------------
@@ -630,44 +628,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _retire_earlier_run(out_dir: Path) -> None:
-    """Rename to ``<name>.partial`` an earlier run's ``manifest.json``, its ``timings.json`` and every output file
-    the manifest lists in ``out_dir``, so that a failed run leaves no result that looks valid.
+def _retire_earlier_run(run: RunManifest) -> None:
+    """Rename to ``<name>.partial`` the manifest of the same command's earlier run into ``run.out_dir``, its timings
+    and every output file the manifest lists, so that a failed run leaves no result that looks valid.
 
     Only files inside ``out_dir`` are renamed; a manifest that cannot be read retires itself and its timings.
     """
-    manifest = out_dir / "manifest.json"
-    if not manifest.is_file():
+    if not run.path.is_file():
         return
     try:
-        listed = [out_dir / name for stage in json.loads(manifest.read_text())["stages"] for name in stage["outputs"]]
+        stages = json.loads(run.path.read_text())["stages"]
+        listed = [run.out_dir / name for stage in stages for name in stage["outputs"]]
     except (ValueError, KeyError, TypeError):
         listed = []
-    inside = out_dir.resolve()
-    for path in listed + [out_dir / "timings.json", manifest]:
+    inside = run.out_dir.resolve()
+    for path in listed + [run.timings_path, run.path]:
         if path.is_file() and path.resolve().is_relative_to(inside):
             path.rename(path.with_name(path.name + ".partial"))
 
 
 def main(argv=None) -> int:
-    """Run one subcommand: settings first, then the body with every file it writes journaled.
+    """Run one subcommand: settings first, then the body on its :class:`RunManifest`, every file it writes journaled.
 
-    A body that fails leaves each file it wrote as ``<name>.partial``, and retires the results of an earlier
-    pipeline run into the same ``--out`` (:func:`_retire_earlier_run`).
+    A body that fails leaves each file it wrote as ``<name>.partial``, and retires the results of the same
+    command's earlier run into the same ``--out`` (:func:`_retire_earlier_run`).
     """
     args = build_parser().parse_args(argv)
     try:
         config, settings = _load(args)
-        out_dir = Path(args.out)
+        run = RunManifest(args.command, args.seed, Path(args.out))
         with artifacts.journal() as written:
             try:
-                out_dir.mkdir(parents=True, exist_ok=True)
-                report = args.func(args, config, settings, out_dir)
+                run.out_dir.mkdir(parents=True, exist_ok=True)
+                report = args.func(args, run.recording(config), run.recording(settings), run)
+                run.write()
             except BaseException:
                 for path in written:
                     if path.is_file():
                         path.rename(path.with_name(path.name + ".partial"))
-                _retire_earlier_run(out_dir)
+                _retire_earlier_run(run)
                 raise
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -126,7 +126,10 @@ class CountRecord:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", artifacts.Series.of(self.counts))
+        try:
+            object.__setattr__(self, "counts", artifacts.Series.of(self.counts))
+        except ValueError as exc:
+            raise DetectionError(f"counts: {exc}") from None
 
     @property
     def window_rate_Hz(self) -> float:

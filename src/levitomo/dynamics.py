@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,7 +75,10 @@ class Trajectory:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "z_m", artifacts.Series.of(self.z_m))
+        try:
+            object.__setattr__(self, "z_m", artifacts.Series.of(self.z_m))
+        except ValueError as exc:
+            raise SimulationError(f"z_m: {exc}") from None
         if not (math.isfinite(self.sample_rate_Hz) and self.sample_rate_Hz > 0):
             raise SimulationError(f"sample_rate_Hz must be finite and positive, got {self.sample_rate_Hz!r}")
         if len(self.z_m) < 2:
@@ -383,6 +387,9 @@ def _read_sidecar(path: Path, required: bool) -> dict:
     numbers = ("sample_rate_Hz", "t0_s")
     if not isinstance(info, dict) or any(type(info.get(key, 0.0)) not in (int, float) for key in numbers):
         raise SimulationError(f"{info_path}: expected a JSON object whose sample_rate_Hz and t0_s are numbers")
+    for key in numbers:  # json.loads reads NaN, Infinity and integers too large for a float
+        if key in info and not abs(info[key]) <= sys.float_info.max:
+            raise SimulationError(f"{path}: its sidecar {info_path} holds {key} {info[key]!r}, not a finite number")
     return info
 
 

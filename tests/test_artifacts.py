@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from levitomo import artifacts
 from levitomo.artifacts import Series
 from levitomo.detection import CountRecord, params_from_config
 from levitomo.dynamics import Trajectory
-from levitomo.errors import ArtifactError, LevitomoError
+from levitomo.errors import ArtifactError, DetectionError, LevitomoError, SimulationError
 
 
 def irregular(values, sizes):
@@ -72,6 +73,19 @@ def test_a_record_built_from_an_array_holds_a_series_of_its_bytes(config):
             series = getattr(copy, name)
             assert isinstance(series, Series) and len(series) == values.size, name
             assert series.values().tobytes() == samples.tobytes(), name
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (12, 1), ()])
+def test_a_record_refuses_an_array_that_is_not_1d(config, shape):
+    """A 2-D or 0-D array is not a record of samples: each record type names its shape in its own error."""
+    values = np.zeros(shape)
+    with pytest.raises(ValueError, match=rf"1-D array of samples, got shape {re.escape(str(shape))}"):
+        Series.of(values)
+    with pytest.raises(SimulationError, match=rf"z_m: .* got shape {re.escape(str(shape))}"):
+        Trajectory(sample_rate_Hz=1e6, z_m=values)
+    params = params_from_config(config, "ch")
+    with pytest.raises(DetectionError, match=rf"counts: .* got shape {re.escape(str(shape))}"):
+        CountRecord(t0_s=0.0, counts=values, params=params, linear_constants=params.linear_constants())
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])

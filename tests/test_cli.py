@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -591,7 +592,11 @@ def test_unwritable_output_is_a_stage_failure(tmp_path, capsys, blocked, written
         ("simulate", "trajectory.json", ["trajectory.npy"]),
         ("detect", "counts_cbh.npy", ["counts_ch.npy", "counts_ch.json"]),
         ("psd", "fit.json", ["psd.npy", "psd.json"]),
-        ("tomo", "analyze.json", ["marginals.npy", "marginals.json", "wigner.npy", "wigner.json"]),
+        (
+            "tomo",
+            "analyze.json",
+            ["psd.npy", "psd.json", "fit.json", "marginals.npy", "marginals.json", "wigner.npy", "wigner.json"],
+        ),
         ("decoherence", "decoherence.npy", []),
     ],
 )
@@ -754,7 +759,7 @@ def test_legacy_crlf_trajectory_loads_through_traj(tmp_path):
     outputs = {
         "detect": ("counts_ch.npy", "counts_cbh.npy"),
         "psd": ("psd.npy", "psd.json", "fit.json"),
-        "tomo": ("marginals.npy", "wigner.npy", "analyze.json"),
+        "tomo": ("psd.npy", "psd.json", "fit.json", "marginals.npy", "wigner.npy", "analyze.json"),
     }
     samples = dynamics.load_trajectory(npy).z_m.values().tobytes()
     for n, source in enumerate(sources):
@@ -831,6 +836,21 @@ def _nan_at_99(z):
             lambda npy, info, marker: _with_sidecar(info, n_samples=12345),
             "sidecar n_samples 12345 differs",
             id="sidecar-count",
+        ),
+        pytest.param(
+            lambda npy, info, marker: _with_sidecar(info, t0_s=math.nan),
+            "trajectory.json holds t0_s nan, not a finite number",
+            id="sidecar-t0-nan",
+        ),
+        pytest.param(
+            lambda npy, info, marker: _with_sidecar(info, sample_rate_Hz=math.inf),
+            "trajectory.json holds sample_rate_Hz inf, not a finite number",
+            id="sidecar-rate-inf",
+        ),
+        pytest.param(
+            lambda npy, info, marker: _with_sidecar(info, sample_rate_Hz=10**400),
+            "not a finite number",
+            id="sidecar-rate-beyond-float",
         ),
         pytest.param(
             lambda npy, info, marker: np.save(npy, _nan_at_99(np.load(npy))),
@@ -965,18 +985,56 @@ def test_pipeline_full_temperature_exact_model_fails_cleanly(tmp_path, capsys):
     assert "no peak" in capsys.readouterr().err
 
 
-def test_manifest_digests_match_files(tmp_path, capsys):
-    import hashlib
+STAGE_COMMANDS = ("detect", "psd", "tomo")  # the commands that read --traj
+REPORTS = {"derive": "derived.json", "tomo": "analyze.json"}  # the commands that print a report, and its file
 
-    assert run(["pipeline", "--seed", 11, "--out", tmp_path] + FAST_PIPELINE) == 0
-    printed = capsys.readouterr().out.removeprefix("wrote ").rstrip("\n").split(", ")
-    assert sorted(printed) == sorted(str(path) for path in tmp_path.rglob("*") if path.is_file())
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["derive", "simulate", "detect", "psd", "tomo", "decoherence", "pipeline"])
+def test_manifest_digests_match_files(tmp_path, capsys, command):
+    """Every command writes a manifest of its own that lists every file the run wrote, with its digest; a stage
+    subcommand's stages list the digest of the trajectory they read."""
+    traj, out = tmp_path / "input" / "trajectory.npy", tmp_path / "run"
+    assert run(["simulate", "--seed", 11, "--out", traj.parent] + FAST_PIPELINE) == 0
+    capsys.readouterr()
+    traj_args = ["--traj", traj] if command in STAGE_COMMANDS else []
+    assert run([command, "--seed", 11, "--out", out] + traj_args + FAST_PIPELINE) == 0
+    on_disk = sorted(str(path) for path in out.rglob("*") if path.is_file())
+    printed = capsys.readouterr().out
+    if command in REPORTS:
+        assert json.loads(printed) == json.loads((out / REPORTS[command]).read_text())
+    else:
+        assert sorted(printed.removeprefix("wrote ").rstrip("\n").split(", ")) == on_disk
+    suffix = "" if command == "pipeline" else f"_{command}"
+    manifest = json.loads((out / f"manifest{suffix}.json").read_text())
     assert manifest["seed"] == 11
-    checked = 0
-    for stage in manifest["stages"]:
-        for rel, digest in stage["outputs"].items():
-            actual = hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest()
-            assert actual == digest, rel
-            checked += 1
-    assert checked >= 10
+    outputs = {rel: digest for stage in manifest["stages"] for rel, digest in stage["outputs"].items()}
+    assert sorted(str(out / rel) for rel in [*outputs, f"manifest{suffix}.json", f"timings{suffix}.json"]) == on_disk
+    for rel, digest in outputs.items():
+        assert sha256(out / rel) == digest, rel
+    if command in STAGE_COMMANDS:
+        expected = {"detect": ["detect"], "psd": ["spectral"], "tomo": ["spectral", "tomography"]}[command]
+        assert [stage["name"] for stage in manifest["stages"]] == expected
+        assert all(stage["inputs"] == {"trajectory": sha256(traj)} for stage in manifest["stages"])
+
+
+def test_failed_stage_rerun_retires_the_same_commands_results(tmp_path, capsys):
+    """A failed ``tomo`` rerun into a shared ``--out`` retires every result the earlier ``tomo`` manifest lists, and
+    leaves the ``simulate`` run's files it read."""
+    assert run(["simulate", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.1"]) == 0
+    tomo = ["tomo", "--traj", tmp_path / "trajectory.npy", "--out", tmp_path, "--set", "sim_duration_s=0.1"]
+    assert run(tomo) == 0
+    earlier = json.loads((tmp_path / "manifest_tomo.json").read_text())
+    results = [rel for stage in earlier["stages"] for rel in stage["outputs"]]
+    results += ["manifest_tomo.json", "timings_tomo.json"]
+    assert {"psd.npy", "fit.json", "marginals.npy", "wigner.npy", "analyze.json"} <= set(results)
+    capsys.readouterr()
+    assert run(tomo + ["--set", "n_angles=5000"]) == 3
+    assert capsys.readouterr().err.startswith("tomo stage failed: ")
+    for name in results:
+        assert not (tmp_path / name).exists() and (tmp_path / f"{name}.partial").is_file(), name
+    for name in ("trajectory.npy", "trajectory.json", "manifest_simulate.json", "timings_simulate.json"):
+        assert (tmp_path / name).is_file(), name
