@@ -47,6 +47,12 @@ allocate, with one line on stderr.
 """
 from __future__ import annotations
 
+import os
+
+# set before numpy loads, or OpenBLAS starts a worker per extra CPU that spins idle at start-up, while the package's
+# BLAS calls are 4 x 4 and 2 x 2 products; a value the caller exported is kept
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import hashlib
 import json
@@ -327,14 +333,12 @@ def _invert(settings, dq, record, counts_path, run) -> dynamics.Trajectory:
     return positions
 
 
-def _save_line(psd, fit, out_dir, scheme=None) -> None:
-    """Write the power ``psd_<scheme>.npy`` (bin k at (k + 1) ``df_Hz``) and the line fit ``fit_<scheme>.json``.
+def _save_line(psd, fit, out_dir, suffix, scheme) -> None:
+    """Write the power ``psd<suffix>.npy`` (bin k at (k + 1) ``df_Hz``) and the line fit ``fit<suffix>.json``.
 
-    The spectrum of a trajectory has no scheme; it goes to ``psd.npy`` and ``fit.json``. The fit's
-    ``linewidth_resolved`` is false when the fitted linewidth is under one bin, 2 pi ``df_Hz``: the spectrum
-    cannot tell that line's width, and the fit drives it towards 0.
+    The fit's ``linewidth_resolved`` is false when the fitted linewidth is under one bin, 2 pi ``df_Hz``: the
+    spectrum cannot tell that line's width, and the fit drives it towards 0.
     """
-    suffix = f"_{scheme}" if scheme else ""
     info = {
         "df_Hz": float(psd.freqs_Hz[0]),
         "segment_len": psd.segment_len,
@@ -357,13 +361,15 @@ def _save_line(psd, fit, out_dir, scheme=None) -> None:
     )
 
 
-def _spectral(settings, dq, records, inputs, run) -> dict[str | None, spectral.LorentzianFit]:
+def _spectral(settings, dq, records, inputs, run, suffix="") -> dict[str | None, spectral.LorentzianFit]:
     """The spectral stage: each record's spectrum and line fit, and the noise floors of two schemes.
 
     ``records`` maps each scheme to its linearly inverted counts, or ``None``
-    to a trajectory. Every spectrum is estimated before any line is fitted,
-    so the second Welch pass reuses the first one's buffers; only the fits
-    outlive the stage.
+    to a trajectory. A scheme's spectrum goes to ``psd_<scheme>.npy`` and
+    ``fit_<scheme>.json``, a trajectory's to ``psd<suffix>.npy`` and
+    ``fit<suffix>.json``. Every spectrum is estimated before any line is
+    fitted, so the second Welch pass reuses the first one's buffers; only the
+    fits outlive the stage.
     """
     f0 = dq.omega_s_rad_s / TWO_PI
     with run.stage("spectral", inputs):
@@ -374,7 +380,7 @@ def _spectral(settings, dq, records, inputs, run) -> dict[str | None, spectral.L
         fits = {}
         for scheme, psd in psds.items():
             fits[scheme] = spectral.fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
-            _save_line(psd, fits[scheme], run.out_dir, scheme)
+            _save_line(psd, fits[scheme], run.out_dir, f"_{scheme}" if scheme else suffix, scheme)
         if len(psds) == 2:
             floors = detection.compare_noise_floor(psds["ch"], psds["cbh"])
             artifacts.write_json(run.out_dir / "noise_floors.json", asdict(floors))
@@ -476,10 +482,11 @@ def cmd_psd(args, config, settings, run) -> None:
 
 
 def cmd_tomo(args, config, settings, run) -> dict:
-    """The spectral stage on the trajectory, then the tomography stage bins it at the fitted frequency."""
+    """The spectral stage on the trajectory, into ``psd_tomo.npy`` and ``fit_tomo.json`` so that ``psd`` can share
+    ``--out``, then the tomography stage bins the trajectory at the fitted frequency."""
     path = Path(args.traj)
     traj, inputs = dynamics.load_trajectory(path), {"trajectory": path}
-    fit = _spectral(settings, derive(config), {None: traj}, inputs, run)[None]
+    fit = _spectral(settings, derive(config), {None: traj}, inputs, run, "_tomo")[None]
     return asdict(_tomography(settings, inputs, run, traj, fit.omega0_rad_s))
 
 

@@ -229,20 +229,51 @@ def test_every_setting_default_has_its_annotated_type(cls, count):
         assert type(f.default).__name__ == f.type, f.name
 
 
+# the thread-count variables of numpy's BLAS builds; OpenBLAS falls back on the second and third
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+
+
+def fresh_python(code: str, **blas_env: str) -> str:
+    """The stdout of a fresh interpreter that runs ``code`` with this package on its path and, of the BLAS thread
+    variables, only ``blas_env``: importing ``levitomo.cli`` in this process has set one in ``os.environ``."""
+    src = str(Path(levitomo.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_ENV}
+    env.update(blas_env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
 def loaded_modules(code: str, package: str) -> set[str]:
     """``package`` and its modules one level down, as far as a fresh interpreter that runs ``code`` with this package
     on its path loaded them."""
-    src = str(Path(levitomo.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     depth = package.count(".") + 1
     report = (
         "import sys; print(*(m for m in sys.modules"
         f" if m.split('.')[:{depth}] == {package.split('.')!r} and m.count('.') <= {depth}))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{report}"], env=env, capture_output=True, text=True, check=True
-    )
-    return set(result.stdout.split())
+    return set(fresh_python(f"{code}\n{report}").split())
+
+
+def test_package_import_loads_no_numpy():
+    """``import levitomo`` loads no numpy, so ``cli`` sets its BLAS thread default before numpy loads, under
+    ``python -m levitomo.cli`` and under the ``levitomo`` console script alike."""
+    loaded = loaded_modules("import levitomo", "numpy")
+    assert not loaded, f"import levitomo loaded {sorted(loaded)}"
+
+
+@pytest.mark.skipif(
+    not (Path("/proc/self/task").is_dir() and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1),
+    reason="needs /proc/self/task and two usable CPUs",
+)
+def test_cli_import_starts_no_blas_threads():
+    """With no BLAS variable set, a process that imports the CLI runs one OS thread: numpy's OpenBLAS would start a
+    worker for every usable CPU but the first."""
+    assert fresh_python("import os, levitomo.cli; print(len(os.listdir('/proc/self/task')))").strip() == "1"
+
+
+def test_cli_import_keeps_the_callers_blas_threads():
+    """A BLAS thread count the caller exported stays as it was."""
+    code = "import os, levitomo.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh_python(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
 
 
 def test_cli_import_loads_no_scipy():
@@ -595,7 +626,15 @@ def test_unwritable_output_is_a_stage_failure(tmp_path, capsys, blocked, written
         (
             "tomo",
             "analyze.json",
-            ["psd.npy", "psd.json", "fit.json", "marginals.npy", "marginals.json", "wigner.npy", "wigner.json"],
+            [
+                "psd_tomo.npy",
+                "psd_tomo.json",
+                "fit_tomo.json",
+                "marginals.npy",
+                "marginals.json",
+                "wigner.npy",
+                "wigner.json",
+            ],
         ),
         ("decoherence", "decoherence.npy", []),
     ],
@@ -759,7 +798,7 @@ def test_legacy_crlf_trajectory_loads_through_traj(tmp_path):
     outputs = {
         "detect": ("counts_ch.npy", "counts_cbh.npy"),
         "psd": ("psd.npy", "psd.json", "fit.json"),
-        "tomo": ("psd.npy", "psd.json", "fit.json", "marginals.npy", "wigner.npy", "analyze.json"),
+        "tomo": ("psd_tomo.npy", "psd_tomo.json", "fit_tomo.json", "marginals.npy", "wigner.npy", "analyze.json"),
     }
     samples = dynamics.load_trajectory(npy).z_m.values().tobytes()
     for n, source in enumerate(sources):
@@ -1030,7 +1069,7 @@ def test_failed_stage_rerun_retires_the_same_commands_results(tmp_path, capsys):
     earlier = json.loads((tmp_path / "manifest_tomo.json").read_text())
     results = [rel for stage in earlier["stages"] for rel in stage["outputs"]]
     results += ["manifest_tomo.json", "timings_tomo.json"]
-    assert {"psd.npy", "fit.json", "marginals.npy", "wigner.npy", "analyze.json"} <= set(results)
+    assert {"psd_tomo.npy", "fit_tomo.json", "marginals.npy", "wigner.npy", "analyze.json"} <= set(results)
     capsys.readouterr()
     assert run(tomo + ["--set", "n_angles=5000"]) == 3
     assert capsys.readouterr().err.startswith("tomo stage failed: ")
@@ -1038,3 +1077,19 @@ def test_failed_stage_rerun_retires_the_same_commands_results(tmp_path, capsys):
         assert not (tmp_path / name).exists() and (tmp_path / f"{name}.partial").is_file(), name
     for name in ("trajectory.npy", "trajectory.json", "manifest_simulate.json", "timings_simulate.json"):
         assert (tmp_path / name).is_file(), name
+
+
+def test_psd_and_tomo_share_one_out(tmp_path):
+    """``psd`` and ``tomo`` write no file of the same name, so in one ``--out`` every digest ``manifest_psd.json``
+    lists still matches after a ``tomo`` run, and after a failed ``tomo`` rerun retires that run's results."""
+    assert run(["simulate", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.1"]) == 0
+    common = ["--traj", tmp_path / "trajectory.npy", "--out", tmp_path, "--set", "sim_duration_s=0.1"]
+    assert run(["psd"] + common) == 0
+    manifest = json.loads((tmp_path / "manifest_psd.json").read_text())
+    outputs = {rel: digest for stage in manifest["stages"] for rel, digest in stage["outputs"].items()}
+    assert sorted(outputs) == ["fit.json", "psd.json", "psd.npy"]
+    tomo = ["tomo"] + common + ["--set", "psd_segment_len=8192"]
+    for argv, code in ((tomo, 0), (tomo + ["--set", "n_angles=5000"], 3)):
+        assert run(argv) == code
+        for rel, digest in outputs.items():
+            assert sha256(tmp_path / rel) == digest, (argv[-1], rel)
