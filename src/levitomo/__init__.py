@@ -14,7 +14,6 @@ from .physics import (
     DerivedQuantities,
     ExperimentConfig,
     calibrate_waist,
-    cavity_field_amplitude,
     decoherence_curve,
     decoherence_time,
     default_config,
@@ -31,7 +30,6 @@ __all__ = [
     "SpectralError",
     "TomographyError",
     "calibrate_waist",
-    "cavity_field_amplitude",
     "decoherence_curve",
     "decoherence_time",
     "default_config",

@@ -1,4 +1,4 @@
-"""The one owner of the package's file formats: float64 arrays, JSON reports and chunked records.
+"""The one owner of the package's file formats: float64 and int32 arrays, JSON reports and chunked records.
 
 Every file the package creates is written here, so this module also knows
 which files a run wrote: each open :func:`journal` gets the path of every file
@@ -9,17 +9,20 @@ newline on disk, and finite numbers only: a NaN or an infinity fails the write
 with an ``ArtifactError``.
 
 Every numeric table (a bulk series, a spectrum, the marginals, the Wigner
-grid, the decoherence curve) is one little-endian float64 ``.npy`` array,
-written without pickling. Its axes and provenance go to a ``.json`` sidecar
-next to it, so the array holds no axis column or header.
+grid, the decoherence curve) is one little-endian ``.npy`` array, written
+without pickling: float64, or int32 for a count series that int32 holds
+exactly (``detection.CountRecord.dtype``). Its axes and provenance go to a
+``.json`` sidecar next to it, so the array holds no axis column or header.
 
 A record (a trajectory, a count series, the calibrated positions mapped from
 a count file) is a :class:`Series`: ``n`` samples that are produced or read
 ``CHUNK_SAMPLES`` at a time, from memory, from a generator or from a ``.npy``
 file, so no stage of the record chain holds a whole record.
 :func:`write_series` writes the ``.npy`` header for the known length, then
-appends each chunk; :func:`read_series` reads a file back with plain reads,
-because the pages of a memory map count toward the resident set. A statistic of a whole record
+appends each chunk, refusing a sample its dtype would not hold exactly;
+:func:`read_series` reads a file back with plain reads, because the pages of a
+memory map count toward the resident set, and widens int32 counts to float64,
+which holds every one exactly. A statistic of a whole record
 (:meth:`Series.moments`) runs over fixed ``BLOCK_SAMPLES`` blocks, so no
 artifact depends on the chunk length.
 """
@@ -195,23 +198,34 @@ class Series:
         return mean, m2 / count
 
 
-def write_series(path: str | Path, series: Series, info: dict) -> Path:
-    """Write ``series`` to ``path`` as a little-endian float64 ``.npy`` array, chunk by chunk; ``info`` to its sidecar.
+def write_series(path: str | Path, series: Series, info: dict, dtype: str = "<f8") -> Path:
+    """Write ``series`` to ``path`` as a little-endian ``.npy`` array of ``dtype``, chunk by chunk; ``info`` to its
+    sidecar.
 
-    The header is the one ``np.save`` writes for ``series.n`` samples, so the
-    file holds the same bytes. A series larger than the free space of the
-    file's folder is refused with an ``OSError`` before the file is created.
-    Returns the sidecar's path.
+    ``dtype`` is ``<f8``, or ``<i4`` for whole counts. The header is the one
+    ``np.save`` writes for ``series.n`` samples of ``dtype``, so the file holds
+    the same bytes. A series larger than the free space of the file's folder
+    is refused with an ``OSError`` before the file is created. A sample that
+    ``<i4`` does not hold exactly, a fraction or one beyond its range, is an
+    ``ArtifactError`` naming it, never a wrapped count; the file stays
+    journaled for the failed run to mark. Returns the sidecar's path.
     """
-    size, free = 8 * series.n, shutil.disk_usage(Path(path).parent).free
+    dtype = np.dtype(dtype)
+    size, free = dtype.itemsize * series.n, shutil.disk_usage(Path(path).parent).free
     if size > free:
         message = f"{size} bytes of {series.n} samples do not fit in the {free} bytes free"
         raise OSError(errno.ENOSPC, message, str(path))
     with _create(path).open("wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False, "shape": (series.n,)})
+        np.lib.format.write_array_header_1_0(fh, {"descr": dtype.str, "fortran_order": False, "shape": (series.n,)})
         written = 0
         for chunk in series.chunks():
-            fh.write(np.ascontiguousarray(chunk, dtype="<f8"))
+            with np.errstate(invalid="ignore"):  # a float beyond an integer dtype's range casts to junk, refused below
+                stored = np.ascontiguousarray(chunk, dtype=dtype)
+            if dtype.kind == "i" and not np.array_equal(stored, chunk):
+                first = int(np.flatnonzero(stored != chunk)[0])
+                value = chunk[first].item()
+                raise ArtifactError(f"{path}: sample {written + first}, {value!r}, is not exact in {dtype.str}")
+            fh.write(stored)
             written += len(chunk)
     if written != series.n:
         raise ValueError(f"{path}: a series of {series.n} samples yielded {written}")
@@ -219,16 +233,17 @@ def write_series(path: str | Path, series: Series, info: dict) -> Path:
 
 
 def read_series(path: str | Path) -> Series:
-    """The 1-D floating-point ``.npy`` array at ``path`` as a series read back chunk by chunk; no pickle is loaded.
+    """The 1-D floating-point or ``<i4`` ``.npy`` array at ``path`` as a float64 series read back chunk by chunk; no
+    pickle is loaded. float64 holds every int32 exactly.
 
-    Raises ``ValueError`` for a file that is not such an array, saying why.
+    Raises ``ValueError`` for a file that is not such an array, saying why; any other dtype is named.
     """
     path = Path(path)
     try:
         with path.open("rb") as fh:
             version = np.lib.format.read_magic(fh)
             if version not in ((1, 0), (2, 0)):
-                raise ValueError(f"format version {version} is not one np.save writes for a float64 series")
+                raise ValueError(f"format version {version} is not one np.save writes for a series")
             header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
             shape, _, dtype = header(fh)
             offset = fh.tell()
@@ -239,8 +254,8 @@ def read_series(path: str | Path) -> Series:
             raise ValueError(f"the file does not hold the {n} values of its header")
     except (ValueError, EOFError) as exc:
         raise ValueError(f"not a readable .npy array ({exc})") from None
-    if dtype.kind != "f":  # integer, complex or text data
-        raise ValueError("expected a floating-point .npy array")
+    if dtype.kind != "f" and dtype != np.dtype("<i4"):  # int32 is a count file's one integer dtype
+        raise ValueError(f"expected a floating-point or <i4 .npy array, got dtype {dtype.str}")
     if len(shape) != 1 or n < 2:
         raise ValueError(f"expected a 1-D array of at least 2 samples, got shape {shape}")
 

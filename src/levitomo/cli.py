@@ -14,15 +14,16 @@ seeds: ``detect`` and ``psd`` are its detect and spectral stages on
 ``--traj``, ``tomo`` its spectral then tomography stages, and the rest the
 stage of their name. ``pipeline`` calls these bodies in order, so
 ``simulate`` then ``detect`` with one ``--seed`` write the pipeline's files.
-Every table is a float64 ``.npy`` array whose axes are in its JSON sidecar:
-the three bulk series (``trajectory``, ``counts_ch``, ``counts_cbh``), the
-head of the calibrated positions that ``fig2a`` plots, the spectra, the
-marginals, the Wigner grid and the decoherence curve. A bulk series goes
-through a stage ``artifacts.CHUNK_SAMPLES`` samples at a time: each stage
-writes its series chunk by chunk and the next reads the file back the same
-way, so no stage holds a whole record and the peak memory of a run does not
-grow with the record's length. The calibrated positions are not written: the
-invert stage records its map from counts to positions in
+Every table is a ``.npy`` array whose axes are in its JSON sidecar: the
+three bulk series (``trajectory``, ``counts_ch``, ``counts_cbh``), the head
+of the calibrated positions that ``fig2a`` plots, the spectra, the marginals,
+the Wigner grid and the decoherence curve. Each is float64, except a count
+file that int32 holds exactly (``detection.CountRecord.dtype``). A bulk
+series goes through a stage ``artifacts.CHUNK_SAMPLES`` samples at a time:
+each stage writes its series chunk by chunk and the next reads the file back
+the same way, so no stage holds a whole record and the peak memory of a run
+does not grow with the record's length. The calibrated positions are not
+written: the invert stage records its map from counts to positions in
 ``calibration.json``, and the tomography stage bins the primary scheme's
 counts file through that map as it reads it back.
 

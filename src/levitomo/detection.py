@@ -45,6 +45,8 @@ from .physics import ExperimentConfig
 from .spectral import Psd, peak_snr
 
 SCHEMES = ("ch", "cbh")
+# Poisson standard deviations above a detector's largest expected count that an int32 count file leaves room for
+INT32_HEADROOM_SIGMAS = 10.0
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,16 @@ class DetectionParams:
         """Distance of dphi from the nearest zero-sensitivity phase (multiple of pi)."""
         return abs(((self.delta_phi_rad + 0.5 * math.pi) % math.pi) - 0.5 * math.pi)
 
+    def max_expected_count(self, model: str) -> float:
+        """The largest expected count of one physical detector (the ch detector, or either cbh arm) under ``model``:
+        pf/2 (A + B)^2 for the exact response, C1 + pf A B (|cos dphi| + |sin dphi| x) for the linear one, where x,
+        ``linearity_guard`` times the phase margin, bounds the |2 k z| that ``detect_linear`` lets through."""
+        pf, a, b, phi = self.count_prefactor, self.field_amp_A, self.field_amp_B, self.delta_phi_rad
+        reach = 1.0
+        if model == "linear":
+            reach = abs(math.cos(phi)) + abs(math.sin(phi)) * self.linearity_guard * self.phase_margin_rad()
+        return 0.5 * pf * (a**2 + b**2) + pf * a * b * reach
+
 
 def params_from_config(config: ExperimentConfig, scheme: str, **overrides) -> DetectionParams:
     """Build detection parameters from an experiment configuration."""
@@ -134,6 +146,22 @@ class CountRecord:
     @property
     def window_rate_Hz(self) -> float:
         return 1.0 / self.params.T_int_s
+
+    @property
+    def dtype(self) -> str:
+        """The count file's dtype, decided by the settings before any draw: ``<i4`` or ``<f8``.
+
+        Counts are whole numbers when shot noise draws them and no electronic
+        noise is added. A ch count or cbh arm then lies in [0, m], and a cbh
+        difference in [-m, m], with m the largest expected count plus
+        ``INT32_HEADROOM_SIGMAS`` Poisson standard deviations: int32 when m
+        fits in it. Otherwise float64, as int64 would be no smaller.
+        """
+        params = self.params
+        if not params.shot_noise or params.electronic_noise_counts_rms > 0:
+            return "<f8"
+        mean = params.max_expected_count(self.model)
+        return "<i4" if mean + INT32_HEADROOM_SIGMAS * math.sqrt(mean) <= np.iinfo(np.int32).max else "<f8"
 
     @property
     def info(self) -> dict:
@@ -374,6 +402,7 @@ def compare_noise_floor(psd_ch: Psd, psd_cbh: Psd) -> NoiseFloorReport:
 
 
 def save_count_record(rec: CountRecord, path: str | Path) -> Path:
-    """Write ``counts`` to ``path`` as a float64 ``.npy`` array, chunk by chunk; return the sidecar, holding
-    :attr:`CountRecord.info`."""
-    return artifacts.write_series(path, rec.counts, rec.info)
+    """Write ``counts`` to ``path`` as a ``.npy`` array of :attr:`CountRecord.dtype`, chunk by chunk: int32 for
+    shot-noise counts without electronic noise whose bound int32 holds, float64 otherwise. Return the sidecar,
+    holding :attr:`CountRecord.info`."""
+    return artifacts.write_series(path, rec.counts, rec.info, rec.dtype)

@@ -26,4 +26,5 @@ class SpectralError(LevitomoError):
 
 
 class ArtifactError(LevitomoError):
-    """A result holds a value its file format cannot store: NaN or infinity in a JSON report."""
+    """A result holds a value its file format cannot store: NaN or infinity in a JSON report, or a count that its
+    record's int32 file would not hold exactly."""

@@ -275,14 +275,3 @@ def decoherence_curve(delta_z_grid, dq: DerivedQuantities) -> list[tuple[float, 
             raise ConfigError(f"delta_z grid must be strictly increasing at entry {i}")
     return [(dz, decoherence_time(dz, dq)) for dz in grid]
 
-
-def cavity_field_amplitude(z: float, e_drive: float, kappa: float, dq: DerivedQuantities) -> complex:
-    """Steady intracavity field of the equivalent lossy-cavity system.
-
-    a(z) = 2 e^(-1/2) (E/kappa) exp(i (g0/kappa) z / z_zpf); the modulus is
-    independent of the particle position, only the phase carries it.
-    """
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ConfigError(f"kappa must be positive, got {kappa!r}")
-    phase = dq.g0_over_kappa * z / dq.z_zpf_m
-    return 2.0 * math.exp(-0.5) * (e_drive / kappa) * complex(math.cos(phase), math.sin(phase))

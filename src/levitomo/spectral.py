@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .constants import KB, TWO_PI
+from .constants import TWO_PI
 from .errors import SpectralError
 
 MIN_SEGMENTS = 4
@@ -368,17 +368,3 @@ def peak_snr(psd: Psd) -> tuple[float, float, float]:
     peak = float(psd.power[peak_idx])
     return floor, peak, 10.0 * math.log10(peak / floor) if floor > 0 else math.inf
 
-
-def estimate_radius(fit: LorentzianFit, temperature_K: float, density_kg_m3: float) -> float:
-    """Particle radius implied by a displacement-calibrated line fit (approximate).
-
-    Equipartition fixes the integrated line power: integral S df = k_B T /
-    (m omega0^2), and for this parameterization the integral is
-    A / (4 xi omega0^2), so m = 4 xi k_B T / A and r = (3 m / 4 pi rho)^(1/3).
-    Valid only when the PSD is in absolute m^2/Hz units; fit-window truncation
-    and floor leakage make this an estimate, not a calibration.
-    """
-    if temperature_K <= 0 or density_kg_m3 <= 0:
-        raise SpectralError("temperature and density must be positive")
-    mass = 4.0 * fit.linewidth_rad_s * KB * temperature_K / fit.amplitude
-    return (3.0 * mass / (4.0 * math.pi * density_kg_m3)) ** (1.0 / 3.0)

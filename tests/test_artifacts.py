@@ -98,3 +98,52 @@ def test_json_holds_no_nan_or_infinity(tmp_path, value):
     assert written == [path] and path.read_text() == ""
     with pytest.raises(ArtifactError):
         artifacts.dumps({"nested": {"x": [1.0, value]}})
+
+
+def test_int32_series_reads_back_as_the_same_float64_values(tmp_path):
+    """An ``<i4`` file, as ``write_series`` and ``np.save`` both write it, reads back widened to exact float64."""
+    values = np.random.default_rng(4).integers(-(2**31), 2**31, 2 * artifacts.CHUNK_SAMPLES + 7)
+    values[:2] = -(2**31), 2**31 - 1
+    saved, written = tmp_path / "saved.npy", tmp_path / "written.npy"
+    np.save(saved, values.astype("<i4"), allow_pickle=False)
+    artifacts.write_series(written, irregular(values, (1000, 3)), {}, "<i4")
+    assert written.read_bytes() == saved.read_bytes()
+    back = artifacts.read_series(written)
+    assert {chunk.dtype for chunk in back.chunks()} == {np.dtype(float)}
+    assert back.values().tobytes() == values.astype(float).tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["<i8", "u1", "?", ">i4", "<c16"])
+def test_read_series_refuses_every_other_integer_boolean_or_complex_dtype(tmp_path, dtype):
+    """Only ``<i4`` among the non-float dtypes is a count file's; any other is refused, naming it."""
+    path = tmp_path / "x.npy"
+    np.save(path, np.arange(10).astype(dtype), allow_pickle=False)
+    with pytest.raises(ValueError, match=re.escape(f"got dtype {np.dtype(dtype).str}")):
+        artifacts.read_series(path)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [2.0**31, -(2.0**31) - 1, 0.5, float("nan"), np.int64(2**31), np.int64(-(2**32) + 5)],
+    ids=["above-float", "below-float", "fraction", "nan", "above-int64", "wraps-to-5"],
+)
+def test_write_series_refuses_a_sample_int32_does_not_hold_exactly(tmp_path, value):
+    """A value beyond int32's range or a fraction is an ``ArtifactError`` naming it, never a wrapped count; the file
+    stays journaled for a failed run to mark, and no sidecar is written."""
+    values = np.zeros(artifacts.CHUNK_SAMPLES + 10, dtype=np.asarray(value).dtype)
+    values[artifacts.CHUNK_SAMPLES + 3] = value
+    path = tmp_path / "counts.npy"
+    with artifacts.journal() as written, pytest.raises(ArtifactError) as raised:
+        artifacts.write_series(path, irregular(values, (artifacts.CHUNK_SAMPLES,)), {}, "<i4")
+    assert str(raised.value).startswith(f"{path}: sample {artifacts.CHUNK_SAMPLES + 3}, ")
+    assert str(raised.value).endswith("is not exact in <i4")
+    assert written == [path] and not artifacts.sidecar(path).exists()
+
+
+def test_free_space_check_counts_the_dtypes_bytes(tmp_path, monkeypatch):
+    """13 int32 samples take 52 bytes and fit in 60 free; as float64 they take 104 and do not."""
+    monkeypatch.setattr(artifacts.shutil, "disk_usage", lambda path: type("Usage", (), {"free": 60})())
+    artifacts.write_series(tmp_path / "x.npy", Series.of(np.arange(13.0)), {}, "<i4")
+    assert np.load(tmp_path / "x.npy").tolist() == list(range(13))
+    with pytest.raises(OSError, match="104 bytes of 13 samples"):
+        artifacts.write_series(tmp_path / "y.npy", Series.of(np.arange(13.0)), {})

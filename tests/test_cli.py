@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import levitomo
-from levitomo import artifacts, dynamics, spectral, tomography
+from levitomo import artifacts, detection, dynamics, spectral, tomography
 from levitomo.cli import PipelineSettings, main
 from levitomo.errors import ConfigError, SpectralError
 from levitomo.physics import ExperimentConfig, decoherence_time, default_config, derive
@@ -959,6 +960,68 @@ def test_every_figure_table_loads_in_the_shape_of_its_sidecar(tmp_path, extra, t
             assert values.shape == sidecar_shape(info), name
             names.append(name)
     assert sorted(names) == [f"{table}.npy" for table in tables]
+
+
+REFERENCE_THERMAL = ["pipeline", "--config", "reference.cfg", "--seed", 1, "--set", "sim_duration_s=0.1"]
+
+
+def test_reference_thermal_pipeline_writes_int32_counts(tmp_path):
+    """Shot-noise counts with no electronic noise are whole numbers about 1e8, well inside int32."""
+    assert run(REFERENCE_THERMAL + ["--out", tmp_path]) == 0
+    for scheme in detection.SCHEMES:
+        counts = np.load(tmp_path / f"counts_{scheme}.npy", allow_pickle=False)
+        assert counts.dtype == np.dtype("<i4"), scheme
+        assert counts.size == json.loads((tmp_path / f"counts_{scheme}.json").read_text())["n_windows"]
+    ch = np.load(tmp_path / "counts_ch.npy", allow_pickle=False)
+    assert 1.0e8 < ch.min() and ch.max() < 1.1e8
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["electronic_noise_counts_rms=5", "shot_noise=false", "field_amp_A=500"],
+    ids=["electronic-noise", "no-shot-noise", "beyond-int32"],
+)
+def test_counts_int32_cannot_hold_exactly_are_float64(tmp_path, setting):
+    """Fractional counts, or counts whose bound passes int32's range (about 2.7e9 at A = 500), are float64."""
+    assert run(REFERENCE_THERMAL + ["--set", setting, "--out", tmp_path]) == 0
+    for scheme in detection.SCHEMES:
+        assert np.load(tmp_path / f"counts_{scheme}.npy", allow_pickle=False).dtype == np.dtype("<f8"), scheme
+    assert (tmp_path / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [("field_amp_A=500", r"sample 0, \d{10}\.0, is not exact in <i4"), ("shot_noise=false", r"sample 0, \d+\.\d+, is")],
+    ids=["beyond-int32", "fraction"],
+)
+def test_count_int32_does_not_hold_is_a_stage_failure(tmp_path, capsys, monkeypatch, setting, value):
+    """A count file forced to int32 whose counts it cannot hold fails the detect stage, never wrapping a count."""
+    monkeypatch.setattr(detection.CountRecord, "dtype", property(lambda self: "<i4"))
+    assert run(REFERENCE_THERMAL + ["--set", setting, "--out", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("pipeline stage failed:") and re.search(r"counts_ch\.npy: " + value, err), err
+    assert (tmp_path / "counts_ch.npy.partial").is_file() and (tmp_path / "trajectory.npy.partial").is_file()
+    assert not (tmp_path / "counts_ch.npy").exists() and not (tmp_path / "manifest.json").exists()
+
+
+def test_int32_counts_change_no_other_artifact(tmp_path, monkeypatch):
+    """Every file but the two count files has the bytes of a run whose counts are float64 copies of the same
+    values, so calibration, spectra, marginals, Wigner grid and analysis read the counts exactly."""
+    assert run(REFERENCE_THERMAL + ["--out", tmp_path / "int32"]) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(detection.CountRecord, "dtype", property(lambda self: "<f8"))
+        assert run(REFERENCE_THERMAL + ["--out", tmp_path / "float64"]) == 0
+    manifests = [json.loads((tmp_path / dtype / "manifest.json").read_text()) for dtype in ("int32", "float64")]
+    outputs = [{rel: digest for stage in m["stages"] for rel, digest in stage["outputs"].items()} for m in manifests]
+    assert outputs[0].keys() == outputs[1].keys()
+    counts = {f"counts_{scheme}.npy" for scheme in detection.SCHEMES}
+    assert {rel for rel in outputs[0] if outputs[0][rel] != outputs[1][rel]} == counts
+    for name in counts:
+        exact, wide = (np.load(tmp_path / dtype / name, allow_pickle=False) for dtype in ("int32", "float64"))
+        assert (exact.dtype, wide.dtype) == (np.dtype("<i4"), np.dtype("<f8"))
+        assert exact.astype("<f8").tobytes() == wide.tobytes()
+    for name in ("calibration.json", "fig2a.npy", "marginals.npy", "wigner.npy", "analyze.json"):
+        assert (tmp_path / "int32" / name).read_bytes() == (tmp_path / "float64" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("extra", [FAST_PIPELINE, ["--state", "fock1"]], ids=["thermal", "fock1"])

@@ -8,6 +8,7 @@ import pytest
 from levitomo import artifacts
 from levitomo.constants import KB
 from levitomo.detection import (
+    INT32_HEADROOM_SIGMAS,
     CountRecord,
     compare_noise_floor,
     detect_exact,
@@ -16,7 +17,7 @@ from levitomo.detection import (
     params_from_config,
     save_count_record,
 )
-from levitomo.dynamics import simulate_coherent, simulate_thermal
+from levitomo.dynamics import Trajectory, simulate_coherent, simulate_thermal
 from levitomo.errors import DetectionError
 from levitomo.spectral import estimate_psd
 
@@ -295,3 +296,36 @@ def test_count_record_npy(tmp_path, config, dq):
     assert info["D"] == pytest.approx(rec.linear_constants[2])
     assert (info["t0_s"], info["T_int_s"], info["n_windows"]) == (2.5e-6, params.T_int_s, len(counts))
     assert invert_counts(rec).t0_s == 2.5e-6 + 0.5 * params.T_int_s  # the first window's center
+
+
+def _record(params, model="linear"):
+    constants = params.linear_constants()
+    return CountRecord(t0_s=0.0, counts=np.zeros(4), params=params, linear_constants=constants, model=model)
+
+
+def test_count_dtype_is_int32_only_for_whole_counts_that_fit(config):
+    """Shot noise with no electronic noise gives whole counts; int32 when the bound plus its headroom fits."""
+    base = params_from_config(config, "cbh", shot_noise=True, linearity_guard=0.35)
+    for model in ("linear", "exact"):
+        assert _record(base, model).dtype == "<i4"
+        assert _record(dataclasses.replace(base, shot_noise=False), model).dtype == "<f8"
+        assert _record(dataclasses.replace(base, electronic_noise_counts_rms=5.0), model).dtype == "<f8"
+        assert _record(dataclasses.replace(base, field_amp_A=500.0), model).dtype == "<f8"
+    # the exact bound pf/2 (A + B)^2 plus its Poisson headroom, either side of int32's largest value
+    limit = np.iinfo(np.int32).max
+    root = 0.5 * (-INT32_HEADROOM_SIGMAS + math.sqrt(INT32_HEADROOM_SIGMAS**2 + 4.0 * limit))
+    field_a = math.sqrt(2.0 * root**2 / base.count_prefactor) - base.field_amp_B
+    for factor, dtype in ((1.0 - 1e-9, "<i4"), (1.0 + 1e-9, "<f8")):
+        params = dataclasses.replace(base, field_amp_A=field_a * factor)
+        assert _record(params, "exact").dtype == dtype
+    assert params.max_expected_count("exact") < limit  # the mean alone fits: the headroom decides
+
+
+def test_linear_count_bound_covers_what_the_guard_lets_through(config):
+    """At guard 1 the linear ch count passes pf/2 (A + B)^2, the exact response's peak, but not its own bound."""
+    params = params_from_config(config, "ch", linearity_guard=1.0)
+    reach = 0.999 * params.linearity_guard * params.phase_margin_rad()
+    z = reach / (2.0 * params.k_rad_per_m) * np.sin(np.linspace(0.0, TWO_PI, 4001))
+    counts = detect_linear(Trajectory(sample_rate_Hz=1e6, z_m=z), params).counts.values()
+    assert params.max_expected_count("exact") < counts.max() <= params.max_expected_count("linear")
+

@@ -10,7 +10,6 @@ from levitomo.errors import ConfigError
 from levitomo.physics import (
     ExperimentConfig,
     calibrate_waist,
-    cavity_field_amplitude,
     decoherence_curve,
     decoherence_time,
     default_config,
@@ -173,28 +172,6 @@ def test_decoherence_curve_pointwise_and_empty(dq):
     assert tau == decoherence_time(0.1e-9, dq)
     with pytest.raises(ConfigError):
         decoherence_curve([1e-9, 1e-9], dq)
-
-
-def test_cavity_amplitude_at_origin_is_real(dq):
-    amp = cavity_field_amplitude(0.0, e_drive=3.0, kappa=2.0, dq=dq)
-    assert amp.imag == 0.0
-    assert amp.real == pytest.approx(2.0 * math.exp(-0.5) * 1.5, rel=1e-15)
-
-
-def test_cavity_amplitude_modulus_position_independent(dq):
-    a0 = cavity_field_amplitude(0.0, 1.0, 1.0, dq)
-    a1 = cavity_field_amplitude(dq.z_zpf_m, 1.0, 1.0, dq)
-    assert abs(a1) == pytest.approx(abs(a0), rel=1e-12)
-
-
-def test_cavity_phase_at_zpf_is_g0_over_kappa(dq):
-    amp = cavity_field_amplitude(dq.z_zpf_m, 1.0, 1.0, dq)
-    assert math.atan2(amp.imag, amp.real) == pytest.approx(dq.g0_over_kappa, rel=1e-12)
-
-
-def test_cavity_requires_positive_kappa(dq):
-    with pytest.raises(ConfigError):
-        cavity_field_amplitude(0.0, 1.0, 0.0, dq)
 
 
 def test_config_file_round_trip(tmp_path):

@@ -13,7 +13,6 @@ from levitomo.spectral import (
     _line_guess,
     _oscillator_psd,
     estimate_psd,
-    estimate_radius,
     fit_lorentzian,
     peak_snr,
 )
@@ -175,15 +174,6 @@ def test_peak_snr_is_the_peak_bin_over_the_off_peak_median():
     assert snr_db == pytest.approx(20.0, rel=1e-12)
     with pytest.raises(SpectralError, match="too short"):
         peak_snr(Psd(freqs[39:40], power[39:40], n_segments=1, segment_len=2))
-
-
-def test_radius_from_thermal_record(damped_config, damped_dq):
-    traj = simulate_thermal(damped_config, damped_dq, 0.5, 1e6, seed=41)
-    psd = estimate_psd(traj.z_m, traj.sample_rate_Hz, 1 << 14)
-    f0 = damped_dq.omega_s_rad_s / TWO_PI
-    fit = fit_lorentzian(psd, (0.3 * f0, 2.0 * f0))
-    radius = estimate_radius(fit, damped_config.temperature_K, damped_config.density_kg_m3)
-    assert radius == pytest.approx(damped_config.particle_radius_m, rel=0.10)
 
 
 # ---------------------------------------------------------------------------
