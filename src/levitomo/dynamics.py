@@ -38,10 +38,6 @@ from .constants import KB, M_GAS_AIR, TWO_PI
 from .errors import SimulationError
 from .physics import DerivedQuantities, ExperimentConfig
 
-# burn-in before a stationary thermal record: 10 damping times, capped
-BURN_IN_DAMPING_TIMES = 10.0
-BURN_IN_MAX_SAMPLES = 1_000_000
-
 # sample_rate must exceed this multiple of omega_s/2pi; the exact propagator is
 # unbiased at any step, the guard only keeps the oscillation well resolved for
 # windowing and phase binning downstream
@@ -107,10 +103,6 @@ class Trajectory:
             "n_samples": len(self.z_m),
             "meta": self.meta,
         }
-
-    @property
-    def times_s(self) -> np.ndarray:
-        return self.t0_s + np.arange(len(self.z_m)) / self.sample_rate_Hz
 
     @property
     def duration_s(self) -> float:
@@ -190,19 +182,19 @@ def simulate_thermal(
 
     ``temperature_K`` and ``damping_rate_s`` override the values implied by the
     config (useful for effective-temperature runs and for the noise-free
-    ``T = 0`` limit; zero is allowed for both overrides). When
-    ``initial_state = (z0, v0)`` is given the trajectory starts there with no
-    burn-in; otherwise the start is drawn from the stationary ensemble and a
-    burn-in of 10 damping times (capped at 1e6 samples) is discarded, so the
-    returned record is stationary by construction. Every parameter is checked
-    here, before any sample is simulated.
+    ``T = 0`` limit; zero is allowed for both overrides, and each must be
+    finite). When ``initial_state = (z0, v0)`` is given the trajectory starts
+    there; otherwise the start is an exact draw of the stationary ensemble,
+    which the exact transition preserves, so the record is stationary from its
+    first sample and no sample is discarded. Every parameter is checked here,
+    before any sample is simulated.
     """
     omega = dq.omega_s_rad_s
     mass = dq.mass_kg
     temp = config.temperature_K if temperature_K is None else temperature_K
     xi = gas_damping_rate(config, mass) if damping_rate_s is None else damping_rate_s
-    if temp < 0 or xi < 0:
-        raise SimulationError("temperature and damping overrides must be non-negative")
+    if not (0 <= temp < math.inf and 0 <= xi < math.inf):
+        raise SimulationError(f"temperature {temp!r} K and damping rate {xi!r} 1/s must be finite and non-negative")
     if xi >= 2.0 * omega:
         raise SimulationError(
             f"damping rate {xi:.3e} 1/s is not underdamped (needs xi < 2 omega_s = {2 * omega:.3e})"
@@ -216,14 +208,14 @@ def simulate_thermal(
             f" ({NYQUIST_GUARD_FACTOR:g} x omega_s / 2 pi)"
         )
     if initial_state is None and temp > 0 and xi == 0.0:
-        raise SimulationError("a thermal state needs damping: xi = 0 with T > 0 has no stationary ensemble")
+        raise SimulationError(
+            "a thermal state needs damping: with xi = 0 and T > 0 a record is one fixed orbit,"
+            " which never samples the stationary ensemble"
+        )
 
     var_z = KB * temp / (mass * omega**2)
     var_v = KB * temp / mass
     m = _propagator(omega, xi, 1.0 / sample_rate_Hz)
-    n_burn = 0
-    if initial_state is None and xi > 0:
-        n_burn = min(int(math.ceil(BURN_IN_DAMPING_TIMES / xi * sample_rate_Hz)), BURN_IN_MAX_SAMPLES)
 
     entropy = np.random.SeedSequence(seed).entropy  # one draw of fresh entropy for seed None, reused on every pass
 
@@ -233,11 +225,7 @@ def simulate_thermal(
             x0 = np.array([math.sqrt(var_z), math.sqrt(var_v)]) * x0_rng.standard_normal(2)
         else:
             x0 = np.asarray(initial_state, dtype=float)
-        first = 0
-        for z in _propagate_position(m, var_z, var_v, temp, x0, n_samples + n_burn, z_rng, v_rng):
-            if first + z.size > n_burn:
-                yield z[max(n_burn - first, 0) :]
-            first += z.size
+        yield from _propagate_position(m, var_z, var_v, temp, x0, n_samples, z_rng, v_rng)
 
     return Trajectory(
         sample_rate_Hz=sample_rate_Hz,
@@ -245,12 +233,7 @@ def simulate_thermal(
         t0_s=0.0,
         seed=seed,
         state_kind="thermal",
-        meta={
-            "temperature_K": temp,
-            "damping_rate_s": xi,
-            "omega_s_rad_s": omega,
-            "burn_in_samples": n_burn,
-        },
+        meta={"temperature_K": temp, "damping_rate_s": xi, "omega_s_rad_s": omega},
     )
 
 

@@ -38,7 +38,8 @@ def csv_copy(npy_path: Path) -> Path:
     """The ``t_s,z_m`` table of a saved trajectory, written next to it so both share one sidecar."""
     traj = dynamics.load_trajectory(npy_path)
     csv_path = npy_path.with_suffix(".csv")
-    table = np.column_stack([traj.times_s, traj.z_m.values()])
+    times_s = traj.t0_s + np.arange(len(traj.z_m)) / traj.sample_rate_Hz
+    table = np.column_stack([times_s, traj.z_m.values()])
     np.savetxt(csv_path, table, fmt="%.17g", delimiter=",", header="t_s,z_m", comments="")
     return csv_path
 

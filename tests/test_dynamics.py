@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from levitomo import artifacts
+from levitomo import artifacts, dynamics
 from levitomo.constants import KB
 from levitomo.dynamics import (
     SCAN_MAX_BLOCK,
@@ -34,7 +34,8 @@ def equipartition_var(dq, temperature_K):
 def save_csv(traj, path):
     """Write ``traj`` as a ``t_s,z_m`` table at ``path``, next to the sidecar :func:`save_trajectory` writes."""
     sidecar = save_trajectory(traj, path.with_suffix(".npy"))
-    table = np.column_stack([traj.times_s, traj.z_m.values()])
+    times_s = traj.t0_s + np.arange(len(traj.z_m)) / traj.sample_rate_Hz
+    table = np.column_stack([times_s, traj.z_m.values()])
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header="t_s,z_m", comments="")
     return sidecar
 
@@ -112,7 +113,7 @@ def test_zero_temperature_is_pure_cosine(config, dq):
         damping_rate_s=0.0,
         initial_state=(z0, 0.0),
     )
-    expected = z0 * np.cos(dq.omega_s_rad_s * traj.times_s)
+    expected = z0 * np.cos(dq.omega_s_rad_s * (traj.t0_s + np.arange(len(traj.z_m)) / traj.sample_rate_Hz))
     np.testing.assert_allclose(traj.z_m.values(), expected, rtol=0, atol=1e-9 * z0)
 
 
@@ -126,9 +127,10 @@ def test_same_seed_bitwise_identical(damped_config, damped_dq):
 
 @pytest.mark.parametrize("pressure_mbar", [1e-2, 1.0])
 def test_thermal_record_does_not_depend_on_the_chunk_length(monkeypatch, config, pressure_mbar):
-    """Chunks of other multiples of BLOCK_SAMPLES simulate the same samples bit for bit, burn-in included.
+    """Chunks of other multiples of BLOCK_SAMPLES simulate the same samples bit for bit.
 
-    At 1e-2 mbar the 91k-sample burn-in ends inside a chunk; at 1 mbar the scan's blocks are shorter than a chunk.
+    At 1e-2 mbar a scan block is a whole default chunk, and the 30k-sample record ends inside its second chunk; at
+    1 mbar the scan's blocks are shorter than a chunk.
     """
     damped = dataclasses.replace(config, pressure_mbar=pressure_mbar)
     dq = derive(damped)
@@ -159,12 +161,49 @@ def test_overdamped_rejected(config, dq):
         simulate_thermal(config, dq, 0.01, 1e7, seed=0, damping_rate_s=3.0 * dq.omega_s_rad_s)
 
 
-def test_burn_in_construction(damped_config, damped_dq):
-    rate = 1e6
-    traj = simulate_thermal(damped_config, damped_dq, 0.02, rate, seed=4)
-    xi = traj.meta["damping_rate_s"]
-    assert traj.meta["burn_in_samples"] == min(int(math.ceil(10.0 / xi * rate)), 1_000_000)
-    assert len(traj.z_m) == int(round(0.02 * rate))
+@pytest.mark.parametrize("override", ["temperature_K", "damping_rate_s"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_override_is_refused(damped_config, damped_dq, override, value):
+    """A NaN or infinite temperature or damping rate is a SimulationError before any sample, not a NaN record."""
+    with pytest.raises(SimulationError, match="finite"):
+        simulate_thermal(damped_config, damped_dq, 0.01, 1e6, seed=0, **{override: value})
+
+
+def test_thermal_record_starts_from_the_stationary_draw(monkeypatch, damped_config, damped_dq):
+    """The recursion runs for exactly the record's samples, and sample 0 is the initial state's stationary draw.
+
+    That draw is sqrt(var_z) times the first normal of the first generator spawned from the seed.
+    """
+    asked = []
+
+    def spy(m, var_z, var_v, temp, x0, n_total, z_rng, v_rng):
+        asked.append(n_total)
+        return _propagate_position(m, var_z, var_v, temp, x0, n_total, z_rng, v_rng)
+
+    monkeypatch.setattr(dynamics, "_propagate_position", spy)
+    duration, rate = 0.02, 1e6
+    z = simulate_thermal(damped_config, damped_dq, duration, rate, seed=4).z_m.values()
+    assert asked == [sample_count(duration, rate)] and z.size == asked[0]
+    x0_rng = np.random.default_rng(np.random.SeedSequence(4).spawn(1)[0])
+    first_draw = math.sqrt(equipartition_var(damped_dq, damped_config.temperature_K)) * x0_rng.standard_normal()
+    assert z[0] == pytest.approx(first_draw, rel=1e-14, abs=0)
+
+
+def test_first_and_last_samples_hold_the_stationary_variance(damped_config, damped_dq):
+    """Over 2000 seeds of 64-sample records, z[0] and z[-1] each have the equipartition variance.
+
+    For a zero-mean Gaussian the mean of squares over N draws has relative standard error sqrt(2 / N), so each
+    estimate must lie within 4 of those of k_B T / (m omega^2): a start off the stationary ensemble shows at z[0],
+    and a transition that does not preserve it shows at z[-1].
+    """
+    n_seeds = 2000
+    records = (simulate_thermal(damped_config, damped_dq, 64e-6, 1e6, seed=seed) for seed in range(n_seeds))
+    ends = np.array([traj.z_m.values()[[0, -1]] for traj in records])
+    var = equipartition_var(damped_dq, damped_config.temperature_K)
+    tol = 4.0 * math.sqrt(2.0 / n_seeds) * var
+    first_var, last_var = np.mean(ends**2, axis=0)
+    assert abs(first_var - var) < tol
+    assert abs(last_var - var) < tol
 
 
 def test_stationarity_between_halves(damped_config, damped_dq):
