@@ -103,10 +103,12 @@ def sidecar(path: str | Path) -> Path:
 def write_array(path: str | Path, values, info: dict) -> Path:
     """Write ``values`` to ``path`` as a little-endian float64 ``.npy`` array, ``info`` to its sidecar.
 
-    Returns the sidecar's path.
+    Returns the sidecar's path. ``values`` is written as one C-ordered block:
+    ``np.save`` writes any other layout, a broadcast view's included, one
+    element per call.
     """
     with _create(path).open("wb") as fh:
-        np.save(fh, np.asarray(values, dtype="<f8"), allow_pickle=False)
+        np.save(fh, np.ascontiguousarray(values, dtype="<f8"), allow_pickle=False)
     return write_json(sidecar(path), info)
 
 

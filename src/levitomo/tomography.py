@@ -39,7 +39,9 @@ outside measured data. ``analyze`` integrates its moments BLOCK_ROWS grid rows
 at a time as well. Besides the folded rows, at most the size of the marginals,
 and their tables, a reconstruction holds one complex output-sized sum and one
 set of per-block temporaries per thread, and its analysis one output-sized
-array.
+array. An oracle of a state that does not depend on the angle (thermal, fock1)
+holds its marginals as one row, which a read-only view repeats for every angle:
+at 720 angles x 513 points, 4 kB instead of 2.95 MB.
 """
 
 from __future__ import annotations
@@ -83,7 +85,9 @@ class MarginalSet:
     Valid by construction: at least ``MIN_ANGLES`` angles, all in [0, 2 pi), a
     uniform strictly increasing position grid symmetric about 0 (the
     back-projection mirrors the projection at theta + pi onto theta), and one
-    density row per angle.
+    density row per angle. An oracle set's densities are a read-only view
+    (``oracle_marginals``), one row repeated for every angle when the state
+    does not depend on it; writing into them raises ``ValueError``.
     ``counts_per_bin`` is the raw occupancy of a binned set (for error bars)
     and ``None`` for analytic densities.
     """
@@ -201,38 +205,39 @@ def oracle_marginals(
               (2/sqrt(pi)) u^2 exp(-u^2) / s with u = z/s, s = sqrt(2) z_zpf.
 
     Each row is renormalized to unit trapezoid integral on the given grid, so
-    grid truncation cannot break normalization.
+    grid truncation cannot break normalization. The densities are a read-only
+    view of the rows, so writing into them raises ``ValueError``: an
+    angle-independent state is built and normalized as one row, which the view
+    repeats for every angle, and coherent as one row per angle.
     """
     angles = np.asarray(angles_rad, dtype=float)
     grid = np.asarray(z_grid_m, dtype=float)
+    z = grid[None, :]
     if state_kind == "thermal":
         if sigma_m is None or sigma_m <= 0:
             raise ConfigError("thermal marginals need sigma_m > 0")
-        row = np.exp(-(grid**2) / (2.0 * sigma_m**2)) / (math.sqrt(TWO_PI) * sigma_m)
-        dens = np.tile(row, (angles.size, 1))
+        rows = np.exp(-(z**2) / (2.0 * sigma_m**2)) / (math.sqrt(TWO_PI) * sigma_m)
     elif state_kind == "coherent":
         if amplitude_m is None or amplitude_m < 0:
             raise ConfigError("coherent marginals need amplitude_m >= 0")
         if z_zpf_m is None or z_zpf_m <= 0:
             raise ConfigError("coherent marginals need z_zpf_m > 0")
         centers = amplitude_m * np.cos(angles + phase_rad)
-        dens = np.exp(-((grid[None, :] - centers[:, None]) ** 2) / (2.0 * z_zpf_m**2)) / (
-            math.sqrt(TWO_PI) * z_zpf_m
-        )
+        rows = np.exp(-((z - centers[:, None]) ** 2) / (2.0 * z_zpf_m**2)) / (math.sqrt(TWO_PI) * z_zpf_m)
     elif state_kind == "fock1":
         if z_zpf_m is None or z_zpf_m <= 0:
             raise ConfigError("fock1 marginals need z_zpf_m > 0")
         s = math.sqrt(2.0) * z_zpf_m
-        u = grid / s
-        row = (2.0 / math.sqrt(math.pi)) * u**2 * np.exp(-(u**2)) / s
-        dens = np.tile(row, (angles.size, 1))
+        u = z / s
+        rows = (2.0 / math.sqrt(math.pi)) * u**2 * np.exp(-(u**2)) / s
     else:
         raise ConfigError(f"unknown state_kind {state_kind!r} (expected thermal | coherent | fock1)")
 
-    norms = np.trapezoid(dens, grid, axis=1)
+    norms = np.trapezoid(rows, grid, axis=1)
     if np.any(norms <= 0):
         raise ConfigError("z_grid_m does not cover the state; zero density mass on the grid")
-    return MarginalSet(angles_rad=angles, z_grid_m=grid, densities=dens / norms[:, None])
+    densities = np.broadcast_to(rows / norms[:, None], (angles.size, grid.size))
+    return MarginalSet(angles_rad=angles, z_grid_m=grid, densities=densities)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,14 +288,15 @@ def _ramp_filter(n_fft: int, dz: float, cutoff_fraction: float) -> np.ndarray:
 def filtered_projections(rows: np.ndarray, dz: float, cutoff_fraction: float = 1.0) -> np.ndarray:
     """Ramp-filter every row of densities on a z grid of step ``dz`` (steps 1-3 of the reconstruction); a new array.
 
-    ``BLOCK_ROWS`` rows go through the padded transforms at a time. The FFT
-    transforms each row on its own, so the result equals the one-shot
-    transform of all rows bit for bit.
+    The result is C-contiguous whatever the layout of ``rows``, a Fortran
+    array or a broadcast view included. ``BLOCK_ROWS`` rows go through the
+    padded transforms at a time. The FFT transforms each row on its own, so
+    the result equals the one-shot transform of all rows bit for bit.
     """
     n_z = rows.shape[1]
     n_fft = 1 << int(math.ceil(math.log2(PAD_FACTOR * n_z)))
     ramp = _ramp_filter(n_fft, dz, cutoff_fraction)
-    filtered = np.empty_like(rows)
+    filtered = np.empty(rows.shape)
     for first in range(0, rows.shape[0], BLOCK_ROWS):
         block = slice(first, first + BLOCK_ROWS)
         spectra = np.fft.rfft(rows[block], n=n_fft, axis=1)

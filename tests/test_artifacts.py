@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import io
 import re
 
 import numpy as np
@@ -48,6 +49,29 @@ def test_series_round_trip_reads_the_file_in_chunks(tmp_path):
     assert [chunk.size for chunk in back.chunks()] == [artifacts.CHUNK_SAMPLES] * 2 + [3]
     assert back.values().tobytes() == values.tobytes()
     assert back.max_abs() == np.max(np.abs(values))
+
+
+def test_an_array_of_any_layout_reaches_np_save_c_ordered(tmp_path, monkeypatch):
+    """A broadcast view and a Fortran array are written as the bytes of their C copy, by one ``np.save`` of a
+    C-ordered array: ``np.save`` writes any other layout one element per call."""
+    rows = np.arange(12.0).reshape(3, 4)
+    views = (np.broadcast_to(rows[1], rows.shape), np.asfortranarray(rows))
+    expected = []
+    for values in views:
+        buffer = io.BytesIO()
+        np.save(buffer, np.ascontiguousarray(values), allow_pickle=False)
+        expected.append(buffer.getvalue())
+    save, layouts = np.save, []
+
+    def spy(fh, values, **kwargs):
+        layouts.append(values.flags.c_contiguous)
+        save(fh, values, **kwargs)
+
+    monkeypatch.setattr(artifacts.np, "save", spy)
+    for values, data in zip(views, expected):
+        artifacts.write_array(tmp_path / "x.npy", values, {})
+        assert (tmp_path / "x.npy").read_bytes() == data
+    assert layouts == [True, True]
 
 
 def test_series_that_cannot_fit_on_the_disk_is_refused_before_its_file(tmp_path, monkeypatch):

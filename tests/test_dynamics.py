@@ -307,6 +307,7 @@ def test_oracle_coherent_ridge_centers():
     oracle = oracle_marginals("coherent", angles, grid, amplitude_m=amp, phase_rad=phase, z_zpf_m=5e-11)
     modes = grid[np.argmax(oracle.densities, axis=1)]
     np.testing.assert_allclose(modes, amp * np.cos(angles + phase), atol=grid[1] - grid[0])
+    assert not oracle.densities.flags.writeable
 
 
 def test_oracle_unknown_state():

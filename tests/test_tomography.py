@@ -319,14 +319,15 @@ def test_dihedral_groups(angles, n_groups, n_mirrored):
         assert np.all(np.abs(residual) <= 1e-12)
 
 
+def hires_fock1_oracle():
+    """The fock1 oracle of a run at 720 angles x 513 points."""
+    return oracle_marginals("fock1", lattice(720), np.linspace(-5.0, 5.0, 513), z_zpf_m=1.0 / math.sqrt(2.0))
+
+
 @pytest.mark.parametrize("cutoff", [1.0, 0.5])
 @pytest.mark.parametrize("kind", ["fock1", "random"])
 def test_filtered_projections_match_complex_fft(kind, cutoff):
-    angles = lattice(720)
-    if kind == "fock1":
-        marginals = oracle_marginals("fock1", angles, np.linspace(-5.0, 5.0, 513), z_zpf_m=1.0 / math.sqrt(2.0))
-    else:
-        marginals = random_marginals(angles, 513, seed=7)
+    marginals = hires_fock1_oracle() if kind == "fock1" else random_marginals(lattice(720), 513, seed=7)
     filtered = filtered_projections(marginals.densities, marginals.z_grid_m[1] - marginals.z_grid_m[0], cutoff)
     assert filtered.flags.c_contiguous and filtered.shape == marginals.densities.shape
     np.testing.assert_allclose(filtered, reference_filtered_projections(marginals, cutoff), rtol=0, atol=1e-14)
@@ -341,6 +342,15 @@ def test_filtered_projections_equal_oneshot_transform_bitwise(n_angles):
         np.testing.assert_array_equal(
             filtered_projections(marginals.densities, dz, cutoff), oneshot_filtered_projections(marginals, cutoff)
         )
+
+
+def test_filtered_projections_are_c_contiguous_whatever_the_layout():
+    """A Fortran array and a broadcast view are filtered into a new C-ordered array, the bytes of their C copy's."""
+    densities = random_marginals(lattice(90), 129, seed=90).densities
+    for rows in (np.asfortranarray(densities), np.broadcast_to(densities[:1], densities.shape)):
+        filtered = filtered_projections(rows, 0.1)
+        assert filtered.flags.c_contiguous
+        assert filtered.tobytes() == filtered_projections(np.ascontiguousarray(rows), 0.1).tobytes()
 
 
 def _traced_peak(call, *args) -> int:
@@ -363,6 +373,22 @@ def test_inverse_radon_working_set_at_720_by_513(monkeypatch):
     assert _traced_peak(inverse_radon, marginals) <= 20e6
     monkeypatch.setattr(tomography, "_worker_count", lambda n_blocks: 5)
     assert _traced_peak(inverse_radon, marginals) <= 20e6
+
+
+def test_angle_independent_oracle_allocates_one_row():
+    """fock1 at 720 x 513 is one normalized row (4 kB) and a view of it, not 720 copies (2.95 MB)."""
+    assert _traced_peak(hires_fock1_oracle) < 64e3
+
+
+def test_oracle_reconstruction_working_set_at_720_by_513(monkeypatch):
+    """The tomography stage of a fock1 run: the oracle, kept alive through its reconstruction and analysis."""
+    monkeypatch.setattr(tomography, "_worker_count", lambda points: 2)
+
+    def stage():
+        marginals = hires_fock1_oracle()
+        return marginals, analyze(inverse_radon(marginals))
+
+    assert _traced_peak(stage) < 13e6
 
 
 @pytest.mark.parametrize(
@@ -470,6 +496,33 @@ def test_marginal_set_is_valid_by_construction(angles, grid, densities, message)
 def test_oracle_set_has_no_counts():
     oracle = oracle_marginals("thermal", ANGLES, GRID, sigma_m=1.0)
     assert oracle.counts_per_bin is None
+
+
+@pytest.mark.parametrize("n_angles, n_z", [(720, 513), (91, 129), (13, 33)])
+@pytest.mark.parametrize("kind", ["thermal", "fock1"])
+def test_angle_independent_oracle_is_one_read_only_row(tmp_path, kind, n_angles, n_z):
+    """The densities repeat one row through a read-only view. They equal, bit for bit, the row tiled once per angle
+    with each row normalized on its own, and they save to the bytes of that contiguous array."""
+    angles, grid = lattice(n_angles), np.linspace(-5.0, 5.0, n_z)
+    if kind == "thermal":
+        sigma = 1.3
+        oracle = oracle_marginals(kind, angles, grid, sigma_m=sigma)
+        row = np.exp(-(grid**2) / (2.0 * sigma**2)) / (math.sqrt(TWO_PI) * sigma)
+    else:
+        z_zpf = 1.0 / math.sqrt(2.0)
+        oracle = oracle_marginals(kind, angles, grid, z_zpf_m=z_zpf)
+        s = math.sqrt(2.0) * z_zpf
+        u = grid / s
+        row = (2.0 / math.sqrt(math.pi)) * u**2 * np.exp(-(u**2)) / s
+    tiled = np.tile(row, (n_angles, 1))
+    tiled = tiled / np.trapezoid(tiled, grid, axis=1)[:, None]
+    assert oracle.densities.shape == tiled.shape and oracle.densities.strides[0] == 0
+    assert oracle.densities.tobytes() == tiled.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        oracle.densities[0, 0] = 1.0
+    save_marginals(oracle, tmp_path / "view.npy")
+    save_marginals(MarginalSet(angles, grid, tiled), tmp_path / "copy.npy")
+    assert (tmp_path / "view.npy").read_bytes() == (tmp_path / "copy.npy").read_bytes()
 
 
 def test_saved_marginals_and_wigner_rebuild_bitwise(tmp_path):
