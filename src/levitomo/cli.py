@@ -81,7 +81,8 @@ from .physics import (
 _CHOICES = {
     "sim_state": ("thermal", "coherent", "fock1"),
     "scheme": ("ch", "cbh", "both"),
-    "detection_model": ("linear", "exact"),  # exact handles large excursions, e.g. 300 K
+    # exact counts pass no linearity guard, yet are inverted with the linear map (ROADMAP item 8)
+    "detection_model": ("linear", "exact"),
     "calibration": ("auto", "linear", "equipartition"),
 }
 # samples of the calibrated positions that fig2a plots
@@ -417,6 +418,7 @@ def _tomography(settings, inputs, run, record=None, omega0_rad_s=None) -> tomogr
 def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     """Resolve ``--config`` and ``--set``; a flag named after a setting (``--state``) overrides both.
 
+    Every command refuses a configuration that :func:`derive` refuses.
     ``simulate`` refuses fock1 here, however the state was set, and a command
     that simulates a record refuses a record size that
     ``dynamics.sample_count`` refuses, and a detection window that cannot tile
@@ -430,6 +432,7 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
         if getattr(args, f.name, None) is not None:
             overrides.append(f"{f.name}={getattr(args, f.name)}")
     config, settings = resolve_settings(args.config, overrides)
+    derive(config)  # on the plain config, so the manifest's settings stay those the stages read
     if args.command == "simulate" and settings.sim_state == "fock1":
         raise ConfigError("state 'fock1' has no trajectory simulation (fock1 is an oracle state)")
     if args.command in ("simulate", "pipeline") and settings.sim_state != "fock1":

@@ -16,9 +16,13 @@ N = C1 + C2 + D z and N = 2 C2 + 2 D z, with
 
     C1 = pf/2 (A^2 + B^2),  C2 = pf A B cos(dphi),  D = pf 2 k A B sin(dphi),
 
-pf = c eps0 sigma_d T / (hbar omega_L). Shot noise draws each physical
-detector's count from a Poisson law (the balanced output is the difference of
-two Poisson arms), and detector electronics add zero-mean Gaussian counts.
+pf = c eps0 sigma_d T / (hbar omega_L). Both schemes read one fringe: a
+physical detector's expected count is C1 + s or C1 - s, with the swing
+s = pf A B cos(dphi - 2 k z) for the exact response and s = C2 + D z for the
+linear one. The single detector counts the first arm and the balanced pair the
+difference of the two, and one sampler draws both models. Shot noise draws
+each arm from a Poisson law, and detector electronics add zero-mean Gaussian
+counts.
 
 Detection and inversion run ``artifacts.CHUNK_SAMPLES`` samples at a time:
 the windows tile across chunk boundaries, each Poisson arm and the electronic
@@ -67,11 +71,15 @@ class DetectionParams:
         if self.scheme not in SCHEMES:
             raise DetectionError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         for name in ("T_int_s", "sigma_d_m2", "k_rad_per_m", "linearity_guard"):
-            if not getattr(self, name) > 0:
-                raise DetectionError(f"{name} must be positive, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DetectionError(f"{name} must be finite and positive, got {value!r}")
         for name in ("field_amp_A", "field_amp_B", "electronic_noise_counts_rms"):
-            if not getattr(self, name) >= 0:
-                raise DetectionError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise DetectionError(f"{name} must be finite and non-negative, got {value!r}")
+        if not math.isfinite(self.delta_phi_rad):
+            raise DetectionError(f"delta_phi_rad must be finite, got {self.delta_phi_rad!r}")
 
     @property
     def count_prefactor(self) -> float:
@@ -92,14 +100,18 @@ class DetectionParams:
         """Distance of dphi from the nearest zero-sensitivity phase (multiple of pi)."""
         return abs(((self.delta_phi_rad + 0.5 * math.pi) % math.pi) - 0.5 * math.pi)
 
+    def linear_reach_rad(self) -> float:
+        """The bound on |2 k z| that ``detect_linear``'s guard admits: ``linearity_guard`` times the phase margin."""
+        return self.linearity_guard * self.phase_margin_rad()
+
     def max_expected_count(self, model: str) -> float:
         """The largest expected count of one physical detector (the ch detector, or either cbh arm) under ``model``:
-        pf/2 (A + B)^2 for the exact response, C1 + pf A B (|cos dphi| + |sin dphi| x) for the linear one, where x,
-        ``linearity_guard`` times the phase margin, bounds the |2 k z| that ``detect_linear`` lets through."""
+        pf/2 (A + B)^2 for the exact response, C1 + pf A B (|cos dphi| + |sin dphi| x) for the linear one, with x
+        the :meth:`linear_reach_rad`."""
         pf, a, b, phi = self.count_prefactor, self.field_amp_A, self.field_amp_B, self.delta_phi_rad
         reach = 1.0
         if model == "linear":
-            reach = abs(math.cos(phi)) + abs(math.sin(phi)) * self.linearity_guard * self.phase_margin_rad()
+            reach = abs(math.cos(phi)) + abs(math.sin(phi)) * self.linear_reach_rad()
         return 0.5 * pf * (a**2 + b**2) + pf * a * b * reach
 
 
@@ -125,15 +137,11 @@ class CountRecord:
     when noise is off, sampled otherwise (the balanced difference signal may be
     negative); they are an ``artifacts.Series``, and an array given for them is
     held as one.
-    ``linear_constants`` always carries the (C1, C2, D) of the
-    small-displacement expansion of the response, which is what calibrated
-    inversion uses.
     """
 
     t0_s: float
     counts: artifacts.Series
     params: DetectionParams
-    linear_constants: tuple[float, float, float]
     model: str = "exact"  # which response generated the counts: "exact" | "linear"
     seed: int | None = None
 
@@ -167,7 +175,7 @@ class CountRecord:
     def info(self) -> dict:
         """The sidecar: scheme, model, (C1, C2, D), noise settings, seed, and the ``t0_s`` and ``T_int_s`` that
         put window ``i``'s start at ``t0_s + i T_int_s``."""
-        c1, c2, d = self.linear_constants
+        c1, c2, d = self.params.linear_constants()
         return {
             "scheme": self.params.scheme,
             "model": self.model,
@@ -222,22 +230,16 @@ def _window_means(traj: Trajectory, t_int_s: float) -> artifacts.Series:
     return artifacts.Series(z.n // n_per, read)
 
 
-def _arm_counts(params: DetectionParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Expected counts of the two balanced arms (sum and difference ports)."""
-    pf_half = 0.5 * params.count_prefactor
-    a, b = params.field_amp_A, params.field_amp_B
-    interference = 2.0 * a * b * np.cos(params.delta_phi_rad - 2.0 * params.k_rad_per_m * z)
-    n1 = pf_half * (a**2 + b**2 + interference)
-    n2 = pf_half * (a**2 + b**2 - interference)
-    return n1, n2
+def _sample(params: DetectionParams, traj: Trajectory, model: str, seed) -> CountRecord:
+    """Count record of ``model``'s response at the window means z.
 
-
-def _sample(params: DetectionParams, traj: Trajectory, arms_of, model: str, seed) -> CountRecord:
-    """Count record from the expected counts ``arms_of(z)`` of each physical detector at the window means ``z``.
-
-    ``arms_of`` returns one array for the single-detector scheme and the two
-    balanced arms otherwise; with shot noise each arm is a Poisson draw.
+    Each physical detector's expected count is C1 + s or C1 - s, with the
+    swing s = pf A B cos(dphi - 2 k z) for ``exact`` and C2 + D z for
+    ``linear``; ch counts the first arm, cbh the difference of the two. With
+    shot noise each arm is a Poisson draw.
     """
+    c1, c2, d = params.linear_constants()
+    fringe, two_k = params.count_prefactor * params.field_amp_A * params.field_amp_B, 2.0 * params.k_rad_per_m
     means = _window_means(traj, params.T_int_s)
     entropy = np.random.SeedSequence(seed).entropy  # one draw of fresh entropy for seed None, reused on every pass
 
@@ -246,7 +248,8 @@ def _sample(params: DetectionParams, traj: Trajectory, arms_of, model: str, seed
         noise_rng = arm_rngs.pop()
         first = 0
         for z in means.chunks():
-            arms = arms_of(z)
+            swing = fringe * np.cos(params.delta_phi_rad - two_k * z) if model == "exact" else c2 + d * z
+            arms = (c1 + swing,) if params.scheme == "ch" else (c1 + swing, c1 - swing)
             if params.shot_noise:
                 for name, arm in enumerate(arms, 1):
                     bad = np.flatnonzero(arm < 0)
@@ -259,24 +262,13 @@ def _sample(params: DetectionParams, traj: Trajectory, arms_of, model: str, seed
             first += z.size
             yield counts
 
-    return CountRecord(
-        t0_s=float(traj.t0_s),
-        counts=artifacts.Series(means.n, read),
-        params=params,
-        linear_constants=params.linear_constants(),
-        model=model,
-        seed=seed,
-    )
+    series = artifacts.Series(means.n, read)
+    return CountRecord(t0_s=float(traj.t0_s), counts=series, params=params, model=model, seed=seed)
 
 
 def detect_exact(traj: Trajectory, params: DetectionParams, seed: int | None = None) -> CountRecord:
     """Integrate the full interferometric response over tiled windows."""
-
-    def arms_of(z):
-        n1, n2 = _arm_counts(params, z)
-        return (n1,) if params.scheme == "ch" else (n1, n2)
-
-    return _sample(params, traj, arms_of, "exact", seed)
+    return _sample(params, traj, "exact", seed)
 
 
 def detect_linear(traj: Trajectory, params: DetectionParams, seed: int | None = None) -> CountRecord:
@@ -284,25 +276,19 @@ def detect_linear(traj: Trajectory, params: DetectionParams, seed: int | None = 
 
     Refuses to run outside the linear regime: the largest |2 k z| over the raw
     trajectory, found in a pass of its own before any count is drawn, must
-    stay below ``linearity_guard`` times the distance of dphi from the nearest
-    multiple of pi, so distorted data is never produced silently.
+    stay below :meth:`DetectionParams.linear_reach_rad`, ``linearity_guard``
+    times the distance of dphi from the nearest multiple of pi, so distorted
+    data is never produced silently.
     """
     max_excursion = 2.0 * params.k_rad_per_m * traj.z_m.max_abs()
-    threshold = params.linearity_guard * params.phase_margin_rad()
+    threshold = params.linear_reach_rad()
     if max_excursion >= threshold:
         raise DetectionError(
             f"linearity guard violated: max |2 k z| = {max_excursion:.4g} rad is not below"
             f" {threshold:.4g} rad ({params.linearity_guard:g} x phase margin"
             f" {params.phase_margin_rad():.4g} rad); use detect_exact or reduce the amplitude"
         )
-    c1, c2, d = params.linear_constants()
-
-    def arms_of(z):
-        if params.scheme == "ch":
-            return (c1 + c2 + d * z,)
-        return (c1 + (c2 + d * z), c1 - (c2 + d * z))
-
-    return _sample(params, traj, arms_of, "linear", seed)
+    return _sample(params, traj, "linear", seed)
 
 
 def invert_counts(
@@ -329,7 +315,7 @@ def invert_counts(
     ``target_variance_m2`` for equipartition), so the positions can be rebuilt
     from the counts alone in the same order of operations.
     """
-    c1, c2, d = rec.linear_constants
+    c1, c2, d = rec.params.linear_constants()
     if d == 0.0:
         raise DetectionError("detection at zero-sensitivity phase: D = 0 (dphi is a multiple of pi)")
     if rec.params.scheme == "ch":

@@ -12,7 +12,7 @@ All operations are pure functions of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .constants import C, HBAR, TWO_PI
@@ -78,6 +78,8 @@ class ExperimentConfig:
         for name in ("phase_d_rad", "phase_s_rad"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        if not math.isfinite(self.delta_phi_rad):
+            raise ConfigError(f"phase_d_rad - phase_s_rad must be finite, got {self.delta_phi_rad!r}")
 
     @property
     def rayleigh_range_m(self) -> float:
@@ -188,23 +190,29 @@ def derive(config: ExperimentConfig) -> DerivedQuantities:
     * gamma = sigma / (pi w0^2) * P / (hbar omega_L), omega_L = 2 pi c/lambda
     * Gamma = 12 pi^2 gamma / (5 lambda^2)
     * z_zpf = sqrt(hbar / (2 m omega_s)); g0/kappa = 4 pi z_zpf / lambda
+
+    Every quantity must come out finite and positive: otherwise, or where the
+    arithmetic leaves the range of a float, :class:`ConfigError` says so.
     """
     lam = config.wavelength_m
-    eps_c = 3.0 * (config.epsilon_r - 1.0) / (config.epsilon_r + 2.0)
-    volume = 4.0 / 3.0 * math.pi * config.particle_radius_m**3
-    mass = config.density_kg_m3 * volume
-    z_r = config.rayleigh_range_m
-    omega_s = math.sqrt(2.0 * eps_c * config.power_W / (config.density_kg_m3 * C * lam * z_r**3))
-    omega_x = omega_s * z_r * math.sqrt(2.0) / config.waist_m
-    if config.rayleigh_standard_form:
-        sigma = (8.0 * math.pi**3 / 3.0) * eps_c**2 * volume**2 / lam**4
-    else:
-        sigma = 8.0 * math.pi**3 * eps_c * volume**2 / lam**4
-    omega_laser = TWO_PI * C / lam
-    gamma = sigma / (math.pi * config.waist_m**2) * config.power_W / (HBAR * omega_laser)
-    big_gamma = 12.0 * math.pi**2 * gamma / (5.0 * lam**2)
-    z_zpf = math.sqrt(HBAR / (2.0 * mass * omega_s))
-    return DerivedQuantities(
+    try:
+        eps_c = 3.0 * (config.epsilon_r - 1.0) / (config.epsilon_r + 2.0)
+        volume = 4.0 / 3.0 * math.pi * config.particle_radius_m**3
+        mass = config.density_kg_m3 * volume
+        z_r = config.rayleigh_range_m
+        omega_s = math.sqrt(2.0 * eps_c * config.power_W / (config.density_kg_m3 * C * lam * z_r**3))
+        omega_x = omega_s * z_r * math.sqrt(2.0) / config.waist_m
+        if config.rayleigh_standard_form:
+            sigma = (8.0 * math.pi**3 / 3.0) * eps_c**2 * volume**2 / lam**4
+        else:
+            sigma = 8.0 * math.pi**3 * eps_c * volume**2 / lam**4
+        omega_laser = TWO_PI * C / lam
+        gamma = sigma / (math.pi * config.waist_m**2) * config.power_W / (HBAR * omega_laser)
+        big_gamma = 12.0 * math.pi**2 * gamma / (5.0 * lam**2)
+        z_zpf = math.sqrt(HBAR / (2.0 * mass * omega_s))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"a derived quantity leaves the range of a float: {exc.args[-1]}") from None
+    dq = DerivedQuantities(
         epsilon_c=eps_c,
         volume_m3=volume,
         mass_kg=mass,
@@ -218,6 +226,10 @@ def derive(config: ExperimentConfig) -> DerivedQuantities:
         z_zpf_m=z_zpf,
         g0_over_kappa=4.0 * math.pi * z_zpf / lam,
     )
+    for name, value in asdict(dq).items():
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"derived {name} must be finite and positive, got {value!r}")
+    return dq
 
 
 def calibrate_waist(target_omega_s: float, config: ExperimentConfig) -> float:

@@ -167,7 +167,7 @@ def test_criterion_5_detection_algebra(config, dq):
     quarter = math.pi / 4
     ch = detect_exact(rest, params_from_config(config, "ch", delta_phi_rad=quarter, T_int_s=t_int))
     cbh = detect_exact(rest, params_from_config(config, "cbh", delta_phi_rad=quarter, T_int_s=t_int))
-    c1, c2, _ = ch.linear_constants
+    c1, c2, _ = ch.params.linear_constants()
     ch_err = float(np.max(np.abs(ch.counts.values() / (c1 + c2) - 1.0)))
     cbh_err = float(np.max(np.abs(cbh.counts.values() / (2.0 * c2) - 1.0)))
 
@@ -213,7 +213,7 @@ def test_criterion_6_spectral_recovery(thermal_run):
     psd = estimate_psd(series.z_m, series.sample_rate_Hz, 1 << 17)
     f0 = dq.omega_s_rad_s / TWO_PI
     noisy_fit = fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
-    c1, _, d = rec.linear_constants
+    c1, _, d = rec.params.linear_constants()
     window_rate = 1.0 / params.T_int_s
     predicted_floor = 2.0 * (2.0 * c1 + rms**2) / ((2.0 * d) ** 2 * window_rate)
     floor_err = abs(noisy_fit.noise_floor / predicted_floor - 1.0)

@@ -88,7 +88,7 @@ def test_a_record_built_from_an_array_holds_a_series_of_its_bytes(config):
     params = params_from_config(config, "cbh")
     records = {
         "z_m": Trajectory(sample_rate_Hz=1e6, z_m=values),
-        "counts": CountRecord(t0_s=0.0, counts=values, params=params, linear_constants=params.linear_constants()),
+        "counts": CountRecord(t0_s=0.0, counts=values, params=params),
     }
     for name, record in records.items():
         kept = dataclasses.replace(record, t0_s=1.0)
@@ -109,7 +109,7 @@ def test_a_record_refuses_an_array_that_is_not_1d(config, shape):
         Trajectory(sample_rate_Hz=1e6, z_m=values)
     params = params_from_config(config, "ch")
     with pytest.raises(DetectionError, match=rf"counts: .* got shape {re.escape(str(shape))}"):
-        CountRecord(t0_s=0.0, counts=values, params=params, linear_constants=params.linear_constants())
+        CountRecord(t0_s=0.0, counts=values, params=params)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])

@@ -114,6 +114,26 @@ def test_invalid_setting_fails_before_any_stage(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, settings, named",
+    [
+        ("derive", ["waist_m=1e-120"], "range of a float"),
+        ("derive", ["particle_radius_m=1e-120"], "range of a float"),
+        ("derive", ["density_kg_m3=1e-320"], "range of a float"),
+        ("derive", ["wavelength_m=1e-200"], "range of a float"),
+        ("derive", ["power_W=1e300"], "derived omega_s_rad_s"),
+        ("pipeline", ["phase_d_rad=1e308", "phase_s_rad=-1e308"], "phase_d_rad - phase_s_rad"),
+    ],
+)
+def test_configuration_out_of_float_range_fails_before_any_stage(tmp_path, capsys, command, settings, named):
+    """A derived quantity that leaves the range of a float, or a phase difference that overflows, is a configuration
+    error: exit 2 before ``--out`` exists, not a traceback or a stage failure."""
+    out = tmp_path / "run"
+    assert run([command, "--out", out] + [arg for item in settings for arg in ("--set", item)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["pipeline", "simulate"])
 @pytest.mark.parametrize("window", ["1.5e-6", "0.2"], ids=["fractional-samples", "longer-than-record"])
 def test_detection_window_that_cannot_tile_the_record_fails_before_any_stage(tmp_path, capsys, command, window):

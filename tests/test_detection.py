@@ -38,7 +38,7 @@ def small_tone(dq, two_ka, config, rate_per_period=64, periods=16):
 def test_ch_flat_at_quadrature(config, dq):
     params = params_from_config(config, "ch", T_int_s=1.0 / 1.4e6)
     rec = detect_exact(flat_trajectory(dq), params)
-    c1, c2, d = rec.linear_constants
+    c1, c2, d = rec.params.linear_constants()
     assert c2 == pytest.approx(0.0, abs=1e-9)  # cos(pi/2) = 0
     np.testing.assert_allclose(rec.counts.values(), c1, rtol=1e-12)
 
@@ -78,7 +78,7 @@ def test_exact_vs_linear_taylor_bound(config, dq, scheme):
 def test_linear_offsets_at_rest(config, dq):
     traj = flat_trajectory(dq)
     ch = detect_linear(traj, params_from_config(config, "ch", delta_phi_rad=math.pi / 4, T_int_s=1.0 / 1.4e6))
-    c1, c2, _ = ch.linear_constants
+    c1, c2, _ = ch.params.linear_constants()
     np.testing.assert_allclose(ch.counts.values(), c1 + c2, rtol=1e-12)
     cbh = detect_linear(traj, params_from_config(config, "cbh", delta_phi_rad=math.pi / 4, T_int_s=1.0 / 1.4e6))
     np.testing.assert_allclose(cbh.counts.values(), 2.0 * c2, rtol=1e-12)
@@ -90,7 +90,7 @@ def test_balanced_is_twice_dc_subtracted_single(config, dq):
     t_int = 1.0 / traj.sample_rate_Hz
     ch = detect_exact(traj, params_from_config(config, "ch", T_int_s=t_int))
     cbh = detect_exact(traj, params_from_config(config, "cbh", T_int_s=t_int))
-    c1 = ch.linear_constants[0]
+    c1 = ch.params.linear_constants()[0]
     fringe = ch.params.count_prefactor * 2.0 * ch.params.field_amp_A * ch.params.field_amp_B
     np.testing.assert_allclose(cbh.counts.values(), 2.0 * (ch.counts.values() - c1), rtol=1e-12, atol=1e-12 * fringe)
 
@@ -100,7 +100,7 @@ def test_linear_balanced_has_no_dc_term(config, dq):
     for dphi in (0.3, 1.0, 2.5):
         params = params_from_config(config, "cbh", delta_phi_rad=dphi, T_int_s=1.0 / 1.4e6)
         rec = detect_linear(flat_trajectory(dq), params)
-        _, c2, _ = rec.linear_constants
+        _, c2, _ = rec.params.linear_constants()
         assert float(np.mean(rec.counts.values())) == pytest.approx(2.0 * c2, rel=1e-12)
 
 
@@ -131,6 +131,10 @@ def test_params_check_themselves(config):
     params = params_from_config(config, "cbh")
     with pytest.raises(DetectionError, match="linearity_guard"):
         dataclasses.replace(params, linearity_guard=0)
+    for name in ("delta_phi_rad", "linearity_guard", "T_int_s", "field_amp_A", "electronic_noise_counts_rms"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(DetectionError, match=name):
+                dataclasses.replace(params, **{name: value})
 
 
 def test_window_validation(config, dq):
@@ -153,16 +157,12 @@ def test_invert_round_trip(config, dq):
 
 
 def test_invert_zero_sensitivity_errors(config, dq):
-    params = params_from_config(config, "ch", T_int_s=1.0 / 1.4e6)
+    """At dphi = 0 the slope D is exactly 0: no count maps back to a position."""
+    params = params_from_config(config, "ch", delta_phi_rad=0.0, T_int_s=1.0 / 1.4e6)
+    assert params.linear_constants()[2] == 0.0
     rec = detect_exact(flat_trajectory(dq), params)
-    broken = CountRecord(
-        t0_s=rec.t0_s,
-        counts=rec.counts,
-        params=rec.params,
-        linear_constants=(rec.linear_constants[0], rec.linear_constants[1], 0.0),
-    )
     with pytest.raises(DetectionError, match="zero-sensitivity"):
-        invert_counts(broken)
+        invert_counts(rec)
 
 
 def test_shot_noise_mean_converges(config, dq):
@@ -293,14 +293,13 @@ def test_count_record_npy(tmp_path, config, dq):
     assert counts.dtype == np.dtype("<f8") and counts.tobytes() == rec.counts.values().tobytes()
     info = json.loads(sidecar.read_text())
     assert info["scheme"] == "cbh"
-    assert info["D"] == pytest.approx(rec.linear_constants[2])
+    assert info["D"] == pytest.approx(rec.params.linear_constants()[2])
     assert (info["t0_s"], info["T_int_s"], info["n_windows"]) == (2.5e-6, params.T_int_s, len(counts))
     assert invert_counts(rec).t0_s == 2.5e-6 + 0.5 * params.T_int_s  # the first window's center
 
 
 def _record(params, model="linear"):
-    constants = params.linear_constants()
-    return CountRecord(t0_s=0.0, counts=np.zeros(4), params=params, linear_constants=constants, model=model)
+    return CountRecord(t0_s=0.0, counts=np.zeros(4), params=params, model=model)
 
 
 def test_count_dtype_is_int32_only_for_whole_counts_that_fit(config):
@@ -324,7 +323,7 @@ def test_count_dtype_is_int32_only_for_whole_counts_that_fit(config):
 def test_linear_count_bound_covers_what_the_guard_lets_through(config):
     """At guard 1 the linear ch count passes pf/2 (A + B)^2, the exact response's peak, but not its own bound."""
     params = params_from_config(config, "ch", linearity_guard=1.0)
-    reach = 0.999 * params.linearity_guard * params.phase_margin_rad()
+    reach = 0.999 * params.linear_reach_rad()
     z = reach / (2.0 * params.k_rad_per_m) * np.sin(np.linspace(0.0, TWO_PI, 4001))
     counts = detect_linear(Trajectory(sample_rate_Hz=1e6, z_m=z), params).counts.values()
     assert params.max_expected_count("exact") < counts.max() <= params.max_expected_count("linear")
