@@ -5,15 +5,17 @@ Subcommands
     simulate     thermal/coherent trajectory -> trajectory.npy + JSON sidecar
     detect       trajectory -> count records (single and/or balanced scheme)
     psd          trajectory -> Welch PSD and oscillator-line fit
-    tomo         trajectory -> PSD and line fit, marginals binned at the fitted frequency, Wigner grid, analysis report
+    tomo         trajectory and psd's line fit -> marginals binned at the fitted frequency, Wigner grid, analysis report
     decoherence  superposition-size decoherence curve -> decoherence.npy + JSON sidecar
     pipeline     derive -> simulate -> detect -> invert -> spectral -> tomography -> decoherence -> plot style
 
 The other subcommands run the pipeline's own stage bodies with its stage
-seeds: ``detect`` and ``psd`` are its detect and spectral stages on
-``--traj``, ``tomo`` its spectral then tomography stages, and the rest the
-stage of their name. ``pipeline`` calls these bodies in order, so
-``simulate`` then ``detect`` with one ``--seed`` write the pipeline's files.
+seeds: ``detect``, ``psd`` and ``tomo`` are its detect, spectral and
+tomography stages on ``--traj``, ``tomo`` binning the record at the
+``omega0_rad_s`` of the ``fit.json`` that ``psd`` wrote for it (``--fit``),
+and the rest the stage of their name. ``pipeline`` calls these bodies in
+order, so ``simulate`` then ``detect`` with one ``--seed`` write the
+pipeline's files.
 Every table is a ``.npy`` array whose axes are in its JSON sidecar: the
 three bulk series (``trajectory``, ``counts_ch``, ``counts_cbh``), the head
 of the calibrated positions that ``fig2a`` plots, the spectra, the marginals,
@@ -68,7 +70,7 @@ import numpy as np
 
 from . import __version__, artifacts, detection, dynamics, spectral, tomography
 from .constants import KB, TWO_PI
-from .errors import ConfigError, DetectionError, LevitomoError, SimulationError
+from .errors import ConfigError, DetectionError, LevitomoError, SimulationError, SpectralError
 from .physics import (
     ExperimentConfig,
     decoherence_curve,
@@ -83,7 +85,6 @@ _CHOICES = {
     "scheme": ("ch", "cbh", "both"),
     # exact counts pass no linearity guard, yet are inverted with the linear map (ROADMAP item 8)
     "detection_model": ("linear", "exact"),
-    "calibration": ("auto", "linear", "equipartition"),
 }
 # samples of the calibrated positions that fig2a plots
 FIG2A_ROWS = 2000
@@ -114,7 +115,6 @@ class PipelineSettings:
     shot_noise: bool = True
     electronic_noise_counts_rms: float = 0.0
     linearity_guard: float = 0.35
-    calibration: str = "auto"  # auto: equipartition for a thermal record with shot noise, else linear
     n_angles: int = 90
     marginal_grid_points: int = 129
     marginal_span_sigmas: float = 5.0
@@ -287,6 +287,11 @@ def _config_file(args) -> dict[str, Path]:
     return {"config_file": Path(args.config)} if args.config else {}
 
 
+def _detection_params(config, settings, scheme) -> detection.DetectionParams:
+    knobs = ("shot_noise", "electronic_noise_counts_rms", "linearity_guard")
+    return detection.params_from_config(config, scheme, **{name: getattr(settings, name) for name in knobs})
+
+
 def _detect(config, settings, traj_path, seed, run) -> dict[str, detection.CountRecord]:
     """The detect stage on the trajectory at ``traj_path``: each scheme's counts, written chunk by chunk; the records
     returned read them back from their files."""
@@ -297,13 +302,7 @@ def _detect(config, settings, traj_path, seed, run) -> dict[str, detection.Count
         for scheme, det_seed in zip(detection.SCHEMES, _stage_seeds(seed)[1:]):
             if settings.scheme not in (scheme, "both"):
                 continue
-            params = detection.params_from_config(
-                config,
-                scheme,
-                shot_noise=settings.shot_noise,
-                electronic_noise_counts_rms=settings.electronic_noise_counts_rms,
-                linearity_guard=settings.linearity_guard,
-            )
+            params = _detection_params(config, settings, scheme)
             record, path = detect(traj, params, seed=det_seed), run.out_dir / f"counts_{scheme}.npy"
             detection.save_count_record(record, path)
             records[scheme] = replace(record, counts=artifacts.read_series(path))
@@ -312,21 +311,17 @@ def _detect(config, settings, traj_path, seed, run) -> dict[str, detection.Count
 
 def _invert(settings, dq, record, counts_path, run) -> dynamics.Trajectory:
     """The invert stage: calibrated positions of ``record``, whose counts are read back from ``counts_path``, mapped
-    on each pass; ``auto`` rescales to equipartition only a thermal record with shot noise.
+    on each pass; only a thermal record with shot noise is rescaled to equipartition, any other is mapped linearly.
 
     ``calibration.json`` records the map: its constants, the counts file it applies to, and the time axis, so the
     positions can be rebuilt from the counts. ``fig2a.npy`` holds the first ``FIG2A_ROWS`` positions, and its
     sidecar their time axis.
     """
     with run.stage("invert", {"counts": counts_path}):
-        calibration = settings.calibration
-        if calibration == "auto":
-            thermal_noisy = settings.sim_state == "thermal" and settings.shot_noise
-            calibration = "equipartition" if thermal_noisy else "linear"
         target_var = None
-        if calibration == "equipartition":
+        if settings.sim_state == "thermal" and settings.shot_noise:
             target_var = KB * settings.sim_temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
-        positions = detection.invert_counts(record, calibration=calibration, target_variance_m2=target_var)
+        positions = detection.invert_counts(record, target_variance_m2=target_var)
         axis = {"t0_s": positions.t0_s, "sample_rate_Hz": positions.sample_rate_Hz}
         map_info = {"counts_file": counts_path.name, **positions.meta, **axis, "n_samples": len(positions.z_m)}
         artifacts.write_json(run.out_dir / "calibration.json", map_info)
@@ -335,8 +330,9 @@ def _invert(settings, dq, record, counts_path, run) -> dynamics.Trajectory:
     return positions
 
 
-def _save_line(psd, fit, out_dir, suffix, scheme) -> None:
-    """Write the power ``psd<suffix>.npy`` (bin k at (k + 1) ``df_Hz``) and the line fit ``fit<suffix>.json``.
+def _save_line(psd, fit, out_dir, scheme) -> None:
+    """Write the power ``psd_<scheme>.npy`` (bin k at (k + 1) ``df_Hz``) and the line fit ``fit_<scheme>.json``, or
+    ``psd.npy`` and ``fit.json`` for a trajectory's spectrum (``scheme`` None).
 
     The fit's ``linewidth_resolved`` is false when the fitted linewidth is under one bin, 2 pi ``df_Hz``: the
     spectrum cannot tell that line's width, and the fit drives it towards 0.
@@ -347,6 +343,7 @@ def _save_line(psd, fit, out_dir, suffix, scheme) -> None:
         "n_segments": psd.n_segments,
         "scheme": scheme,
     }
+    suffix = f"_{scheme}" if scheme else ""
     artifacts.write_array(out_dir / f"psd{suffix}.npy", psd.power, info)
     artifacts.write_json(
         out_dir / f"fit{suffix}.json",
@@ -363,15 +360,15 @@ def _save_line(psd, fit, out_dir, suffix, scheme) -> None:
     )
 
 
-def _spectral(settings, dq, records, inputs, run, suffix="") -> dict[str | None, spectral.LorentzianFit]:
+def _spectral(settings, dq, records, inputs, run) -> dict[str | None, spectral.LorentzianFit]:
     """The spectral stage: each record's spectrum and line fit, and the noise floors of two schemes.
 
     ``records`` maps each scheme to its linearly inverted counts, or ``None``
     to a trajectory. A scheme's spectrum goes to ``psd_<scheme>.npy`` and
-    ``fit_<scheme>.json``, a trajectory's to ``psd<suffix>.npy`` and
-    ``fit<suffix>.json``. Every spectrum is estimated before any line is
-    fitted, so the second Welch pass reuses the first one's buffers; only the
-    fits outlive the stage.
+    ``fit_<scheme>.json``, a trajectory's to ``psd.npy`` and ``fit.json``.
+    Every spectrum is estimated before any line is fitted, so the second
+    Welch pass reuses the first one's buffers; only the fits outlive the
+    stage.
     """
     f0 = dq.omega_s_rad_s / TWO_PI
     with run.stage("spectral", inputs):
@@ -382,7 +379,7 @@ def _spectral(settings, dq, records, inputs, run, suffix="") -> dict[str | None,
         fits = {}
         for scheme, psd in psds.items():
             fits[scheme] = spectral.fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
-            _save_line(psd, fits[scheme], run.out_dir, f"_{scheme}" if scheme else suffix, scheme)
+            _save_line(psd, fits[scheme], run.out_dir, scheme)
         if len(psds) == 2:
             floors = detection.compare_noise_floor(psds["ch"], psds["cbh"])
             artifacts.write_json(run.out_dir / "noise_floors.json", asdict(floors))
@@ -419,7 +416,9 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     """Resolve ``--config`` and ``--set``; a flag named after a setting (``--state``) overrides both.
 
     Every command refuses a configuration that :func:`derive` refuses.
-    ``simulate`` refuses fock1 here, however the state was set, and a command
+    ``simulate`` refuses fock1 here, however the state was set; ``detect``, and
+    ``pipeline`` of a record, refuse detection parameters that
+    :class:`detection.DetectionParams` refuses; and a command
     that simulates a record refuses a record size that
     ``dynamics.sample_count`` refuses, and a detection window that cannot tile
     the record; ``pipeline`` also refuses a window-rate record that holds fewer
@@ -435,6 +434,11 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     derive(config)  # on the plain config, so the manifest's settings stay those the stages read
     if args.command == "simulate" and settings.sim_state == "fock1":
         raise ConfigError("state 'fock1' has no trajectory simulation (fock1 is an oracle state)")
+    if args.command == "detect" or (args.command == "pipeline" and settings.sim_state != "fock1"):
+        try:
+            _detection_params(config, settings, detection.SCHEMES[0])  # its count bounds are those of every scheme
+        except DetectionError as exc:
+            raise ConfigError(str(exc)) from None
     if args.command in ("simulate", "pipeline") and settings.sim_state != "fock1":
         rate = settings.sim_sample_rate_hz
         try:
@@ -485,13 +489,24 @@ def cmd_psd(args, config, settings, run) -> None:
     _spectral(settings, derive(config), {None: dynamics.load_trajectory(path)}, {"trajectory": path}, run)
 
 
+def _fitted_omega0(path: Path) -> float:
+    """The ``omega0_rad_s`` of the line fit that ``psd`` wrote to ``path``; a file that is not JSON or holds no
+    finite positive number there raises :class:`SpectralError` naming it."""
+    try:
+        fit = json.loads(path.read_text())
+    except ValueError as exc:
+        raise SpectralError(f"{path}: not a JSON line fit ({exc})") from None
+    omega0 = fit.get("omega0_rad_s") if isinstance(fit, dict) else None
+    if type(omega0) not in (int, float) or not 0 < omega0 <= sys.float_info.max:
+        raise SpectralError(f"{path}: omega0_rad_s must be a finite positive number, got {omega0!r}")
+    return float(omega0)
+
+
 def cmd_tomo(args, config, settings, run) -> dict:
-    """The spectral stage on the trajectory, into ``psd_tomo.npy`` and ``fit_tomo.json`` so that ``psd`` can share
-    ``--out``, then the tomography stage bins the trajectory at the fitted frequency."""
-    path = Path(args.traj)
-    traj, inputs = dynamics.load_trajectory(path), {"trajectory": path}
-    fit = _spectral(settings, derive(config), {None: traj}, inputs, run, "_tomo")[None]
-    return asdict(_tomography(settings, inputs, run, traj, fit.omega0_rad_s))
+    """The tomography stage on the trajectory, binned at the frequency of the line that ``psd`` fitted to it."""
+    traj_path, fit_path = Path(args.traj), Path(args.fit)
+    omega0, traj = _fitted_omega0(fit_path), dynamics.load_trajectory(traj_path)
+    return asdict(_tomography(settings, {"trajectory": traj_path, "fit": fit_path}, run, traj, omega0))
 
 
 def cmd_decoherence(args, config, settings, run) -> None:
@@ -537,7 +552,7 @@ def cmd_pipeline(args, config, settings, run) -> None:
             "kind": "line",
             "xscale": "log",
             "yscale": "log",
-            "floors": {scheme: fit.noise_floor for scheme, fit in fits.items()},
+            "floors": {"file": [f"fit_{scheme}.json" for scheme in fits], "key": "noise_floor"},
         }
         _tomography(settings, {"counts": counts}, run, positions, fits[primary].omega0_rad_s)
     figures["fig2b"] = {"file": "marginals.npy", "matrix": "rows theta, columns z", "kind": "heatmap"}
@@ -574,7 +589,7 @@ def _seed(text: str) -> int:
     return seed
 
 
-_TRAJ_HELP = "trajectory.npy from 'simulate', with its .json sidecar, or a t_s,z_m CSV table"
+_TRAJ_HELP = "the record: trajectory.npy from 'simulate' with its .json sidecar, or a t_s,z_m CSV table"
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -621,6 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tomo = sub.add_parser("tomo", help="marginals and Wigner reconstruction")
     _add_common(p_tomo)
     p_tomo.add_argument("--traj", required=True, help=_TRAJ_HELP)
+    p_tomo.add_argument("--fit", required=True, help="fit.json that 'psd' wrote for this record; bins at its omega0")
     p_tomo.set_defaults(func=cmd_tomo)
 
     p_dec = sub.add_parser("decoherence", help="superposition-size decoherence curve")

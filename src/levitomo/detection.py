@@ -51,6 +51,8 @@ from .spectral import Psd, peak_snr
 SCHEMES = ("ch", "cbh")
 # Poisson standard deviations above a detector's largest expected count that an int32 count file leaves room for
 INT32_HEADROOM_SIGMAS = 10.0
+# the largest mean numpy's Poisson sampler draws from, as numpy computes it
+POISSON_MAX_MEAN = np.iinfo("l").max - 10.0 * math.sqrt(np.iinfo("l").max)
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,9 @@ class DetectionParams:
     linearity_guard: float = 0.1  # max |2 k z| must stay below guard * min_n |dphi - pi n|
 
     def __post_init__(self):
-        """Raise :class:`DetectionError` naming the first invalid parameter."""
+        """Raise :class:`DetectionError` naming the first invalid parameter, or the counts they would give: C1, C2,
+        D and the largest expected count of either model must be finite, and with shot noise that count must be
+        one numpy's Poisson sampler takes."""
         if self.scheme not in SCHEMES:
             raise DetectionError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         for name in ("T_int_s", "sigma_d_m2", "k_rad_per_m", "linearity_guard"):
@@ -80,6 +84,15 @@ class DetectionParams:
                 raise DetectionError(f"{name} must be finite and non-negative, got {value!r}")
         if not math.isfinite(self.delta_phi_rad):
             raise DetectionError(f"delta_phi_rad must be finite, got {self.delta_phi_rad!r}")
+        too_large = "field_amp_A, field_amp_B, sigma_d_m2 or T_int_s is too large"
+        try:
+            counts = (*self.linear_constants(), *(self.max_expected_count(model) for model in ("exact", "linear")))
+        except OverflowError:
+            counts = (math.inf,)
+        if not all(map(math.isfinite, counts)):
+            raise DetectionError(f"C1, C2, D or the largest expected count leaves the range of a float: {too_large}")
+        if self.shot_noise and max(counts[3:]) > POISSON_MAX_MEAN:
+            raise DetectionError(f"the largest expected count is above numpy's largest Poisson mean: {too_large}")
 
     @property
     def count_prefactor(self) -> float:
@@ -291,29 +304,26 @@ def detect_linear(traj: Trajectory, params: DetectionParams, seed: int | None = 
     return _sample(params, traj, "linear", seed)
 
 
-def invert_counts(
-    rec: CountRecord,
-    calibration: str = "linear",
-    target_variance_m2: float | None = None,
-) -> Trajectory:
+def invert_counts(rec: CountRecord, target_variance_m2: float | None = None) -> Trajectory:
     """Convert counts back to calibrated positions at the window rate.
 
-    calibration = "linear": z = (count - offset) / D_eff with offset = C1 + C2
-    and D_eff = D for the single-detector scheme, offset = 2 C2 and
-    D_eff = 2 D for the balanced one.
+    With no target the calibration is linear: z = (count - offset) / D_eff
+    with offset = C1 + C2 and D_eff = D for the single-detector scheme,
+    offset = 2 C2 and D_eff = 2 D for the balanced one.
 
-    calibration = "equipartition": the linear positions' mean ``mean_m`` is
-    removed and they are rescaled so the sample variance equals
-    ``target_variance_m2`` (= k_B T / m omega_s^2):
-    z = ((count - offset) / D_eff - mean_m) * scale. This mirrors how a real
-    record is calibrated when the absolute slope is unknown, and it is the
-    right choice for noisy records. The mean and variance take one pass over
-    the counts.
+    Given ``target_variance_m2`` (= k_B T / m omega_s^2, finite and
+    positive), the calibration is equipartition: the linear positions' mean
+    ``mean_m`` is removed and they are rescaled so the sample variance equals
+    the target: z = ((count - offset) / D_eff - mean_m) * scale. This mirrors
+    how a thermal record is calibrated when the absolute slope is unknown, and
+    it is the right choice for noisy thermal records. The mean and variance
+    take one pass over the counts.
 
-    The trajectory metadata holds the method and every constant of the map
-    (``offset``, ``d_eff``, and ``mean_m``, ``equipartition_scale`` and
-    ``target_variance_m2`` for equipartition), so the positions can be rebuilt
-    from the counts alone in the same order of operations.
+    The trajectory metadata holds the method (``calibration``: ``linear`` or
+    ``equipartition``) and every constant of the map (``offset``, ``d_eff``,
+    and ``mean_m``, ``equipartition_scale`` and ``target_variance_m2`` for
+    equipartition), so the positions can be rebuilt from the counts alone in
+    the same order of operations.
     """
     c1, c2, d = rec.params.linear_constants()
     if d == 0.0:
@@ -324,16 +334,16 @@ def invert_counts(
         offset, d_eff = 2.0 * c2, 2.0 * d
     z = rec.counts.map(lambda counts: (counts - offset) / d_eff)
     meta = {
-        "calibration": calibration,
+        "calibration": "linear" if target_variance_m2 is None else "equipartition",
         "scheme": rec.params.scheme,
         "source_model": rec.model,
         "shot_noise": rec.params.shot_noise,
         "offset": offset,
         "d_eff": d_eff,
     }
-    if calibration == "equipartition":
-        if target_variance_m2 is None or target_variance_m2 <= 0:
-            raise DetectionError("equipartition calibration needs target_variance_m2 > 0")
+    if target_variance_m2 is not None:
+        if not (math.isfinite(target_variance_m2) and target_variance_m2 > 0):
+            raise DetectionError(f"equipartition needs a finite target_variance_m2 > 0, got {target_variance_m2!r}")
         mean, variance = z.moments()
         if variance == 0.0:
             raise DetectionError("cannot equipartition-calibrate a constant record")
@@ -342,8 +352,6 @@ def invert_counts(
         meta["mean_m"] = mean
         meta["equipartition_scale"] = scale
         meta["target_variance_m2"] = target_variance_m2
-    elif calibration != "linear":
-        raise DetectionError(f"unknown calibration {calibration!r} (expected linear | equipartition)")
     return Trajectory(
         sample_rate_Hz=rec.window_rate_Hz,
         z_m=z,

@@ -66,10 +66,10 @@ def thermal_run():
     for scheme, det_seed in (("ch", ch_seed), ("cbh", cbh_seed)):
         params = params_from_config(config, scheme, shot_noise=True, linearity_guard=0.35)
         records[scheme] = detect_linear(traj, params, seed=det_seed)
-    inverted = invert_counts(records["cbh"], calibration="equipartition", target_variance_m2=target_var)
+    inverted = invert_counts(records["cbh"], target_variance_m2=target_var)
     fits = {}
     for scheme, rec in records.items():
-        series = invert_counts(rec, calibration="linear")
+        series = invert_counts(rec)
         psd = estimate_psd(series.z_m, series.sample_rate_Hz, 1 << 17)
         f0 = dq.omega_s_rad_s / TWO_PI
         fits[scheme] = fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
@@ -209,7 +209,7 @@ def test_criterion_6_spectral_recovery(thermal_run):
     rms = 1.5e5
     params = params_from_config(config, "cbh", shot_noise=True, electronic_noise_counts_rms=rms, linearity_guard=0.35)
     rec = detect_linear(thermal_run["traj"], params, seed=313)
-    series = invert_counts(rec, calibration="linear")
+    series = invert_counts(rec)
     psd = estimate_psd(series.z_m, series.sample_rate_Hz, 1 << 17)
     f0 = dq.omega_s_rad_s / TWO_PI
     noisy_fit = fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))

@@ -243,7 +243,7 @@ def test_integer_settings_accept_integer_literals():
     assert (settings.n_angles, settings.psd_segment_len, settings.decoherence_points) == (120, 4096, 7)
 
 
-@pytest.mark.parametrize("cls, count", [(ExperimentConfig, 15), (PipelineSettings, 21)])
+@pytest.mark.parametrize("cls, count", [(ExperimentConfig, 15), (PipelineSettings, 20)])
 def test_every_setting_default_has_its_annotated_type(cls, count):
     """A setting's text is parsed as the type of the field's default, so that type must be the annotated one."""
     assert len(fields(cls)) == count
@@ -645,28 +645,15 @@ def test_unwritable_output_is_a_stage_failure(tmp_path, capsys, blocked, written
         ("simulate", "trajectory.json", ["trajectory.npy"]),
         ("detect", "counts_cbh.npy", ["counts_ch.npy", "counts_ch.json"]),
         ("psd", "fit.json", ["psd.npy", "psd.json"]),
-        (
-            "tomo",
-            "analyze.json",
-            [
-                "psd_tomo.npy",
-                "psd_tomo.json",
-                "fit_tomo.json",
-                "marginals.npy",
-                "marginals.json",
-                "wigner.npy",
-                "wigner.json",
-            ],
-        ),
+        ("tomo", "analyze.json", ["marginals.npy", "marginals.json", "wigner.npy", "wigner.json"]),
         ("decoherence", "decoherence.npy", []),
     ],
 )
 def test_failed_subcommand_marks_every_file_it_wrote(tmp_path, capsys, command, blocked, written):
     """Every subcommand, not only ``pipeline``, leaves no file of a failed run under its final name."""
-    assert run(["simulate", "--seed", 1, "--out", tmp_path / "input"] + FAST_PIPELINE) == 0
+    traj = stage_input(tmp_path / "input", command)
     out = tmp_path / "run"
     (out / blocked).mkdir(parents=True)
-    traj = ["--traj", tmp_path / "input" / "trajectory.npy"] if command in ("detect", "psd", "tomo") else []
     capsys.readouterr()
     assert run([command, "--seed", 1, "--out", out] + traj + FAST_PIPELINE) == 3
     captured = capsys.readouterr()
@@ -793,13 +780,13 @@ def test_missing_trajectory_exits_3_with_one_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["detect", "psd", "tomo"])
 def test_non_finite_trajectory_exits_3_naming_the_row(tmp_path, capsys, command):
-    assert run(["simulate", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
+    fit = stage_input(tmp_path, command)[2:]  # tomo's --fit, the line psd fitted to the record before the damage
     path = csv_copy(tmp_path / "trajectory.npy")
     rows = path.read_bytes().split(b"\n")
     rows[100] = rows[100].split(b",")[0] + b",nan"
     path.write_bytes(b"\n".join(rows))
     capsys.readouterr()
-    assert run([command, "--traj", path, "--out", tmp_path / command] + FAST_PIPELINE) == 3
+    assert run([command, "--traj", path, "--out", tmp_path / command] + fit + FAST_PIPELINE) == 3
     err = capsys.readouterr().err
     assert f"{path}:101: row holds a non-finite value" in err and len(err.splitlines()) == 1
 
@@ -820,19 +807,33 @@ def test_legacy_crlf_trajectory_loads_through_traj(tmp_path):
     outputs = {
         "detect": ("counts_ch.npy", "counts_cbh.npy"),
         "psd": ("psd.npy", "psd.json", "fit.json"),
-        "tomo": ("psd_tomo.npy", "psd_tomo.json", "fit_tomo.json", "marginals.npy", "wigner.npy", "analyze.json"),
+        "tomo": ("marginals.npy", "wigner.npy", "analyze.json"),
     }
     samples = dynamics.load_trajectory(npy).z_m.values().tobytes()
     for n, source in enumerate(sources):
         assert dynamics.load_trajectory(source).z_m.values().tobytes() == samples
-        for command in outputs:
+        for command in outputs:  # tomo bins at the line psd fitted to the same source
             out = tmp_path / f"{command}{n}"
-            assert run([command, "--seed", 1, "--traj", source, "--out", out] + FAST_PIPELINE) == 0
+            fit = ["--fit", tmp_path / f"psd{n}" / "fit.json"] if command == "tomo" else []
+            assert run([command, "--seed", 1, "--traj", source, "--out", out] + fit + FAST_PIPELINE) == 0
     for command, names in outputs.items():
         for name in names:
             first = (tmp_path / f"{command}0" / name).read_bytes()
             for n in (1, 2):
                 assert (tmp_path / f"{command}{n}" / name).read_bytes() == first, (command, name)
+
+
+def stage_input(folder: Path, command: str, seed: int = 1) -> list:
+    """Simulate a fast record into ``folder`` and return the input arguments of ``command``: none, ``--traj`` for a
+    command that reads a record, and for ``tomo`` also ``--fit``, the line fit ``psd`` writes into ``folder``."""
+    assert run(["simulate", "--seed", seed, "--out", folder] + FAST_PIPELINE) == 0
+    if command not in STAGE_COMMANDS:
+        return []
+    args = ["--traj", folder / "trajectory.npy"]
+    if command == "tomo":
+        assert run(["psd", "--out", folder] + args + FAST_PIPELINE) == 0
+        args += ["--fit", folder / "fit.json"]
+    return args
 
 
 class _Touch:
@@ -980,6 +981,11 @@ def test_every_figure_table_loads_in_the_shape_of_its_sidecar(tmp_path, extra, t
             assert values.dtype == np.dtype("<f8"), name
             assert values.shape == sidecar_shape(info), name
             names.append(name)
+        if "floors" in fig:  # each spectrum's fitted floor, named in the line fit that holds it, not copied
+            fit_files = [name.replace("psd_", "fit_").replace(".npy", ".json") for name in files]
+            assert fig["floors"] == {"file": fit_files, "key": "noise_floor"}
+            for name in fit_files:
+                assert type(json.loads((tmp_path / name).read_text())["noise_floor"]) is float, name
     assert sorted(names) == [f"{table}.npy" for table in tables]
 
 
@@ -1064,26 +1070,25 @@ def test_analyze_report_keys(tmp_path):
 
 
 def test_tomo_subcommand(tmp_path):
+    """``tomo`` bins the record at the frequency of the line ``psd`` fitted to it, read from ``--fit``."""
     assert run(
         ["simulate", "--out", tmp_path, "--seed", 6, "--set", "sim_duration_s=0.1", "--set", "pressure_mbar=1.0"]
     ) == 0
-    assert run(
-        [
-            "tomo",
-            "--traj",
-            tmp_path / "trajectory.npy",
-            "--out",
-            tmp_path,
-            "--set",
-            "psd_segment_len=16384",
-            "--set",
-            "n_angles=30",
-        ]
-    ) == 0
+    traj = ["--traj", tmp_path / "trajectory.npy", "--out", tmp_path]
+    assert run(["psd"] + traj + ["--set", "psd_segment_len=16384"]) == 0
+    assert run(["tomo"] + traj + ["--fit", tmp_path / "fit.json", "--set", "n_angles=30"]) == 0
     report = json.loads((tmp_path / "analyze.json").read_text())
     assert abs(report["total_integral"] - 1.0) < 0.05
     assert (tmp_path / "marginals.npy").is_file()
     assert (tmp_path / "wigner.npy").is_file()
+    omega0 = json.loads((tmp_path / "fit.json").read_text())["omega0_rad_s"]
+    marginals = tomography.bin_marginals(
+        dynamics.load_trajectory(tmp_path / "trajectory.npy"),
+        omega0,
+        30,
+        json.loads((tmp_path / "marginals.json").read_text())["z_grid_m"],
+    )
+    assert marginals.densities.tobytes() == np.load(tmp_path / "marginals.npy", allow_pickle=False).tobytes()
 
 
 def test_pipeline_exact_detection_model(tmp_path):
@@ -1121,9 +1126,8 @@ def test_manifest_digests_match_files(tmp_path, capsys, command):
     """Every command writes a manifest of its own that lists every file the run wrote, with its digest; a stage
     subcommand's stages list the digest of the trajectory they read."""
     traj, out = tmp_path / "input" / "trajectory.npy", tmp_path / "run"
-    assert run(["simulate", "--seed", 11, "--out", traj.parent] + FAST_PIPELINE) == 0
+    traj_args = stage_input(traj.parent, command, seed=11)
     capsys.readouterr()
-    traj_args = ["--traj", traj] if command in STAGE_COMMANDS else []
     assert run([command, "--seed", 11, "--out", out] + traj_args + FAST_PIPELINE) == 0
     on_disk = sorted(str(path) for path in out.rglob("*") if path.is_file())
     printed = capsys.readouterr().out
@@ -1139,41 +1143,114 @@ def test_manifest_digests_match_files(tmp_path, capsys, command):
     for rel, digest in outputs.items():
         assert sha256(out / rel) == digest, rel
     if command in STAGE_COMMANDS:
-        expected = {"detect": ["detect"], "psd": ["spectral"], "tomo": ["spectral", "tomography"]}[command]
-        assert [stage["name"] for stage in manifest["stages"]] == expected
-        assert all(stage["inputs"] == {"trajectory": sha256(traj)} for stage in manifest["stages"])
+        expected = {"detect": "detect", "psd": "spectral", "tomo": "tomography"}[command]
+        assert [stage["name"] for stage in manifest["stages"]] == [expected]
+        inputs = {"trajectory": sha256(traj)}
+        if command == "tomo":
+            inputs["fit"] = sha256(traj.parent / "fit.json")
+        assert manifest["stages"][0]["inputs"] == inputs
 
 
 def test_failed_stage_rerun_retires_the_same_commands_results(tmp_path, capsys):
     """A failed ``tomo`` rerun into a shared ``--out`` retires every result the earlier ``tomo`` manifest lists, and
     leaves the ``simulate`` run's files it read."""
     assert run(["simulate", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.1"]) == 0
-    tomo = ["tomo", "--traj", tmp_path / "trajectory.npy", "--out", tmp_path, "--set", "sim_duration_s=0.1"]
+    common = ["--traj", tmp_path / "trajectory.npy", "--out", tmp_path, "--set", "sim_duration_s=0.1"]
+    assert run(["psd"] + common) == 0
+    tomo = ["tomo", "--fit", tmp_path / "fit.json"] + common
     assert run(tomo) == 0
     earlier = json.loads((tmp_path / "manifest_tomo.json").read_text())
     results = [rel for stage in earlier["stages"] for rel in stage["outputs"]]
     results += ["manifest_tomo.json", "timings_tomo.json"]
-    assert {"psd_tomo.npy", "fit_tomo.json", "marginals.npy", "wigner.npy", "analyze.json"} <= set(results)
+    assert {"marginals.npy", "wigner.npy", "analyze.json"} <= set(results)
     capsys.readouterr()
     assert run(tomo + ["--set", "n_angles=5000"]) == 3
     assert capsys.readouterr().err.startswith("tomo stage failed: ")
     for name in results:
         assert not (tmp_path / name).exists() and (tmp_path / f"{name}.partial").is_file(), name
-    for name in ("trajectory.npy", "trajectory.json", "manifest_simulate.json", "timings_simulate.json"):
+    read = ("trajectory.npy", "trajectory.json", "manifest_simulate.json", "timings_simulate.json", "fit.json")
+    for name in read:
         assert (tmp_path / name).is_file(), name
 
 
 def test_psd_and_tomo_share_one_out(tmp_path):
-    """``psd`` and ``tomo`` write no file of the same name, so in one ``--out`` every digest ``manifest_psd.json``
-    lists still matches after a ``tomo`` run, and after a failed ``tomo`` rerun retires that run's results."""
+    """``tomo`` reads the line fit ``psd`` wrote and writes no file of ``psd``'s, so in one ``--out`` every digest
+    ``manifest_psd.json`` lists still matches after a ``tomo`` run, and after a failed ``tomo`` rerun retires that
+    run's results; ``tomo``'s manifest names the fit by the digest ``psd`` gave it."""
     assert run(["simulate", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.1"]) == 0
     common = ["--traj", tmp_path / "trajectory.npy", "--out", tmp_path, "--set", "sim_duration_s=0.1"]
     assert run(["psd"] + common) == 0
     manifest = json.loads((tmp_path / "manifest_psd.json").read_text())
     outputs = {rel: digest for stage in manifest["stages"] for rel, digest in stage["outputs"].items()}
     assert sorted(outputs) == ["fit.json", "psd.json", "psd.npy"]
-    tomo = ["tomo"] + common + ["--set", "psd_segment_len=8192"]
-    for argv, code in ((tomo, 0), (tomo + ["--set", "n_angles=5000"], 3)):
-        assert run(argv) == code
-        for rel, digest in outputs.items():
-            assert sha256(tmp_path / rel) == digest, (argv[-1], rel)
+    tomo = ["tomo", "--fit", tmp_path / "fit.json"] + common
+    assert run(tomo) == 0
+    (stage,) = json.loads((tmp_path / "manifest_tomo.json").read_text())["stages"]
+    assert stage["inputs"]["fit"] == outputs["fit.json"]
+    assert sorted(path.name for path in tmp_path.glob("*_tomo*")) == ["manifest_tomo.json", "timings_tomo.json"]
+    assert run(tomo + ["--set", "n_angles=5000"]) == 3
+    for rel, digest in outputs.items():
+        assert sha256(tmp_path / rel) == digest, rel
+
+
+@pytest.fixture(scope="module")
+def fitted_record(tmp_path_factory):
+    """A fast record and the line fit ``psd`` wrote for it, in one folder."""
+    folder = tmp_path_factory.mktemp("fitted")
+    stage_input(folder, "tomo")
+    return folder
+
+
+# the text of a --fit file that gives no frequency to bin at, or None for no file
+UNUSABLE_FITS = {
+    "missing": None,
+    "not-json": "omega0_rad_s = 4.4e5",
+    "not-text": "\xff\xfe",
+    "list": "[4.4e5]",
+    "no-omega0": '{"linewidth_rad_s": 100.0}',
+    "nan": '{"omega0_rad_s": NaN}',
+    "inf": '{"omega0_rad_s": Infinity}',
+    "beyond-float": '{"omega0_rad_s": 1%s}' % ("0" * 400),  # an integer no float holds
+    "bool": '{"omega0_rad_s": true}',
+    "string": '{"omega0_rad_s": "4.4e5"}',
+    "null": '{"omega0_rad_s": null}',
+    "zero": '{"omega0_rad_s": 0}',
+    "negative": '{"omega0_rad_s": -4.4e5}',
+}
+
+
+@pytest.mark.parametrize("text", UNUSABLE_FITS.values(), ids=UNUSABLE_FITS.keys())
+def test_unusable_fit_exits_3_naming_the_file(tmp_path, capsys, fitted_record, text):
+    """A ``--fit`` that gives no finite positive ``omega0_rad_s`` fails ``tomo`` with one line naming it, and a
+    rerun that fails so leaves no result of the earlier ``tomo`` run under its final name."""
+    fit = tmp_path / "fit.json"
+    if text is not None:
+        fit.write_bytes(text.encode("latin-1"))
+    tomo = ["tomo", "--traj", fitted_record / "trajectory.npy", "--out", tmp_path / "run"] + FAST_PIPELINE
+    assert run(tomo + ["--fit", fitted_record / "fit.json"]) == 0
+    capsys.readouterr()
+    assert run(tomo + ["--fit", fit]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("tomo stage failed: ") and str(fit) in err and len(err.splitlines()) == 1, err
+    assert [path.name for path in (tmp_path / "run").iterdir() if not path.name.endswith(".partial")] == []
+
+
+def test_calibration_is_not_a_setting(tmp_path, capsys):
+    """The invert stage picks its calibration from the record: no setting can rescale a coherent signal."""
+    out = tmp_path / "run"
+    assert run(["pipeline", "--out", out, "--set", "calibration=linear"] + FAST_PIPELINE) == 2
+    assert "unknown configuration key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "pipeline"])
+@pytest.mark.parametrize("setting", ["field_amp_A=1e200", "field_amp_B=1e200", "detector_area_m2=1e300"])
+def test_counts_beyond_a_float_fail_before_any_stage(tmp_path, capsys, command, setting):
+    """Count constants that leave the range of a float are a configuration error of every command that detects:
+    exit 2 before ``--out`` exists, not a traceback after ``simulate`` has run."""
+    out = tmp_path / "run"
+    traj = ["--traj", tmp_path / "trajectory.npy"] if command == "detect" else []
+    assert run([command, "--out", out, "--set", setting] + traj + FAST_PIPELINE) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "range of a float" in err and len(err.splitlines()) == 1
+    assert not out.exists()

@@ -137,6 +137,20 @@ def test_params_check_themselves(config):
                 dataclasses.replace(params, **{name: value})
 
 
+def test_params_refuse_counts_a_float_or_the_poisson_sampler_cannot_hold(config):
+    """C1, C2, D and the largest expected count must be finite; with shot noise that count must also be a mean
+    numpy's Poisson sampler draws from (9.2e18 is, 9.3e18 is not)."""
+    for name, value in (("field_amp_A", 1e200), ("field_amp_B", 1e200), ("sigma_d_m2", 1e300)):
+        with pytest.raises(DetectionError, match="range of a float"):
+            params_from_config(config, "cbh", **{name: value})
+    unit = params_from_config(config, "ch", sigma_d_m2=1.0, shot_noise=True)
+    largest = max(unit.max_expected_count(model) for model in ("exact", "linear"))
+    assert params_from_config(config, "ch", sigma_d_m2=9.2e18 / largest, shot_noise=True)
+    with pytest.raises(DetectionError, match="Poisson"):
+        params_from_config(config, "ch", sigma_d_m2=9.3e18 / largest, shot_noise=True)
+    assert not params_from_config(config, "ch", sigma_d_m2=9.3e18 / largest).shot_noise
+
+
 def test_window_validation(config, dq):
     traj = simulate_coherent(dq, 1e-9, 0.0, 1e-4, 1.4e6)
     with pytest.raises(DetectionError, match="longer than"):
@@ -204,16 +218,19 @@ def test_equipartition_calibration_full_temperature(config, dq):
     params = params_from_config(config, "cbh", shot_noise=True)
     rec = detect_exact(traj, params, seed=45)
     target = KB * config.temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
-    inverted = invert_counts(rec, calibration="equipartition", target_variance_m2=target)
+    inverted = invert_counts(rec, target_variance_m2=target)
     assert inverted.z_m.values().var() == pytest.approx(target, rel=0.05)
     assert inverted.meta["calibration"] == "equipartition"
     assert "equipartition_scale" in inverted.meta
 
 
 def test_equipartition_needs_target(config, dq):
+    """A target variance that is not finite and positive fails; a NaN or infinite one gave all-NaN or all -inf
+    positions."""
     rec = detect_linear(flat_trajectory(dq), params_from_config(config, "ch", T_int_s=1.0 / 1.4e6))
-    with pytest.raises(DetectionError, match="target_variance"):
-        invert_counts(rec, calibration="equipartition")
+    for target in (0.0, -1e-18, math.nan, math.inf):
+        with pytest.raises(DetectionError, match="target_variance"):
+            invert_counts(rec, target_variance_m2=target)
 
 
 def _matched_records(config, dq, shot, seed_pair=(1, 2), duration=0.06, dim_fields=False):
