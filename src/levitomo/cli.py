@@ -335,7 +335,9 @@ def _save_line(psd, fit, out_dir, scheme) -> None:
     ``psd.npy`` and ``fit.json`` for a trajectory's spectrum (``scheme`` None).
 
     The fit's ``linewidth_resolved`` is false when the fitted linewidth is under one bin, 2 pi ``df_Hz``: the
-    spectrum cannot tell that line's width, and the fit drives it towards 0.
+    spectrum cannot tell that line's width, and the fit drives it towards 0. Its ``snr_db`` is the strongest bin
+    over the fitted ``noise_floor``: the peak bin, not the fitted line's peak, which an unresolved line would
+    overstate.
     """
     info = {
         "df_Hz": float(psd.freqs_Hz[0]),
@@ -355,13 +357,13 @@ def _save_line(psd, fit, out_dir, scheme) -> None:
             "residual_rms": fit.residual_rms,
             "covariance": fit.covariance.tolist(),
             "linewidth_resolved": fit.linewidth_rad_s >= TWO_PI * info["df_Hz"],
-            "snr_db": spectral.peak_snr(psd)[2],
+            "snr_db": 10.0 * math.log10(float(np.max(psd.power)) / fit.noise_floor),
         },
     )
 
 
 def _spectral(settings, dq, records, inputs, run) -> dict[str | None, spectral.LorentzianFit]:
-    """The spectral stage: each record's spectrum and line fit, and the noise floors of two schemes.
+    """The spectral stage: each record's spectrum and line fit, whose white floor is the record's noise floor.
 
     ``records`` maps each scheme to its linearly inverted counts, or ``None``
     to a trajectory. A scheme's spectrum goes to ``psd_<scheme>.npy`` and
@@ -380,9 +382,6 @@ def _spectral(settings, dq, records, inputs, run) -> dict[str | None, spectral.L
         for scheme, psd in psds.items():
             fits[scheme] = spectral.fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
             _save_line(psd, fits[scheme], run.out_dir, scheme)
-        if len(psds) == 2:
-            floors = detection.compare_noise_floor(psds["ch"], psds["cbh"])
-            artifacts.write_json(run.out_dir / "noise_floors.json", asdict(floors))
     return fits
 
 

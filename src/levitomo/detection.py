@@ -46,7 +46,6 @@ from .constants import C, EPS0, HBAR, TWO_PI
 from .errors import DetectionError
 from .dynamics import Trajectory
 from .physics import ExperimentConfig
-from .spectral import Psd, peak_snr
 
 SCHEMES = ("ch", "cbh")
 # Poisson standard deviations above a detector's largest expected count that an int32 count file leaves room for
@@ -359,39 +358,6 @@ def invert_counts(rec: CountRecord, target_variance_m2: float | None = None) -> 
         seed=rec.seed,
         state_kind="inverted",
         meta=meta,
-    )
-
-
-@dataclass(frozen=True)
-class NoiseFloorReport:
-    floor_ch: float
-    floor_cbh: float
-    floor_ratio_ch_over_cbh: float
-    peak_power_ch: float
-    peak_power_cbh: float
-    snr_ch_db: float
-    snr_cbh_db: float
-
-
-def compare_noise_floor(psd_ch: Psd, psd_cbh: Psd) -> NoiseFloorReport:
-    """Off-resonance displacement noise floors and peak SNRs of matched spectra.
-
-    ``psd_ch`` and ``psd_cbh`` are Welch spectra of the linearly inverted
-    single-detector and balanced records; they must share one frequency grid.
-    Floor, peak and SNR of each are those of :func:`spectral.peak_snr`.
-    """
-    if not np.array_equal(psd_ch.freqs_Hz, psd_cbh.freqs_Hz):
-        raise DetectionError("spectra on different frequency grids: window rates or segment lengths differ")
-    (floor_ch, peak_ch, snr_ch), (floor_cbh, peak_cbh, snr_cbh) = peak_snr(psd_ch), peak_snr(psd_cbh)
-    ratio = floor_ch / floor_cbh if floor_cbh > 0 else (1.0 if floor_ch == floor_cbh else math.inf)
-    return NoiseFloorReport(
-        floor_ch=floor_ch,
-        floor_cbh=floor_cbh,
-        floor_ratio_ch_over_cbh=ratio,
-        peak_power_ch=peak_ch,
-        peak_power_cbh=peak_cbh,
-        snr_ch_db=snr_ch,
-        snr_cbh_db=snr_cbh,
     )
 
 

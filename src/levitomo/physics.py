@@ -96,10 +96,6 @@ class ExperimentConfig:
         """:func:`default_config` with the string key/value pairs applied; unknown keys are an error."""
         return replace(default_config(), **typed_fields(cls, mapping))
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_mapping(load_key_values(path))
-
 
 def typed_fields(cls, mapping: dict) -> dict:
     """Each value of ``mapping`` parsed as the type of the default of the ``cls`` field it names."""

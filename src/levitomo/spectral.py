@@ -7,6 +7,8 @@ harmonic oscillator plus a white floor,
 
 so the linewidth parameter xi maps directly onto the mechanical damping rate
 and A onto the thermal drive (A = 4 k_B T xi / m for a displacement spectrum).
+The fitted floor is the spectrum's white noise floor, the one the package
+reports.
 """
 
 from __future__ import annotations
@@ -170,11 +172,6 @@ def _median(values: np.ndarray) -> float:
     return float(part[n // 2] if n % 2 else (part[n // 2 - 1] + part[n // 2]) / 2.0)
 
 
-def _oscillator_psd(freqs_Hz: np.ndarray, omega0: float, xi: float, amplitude: float, floor: float):
-    omega = TWO_PI * freqs_Hz
-    return amplitude / ((omega**2 - omega0**2) ** 2 + (xi * omega) ** 2) + floor
-
-
 def _line_guess(psd: Psd, guess_window: tuple[float, float]) -> np.ndarray:
     """Starting (omega0, xi, amplitude, floor) of the line fit, which also scales its coordinates."""
     f_lo, f_hi = guess_window
@@ -212,8 +209,8 @@ def fit_lorentzian(psd: Psd, guess_window: tuple[float, float]) -> LorentzianFit
     """Least-squares oscillator-line fit over (omega0, xi, amplitude, floor).
 
     ``guess_window`` is a (f_lo, f_hi) band in Hz that must contain the peak.
-    Initial guesses come from the peak location, its half-power width, the peak
-    height and the median off-peak power; the refinement runs
+    Initial guesses come from the peak location and height, the line's area
+    and the median power of the spectrum; the refinement runs
     Levenberg-Marquardt (Marquardt, J. SIAM 11, 431 (1963)) on Whittle (gamma)
     deviance residuals, sign(d - m) sqrt(2 (d/m - ln(d/m) - 1)), with the
     closed-form Jacobian of the rational model. Averaged periodogram bins are
@@ -350,21 +347,3 @@ def _levenberg_marquardt(equations, x):
             damping *= growth
             growth *= 2.0
     raise SpectralError(f"oscillator fit did not converge in {FIT_MAX_NFEV} evaluations")
-
-
-def peak_snr(psd: Psd) -> tuple[float, float, float]:
-    """Off-resonance floor, peak power and peak SNR in dB of one spectrum.
-
-    The peak is the strongest bin and the floor the median power outside a
-    +-25 % band around it. Neither depends on a line fit, so the SNR holds
-    when the record is too short to resolve the linewidth.
-    """
-    peak_idx = int(np.argmax(psd.power))
-    peak_freq = psd.freqs_Hz[peak_idx]
-    off_peak = np.abs(psd.freqs_Hz - peak_freq) > 0.25 * peak_freq
-    if not np.any(off_peak):
-        raise SpectralError("spectrum too short to estimate an off-resonance floor")
-    floor = _median(psd.power[off_peak])
-    peak = float(psd.power[peak_idx])
-    return floor, peak, 10.0 * math.log10(peak / floor) if floor > 0 else math.inf
-

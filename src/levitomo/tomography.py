@@ -108,10 +108,6 @@ class MarginalSet:
         if self.densities.shape != (self.angles_rad.size, self.z_grid_m.size):
             raise TomographyError("densities must have shape (n_angles, n_z)")
 
-    @property
-    def occupancy(self) -> np.ndarray:
-        return self.counts_per_bin.sum(axis=1)
-
 
 def default_z_grid(samples, n_points: int = DEFAULT_GRID_POINTS, span_sigmas: float = DEFAULT_SPAN_SIGMAS):
     """Symmetric odd grid spanning +-span_sigmas sample standard deviations of an array or ``artifacts.Series``."""
@@ -251,10 +247,6 @@ class WignerGrid:
 
     axis_m: np.ndarray
     values: np.ndarray
-
-    # read-only views of the one axis, for callers that name z and p apart
-    z_grid_m = p_grid = property(lambda self: self.axis_m)
-    dz = dp = property(lambda self: float(self.axis_m[1] - self.axis_m[0]))
 
 
 def _check_z_grid(grid: np.ndarray) -> None:

@@ -17,6 +17,7 @@ from levitomo import artifacts, detection, dynamics, spectral, tomography
 from levitomo.cli import PipelineSettings, main
 from levitomo.errors import ConfigError, SpectralError
 from levitomo.physics import ExperimentConfig, decoherence_time, default_config, derive
+from noise_floor import predicted_noise_floor
 
 TWO_PI = 2.0 * math.pi
 
@@ -447,7 +448,6 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path):
         "psd_cbh.json",
         "fit_ch.json",
         "fit_cbh.json",
-        "noise_floors.json",
         "marginals.npy",
         "marginals.json",
         "wigner.npy",
@@ -460,8 +460,7 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path):
         "timings.json",
         "plotdata/style.json",
     ]
-    for name in expected:
-        assert (out_a / name).is_file(), name
+    assert sorted(path.relative_to(out_a).as_posix() for path in out_a.rglob("*") if path.is_file()) == sorted(expected)
     # the position-signal figure reads its own 2000-sample table, timed by its sidecar; no whole calibrated record
     assert not list(out_a.glob("inverted*"))
     assert sorted(path.name for path in (out_a / "plotdata").iterdir()) == ["style.json"]
@@ -757,18 +756,38 @@ def test_peak_rss_does_not_grow_with_the_record(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 5.0, peaks
 
 
-def test_fit_snr_is_the_noise_floor_snr(tmp_path):
-    """A fit file's SNR is its spectrum's peak bin over the off-resonance floor, as in noise_floors.json.
+@pytest.fixture(scope="module")
+def reference_run(tmp_path_factory):
+    """The folder of a 0.1 s reference pipeline run at seed 1."""
+    folder = tmp_path_factory.mktemp("reference")
+    argv = ["pipeline", "--config", "reference.cfg", "--seed", 1, "--out", folder, "--set", "sim_duration_s=0.1"]
+    assert run(argv) == 0
+    return folder
+
+
+def test_fit_snr_is_the_noise_floor_snr(reference_run):
+    """A fit file's SNR is its spectrum's strongest bin over the fitted noise floor.
 
     A 0.1 s record cannot resolve the linewidth, so an SNR taken from the fitted
     line's peak would read about 80 dB too high.
     """
-    argv = ["pipeline", "--config", "reference.cfg", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.1"]
-    assert run(argv) == 0
-    floors = json.loads((tmp_path / "noise_floors.json").read_text())
     for scheme in ("ch", "cbh"):
-        fit = json.loads((tmp_path / f"fit_{scheme}.json").read_text())
-        assert fit["snr_db"] == floors[f"snr_{scheme}_db"], scheme
+        fit = json.loads((reference_run / f"fit_{scheme}.json").read_text())
+        peak = float(np.max(np.load(reference_run / f"psd_{scheme}.npy")))
+        assert fit["snr_db"] == 10.0 * math.log10(peak / fit["noise_floor"]), scheme
+
+
+def test_fitted_floors_are_the_detection_models(reference_run):
+    """Each scheme's fitted floor is the closed-form shot floor of the constants in its counts sidecar, and the
+    balanced floor is half the single-detector one. The bounds are relative, as the fit's own sigma is too small
+    to bound it."""
+    floors = []
+    for scheme in ("ch", "cbh"):
+        floor = json.loads((reference_run / f"fit_{scheme}.json").read_text())["noise_floor"]
+        info = json.loads((reference_run / f"counts_{scheme}.json").read_text())
+        assert floor == pytest.approx(predicted_noise_floor(info), rel=0.03), scheme
+        floors.append(floor)
+    assert floors[0] / floors[1] == pytest.approx(2.0, rel=0.03)
 
 
 def test_missing_trajectory_exits_3_with_one_line(tmp_path, capsys):

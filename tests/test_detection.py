@@ -10,7 +10,6 @@ from levitomo.constants import KB
 from levitomo.detection import (
     INT32_HEADROOM_SIGMAS,
     CountRecord,
-    compare_noise_floor,
     detect_exact,
     detect_linear,
     invert_counts,
@@ -19,7 +18,8 @@ from levitomo.detection import (
 )
 from levitomo.dynamics import Trajectory, simulate_coherent, simulate_thermal
 from levitomo.errors import DetectionError
-from levitomo.spectral import estimate_psd
+from levitomo.spectral import estimate_psd, fit_lorentzian
+from noise_floor import predicted_noise_floor
 
 TWO_PI = 2.0 * math.pi
 
@@ -233,55 +233,35 @@ def test_equipartition_needs_target(config, dq):
             invert_counts(rec, target_variance_m2=target)
 
 
-def _matched_records(config, dq, shot, seed_pair=(1, 2), duration=0.06, dim_fields=False):
-    """Matched single/balanced records of one thermal trajectory.
+def _shot_limited_spectra(config, dq):
+    """Welch spectra of matched single/balanced records of one 0.06 s thermal trajectory, linearly inverted;
+    segment: the largest power of two <= n / 4.
 
-    ``dim_fields`` scales the interferometer amplitudes down so the shot floor
-    dominates the mechanical Lorentzian tail everywhere off resonance
-    (shot-noise-limited operation); the bright defaults bury the shot floor
-    below the motion tail inside the Nyquist band.
+    The interferometer amplitudes are scaled down so the shot floor dominates
+    the mechanical Lorentzian tail everywhere off resonance (shot-noise-limited
+    operation); the bright defaults bury the shot floor below the motion tail
+    inside the Nyquist band.
     """
-    traj = simulate_thermal(
-        dataclasses.replace(config, pressure_mbar=1.0), dq, duration, 1e6, seed=8, temperature_K=0.03
-    )
-    overrides = {"field_amp_A": 3.162, "field_amp_B": 0.3162} if dim_fields else {}
-    recs = []
-    for scheme, seed in zip(("ch", "cbh"), seed_pair):
-        params = params_from_config(config, scheme, shot_noise=shot, linearity_guard=0.5, **overrides)
-        recs.append(detect_linear(traj, params, seed=seed))
-    return recs
-
-
-def _spectra(*records):
-    """Welch spectra of linearly inverted records; segment: the largest power of two <= n / 4."""
-    spectra = []
-    for rec in records:
+    traj = simulate_thermal(dataclasses.replace(config, pressure_mbar=1.0), dq, 0.06, 1e6, seed=8, temperature_K=0.03)
+    dim = {"field_amp_A": 3.162, "field_amp_B": 0.3162}
+    for scheme, seed in zip(("ch", "cbh"), (1, 2)):
+        rec = detect_linear(traj, params_from_config(config, scheme, shot_noise=True, linearity_guard=0.5, **dim), seed)
         z = invert_counts(rec).z_m
-        spectra.append(estimate_psd(z, rec.window_rate_Hz, 1 << int(math.log2(len(z) // 4))))
-    return spectra
+        yield rec, estimate_psd(z, rec.window_rate_Hz, 1 << int(math.log2(len(z) // 4)))
 
 
-def test_compare_noise_floor_noise_free(config, damped_dq):
-    rec_ch, rec_cbh = _matched_records(config, damped_dq, shot=False)
-    report = compare_noise_floor(*_spectra(rec_ch, rec_cbh))
-    assert report.floor_ratio_ch_over_cbh == pytest.approx(1.0, rel=1e-6)
+def test_shot_limited_fitted_floors_are_the_detection_models(config, damped_dq):
+    """Each scheme's fitted floor is the closed-form shot floor of its counts, and balancing halves it.
 
-
-def test_compare_noise_floor_shot_limited(config, damped_dq):
-    rec_ch, rec_cbh = _matched_records(config, damped_dq, shot=True, dim_fields=True)
-    report = compare_noise_floor(*_spectra(rec_ch, rec_cbh))
-    assert report.floor_cbh <= report.floor_ch
+    The bounds are relative, as the fit's own sigma is too small to bound it.
+    """
+    f0 = damped_dq.omega_s_rad_s / TWO_PI
+    floors = []
+    for rec, psd in _shot_limited_spectra(config, damped_dq):
+        floors.append(fit_lorentzian(psd, (0.5 * f0, 1.5 * f0)).noise_floor)
+        assert floors[-1] == pytest.approx(predicted_noise_floor(rec.info), rel=0.03), rec.params.scheme
     # ideal balanced detection halves the displacement-equivalent shot floor
-    assert report.floor_ratio_ch_over_cbh == pytest.approx(2.0, rel=0.25)
-    assert report.snr_cbh_db >= report.snr_ch_db
-
-
-def test_compare_noise_floor_rejects_mismatch(config, dq):
-    traj = flat_trajectory(dq)
-    rec_ch = detect_linear(traj, params_from_config(config, "ch", T_int_s=1.0 / 1.4e6))
-    rec_cbh = detect_linear(traj, params_from_config(config, "cbh", T_int_s=2.0 / 1.4e6))
-    with pytest.raises(DetectionError, match="window rates"):
-        compare_noise_floor(*_spectra(rec_ch, rec_cbh))
+    assert floors[0] / floors[1] == pytest.approx(2.0, rel=0.05)
 
 
 def test_electronic_noise_floor_scales_with_variance(config, dq):

@@ -175,7 +175,7 @@ def test_decoherence_curve_pointwise_and_empty(dq):
 
 
 def test_config_file_round_trip(tmp_path):
-    cfg = ExperimentConfig.from_file("reference.cfg")
+    cfg = ExperimentConfig.from_mapping(load_key_values("reference.cfg"))
     assert derive(cfg).omega_s_rad_s == pytest.approx(TWO_PI * 70e3, rel=1e-9)
 
 
@@ -184,14 +184,15 @@ def test_config_mapping_starts_from_the_reference_config(tmp_path):
     assert ExperimentConfig.from_mapping({}) == default_config()
     path = tmp_path / "power.cfg"
     path.write_text("power_W = 0.65\n")
-    assert derive(ExperimentConfig.from_file(path)).omega_s_rad_s == pytest.approx(TWO_PI * 70e3, rel=1e-12)
+    cfg = ExperimentConfig.from_mapping(load_key_values(path))
+    assert derive(cfg).omega_s_rad_s == pytest.approx(TWO_PI * 70e3, rel=1e-12)
 
 
 def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("wavelength_m = 1550e-9\nwaist_um = 1.0\n")
     with pytest.raises(ConfigError, match="waist_um"):
-        ExperimentConfig.from_file(path)
+        ExperimentConfig.from_mapping(load_key_values(path))
 
 
 def test_config_file_parsing(tmp_path):

@@ -11,13 +11,17 @@ from levitomo.physics import derive
 from levitomo.spectral import (
     Psd,
     _line_guess,
-    _oscillator_psd,
     estimate_psd,
     fit_lorentzian,
-    peak_snr,
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def _oscillator_psd(freqs_Hz: np.ndarray, omega0: float, xi: float, amplitude: float, floor: float):
+    """The fitted model: a damped oscillator's line plus a white floor, at ``freqs_Hz``."""
+    omega = TWO_PI * freqs_Hz
+    return amplitude / ((omega**2 - omega0**2) ** 2 + (xi * omega) ** 2) + floor
 
 
 def test_white_noise_level_and_parseval():
@@ -161,19 +165,6 @@ def test_median_equals_numpy_median_bitwise(n, ties):
     assert np.float64(spectral._median(values)).tobytes() == np.median(values).tobytes()
     values[n // 2] = math.nan
     assert math.isnan(spectral._median(values)) and math.isnan(np.median(values))
-
-
-def test_peak_snr_is_the_peak_bin_over_the_off_peak_median():
-    freqs = np.arange(1.0, 101.0)
-    power = np.full(100, 2.0)
-    power[35:45] = 50.0  # the line's skirt, inside +-25 % of the 40 Hz peak: not floor
-    power[39] = 200.0
-    power[90:95] = 100.0  # a few strong bins off the line leave the median floor where it is
-    floor, peak, snr_db = peak_snr(Psd(freqs, power, n_segments=1, segment_len=200))
-    assert (floor, peak) == (2.0, 200.0)
-    assert snr_db == pytest.approx(20.0, rel=1e-12)
-    with pytest.raises(SpectralError, match="too short"):
-        peak_snr(Psd(freqs[39:40], power[39:40], n_segments=1, segment_len=2))
 
 
 # ---------------------------------------------------------------------------
