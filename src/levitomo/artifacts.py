@@ -122,7 +122,6 @@ class Series:
     def __init__(self, n: int, read: Callable[[], Iterable[np.ndarray]]):
         self.n = n
         self._read = read
-        self._max_abs = None
 
     @classmethod
     def of(cls, values) -> "Series":
@@ -174,12 +173,6 @@ class Series:
             held = chunk[whole:]
         if held.size:
             yield held
-
-    def max_abs(self) -> float:
-        """The largest magnitude of any sample, from a pass of its own on the first call only."""
-        if self._max_abs is None:
-            self._max_abs = max((float(np.max(np.abs(chunk))) for chunk in self.chunks() if chunk.size), default=0.0)
-        return self._max_abs
 
     def moments(self) -> tuple[float, float]:
         """Mean and variance (``ddof = 0``) of the samples.

@@ -28,6 +28,9 @@ does not grow with the record's length. The calibrated positions are not
 written: the invert stage records its map from counts to positions in
 ``calibration.json``, and the tomography stage bins the primary scheme's
 counts file through that map as it reads it back.
+The detect stage draws each scheme's counts with ``detection.detect`` under
+the run's ``detection_model``. The linear model's guard runs as the counts
+are written, so a record that breaks it leaves ``counts_<scheme>.npy`` partial.
 
 Every run is reproducible: (config, seed) determine all artifacts. The
 run's manifest, ``manifest.json`` for ``pipeline`` and
@@ -84,7 +87,7 @@ _CHOICES = {
     "sim_state": ("thermal", "coherent", "fock1"),
     "scheme": ("ch", "cbh", "both"),
     # exact counts pass no linearity guard, yet are inverted with the linear map (ROADMAP item 8)
-    "detection_model": ("linear", "exact"),
+    "detection_model": detection.MODELS,
 }
 # samples of the calibrated positions that fig2a plots
 FIG2A_ROWS = 2000
@@ -288,14 +291,14 @@ def _config_file(args) -> dict[str, Path]:
 
 
 def _detection_params(config, settings, scheme) -> detection.DetectionParams:
-    knobs = ("shot_noise", "electronic_noise_counts_rms", "linearity_guard")
-    return detection.params_from_config(config, scheme, **{name: getattr(settings, name) for name in knobs})
+    knobs = {name: getattr(settings, name) for name in ("shot_noise", "electronic_noise_counts_rms", "linearity_guard")}
+    return detection.params_from_config(config, scheme, model=settings.detection_model, **knobs)
 
 
 def _detect(config, settings, traj_path, seed, run) -> dict[str, detection.CountRecord]:
-    """The detect stage on the trajectory at ``traj_path``: each scheme's counts, written chunk by chunk; the records
-    returned read them back from their files."""
-    detect = detection.detect_exact if settings.detection_model == "exact" else detection.detect_linear
+    """The detect stage on the trajectory at ``traj_path``: each scheme's counts of the run's ``detection_model``,
+    drawn and written chunk by chunk in one pass over the trajectory per scheme; the records returned read them back
+    from their files."""
     records = {}
     with run.stage("detect", {"trajectory": traj_path}):
         traj = dynamics.load_trajectory(traj_path)
@@ -303,7 +306,7 @@ def _detect(config, settings, traj_path, seed, run) -> dict[str, detection.Count
             if settings.scheme not in (scheme, "both"):
                 continue
             params = _detection_params(config, settings, scheme)
-            record, path = detect(traj, params, seed=det_seed), run.out_dir / f"counts_{scheme}.npy"
+            record, path = detection.detect(traj, params, seed=det_seed), run.out_dir / f"counts_{scheme}.npy"
             detection.save_count_record(record, path)
             records[scheme] = replace(record, counts=artifacts.read_series(path))
     return records

@@ -20,9 +20,9 @@ pf = c eps0 sigma_d T / (hbar omega_L). Both schemes read one fringe: a
 physical detector's expected count is C1 + s or C1 - s, with the swing
 s = pf A B cos(dphi - 2 k z) for the exact response and s = C2 + D z for the
 linear one. The single detector counts the first arm and the balanced pair the
-difference of the two, and one sampler draws both models. Shot noise draws
-each arm from a Poisson law, and detector electronics add zero-mean Gaussian
-counts.
+difference of the two. :func:`detect` draws the model ``DetectionParams.model``
+names, and guards the linear one, in one pass. Shot noise draws each arm from
+a Poisson law, and detector electronics add zero-mean Gaussian counts.
 
 Detection and inversion run ``artifacts.CHUNK_SAMPLES`` samples at a time:
 the windows tile across chunk boundaries, each Poisson arm and the electronic
@@ -36,7 +36,7 @@ its own record as a series computed from the input's on each pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,8 @@ from .dynamics import Trajectory
 from .physics import ExperimentConfig
 
 SCHEMES = ("ch", "cbh")
+# the responses counts are drawn from: the fringe's first-order expansion, which is guarded, or the fringe itself
+MODELS = ("linear", "exact")
 # Poisson standard deviations above a detector's largest expected count that an int32 count file leaves room for
 INT32_HEADROOM_SIGMAS = 10.0
 # the largest mean numpy's Poisson sampler draws from, as numpy computes it
@@ -66,13 +68,16 @@ class DetectionParams:
     shot_noise: bool = False
     electronic_noise_counts_rms: float = 0.0
     linearity_guard: float = 0.1  # max |2 k z| must stay below guard * min_n |dphi - pi n|
+    model: str = "linear"  # one of MODELS
 
     def __post_init__(self):
         """Raise :class:`DetectionError` naming the first invalid parameter, or the counts they would give: C1, C2,
-        D and the largest expected count of either model must be finite, and with shot noise that count must be
+        D and the largest expected count of :attr:`model` must be finite, and with shot noise that count must be
         one numpy's Poisson sampler takes."""
         if self.scheme not in SCHEMES:
             raise DetectionError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if self.model not in MODELS:
+            raise DetectionError(f"model must be one of {MODELS}, got {self.model!r}")
         for name in ("T_int_s", "sigma_d_m2", "k_rad_per_m", "linearity_guard"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -85,12 +90,12 @@ class DetectionParams:
             raise DetectionError(f"delta_phi_rad must be finite, got {self.delta_phi_rad!r}")
         too_large = "field_amp_A, field_amp_B, sigma_d_m2 or T_int_s is too large"
         try:
-            counts = (*self.linear_constants(), *(self.max_expected_count(model) for model in ("exact", "linear")))
+            counts = (*self.linear_constants(), self.max_expected_count())
         except OverflowError:
             counts = (math.inf,)
         if not all(map(math.isfinite, counts)):
             raise DetectionError(f"C1, C2, D or the largest expected count leaves the range of a float: {too_large}")
-        if self.shot_noise and max(counts[3:]) > POISSON_MAX_MEAN:
+        if self.shot_noise and counts[-1] > POISSON_MAX_MEAN:
             raise DetectionError(f"the largest expected count is above numpy's largest Poisson mean: {too_large}")
 
     @property
@@ -113,32 +118,29 @@ class DetectionParams:
         return abs(((self.delta_phi_rad + 0.5 * math.pi) % math.pi) - 0.5 * math.pi)
 
     def linear_reach_rad(self) -> float:
-        """The bound on |2 k z| that ``detect_linear``'s guard admits: ``linearity_guard`` times the phase margin."""
+        """The bound on |2 k z| of the linear model's guard: ``linearity_guard`` times the phase margin."""
         return self.linearity_guard * self.phase_margin_rad()
 
-    def max_expected_count(self, model: str) -> float:
-        """The largest expected count of one physical detector (the ch detector, or either cbh arm) under ``model``:
-        pf/2 (A + B)^2 for the exact response, C1 + pf A B (|cos dphi| + |sin dphi| x) for the linear one, with x
-        the :meth:`linear_reach_rad`."""
+    def max_expected_count(self) -> float:
+        """The largest expected count of one physical detector (the ch detector, or either cbh arm) under
+        :attr:`model`: pf/2 (A + B)^2 for the exact response, C1 + pf A B (|cos dphi| + |sin dphi| x) for the
+        linear one, with x the :meth:`linear_reach_rad`."""
         pf, a, b, phi = self.count_prefactor, self.field_amp_A, self.field_amp_B, self.delta_phi_rad
-        reach = 1.0
-        if model == "linear":
-            reach = abs(math.cos(phi)) + abs(math.sin(phi)) * self.linear_reach_rad()
+        reach = 1.0 if self.model == "exact" else abs(math.cos(phi)) + abs(math.sin(phi)) * self.linear_reach_rad()
         return 0.5 * pf * (a**2 + b**2) + pf * a * b * reach
 
 
 def params_from_config(config: ExperimentConfig, scheme: str, **overrides) -> DetectionParams:
-    """Build detection parameters from an experiment configuration."""
-    params = DetectionParams(
-        scheme=scheme,
-        field_amp_A=config.field_amp_A,
-        field_amp_B=config.field_amp_B,
-        delta_phi_rad=config.delta_phi_rad,
-        sigma_d_m2=config.detector_area_m2,
-        T_int_s=config.integration_time_s,
-        k_rad_per_m=TWO_PI / config.wavelength_m,
-    )
-    return replace(params, **overrides)
+    """Build detection parameters from an experiment configuration; ``overrides`` set or replace any field."""
+    from_config = {
+        "field_amp_A": config.field_amp_A,
+        "field_amp_B": config.field_amp_B,
+        "delta_phi_rad": config.delta_phi_rad,
+        "sigma_d_m2": config.detector_area_m2,
+        "T_int_s": config.integration_time_s,
+        "k_rad_per_m": TWO_PI / config.wavelength_m,
+    }
+    return DetectionParams(scheme=scheme, **(from_config | overrides))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +156,6 @@ class CountRecord:
     t0_s: float
     counts: artifacts.Series
     params: DetectionParams
-    model: str = "exact"  # which response generated the counts: "exact" | "linear"
     seed: int | None = None
 
     def __post_init__(self):
@@ -180,7 +181,7 @@ class CountRecord:
         params = self.params
         if not params.shot_noise or params.electronic_noise_counts_rms > 0:
             return "<f8"
-        mean = params.max_expected_count(self.model)
+        mean = params.max_expected_count()
         return "<i4" if mean + INT32_HEADROOM_SIGMAS * math.sqrt(mean) <= np.iinfo(np.int32).max else "<f8"
 
     @property
@@ -190,7 +191,7 @@ class CountRecord:
         c1, c2, d = self.params.linear_constants()
         return {
             "scheme": self.params.scheme,
-            "model": self.model,
+            "model": self.params.model,
             "C1": c1,
             "C2": c2,
             "D": d,
@@ -223,84 +224,61 @@ def samples_per_window(t_int_s: float, sample_rate_Hz: float, n_samples: int) ->
     return n_per
 
 
-def _window_means(traj: Trajectory, t_int_s: float) -> artifacts.Series:
-    """Per-window mean positions; windows tile without overlap from the trajectory's first sample.
+def detect(traj: Trajectory, params: DetectionParams, seed: int | None = None) -> CountRecord:
+    """Count record of the response ``params.model`` at the window means z.
 
-    The window mean stands in for the (assumed slow) mechanical coordinate over
-    one integration time. The samples are taken a whole number of windows at a
-    time, so a window never straddles two pieces.
+    Windows tile without overlap from the first sample, and a window's mean
+    stands in for the (assumed slow) mechanical coordinate. Each arm's expected
+    count is the model's fringe at z (module docstring), a Poisson draw with
+    shot noise.
+
+    Each pass over the counts reads the trajectory once, whole windows at a
+    time. The linear model checks each block before drawing it, the samples
+    after the last whole window included: the first sample whose |2 k z|
+    reaches :meth:`DetectionParams.linear_reach_rad` is a
+    :class:`DetectionError`. So the guard fails as the counts are read, after
+    a writer has created its file. The exact model is unguarded.
     """
     z = traj.z_m
-    n_per = samples_per_window(t_int_s, traj.sample_rate_Hz, z.n)
-
-    def read():
-        for block in z.blocks(n_per * max(1, artifacts.CHUNK_SAMPLES // n_per)):
-            whole = block.size - block.size % n_per
-            if whole:
-                yield block[:whole].reshape(-1, n_per).mean(axis=1)
-
-    return artifacts.Series(z.n // n_per, read)
-
-
-def _sample(params: DetectionParams, traj: Trajectory, model: str, seed) -> CountRecord:
-    """Count record of ``model``'s response at the window means z.
-
-    Each physical detector's expected count is C1 + s or C1 - s, with the
-    swing s = pf A B cos(dphi - 2 k z) for ``exact`` and C2 + D z for
-    ``linear``; ch counts the first arm, cbh the difference of the two. With
-    shot noise each arm is a Poisson draw.
-    """
+    n_per = samples_per_window(params.T_int_s, traj.sample_rate_Hz, z.n)
     c1, c2, d = params.linear_constants()
     fringe, two_k = params.count_prefactor * params.field_amp_A * params.field_amp_B, 2.0 * params.k_rad_per_m
-    means = _window_means(traj, params.T_int_s)
+    reach = params.linear_reach_rad() if params.model == "linear" else math.inf  # exact: no bound (ROADMAP item 8)
     entropy = np.random.SeedSequence(seed).entropy  # one draw of fresh entropy for seed None, reused on every pass
 
     def read():
         arm_rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(entropy).spawn(3)]
         noise_rng = arm_rngs.pop()
-        first = 0
-        for z in means.chunks():
-            swing = fringe * np.cos(params.delta_phi_rad - two_k * z) if model == "exact" else c2 + d * z
+        size = n_per * max(1, artifacts.CHUNK_SAMPLES // n_per)  # a whole number of windows
+        for start, block in zip(range(0, z.n, size), z.blocks(size)):
+            excursion = two_k * np.abs(block)
+            beyond = np.flatnonzero(excursion >= reach)
+            if beyond.size:
+                at = beyond[0]
+                raise DetectionError(
+                    f"linearity guard violated: |2 k z| = {excursion[at]:.4g} rad at sample {start + at} is not below"
+                    f" {reach:.4g} rad ({params.linearity_guard:g} x phase margin {params.phase_margin_rad():.4g} rad);"
+                    " reduce the motion's amplitude (sim_temperature_K or coherent_amplitude_m)"
+                )
+            whole = block.size - block.size % n_per
+            if not whole:
+                continue
+            means = block[:whole].reshape(-1, n_per).mean(axis=1)
+            swing = fringe * np.cos(params.delta_phi_rad - two_k * means) if params.model == "exact" else c2 + d * means
             arms = (c1 + swing,) if params.scheme == "ch" else (c1 + swing, c1 - swing)
             if params.shot_noise:
                 for name, arm in enumerate(arms, 1):
                     bad = np.flatnonzero(arm < 0)
                     if bad.size:
-                        raise DetectionError(f"arm {name} has negative expected count at window {first + bad[0]}")
+                        window = start // n_per + bad[0]
+                        raise DetectionError(f"arm {name} has negative expected count at window {window}")
                 arms = tuple(rng.poisson(arm).astype(float) for rng, arm in zip(arm_rngs, arms))
             counts = arms[0] if len(arms) == 1 else arms[0] - arms[1]
             if params.electronic_noise_counts_rms > 0:
                 counts = counts + params.electronic_noise_counts_rms * noise_rng.standard_normal(counts.shape)
-            first += z.size
             yield counts
 
-    series = artifacts.Series(means.n, read)
-    return CountRecord(t0_s=float(traj.t0_s), counts=series, params=params, model=model, seed=seed)
-
-
-def detect_exact(traj: Trajectory, params: DetectionParams, seed: int | None = None) -> CountRecord:
-    """Integrate the full interferometric response over tiled windows."""
-    return _sample(params, traj, "exact", seed)
-
-
-def detect_linear(traj: Trajectory, params: DetectionParams, seed: int | None = None) -> CountRecord:
-    """Linearized counts C1 + C2 + D z (single) or 2 C2 + 2 D z (balanced).
-
-    Refuses to run outside the linear regime: the largest |2 k z| over the raw
-    trajectory, found in a pass of its own before any count is drawn, must
-    stay below :meth:`DetectionParams.linear_reach_rad`, ``linearity_guard``
-    times the distance of dphi from the nearest multiple of pi, so distorted
-    data is never produced silently.
-    """
-    max_excursion = 2.0 * params.k_rad_per_m * traj.z_m.max_abs()
-    threshold = params.linear_reach_rad()
-    if max_excursion >= threshold:
-        raise DetectionError(
-            f"linearity guard violated: max |2 k z| = {max_excursion:.4g} rad is not below"
-            f" {threshold:.4g} rad ({params.linearity_guard:g} x phase margin"
-            f" {params.phase_margin_rad():.4g} rad); use detect_exact or reduce the amplitude"
-        )
-    return _sample(params, traj, "linear", seed)
+    return CountRecord(t0_s=float(traj.t0_s), counts=artifacts.Series(z.n // n_per, read), params=params, seed=seed)
 
 
 def invert_counts(rec: CountRecord, target_variance_m2: float | None = None) -> Trajectory:
@@ -335,7 +313,7 @@ def invert_counts(rec: CountRecord, target_variance_m2: float | None = None) -> 
     meta = {
         "calibration": "linear" if target_variance_m2 is None else "equipartition",
         "scheme": rec.params.scheme,
-        "source_model": rec.model,
+        "source_model": rec.params.model,
         "shot_noise": rec.params.shot_noise,
         "offset": offset,
         "d_eff": d_eff,

@@ -18,8 +18,7 @@ import pytest
 
 from levitomo.constants import KB
 from levitomo.detection import (
-    detect_exact,
-    detect_linear,
+    detect,
     invert_counts,
     params_from_config,
 )
@@ -65,7 +64,7 @@ def thermal_run():
     records = {}
     for scheme, det_seed in (("ch", ch_seed), ("cbh", cbh_seed)):
         params = params_from_config(config, scheme, shot_noise=True, linearity_guard=0.35)
-        records[scheme] = detect_linear(traj, params, seed=det_seed)
+        records[scheme] = detect(traj, params, seed=det_seed)
     inverted = invert_counts(records["cbh"], target_variance_m2=target_var)
     fits = {}
     for scheme, rec in records.items():
@@ -165,8 +164,8 @@ def test_criterion_5_detection_algebra(config, dq):
     rest = simulate_coherent(dq, 0.0, 0.0, 2e-3, 1.4e6)
     t_int = 1.0 / rest.sample_rate_Hz
     quarter = math.pi / 4
-    ch = detect_exact(rest, params_from_config(config, "ch", delta_phi_rad=quarter, T_int_s=t_int))
-    cbh = detect_exact(rest, params_from_config(config, "cbh", delta_phi_rad=quarter, T_int_s=t_int))
+    ch = detect(rest, params_from_config(config, "ch", delta_phi_rad=quarter, T_int_s=t_int, model="exact"))
+    cbh = detect(rest, params_from_config(config, "cbh", delta_phi_rad=quarter, T_int_s=t_int, model="exact"))
     c1, c2, _ = ch.params.linear_constants()
     ch_err = float(np.max(np.abs(ch.counts.values() / (c1 + c2) - 1.0)))
     cbh_err = float(np.max(np.abs(cbh.counts.values() / (2.0 * c2) - 1.0)))
@@ -179,8 +178,8 @@ def test_criterion_5_detection_algebra(config, dq):
     margins = []
     for scheme in ("ch", "cbh"):
         params = params_from_config(config, scheme, T_int_s=1.0 / tone.sample_rate_Hz)
-        exact = detect_exact(tone, params)
-        linear = detect_linear(tone, params)
+        exact = detect(tone, dataclasses.replace(params, model="exact"))
+        linear = detect(tone, params)
         pf = params.count_prefactor
         fringe = (pf if scheme == "cbh" else 0.5 * pf) * 2.0 * params.field_amp_A * params.field_amp_B
         deviation = float(np.max(np.abs(exact.counts.values() - linear.counts.values()))) / fringe
@@ -208,7 +207,7 @@ def test_criterion_6_spectral_recovery(thermal_run):
     # off-resonance contribution, so the injected floor is analytic
     rms = 1.5e5
     params = params_from_config(config, "cbh", shot_noise=True, electronic_noise_counts_rms=rms, linearity_guard=0.35)
-    rec = detect_linear(thermal_run["traj"], params, seed=313)
+    rec = detect(thermal_run["traj"], params, seed=313)
     series = invert_counts(rec)
     psd = estimate_psd(series.z_m, series.sample_rate_Hz, 1 << 17)
     f0 = dq.omega_s_rad_s / TWO_PI
@@ -220,7 +219,7 @@ def test_criterion_6_spectral_recovery(thermal_run):
     shot_errs, snrs, floors = [], [], []
     for scheme, seed in (("ch", 101), ("cbh", 102)):
         params = params_from_config(config, scheme, shot_noise=True, linearity_guard=0.35, **dim)
-        rec = detect_linear(thermal_run["traj"], params, seed=seed)
+        rec = detect(thermal_run["traj"], params, seed=seed)
         shot_psd = estimate_psd(invert_counts(rec).z_m, rec.window_rate_Hz, 1 << 17)
         floor = fit_lorentzian(shot_psd, (0.5 * f0, 1.5 * f0)).noise_floor
         floors.append(floor)
@@ -324,8 +323,8 @@ def test_criterion_8_property_suite(thermal_run, config, dq):
         thermal_run["config"], dq, 0.05, 1e6, thermal_run["sim_seed"], temperature_K=EFFECTIVE_TEMPERATURE_K
     )
     params = params_from_config(config, "cbh", shot_noise=True, linearity_guard=0.35)
-    det_a = detect_linear(again, params, seed=5)
-    det_b = detect_linear(again2, params, seed=5)
+    det_a = detect(again, params, seed=5)
+    det_b = detect(again2, params, seed=5)
     det_ok = np.array_equal(again.z_m.values(), again2.z_m.values())
     det_ok &= np.array_equal(det_a.counts.values(), det_b.counts.values())
     details.append(f"determinism {'bitwise' if det_ok else 'BROKEN'}")

@@ -48,7 +48,6 @@ def test_series_round_trip_reads_the_file_in_chunks(tmp_path):
     back = artifacts.read_series(tmp_path / "x.npy")
     assert [chunk.size for chunk in back.chunks()] == [artifacts.CHUNK_SAMPLES] * 2 + [3]
     assert back.values().tobytes() == values.tobytes()
-    assert back.max_abs() == np.max(np.abs(values))
 
 
 def test_an_array_of_any_layout_reaches_np_save_c_ordered(tmp_path, monkeypatch):

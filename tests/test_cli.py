@@ -698,12 +698,16 @@ def test_failed_rerun_leaves_no_result_of_the_earlier_run(tmp_path, capsys):
 
 
 def test_failed_stage_subcommand_keeps_the_record_it_read(tmp_path, capsys):
-    """Stage subcommands share one ``--out``: a detect that fails there leaves the trajectory it read."""
+    """Stage subcommands share one ``--out``: a detect that fails there leaves the trajectory it read, and marks the
+    counts it was writing partial."""
     assert run(["simulate", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
     traj = tmp_path / "trajectory.npy"
     assert run(["detect", "--traj", traj, "--out", tmp_path, "--set", "linearity_guard=1e-6"] + FAST_PIPELINE) == 3
     assert "linearity guard" in capsys.readouterr().err
     assert traj.is_file() and (tmp_path / "trajectory.json").is_file()
+    # the guard fails as the counts are written: the file it was writing is left partial, with no sidecar
+    assert (tmp_path / "counts_ch.npy.partial").is_file()
+    assert not (tmp_path / "counts_ch.npy").exists() and not (tmp_path / "counts_ch.json").exists()
 
 
 def test_linewidth_resolved_flags_a_line_narrower_than_a_bin(tmp_path):
