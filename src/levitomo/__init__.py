@@ -16,7 +16,6 @@ from .physics import (
     calibrate_waist,
     decoherence_curve,
     decoherence_time,
-    default_config,
     derive,
 )
 
@@ -32,6 +31,5 @@ __all__ = [
     "calibrate_waist",
     "decoherence_curve",
     "decoherence_time",
-    "default_config",
     "derive",
 ]

@@ -74,13 +74,7 @@ import numpy as np
 from . import __version__, artifacts, detection, dynamics, spectral, tomography
 from .constants import KB, TWO_PI
 from .errors import ConfigError, DetectionError, LevitomoError, SimulationError, SpectralError
-from .physics import (
-    ExperimentConfig,
-    decoherence_curve,
-    derive,
-    load_key_values,
-    typed_fields,
-)
+from .physics import ExperimentConfig, check_fields, decoherence_curve, derive, from_mapping, load_key_values
 
 # allowed values of the settings that name a choice
 _CHOICES = {
@@ -128,24 +122,11 @@ class PipelineSettings:
     decoherence_zmax_m: float = 1e-6
     decoherence_points: int = 200
 
-    _POSITIVE = ("sim_duration_s", "sim_sample_rate_hz", "sim_temperature_K", "marginal_span_sigmas", "linearity_guard")
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "PipelineSettings":
-        return cls(**typed_fields(cls, mapping))
-
     def __post_init__(self):
         """Reject settings that no stage can run with, before any stage runs."""
-        for name in self._POSITIVE:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-        for name in ("electronic_noise_counts_rms", "coherent_amplitude_m"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
-        if not math.isfinite(self.coherent_phase_rad):
-            raise ConfigError(f"coherent_phase_rad must be finite, got {self.coherent_phase_rad!r}")
+        positive = ("sim_duration_s", "sim_sample_rate_hz", "sim_temperature_K", "marginal_span_sigmas")
+        positive += ("linearity_guard", "decoherence_zmin_m", "decoherence_zmax_m", "decoherence_points")
+        check_fields(self, ConfigError, positive, non_negative=("electronic_noise_counts_rms", "coherent_amplitude_m"))
         if self.n_angles < tomography.MIN_ANGLES:
             raise ConfigError(f"n_angles must be at least {tomography.MIN_ANGLES}, got {self.n_angles!r}")
         points = self.marginal_grid_points
@@ -156,12 +137,9 @@ class PipelineSettings:
             raise ConfigError(f"psd_segment_len must be 0 (auto) or a power of two >= {least}, got {segment!r}")
         if not 0 <= self.psd_overlap < 1:
             raise ConfigError(f"psd_overlap must be in [0, 1), got {self.psd_overlap!r}")
-        zmin, zmax, npoints = self.decoherence_zmin_m, self.decoherence_zmax_m, self.decoherence_points
-        if not (0 < zmin < zmax and math.isfinite(zmax) and npoints >= 1):
-            raise ConfigError(
-                "need 0 < decoherence_zmin_m < decoherence_zmax_m (finite) and decoherence_points >= 1,"
-                f" got {zmin!r}, {zmax!r}, {npoints!r}"
-            )
+        zmin, zmax = self.decoherence_zmin_m, self.decoherence_zmax_m
+        if not zmin < zmax:
+            raise ConfigError(f"decoherence_zmin_m must be below decoherence_zmax_m, got {zmin!r} and {zmax!r}")
         if not 0 < self.cutoff_fraction <= 1:
             raise ConfigError(f"cutoff_fraction must be in (0, 1], got {self.cutoff_fraction!r}")
         for name, allowed in _CHOICES.items():
@@ -184,8 +162,8 @@ def resolve_settings(config_path: str | None, overrides: list[str]) -> tuple[Exp
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         mapping[key] = value
-    config = ExperimentConfig.from_mapping({k: v for k, v in mapping.items() if k not in pipe_keys})
-    settings = PipelineSettings.from_mapping({k: v for k, v in mapping.items() if k in pipe_keys})
+    config = from_mapping(ExperimentConfig, {k: v for k, v in mapping.items() if k not in pipe_keys})
+    settings = from_mapping(PipelineSettings, {k: v for k, v in mapping.items() if k in pipe_keys})
     return config, settings
 
 
@@ -420,11 +398,12 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     Every command refuses a configuration that :func:`derive` refuses.
     ``simulate`` refuses fock1 here, however the state was set; ``detect``, and
     ``pipeline`` of a record, refuse detection parameters that
-    :class:`detection.DetectionParams` refuses; and a command
-    that simulates a record refuses a record size that
-    ``dynamics.sample_count`` refuses, and a detection window that cannot tile
-    the record; ``pipeline`` also refuses a window-rate record that holds fewer
-    than ``spectral.MIN_SEGMENTS`` Welch segments. So these errors come before
+    :class:`detection.DetectionParams` refuses; and a command that simulates a
+    record refuses a record size that ``dynamics.sample_count`` refuses, a
+    detection window that cannot tile the record, and, for a thermal record, a
+    gas damping rate that ``dynamics.check_underdamped`` refuses; ``pipeline``
+    also refuses a window-rate record that holds fewer than
+    ``spectral.MIN_SEGMENTS`` Welch segments. So these errors come before
     ``--out`` exists. fock1 simulates nothing, so its record settings are not
     checked.
     """
@@ -433,7 +412,7 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
         if getattr(args, f.name, None) is not None:
             overrides.append(f"{f.name}={getattr(args, f.name)}")
     config, settings = resolve_settings(args.config, overrides)
-    derive(config)  # on the plain config, so the manifest's settings stay those the stages read
+    dq = derive(config)  # on the plain config, so the manifest's settings stay those the stages read
     if args.command == "simulate" and settings.sim_state == "fock1":
         raise ConfigError("state 'fock1' has no trajectory simulation (fock1 is an oracle state)")
     if args.command == "detect" or (args.command == "pipeline" and settings.sim_state != "fock1"):
@@ -445,10 +424,13 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
         rate = settings.sim_sample_rate_hz
         try:
             n_samples = dynamics.sample_count(settings.sim_duration_s, rate)
-            per_window = detection.samples_per_window(config.integration_time_s, rate, n_samples)
         except SimulationError as exc:
             raise ConfigError(f"sim_duration_s and sim_sample_rate_hz: {exc}") from None
-        except DetectionError as exc:
+        try:
+            per_window = detection.samples_per_window(config.integration_time_s, rate, n_samples)
+            if settings.sim_state == "thermal":
+                dynamics.check_underdamped(dynamics.gas_damping_rate(config, dq.mass_kg), dq.omega_s_rad_s)
+        except (DetectionError, SimulationError) as exc:
             raise ConfigError(str(exc)) from None
         if args.command == "pipeline":  # its spectra are of the counts, one sample per window
             n_windows = n_samples // per_window

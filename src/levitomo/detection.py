@@ -45,7 +45,7 @@ from . import artifacts
 from .constants import C, EPS0, HBAR, TWO_PI
 from .errors import DetectionError
 from .dynamics import Trajectory
-from .physics import ExperimentConfig
+from .physics import ExperimentConfig, check_fields
 
 SCHEMES = ("ch", "cbh")
 # the responses counts are drawn from: the fringe's first-order expansion, which is guarded, or the fringe itself
@@ -78,16 +78,8 @@ class DetectionParams:
             raise DetectionError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.model not in MODELS:
             raise DetectionError(f"model must be one of {MODELS}, got {self.model!r}")
-        for name in ("T_int_s", "sigma_d_m2", "k_rad_per_m", "linearity_guard"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DetectionError(f"{name} must be finite and positive, got {value!r}")
-        for name in ("field_amp_A", "field_amp_B", "electronic_noise_counts_rms"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise DetectionError(f"{name} must be finite and non-negative, got {value!r}")
-        if not math.isfinite(self.delta_phi_rad):
-            raise DetectionError(f"delta_phi_rad must be finite, got {self.delta_phi_rad!r}")
+        positive = ("T_int_s", "sigma_d_m2", "k_rad_per_m", "linearity_guard")
+        check_fields(self, DetectionError, positive, ("field_amp_A", "field_amp_B", "electronic_noise_counts_rms"))
         too_large = "field_amp_A, field_amp_B, sigma_d_m2 or T_int_s is too large"
         try:
             counts = (*self.linear_constants(), self.max_expected_count())

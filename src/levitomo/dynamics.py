@@ -119,7 +119,17 @@ def gas_damping_rate(config: ExperimentConfig, mass_kg: float) -> float:
     """
     pressure_pa = config.pressure_mbar * 100.0
     v_thermal = math.sqrt(KB * config.temperature_K / M_GAS_AIR)
-    return (15.8 / math.pi) * config.particle_radius_m**2 * pressure_pa / (mass_kg * v_thermal)
+    try:
+        return (15.8 / math.pi) * config.particle_radius_m**2 * pressure_pa / (mass_kg * v_thermal)
+    except ZeroDivisionError:  # a temperature so small that v_th rounds to 0: no motion is underdamped
+        return math.inf
+
+
+def check_underdamped(xi: float, omega: float) -> None:
+    """Raise :class:`SimulationError` unless the damping rate ``xi`` is below 2 ``omega``, as the underdamped
+    transition of :func:`simulate_thermal` needs."""
+    if not xi < 2.0 * omega:
+        raise SimulationError(f"damping rate {xi:.3e} 1/s is not underdamped (needs xi < 2 omega_s = {2 * omega:.3e})")
 
 
 def _propagator(omega: float, xi: float, dt: float) -> np.ndarray:
@@ -195,10 +205,7 @@ def simulate_thermal(
     xi = gas_damping_rate(config, mass) if damping_rate_s is None else damping_rate_s
     if not (0 <= temp < math.inf and 0 <= xi < math.inf):
         raise SimulationError(f"temperature {temp!r} K and damping rate {xi!r} 1/s must be finite and non-negative")
-    if xi >= 2.0 * omega:
-        raise SimulationError(
-            f"damping rate {xi:.3e} 1/s is not underdamped (needs xi < 2 omega_s = {2 * omega:.3e})"
-        )
+    check_underdamped(xi, omega)
     n_samples = sample_count(duration_s, sample_rate_Hz)
     min_rate = NYQUIST_GUARD_FACTOR * omega / TWO_PI
     if sample_rate_Hz <= min_rate:

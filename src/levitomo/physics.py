@@ -12,7 +12,8 @@ All operations are pure functions of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 from .constants import C, HBAR, TWO_PI
@@ -23,6 +24,12 @@ from .errors import ConfigError
 class ExperimentConfig:
     """Full parameter set of the trap, laser, environment and detector.
 
+    The defaults are the reference experiment that ``reference.cfg`` also
+    holds: 1550 nm, 650 mW, silica (eps_r = 2.1, rho = 2200 kg/m^3), particle
+    radius 17 nm, room temperature at 1e-2 mbar, and the waist
+    ``calibrate_waist(2 pi x 70 kHz, ...)`` gives, so the axial frequency is
+    2 pi x 70 kHz, the one trap observable that is pinned.
+
     All values are SI except ``pressure_mbar``. ``field_amp_A`` and
     ``field_amp_B`` are the interferometer field amplitudes of the unscattered
     and particle-scattered beams at the detector, in a common arbitrary unit;
@@ -32,7 +39,7 @@ class ExperimentConfig:
 
     wavelength_m: float = 1550e-9
     power_W: float = 0.65
-    waist_m: float = 1e-6
+    waist_m: float = 9.272168931765024e-07
     particle_radius_m: float = 17e-9
     density_kg_m3: float = 2200.0
     epsilon_r: float = 2.1
@@ -48,36 +55,16 @@ class ExperimentConfig:
     # 1/3) instead of the 8 pi^3 eps_c V^2 / lambda^4 form used by default.
     rayleigh_standard_form: bool = False
 
-    _POSITIVE = (
-        "wavelength_m",
-        "power_W",
-        "waist_m",
-        "particle_radius_m",
-        "density_kg_m3",
-        "temperature_K",
-        "pressure_mbar",
-        "detector_area_m2",
-        "integration_time_s",
-    )
-
     def __post_init__(self):
         """Raise :class:`ConfigError` naming the first non-physical field."""
-        for name in self._POSITIVE:
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
-        if not (math.isfinite(self.epsilon_r) and self.epsilon_r > 1.0):
+        positive = ("wavelength_m", "power_W", "waist_m", "particle_radius_m", "density_kg_m3", "temperature_K")
+        positive += ("pressure_mbar", "detector_area_m2", "integration_time_s")
+        check_fields(self, ConfigError, positive, non_negative=("field_amp_A", "field_amp_B"))
+        if not self.epsilon_r > 1.0:
             raise ConfigError(
                 f"epsilon_r must exceed 1 (otherwise the polarizability factor is"
                 f" non-positive and no trap forms), got {self.epsilon_r!r}"
             )
-        for name in ("field_amp_A", "field_amp_B"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and non-negative, got {value!r}")
-        for name in ("phase_d_rad", "phase_s_rad"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
         if not math.isfinite(self.delta_phi_rad):
             raise ConfigError(f"phase_d_rad - phase_s_rad must be finite, got {self.delta_phi_rad!r}")
 
@@ -91,19 +78,36 @@ class ExperimentConfig:
         """Interferometer phase difference phi_d - phi_s."""
         return self.phase_d_rad - self.phase_s_rad
 
-    @classmethod
-    def from_mapping(cls, mapping: dict[str, str]) -> "ExperimentConfig":
-        """:func:`default_config` with the string key/value pairs applied; unknown keys are an error."""
-        return replace(default_config(), **typed_fields(cls, mapping))
+
+def check_fields(params, error: type[Exception], positive=(), non_negative=()) -> None:
+    """The field rule of every parameter object: raise ``error`` naming the first field of the dataclass ``params``
+    annotated ``float`` that is not a finite real number or annotated ``int`` that is not an integer, or that is not
+    above 0 though named in ``positive``, or below 0 though named in ``non_negative``."""
+    for f in fields(params):
+        if f.type not in ("float", "int"):
+            continue
+        value = getattr(params, f.name)
+        if f.type == "int":
+            kind, valid = "an integer", isinstance(value, Integral)
+        else:
+            kind, valid = "a finite number", isinstance(value, Real) and math.isfinite(value)
+        if f.name in positive:
+            kind, valid = kind + " > 0", valid and value > 0
+        elif f.name in non_negative:
+            kind, valid = kind + " >= 0", valid and value >= 0
+        if not valid:
+            raise error(f"{f.name} must be {kind}, got {value!r}")
 
 
-def typed_fields(cls, mapping: dict) -> dict:
-    """Each value of ``mapping`` parsed as the type of the default of the ``cls`` field it names."""
+def from_mapping(cls, mapping: dict):
+    """A ``cls`` (:class:`ExperimentConfig` or ``cli.PipelineSettings``) whose fields that ``mapping`` names take its
+    values, each parsed as the type of that field's default, and whose other fields keep their defaults; an unknown
+    key is an error."""
     kinds = {f.name: type(f.default) for f in fields(cls)}
     for key in mapping:  # checked before any value is parsed: an unknown key is reported ahead of a bad value
         if key not in kinds:
             raise ConfigError(f"unknown configuration key {key!r}")
-    return {key: _coerce(key, raw, kinds[key]) for key, raw in mapping.items()}
+    return cls(**{key: _coerce(key, raw, kinds[key]) for key, raw in mapping.items()})
 
 
 def _coerce(key: str, raw, kind):
@@ -244,28 +248,20 @@ def calibrate_waist(target_omega_s: float, config: ExperimentConfig) -> float:
     return math.sqrt(config.wavelength_m * z_r / math.pi)
 
 
-def default_config() -> ExperimentConfig:
-    """Reference configuration of the free-space trap experiment.
-
-    1550 nm, 650 mW, silica (eps_r = 2.1, rho = 2200 kg/m^3), particle radius
-    17 nm, room temperature at 1e-2 mbar. The waist is calibrated so the axial
-    frequency is exactly 2 pi x 70 kHz, the one trap observable that is pinned.
-    """
-    base = ExperimentConfig()
-    w0 = calibrate_waist(TWO_PI * 70e3, base)
-    return replace(base, waist_m=w0)
-
-
 def decoherence_time(delta_z: float, dq: DerivedQuantities) -> float:
     """Decoherence time tau(dz) = 1 / (gamma tanh(Gamma dz^2 / gamma)).
 
     Joins the short-distance regime tau ~ 1/(Gamma dz^2) to the saturated
     long-distance regime tau -> 1/gamma. ``delta_z = 0`` returns ``math.inf``
-    (tanh(0) = 0), signalled as a value rather than an error.
+    (tanh(0) = 0), signalled as a value rather than an error. Where the
+    argument of tanh exceeds 20, tanh rounds to 1 and tau is 1/gamma, returned
+    without forming dz^2, which a large ``delta_z`` would overflow.
     """
     if not (math.isfinite(delta_z) and delta_z >= 0):
         raise ConfigError(f"delta_z must be non-negative, got {delta_z!r}")
     gamma = dq.gamma_scatter_per_s
+    if delta_z > math.sqrt(20.0 * gamma / dq.Gamma_loc_per_m2_s):
+        return 1.0 / gamma
     argument = dq.Gamma_loc_per_m2_s * delta_z**2 / gamma
     damping = gamma * math.tanh(argument)
     if damping == 0.0:

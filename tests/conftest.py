@@ -2,12 +2,12 @@ import dataclasses
 
 import pytest
 
-from levitomo.physics import default_config, derive
+from levitomo.physics import ExperimentConfig, derive
 
 
 @pytest.fixture(scope="session")
 def config():
-    return default_config()
+    return ExperimentConfig()
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from levitomo.detection import (
     params_from_config,
 )
 from levitomo.dynamics import simulate_coherent, simulate_thermal
-from levitomo.physics import decoherence_time, default_config, derive
+from levitomo.physics import ExperimentConfig, decoherence_time, derive
 from levitomo.spectral import estimate_psd, fit_lorentzian
 from levitomo.tomography import (
     MarginalSet,
@@ -53,7 +53,7 @@ def _report(criterion: int, ok: bool, text: str) -> None:
 @pytest.fixture(scope="module")
 def thermal_run():
     """Criterion-1 pipeline: 1 s at 1 MHz, 90 angles, reconstructed onto the 129-point marginal grid."""
-    config = dataclasses.replace(default_config(), pressure_mbar=ACCEPTANCE_PRESSURE_MBAR)
+    config = dataclasses.replace(ExperimentConfig(), pressure_mbar=ACCEPTANCE_PRESSURE_MBAR)
     dq = derive(config)
     target_var = KB * EFFECTIVE_TEMPERATURE_K / (dq.mass_kg * dq.omega_s_rad_s**2)
     seeds = np.random.SeedSequence(SEED).spawn(3)
@@ -146,7 +146,7 @@ def test_criterion_2_fock1_negativity():
 def test_criterion_3_decoherence_time_band():
     # The ~10 us estimate at dz = 0.1 nm follows from the radius-34nm reading
     # of the particle size; the 17 nm default (diameter reading) gives ~370 us.
-    config = dataclasses.replace(default_config(), particle_radius_m=34e-9)
+    config = dataclasses.replace(ExperimentConfig(), particle_radius_m=34e-9)
     tau = decoherence_time(0.1e-9, derive(config))
     ok = 3e-6 <= tau <= 30e-6
     _report(3, ok, f"tau(0.1 nm) = {tau * 1e6:.2f} us, band [3, 30] us (radius-34nm reading)")

@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import levitomo
 from levitomo import artifacts, detection, dynamics, spectral, tomography
 from levitomo.cli import PipelineSettings, main
 from levitomo.errors import ConfigError, SpectralError
-from levitomo.physics import ExperimentConfig, decoherence_time, default_config, derive
+from levitomo.physics import ExperimentConfig, decoherence_time, derive, from_mapping
 from noise_floor import predicted_noise_floor
 
 TWO_PI = 2.0 * math.pi
@@ -51,6 +52,13 @@ def test_derive_writes_json_and_prints(tmp_path, capsys):
     on_disk = json.loads((tmp_path / "derived.json").read_text())
     assert printed == on_disk
     assert printed["omega_s_rad_s"] == pytest.approx(TWO_PI * 70e3, rel=1e-9)
+
+
+def test_built_in_defaults_are_the_reference_file(tmp_path):
+    """``derive`` without ``--config`` writes the bytes that ``derive --config reference.cfg`` writes."""
+    assert run(["derive", "--out", tmp_path / "defaults"]) == 0
+    assert run(["derive", "--config", "reference.cfg", "--out", tmp_path / "file"]) == 0
+    assert (tmp_path / "defaults/derived.json").read_bytes() == (tmp_path / "file/derived.json").read_bytes()
 
 
 def test_derive_power_override_doubles_frequency(tmp_path, capsys):
@@ -239,8 +247,35 @@ def test_unparsable_float_setting_exits_2(tmp_path, capsys):
     assert "sim_duration_s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", [f.name for f in fields(PipelineSettings) if f.type in ("float", "int")])
+def test_non_number_setting_is_a_config_error(name):
+    """A string in a numeric field is a :class:`ConfigError` naming the field, as for the experiment config."""
+    with pytest.raises(ConfigError, match=f"{name} must be an? (finite number|integer)"):
+        PipelineSettings(**{name: "0.1"})
+
+
+@pytest.mark.parametrize("command", ["pipeline", "simulate"])
+@pytest.mark.parametrize("setting", ["pressure_mbar=1e4", "temperature_K=1e-300", "temperature_K=5e-324"])
+def test_overdamped_thermal_record_fails_before_any_stage(tmp_path, capsys, command, setting):
+    """Gas damping at or above 2 omega_s has no underdamped transition to simulate; at 5e-324 K the gas's thermal
+    speed rounds to 0 and the damping rate is infinite."""
+    out = tmp_path / "run"
+    assert run([command, "--seed", 1, "--out", out, "--set", "sim_duration_s=0.1", "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: damping rate ") and "not underdamped" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_overdamped_gas_does_not_stop_a_coherent_record(tmp_path):
+    """A coherent record is simulated without damping, so the gas damping rate is not checked for it."""
+    sets = ["--set", "sim_duration_s=0.1", "--set", "pressure_mbar=1e4"]
+    assert run(["simulate", "--state", "coherent", "--out", tmp_path] + sets) == 0
+
+
 def test_integer_settings_accept_integer_literals():
-    settings = PipelineSettings.from_mapping({"n_angles": " 120 ", "psd_segment_len": "+4096", "decoherence_points": 7})
+    mapping = {"n_angles": " 120 ", "psd_segment_len": "+4096", "decoherence_points": 7}
+    settings = from_mapping(PipelineSettings, mapping)
     assert (settings.n_angles, settings.psd_segment_len, settings.decoherence_points) == (120, 4096, 7)
 
 
@@ -355,7 +390,18 @@ def test_decoherence_single_point(tmp_path):
     assert set(info) == {"delta_z_m"}
     [dz], [tau] = info["delta_z_m"], taus.tolist()
     assert dz == 1e-10
-    assert tau == pytest.approx(decoherence_time(1e-10, derive(default_config())), rel=1e-12)
+    assert tau == pytest.approx(decoherence_time(1e-10, derive(ExperimentConfig())), rel=1e-12)
+
+
+def test_decoherence_beyond_float_squares_warns_nothing(tmp_path, capsys):
+    """Superposition sizes whose square leaves the range of a float take the saturated 1/gamma, with no warning."""
+    sets = ["--set", "decoherence_zmin_m=1e-300", "--set", "decoherence_zmax_m=1e300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["decoherence", "--out", tmp_path] + sets) == 0
+    assert capsys.readouterr().err == ""
+    taus = np.load(tmp_path / "decoherence.npy", allow_pickle=False)
+    assert taus[0] == math.inf and taus[-1] == 1.0 / derive(ExperimentConfig()).gamma_scatter_per_s
 
 
 def test_decoherence_doubling_power_halves_saturated_tau(tmp_path):

@@ -177,7 +177,7 @@ def test_params_check_themselves(config):
     with pytest.raises(DetectionError, match=r"model must be one of \('linear', 'exact'\), got 'cubic'"):
         dataclasses.replace(params, model="cubic")
     for name in ("delta_phi_rad", "linearity_guard", "T_int_s", "field_amp_A", "electronic_noise_counts_rms"):
-        for value in (math.nan, math.inf):
+        for value in (math.nan, math.inf, "1e-6"):
             with pytest.raises(DetectionError, match=name):
                 dataclasses.replace(params, **{name: value})
 

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import sys
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +15,8 @@ from levitomo.physics import (
     calibrate_waist,
     decoherence_curve,
     decoherence_time,
-    default_config,
     derive,
+    from_mapping,
     load_key_values,
 )
 
@@ -31,6 +34,8 @@ def test_epsilon_c_value(dq):
 
 
 def test_waist_calibration_frozen_value(config):
+    """The dataclass default is the reference experiment: its waist is, bit for bit, the 70 kHz calibration."""
+    assert config == ExperimentConfig() and config.waist_m == calibrate_waist(TWO_PI * 70e3, config)
     assert config.waist_m == pytest.approx(W0_CALIBRATED, rel=1e-12)
     assert config.waist_m == pytest.approx(0.93e-6, rel=0.01)
 
@@ -112,9 +117,13 @@ def test_derive_is_pure(config):
         ("integration_time_s", -1e-6),
         ("pressure_mbar", math.nan),
         ("wavelength_m", 0.0),
+        ("power_W", "0.65"),
+        ("epsilon_r", "2.1"),
+        ("phase_s_rad", "0"),
     ],
 )
 def test_invalid_config_names_field(config, bad_field, bad_value):
+    """A non-physical value or a non-number is a :class:`ConfigError` that names the field."""
     with pytest.raises(ConfigError, match=bad_field):
         dataclasses.replace(config, **{bad_field: bad_value})
 
@@ -148,10 +157,21 @@ def test_decoherence_monotone_non_increasing(dq, grid):
 def test_reference_config_decoherence_band():
     # The estimate of ~10 us at 0.1 nm requires the radius-34nm reading of the
     # particle size (the diameter reading gives ~370 us).
-    cfg = dataclasses.replace(default_config(), particle_radius_m=34e-9)
+    cfg = dataclasses.replace(ExperimentConfig(), particle_radius_m=34e-9)
     tau = decoherence_time(0.1e-9, derive(cfg))
     assert tau == pytest.approx(TAU_01NM_34NM, rel=1e-9)
     assert 3e-6 <= tau <= 30e-6
+
+
+def test_decoherence_saturates_without_overflow(dq):
+    """Where Gamma dz^2 / gamma exceeds 20, tanh rounds to 1 and tau is 1/gamma: also where dz^2 overflows a float."""
+    saturated = 1.0 / dq.gamma_scatter_per_s
+    knee = math.sqrt(dq.gamma_scatter_per_s / dq.Gamma_loc_per_m2_s)
+    assert decoherence_time(4.4 * knee, dq) == saturated  # tanh(19.36) is already 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dz in (1e200, sys.float_info.max, np.float64(1e300)):
+            assert decoherence_time(dz, dq) == saturated
 
 
 def test_decoherence_quadratic_regime_ratio(dq):
@@ -175,16 +195,18 @@ def test_decoherence_curve_pointwise_and_empty(dq):
 
 
 def test_config_file_round_trip(tmp_path):
-    cfg = ExperimentConfig.from_mapping(load_key_values("reference.cfg"))
+    cfg = from_mapping(ExperimentConfig, load_key_values("reference.cfg"))
     assert derive(cfg).omega_s_rad_s == pytest.approx(TWO_PI * 70e3, rel=1e-9)
 
 
 def test_config_mapping_starts_from_the_reference_config(tmp_path):
-    """A file without ``waist_m`` keeps the calibrated 70 kHz waist, as ``levitomo --config`` does."""
-    assert ExperimentConfig.from_mapping({}) == default_config()
+    """A file without ``waist_m`` keeps the calibrated 70 kHz waist, as ``levitomo --config`` does, and
+    ``reference.cfg`` resolves to the dataclass defaults."""
+    assert from_mapping(ExperimentConfig, {}) == ExperimentConfig()
+    assert from_mapping(ExperimentConfig, load_key_values("reference.cfg")) == ExperimentConfig()
     path = tmp_path / "power.cfg"
     path.write_text("power_W = 0.65\n")
-    cfg = ExperimentConfig.from_mapping(load_key_values(path))
+    cfg = from_mapping(ExperimentConfig, load_key_values(path))
     assert derive(cfg).omega_s_rad_s == pytest.approx(TWO_PI * 70e3, rel=1e-12)
 
 
@@ -192,7 +214,7 @@ def test_config_file_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("wavelength_m = 1550e-9\nwaist_um = 1.0\n")
     with pytest.raises(ConfigError, match="waist_um"):
-        ExperimentConfig.from_mapping(load_key_values(path))
+        from_mapping(ExperimentConfig, load_key_values(path))
 
 
 def test_config_file_parsing(tmp_path):
