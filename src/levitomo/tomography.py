@@ -9,8 +9,8 @@ transform, implemented as ramp-filtered back-projection:
   1. real FFT of each row along z (zero-padded against wrap-around);
   2. multiply by the half-spectrum of the ramp |nu|, apodized with a Hann
      window up to a cutoff;
-  3. inverse real FFT. Steps 1-3 take BLOCK_ROWS rows at a time, so the
-     padded spectra never hold more than one block, whatever the angle count;
+  3. inverse real FFT. Steps 1-3 take rows whose padded points fill at most
+     one block of output rows at a time, whatever the angle count;
   4. back-project with linear interpolation onto a square (z, p/m omega) grid,
      each angle weighted by pi / n_angles.
 
@@ -37,11 +37,11 @@ integral of the reconstruction drifts. The output square is inscribed in the
 marginal support (half-width z_max / sqrt(2)) so back-projection never reads
 outside measured data. ``analyze`` integrates its moments BLOCK_ROWS grid rows
 at a time as well. Besides the folded rows, at most the size of the marginals,
-and their tables, a reconstruction holds one complex output-sized sum and one
-set of per-block temporaries per thread, and its analysis one output-sized
-array. An oracle of a state that does not depend on the angle (thermal, fock1)
-holds its marginals as one row, which a read-only view repeats for every angle:
-at 720 angles x 513 points, 4 kB instead of 2.95 MB.
+and their tables, a reconstruction holds the output grid and three complex row
+blocks per thread (8.25 MB at 720 x 513 on two threads), and its analysis one
+output-sized array. An oracle of a state that does not depend on the angle
+(thermal, fock1) holds its marginals as one row, which a read-only view repeats
+for every angle: at 720 angles x 513 points, 4 kB instead of 2.95 MB.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ DEFAULT_SPAN_SIGMAS = 5.0
 PAD_FACTOR = 4
 QUARTER_TURN = 0.5 * math.pi
 ORBIT_TOLERANCE = 1e-9  # largest shift, in z bins, a group's shared indices may give a sample point
-# rows per block: rows per pass of the ramp filter, output rows per pass over all groups and grid rows per pass of
-# analyze, so each pass's temporaries stay in L2 cache whatever the grid's size
+# rows per block: output rows per pass over all groups, grid rows per pass of analyze, and the points of a pass of the
+# ramp filter's padded rows; not L2-sized at 513 points, where one complex block is 525 kB and a worker holds three
 BLOCK_ROWS = 64
 # interpolated samples (angles x output points) a back-projection worker must have to be worth its thread: measured
 # on two CPUs (medians of 61 runs), a second worker costs more than it saves at 90 x 129 (1.5e6 samples: 13.5
@@ -281,16 +281,18 @@ def filtered_projections(rows: np.ndarray, dz: float, cutoff_fraction: float = 1
     """Ramp-filter every row of densities on a z grid of step ``dz`` (steps 1-3 of the reconstruction); a new array.
 
     The result is C-contiguous whatever the layout of ``rows``, a Fortran
-    array or a broadcast view included. ``BLOCK_ROWS`` rows go through the
-    padded transforms at a time. The FFT transforms each row on its own, so
-    the result equals the one-shot transform of all rows bit for bit.
+    array or a broadcast view included. The padded transforms take at least
+    one row and at most ``BLOCK_ROWS * n_z`` points at a time. The FFT
+    transforms each row on its own, so the result equals the one-shot
+    transform of all rows bit for bit.
     """
     n_z = rows.shape[1]
     n_fft = 1 << int(math.ceil(math.log2(PAD_FACTOR * n_z)))
     ramp = _ramp_filter(n_fft, dz, cutoff_fraction)
     filtered = np.empty(rows.shape)
-    for first in range(0, rows.shape[0], BLOCK_ROWS):
-        block = slice(first, first + BLOCK_ROWS)
+    n_block = max(1, BLOCK_ROWS * n_z // n_fft)
+    for first in range(0, rows.shape[0], n_block):
+        block = slice(first, first + n_block)
         spectra = np.fft.rfft(rows[block], n=n_fft, axis=1)
         spectra *= ramp
         filtered[block] = np.fft.irfft(spectra, n=n_fft, axis=1)[:, :n_z]
@@ -337,34 +339,44 @@ def _worker_count(points: int) -> int:
     return max(1, min(cpus, points // MIN_POINTS_PER_WORKER))
 
 
-def _back_project_block(first: int, groups: list, total: np.ndarray, buffers: tuple) -> None:
-    """Add every group, in order, into output rows ``first`` to ``first + BLOCK_ROWS`` of the complex sum.
+def _back_project_block(first: int, grid: tuple, groups: list, values: np.ndarray, buffers: tuple, lock) -> None:
+    """Sum every group, in order, over output rows ``first`` to ``first + BLOCK_ROWS``, then add the sum into the grid.
 
-    ``buffers`` are the ``(BLOCK_ROWS, n_z)`` arrays the block's sample
-    points, their z indices, one gathered row and the sum of the mirrored
-    tables are written into. The mirrored sum is added to the block with its
-    columns reversed once, after the last group. Every index lies in [0, n_z],
-    an out-of-grid point sent to the tables' trailing 0, so the gathers clip
-    nothing.
+    ``grid`` is the output axis, z[-1] and the z step, from which the block's
+    sample points are worked out; ``buffers`` are the ``(BLOCK_ROWS, n_z)``
+    arrays the points, their z indices, one gathered row, the complex sum G and
+    the mirrored tables' sum (added with its columns reversed after the last
+    group) are written into, and the ``(2, n_z + 1)`` slope rows of a group,
+    0 from column n_z - 1 on. Every index lies in [0, n_z], an out-of-grid
+    point sent to the tables' trailing 0, so the gathers clip nothing. Holding
+    ``lock``, G.real is added into the block's rows of ``values`` and G.imag,
+    turned by np.rot90 (rot90(G)[i, j] = G[j, n - 1 - i]), into its columns.
     """
-    n_z = total.shape[1]
+    axis, z_max, dz = grid
+    n_z = axis.size
     block = slice(first, first + BLOCK_ROWS)
     n_rows = min(BLOCK_ROWS, n_z - first)
-    u, index, gathered, mirrored_sum = (buffer[:n_rows] for buffer in buffers)
+    u, index, gathered, part, mirrored_sum = (buffer[:n_rows] for buffer in buffers[:5])
+    slopes = buffers[5]
+    part.fill(0.0)
     mirrored_sum.fill(0.0)
-    part = total[block]
-    for a, b, off_grid, tables, slopes, mirrored in groups:
-        np.add(a[block, None], b, out=u)
+    for cos, sin, off_grid, tables, mirrored in groups:
+        # s = z cos(theta) + p sin(theta) on the grid as a fractional z index: u[i, j] = a[i] + b[j]
+        np.add(((axis[block] * cos + z_max) / dz)[:, None], axis * sin / dz, out=u)
         np.copyto(index, u, casting="unsafe")
         if off_grid:
             index[(u < 0.0) | (u > n_z - 1)] = n_z
         u -= index
         for table, slope, target in zip(tables, slopes, (part, mirrored_sum)[: 1 + mirrored]):
+            np.subtract(table[1:n_z], table[: n_z - 1], out=slope[: n_z - 1])
             target += np.take(table, index, out=gathered, mode="clip")
             np.take(slope, index, out=gathered, mode="clip")
             gathered *= u
             target += gathered
     part += mirrored_sum[:, ::-1]
+    with lock:
+        values[block] += part.real
+        values[::-1, block] += part.imag.T
 
 
 def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> WignerGrid:
@@ -389,14 +401,16 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
     s_{-theta}[i, j] = s_theta[i, n - 1 - j]. Each group has two complex
     tables, for theta and for -theta, whose real part is the row of the angle
     and whose imaginary part is the row a quarter turn on. Both are gathered
-    with theta's indices into one complex sum, the table of -theta with its
-    columns reversed, and the result is the real part plus the imaginary part
-    turned by np.rot90 (rot90(G)[i, j] = G[j, n - 1 - i]). Angles join a group
-    when they lie whole quarter turns from theta or -theta to within an angle
-    that moves no sample point by more than ``ORBIT_TOLERANCE`` of a z bin;
-    any angle set, of any size, goes this one way. Each ``BLOCK_ROWS`` block of
-    output rows is summed by one worker, the calling thread or a thread of its
-    own; an exception in a worker is raised here.
+    with theta's indices into a complex sum per block of output rows, the
+    table of -theta with its columns reversed, and the grid is the real part
+    plus the imaginary part turned by np.rot90: each block adds both into a
+    grid of -0.0, and -0.0 + x is x, so each element is the sum of its two
+    terms whichever block comes first. Angles join a group when they lie
+    whole quarter turns from theta or -theta to within an angle that moves no
+    sample point by more than ``ORBIT_TOLERANCE`` of a z bin; any angle set,
+    of any size, goes this one way. Each ``BLOCK_ROWS`` block of output rows
+    is summed by one worker, the calling thread or a thread of its own; an
+    exception in a worker is raised here, and no grid is returned.
     """
     if not 0.0 < cutoff_fraction <= 1.0:
         raise TomographyError("cutoff_fraction must be in (0, 1]")
@@ -423,25 +437,23 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
     tables.real[..., :n_z] = filtered[:, :, 0]
     tables.imag[..., :n_z] = filtered[:, :, 1]
     del filtered
-    slopes = np.zeros_like(tables)
-    slopes[..., : n_z - 1] = np.diff(tables[..., :n_z], axis=-1)
     work_list = []
     for g, (theta, _, _, mirrored) in enumerate(groups):
-        # s = z cos(theta) + p sin(theta) on the grid as a fractional z index: u[i, j] = a[i] + b[j]
         a = (axis * math.cos(theta) + z_max) / dz
         b = axis * math.sin(theta) / dz
         off_grid = a.min() + b.min() < 0.0 or a.max() + b.max() > n_z - 1  # by rounding at most
-        work_list.append((a, b, off_grid, tables[g], slopes[g], bool(mirrored.any())))
-    total = np.zeros((n_z, n_z), dtype=complex)
+        work_list.append((math.cos(theta), math.sin(theta), off_grid, tables[g], bool(mirrored.any())))
+    values = np.full((n_z, n_z), -0.0)
+    lock = threading.Lock()
     workers = min(-(-n_z // BLOCK_ROWS), _worker_count(angles.size * n_z * n_z))  # at most one per row block
-    # each worker's u, index, gathered row and mirrored sum, allocated here: a worker thread that allocated its own
-    # would get a malloc arena of its own, and the process would keep each arena's pages
+    # each worker's u, index, gathered row, block sum, mirrored sum and slope rows, allocated here: a worker thread
+    # that allocated its own would get a malloc arena of its own, and the process would keep each arena's pages
     buffers = [
         (
             np.empty((BLOCK_ROWS, n_z)),
             np.empty((BLOCK_ROWS, n_z), dtype=np.intp),
-            np.empty((BLOCK_ROWS, n_z), dtype=complex),
-            np.empty((BLOCK_ROWS, n_z), dtype=complex),
+            *np.empty((3, BLOCK_ROWS, n_z), dtype=complex),
+            np.zeros((2, n_z + 1), dtype=complex),
         )
         for _ in range(workers)
     ]
@@ -450,8 +462,8 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
     def work(k):
         try:
             for first in range(k * BLOCK_ROWS, n_z, workers * BLOCK_ROWS):
-                _back_project_block(first, work_list, total, buffers[k])
-        except BaseException as exc:  # re-raised by the caller, so no partial sum is returned
+                _back_project_block(first, (axis, z_max, dz), work_list, values, buffers[k], lock)
+        except BaseException as exc:  # re-raised by the caller, so no partial grid is returned
             errors.append(exc)
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
@@ -462,8 +474,6 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
         thread.join()
     if errors:
         raise errors[0]
-    del work_list, tables, slopes, buffers  # before the result is allocated: the sum holds all they gave
-    values = total.real + np.rot90(total.imag)
     values *= math.pi / angles.size
     return WignerGrid(axis_m=axis, values=values)
 
