@@ -268,6 +268,23 @@ def _config_file(args) -> dict[str, Path]:
     return {"config_file": Path(args.config)} if args.config else {}
 
 
+def _record(config, settings, seed) -> dynamics.Trajectory:
+    """The thermal or coherent record of run seed ``seed``, simulated on each pass: building it runs every check of
+    its simulator and simulates no sample."""
+    duration, rate, dq = settings.sim_duration_s, settings.sim_sample_rate_hz, derive(config)
+    if settings.sim_state == "thermal":
+        temperature = settings.sim_temperature_K
+        return dynamics.simulate_thermal(config, dq, duration, rate, _stage_seeds(seed)[0], temperature_K=temperature)
+    return dynamics.simulate_coherent(dq, settings.coherent_amplitude_m, settings.coherent_phase_rad, duration, rate)
+
+
+def _decoherence_grid(settings) -> np.ndarray:
+    """The superposition sizes of the decoherence curve: ``decoherence_points`` log-spaced from
+    ``decoherence_zmin_m`` to ``decoherence_zmax_m``."""
+    zmin, zmax, n = settings.decoherence_zmin_m, settings.decoherence_zmax_m, settings.decoherence_points
+    return np.logspace(math.log10(zmin), math.log10(zmax), n) if n > 1 else np.array([zmin])
+
+
 def _detection_params(config, settings, scheme) -> detection.DetectionParams:
     knobs = {name: getattr(settings, name) for name in ("shot_noise", "electronic_noise_counts_rms", "linearity_guard")}
     return detection.params_from_config(config, scheme, model=settings.detection_model, **knobs)
@@ -395,17 +412,13 @@ def _tomography(settings, inputs, run, record=None, omega0_rad_s=None) -> tomogr
 def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     """Resolve ``--config`` and ``--set``; a flag named after a setting (``--state``) overrides both.
 
-    Every command refuses a configuration that :func:`derive` refuses.
-    ``simulate`` refuses fock1 here, however the state was set; ``detect``, and
-    ``pipeline`` of a record, refuse detection parameters that
-    :class:`detection.DetectionParams` refuses; and a command that simulates a
-    record refuses a record size that ``dynamics.sample_count`` refuses, a
-    detection window that cannot tile the record, and, for a thermal record, a
-    gas damping rate that ``dynamics.check_underdamped`` refuses; ``pipeline``
-    also refuses a window-rate record that holds fewer than
-    ``spectral.MIN_SEGMENTS`` Welch segments. So these errors come before
-    ``--out`` exists. fock1 simulates nothing, so its record settings are not
-    checked.
+    Every check of the derived quantities, the record, the detection
+    parameters and the decoherence curve runs here, before ``--out`` exists:
+    each command builds what its stages build, with the builders they call,
+    and building a record simulates no sample. ``simulate`` also refuses
+    fock1, however the state was set, and ``pipeline`` a record whose
+    detection windows hold fewer than ``spectral.MIN_SEGMENTS`` Welch
+    segments. fock1 simulates nothing, so its record is not built.
     """
     overrides = list(args.set or [])
     for f in fields(PipelineSettings):
@@ -421,19 +434,16 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
         except DetectionError as exc:
             raise ConfigError(str(exc)) from None
     if args.command in ("simulate", "pipeline") and settings.sim_state != "fock1":
-        rate = settings.sim_sample_rate_hz
-        try:
-            n_samples = dynamics.sample_count(settings.sim_duration_s, rate)
+        try:  # the simulators size a record by this rule too, but name their arguments, not these settings
+            n_samples = dynamics.sample_count(settings.sim_duration_s, settings.sim_sample_rate_hz)
         except SimulationError as exc:
             raise ConfigError(f"sim_duration_s and sim_sample_rate_hz: {exc}") from None
         try:
-            per_window = detection.samples_per_window(config.integration_time_s, rate, n_samples)
-            if settings.sim_state == "thermal":
-                dynamics.check_underdamped(dynamics.gas_damping_rate(config, dq.mass_kg), dq.omega_s_rad_s)
+            rate = _record(config, settings, args.seed).sample_rate_Hz
+            n_windows = n_samples // detection.samples_per_window(config.integration_time_s, rate, n_samples)
         except (DetectionError, SimulationError) as exc:
             raise ConfigError(str(exc)) from None
         if args.command == "pipeline":  # its spectra are of the counts, one sample per window
-            n_windows = n_samples // per_window
             segment = _auto_segment_len(n_windows, settings.psd_segment_len)
             n_segments = spectral.segment_count(n_windows, segment, settings.psd_overlap)
             if n_segments < spectral.MIN_SEGMENTS:
@@ -441,6 +451,8 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
                     f"the record's {n_windows} detection windows hold {n_segments} Welch segments of"
                     f" psd_segment_len {segment} at psd_overlap {settings.psd_overlap}; need {spectral.MIN_SEGMENTS}"
                 )
+    if args.command in ("decoherence", "pipeline"):
+        decoherence_curve(_decoherence_grid(settings), dq)
     return config, settings
 
 
@@ -454,14 +466,7 @@ def cmd_derive(args, config, settings, run) -> dict:
 def cmd_simulate(args, config, settings, run) -> None:
     """The thermal or coherent record, written chunk by chunk; ``_load`` has refused fock1, which has no trajectory."""
     with run.stage("simulate", _config_file(args)):
-        duration, rate, dq = settings.sim_duration_s, settings.sim_sample_rate_hz, derive(config)
-        if settings.sim_state == "thermal":
-            seed, temperature = _stage_seeds(args.seed)[0], settings.sim_temperature_K
-            traj = dynamics.simulate_thermal(config, dq, duration, rate, seed, temperature_K=temperature)
-        else:
-            amplitude, phase = settings.coherent_amplitude_m, settings.coherent_phase_rad
-            traj = dynamics.simulate_coherent(dq, amplitude, phase, duration, rate)
-        dynamics.save_trajectory(traj, run.out_dir / "trajectory.npy")
+        dynamics.save_trajectory(_record(config, settings, args.seed), run.out_dir / "trajectory.npy")
 
 
 def cmd_detect(args, config, settings, run) -> None:
@@ -495,9 +500,7 @@ def cmd_tomo(args, config, settings, run) -> dict:
 
 def cmd_decoherence(args, config, settings, run) -> None:
     with run.stage("decoherence", {}):
-        zmin, zmax, n = settings.decoherence_zmin_m, settings.decoherence_zmax_m, settings.decoherence_points
-        grid = np.logspace(math.log10(zmin), math.log10(zmax), n) if n > 1 else np.array([zmin])
-        curve = np.array(decoherence_curve(grid, derive(config)))
+        curve = np.array(decoherence_curve(_decoherence_grid(settings), derive(config)))
         artifacts.write_array(run.out_dir / "decoherence.npy", curve[:, 1], {"delta_z_m": curve[:, 0].tolist()})
 
 

@@ -125,13 +125,6 @@ def gas_damping_rate(config: ExperimentConfig, mass_kg: float) -> float:
         return math.inf
 
 
-def check_underdamped(xi: float, omega: float) -> None:
-    """Raise :class:`SimulationError` unless the damping rate ``xi`` is below 2 ``omega``, as the underdamped
-    transition of :func:`simulate_thermal` needs."""
-    if not xi < 2.0 * omega:
-        raise SimulationError(f"damping rate {xi:.3e} 1/s is not underdamped (needs xi < 2 omega_s = {2 * omega:.3e})")
-
-
 def _propagator(omega: float, xi: float, dt: float) -> np.ndarray:
     """exp(A dt) for A = [[0, 1], [-omega^2, -xi]], underdamped (xi < 2 omega)."""
     wd = math.sqrt(omega**2 - 0.25 * xi**2)
@@ -203,9 +196,12 @@ def simulate_thermal(
     mass = dq.mass_kg
     temp = config.temperature_K if temperature_K is None else temperature_K
     xi = gas_damping_rate(config, mass) if damping_rate_s is None else damping_rate_s
-    if not (0 <= temp < math.inf and 0 <= xi < math.inf):
-        raise SimulationError(f"temperature {temp!r} K and damping rate {xi!r} 1/s must be finite and non-negative")
-    check_underdamped(xi, omega)
+    if not 0 <= temp < math.inf:
+        raise SimulationError(f"temperature {temp!r} K must be finite and non-negative")
+    if not 0 <= xi < 2.0 * omega:  # as the underdamped transition needs
+        raise SimulationError(
+            f"damping rate {xi:.3e} 1/s is not underdamped (needs a finite 0 <= xi < 2 omega_s = {2 * omega:.3e})"
+        )
     n_samples = sample_count(duration_s, sample_rate_Hz)
     min_rate = NYQUIST_GUARD_FACTOR * omega / TWO_PI
     if sample_rate_Hz <= min_rate:

@@ -273,8 +273,8 @@ def _ramp_filter(n_fft: int, dz: float, cutoff_fraction: float) -> np.ndarray:
     cutoff = cutoff_fraction * nyquist
     ramp = nu.copy()
     ramp[0] = 0.25 / (n_fft * dz)
-    window = np.where(nu <= cutoff, 0.5 * (1.0 + np.cos(math.pi * nu / cutoff)), 0.0)
-    return ramp * window
+    taper = nu[nu <= cutoff]  # the leading bins, as rfftfreq ascends; beyond them nu / cutoff may overflow
+    return ramp * np.pad(0.5 * (1.0 + np.cos(math.pi * taper / cutoff)), (0, nu.size - taper.size))
 
 
 def filtered_projections(rows: np.ndarray, dz: float, cutoff_fraction: float = 1.0) -> np.ndarray:
@@ -446,8 +446,8 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
     values = np.full((n_z, n_z), -0.0)
     lock = threading.Lock()
     workers = min(-(-n_z // BLOCK_ROWS), _worker_count(angles.size * n_z * n_z))  # at most one per row block
-    # each worker's u, index, gathered row, block sum, mirrored sum and slope rows, allocated here: a worker thread
-    # that allocated its own would get a malloc arena of its own, and the process would keep each arena's pages
+    # each worker's u, index, gathered row, block sum, mirrored sum and slope rows, allocated once here and reused
+    # for every row block it sums; a worker thread still gets a malloc arena of its own, from its per-block temporaries
     buffers = [
         (
             np.empty((BLOCK_ROWS, n_z)),

@@ -143,6 +143,34 @@ def test_configuration_out_of_float_range_fails_before_any_stage(tmp_path, capsy
     assert not out.exists()
 
 
+UNDER_SAMPLED = ["sim_duration_s=0.1", "sim_sample_rate_hz=5e5", "integration_time_s=2e-6"]
+UNDAMPED = ["sim_duration_s=0.1", "pressure_mbar=1e-322"]  # the gas damping rate underflows to 0
+ONE_ULP_RANGE = ["decoherence_zmin_m=1e-9", "decoherence_zmax_m=1.0000000000000002e-9"]
+
+
+@pytest.mark.parametrize(
+    "command, settings, named",
+    [
+        ("pipeline", UNDER_SAMPLED, "does not resolve the oscillation"),
+        ("simulate", UNDER_SAMPLED, "does not resolve the oscillation"),
+        ("pipeline", UNDAMPED, "a thermal state needs damping"),
+        ("simulate", UNDAMPED, "a thermal state needs damping"),
+        ("decoherence", ONE_ULP_RANGE, "strictly increasing"),
+        ("pipeline", ["sim_state=fock1"] + ONE_ULP_RANGE, "strictly increasing"),
+        ("pipeline", ["sim_duration_s=0.1"] + ONE_ULP_RANGE, "strictly increasing"),
+    ],
+)
+def test_record_or_curve_a_stage_would_refuse_fails_before_any_stage(tmp_path, capsys, command, settings, named):
+    """The pre-flight builds the record and the decoherence curve its stages build, so every check of the simulator
+    and of the curve's grid refuses the run before ``--out`` exists: a 500 kHz record under the thermal simulator's
+    sample-rate guard, a gas damping rate that underflows to 0, and 200 points between bounds one ulp apart."""
+    out = tmp_path / "run"
+    assert run([command, "--seed", 1, "--out", out] + [arg for item in settings for arg in ("--set", item)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["pipeline", "simulate"])
 @pytest.mark.parametrize("window", ["1.5e-6", "0.2"], ids=["fractional-samples", "longer-than-record"])
 def test_detection_window_that_cannot_tile_the_record_fails_before_any_stage(tmp_path, capsys, command, window):
@@ -623,6 +651,16 @@ def test_pipeline_fock_oracle_honours_the_cutoff(tmp_path):
     assert run(["pipeline", "--state", "fock1", "--out", lowered, "--set", "cutoff_fraction=0.3"]) == 0
     assert (default / "marginals.npy").read_bytes() == (lowered / "marginals.npy").read_bytes()
     assert (default / "wigner.npy").read_bytes() != (lowered / "wigner.npy").read_bytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_fock_oracle_at_a_subnormal_cutoff_runs_without_warnings(tmp_path, capsys):
+    """At ``cutoff_fraction=1e-310`` the cutoff frequency is subnormal, and nu / cutoff overflows for every bin above
+    it: the Hann taper is evaluated only on the bins at or below the cutoff, here the DC bin alone."""
+    assert run(["pipeline", "--state", "fock1", "--out", tmp_path, "--set", "cutoff_fraction=1e-310"]) == 0
+    assert capsys.readouterr().err == ""
+    ramp = tomography._ramp_filter(512, 10.0 / 128, 1e-310)
+    assert np.flatnonzero(ramp).tolist() == [0]
 
 
 def test_pipeline_stage_failure_keeps_partial_artifacts(tmp_path, capsys):
