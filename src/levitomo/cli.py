@@ -36,9 +36,15 @@ Every run is reproducible: (config, seed) determine all artifacts. The
 run's manifest, ``manifest.json`` for ``pipeline`` and
 ``manifest_<command>.json`` for the others, records the settings the run
 read, with their resolved values, plus a digest of every file each stage
-read or wrote. Wall-clock timings go to its sibling ``timings.json``
-(``timings_<command>.json``), outside the manifest so re-runs are
-byte-identical.
+read or wrote. Each file is digested once, after the last stage, so a failed
+run hashes nothing, and a run that draws no random numbers (a fock1
+``pipeline``, ``derive``, ``decoherence``, ``psd``, ``tomo``) loads OpenSSL,
+for ``hashlib``, only once its stages are done. A run that draws them (a
+thermal record, or the counts of ``detect`` and of a thermal or coherent
+``pipeline``) holds OpenSSL from its first draw anyway, through
+``numpy.random.bit_generator`` -> ``secrets`` -> ``hmac``. Wall-clock timings
+go to its sibling ``timings.json`` (``timings_<command>.json``), outside the
+manifest so re-runs are byte-identical.
 
 ``main`` drives every subcommand the same way. It resolves the settings
 before ``--out`` exists, then runs the subcommand's body on a
@@ -60,7 +66,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -140,8 +145,7 @@ class PipelineSettings:
         zmin, zmax = self.decoherence_zmin_m, self.decoherence_zmax_m
         if not zmin < zmax:
             raise ConfigError(f"decoherence_zmin_m must be below decoherence_zmax_m, got {zmin!r} and {zmax!r}")
-        if not 0 < self.cutoff_fraction <= 1:
-            raise ConfigError(f"cutoff_fraction must be in (0, 1], got {self.cutoff_fraction!r}")
+        tomography.check_cutoff(self.cutoff_fraction, points, ConfigError)
         for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {getattr(self, name)!r}")
@@ -168,6 +172,10 @@ def resolve_settings(config_path: str | None, overrides: list[str]) -> tuple[Exp
 
 
 def _sha256(path: Path) -> str:
+    # imported here, not with the module: hashlib loads OpenSSL's libcrypto, 3.7 MB resident, and the first digest
+    # comes after a run's last stage, outside the peak of the stages before it
+    import hashlib
+
     digest = hashlib.sha256()
     with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -179,7 +187,10 @@ class RunManifest:
     """One run's record: per stage its inputs, outputs and content digests, and the settings the run read.
 
     ``pipeline`` writes it to ``manifest.json`` and its timings to ``timings.json``; every other command to
-    ``manifest_<command>.json`` and ``timings_<command>.json``.
+    ``manifest_<command>.json`` and ``timings_<command>.json``. The stages record paths; :meth:`write` digests
+    each distinct file once, after the last stage, so a failed run, which writes no manifest, hashes nothing.
+    ``hashlib`` loads OpenSSL only then, unless the run drew random numbers: ``numpy.random.bit_generator`` loads
+    it at the first draw, through ``secrets`` and ``hmac``.
     """
 
     def __init__(self, command: str, seed: int, out_dir: Path):
@@ -188,8 +199,7 @@ class RunManifest:
         suffix = "" if command == "pipeline" else f"_{command}"
         self.path, self.timings_path = out_dir / f"manifest{suffix}.json", out_dir / f"timings{suffix}.json"
         self.config: dict = {}  # name -> value of every setting read through a ``recording`` copy
-        self.stages: list[dict] = []
-        self.digests: dict[Path, str] = {}  # every file a stage so far read or wrote
+        self.stages: list[tuple[str, dict[str, Path], list[Path]]] = []  # name, inputs, files written
         self.timings: dict[str, float] = {}
 
     def recording(self, settings):
@@ -213,33 +223,36 @@ class RunManifest:
 
     @contextmanager
     def stage(self, name: str, inputs: dict[str, Path]):
-        """Run one stage; if it succeeds, record its inputs, every file it wrote and its time.
+        """Run one stage; if it succeeds, record its time, its inputs and every file it wrote.
 
-        A file is read to digest once: an input that an earlier stage read or wrote takes the digest recorded then.
+        Nothing is digested here: :meth:`write` digests each file once, after the last stage, and a run whose
+        stage fails writes no manifest, so it hashes nothing. OpenSSL, which ``hashlib`` loads, thus stays out of
+        the stages' peak, unless a draw of random numbers loaded it (``numpy.random`` -> ``secrets`` -> ``hmac``).
         """
         start = time.perf_counter()
         with artifacts.journal() as written:
             yield
         self.timings[name] = time.perf_counter() - start
-        for path in inputs.values():
-            if path not in self.digests:
-                self.digests[path] = _sha256(path)
-        outputs = {path: _sha256(path) for path in sorted(written)}
-        self.stages.append(
-            {
-                "name": name,
-                "inputs": {key: self.digests[path] for key, path in sorted(inputs.items())},
-                "outputs": {str(path.relative_to(self.out_dir)): digest for path, digest in outputs.items()},
-            }
-        )
-        self.digests.update(outputs)
+        self.stages.append((name, inputs, sorted(written)))
 
     def write(self) -> None:
+        """Digest every distinct file the stages read or wrote once, in stage order, and write the timings and the
+        manifest."""
+        paths = dict.fromkeys(path for _, inputs, outputs in self.stages for path in [*inputs.values(), *outputs])
+        digests = {path: _sha256(path) for path in paths}
+        stages = [
+            {
+                "name": name,
+                "inputs": {key: digests[path] for key, path in sorted(inputs.items())},
+                "outputs": {str(path.relative_to(self.out_dir)): digests[path] for path in outputs},
+            }
+            for name, inputs, outputs in self.stages
+        ]
         manifest = {
             "package_version": __version__,
             "seed": self.seed,
             "config": self.config,
-            "stages": self.stages,
+            "stages": stages,
         }
         artifacts.write_json(self.timings_path, {"timings_s": self.timings})
         artifacts.write_json(self.path, manifest)

@@ -261,6 +261,28 @@ def _check_z_grid(grid: np.ndarray) -> None:
         )
 
 
+def _fft_length(n_z: int) -> int:
+    """The padded length of the ramp filter's transforms of ``n_z``-point rows: the power of two at or above
+    ``PAD_FACTOR * n_z``."""
+    return 1 << int(math.ceil(math.log2(PAD_FACTOR * n_z)))
+
+
+def check_cutoff(cutoff_fraction: float, n_z: int, error: type[Exception] = TomographyError) -> None:
+    """Raise ``error`` unless ``cutoff_fraction`` lies in (2 / n_fft, 1], with n_fft the padded length of a grid of
+    ``n_z`` points.
+
+    The Hann taper is 0 at the cutoff, so the first ramp bin above DC, at 1 / (n_fft dz), passes only when the cutoff,
+    ``cutoff_fraction`` times the Nyquist frequency 1 / (2 dz), lies above it; a lower cutoff passes the DC bin alone,
+    or underflows to 0 and passes nothing.
+    """
+    n_fft = _fft_length(n_z)
+    if not 2.0 / n_fft < cutoff_fraction <= 1.0:
+        raise error(
+            f"cutoff_fraction must be in (2 / {n_fft}, 1] for {n_z} grid points padded to {n_fft}, so that the ramp"
+            f" filter passes a bin above DC; got {cutoff_fraction!r}"
+        )
+
+
 def _ramp_filter(n_fft: int, dz: float, cutoff_fraction: float) -> np.ndarray:
     """Half-spectrum (``rfft`` bins) of the Hann-apodized ramp |nu|, DC bin restored to its bin mean.
 
@@ -287,7 +309,7 @@ def filtered_projections(rows: np.ndarray, dz: float, cutoff_fraction: float = 1
     transform of all rows bit for bit.
     """
     n_z = rows.shape[1]
-    n_fft = 1 << int(math.ceil(math.log2(PAD_FACTOR * n_z)))
+    n_fft = _fft_length(n_z)
     ramp = _ramp_filter(n_fft, dz, cutoff_fraction)
     filtered = np.empty(rows.shape)
     n_block = max(1, BLOCK_ROWS * n_z // n_fft)
@@ -385,9 +407,10 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
     Angle bins may cover [0, 2 pi); diametrically opposed bins carry mirrored
     copies of the same projection and are all used with weight pi / n_angles.
     ``cutoff_fraction`` scales the ramp-filter cutoff relative to the grid
-    Nyquist frequency; lower it to suppress histogram noise. The output square
-    is inscribed in the marginal support (half-width z[-1] / sqrt(2)), with as
-    many points per axis as the position grid.
+    Nyquist frequency; lower it, above the floor :func:`check_cutoff` sets, to
+    suppress histogram noise. The output square is inscribed in the marginal
+    support (half-width z[-1] / sqrt(2)), with as many points per axis as the
+    position grid.
 
     The angles are back-projected one dihedral group at a time: theta and
     -theta, each plus whole quarter turns, share one set of interpolation
@@ -412,11 +435,9 @@ def inverse_radon(marginals: MarginalSet, *, cutoff_fraction: float = 1.0) -> Wi
     is summed by one worker, the calling thread or a thread of its own; an
     exception in a worker is raised here, and no grid is returned.
     """
-    if not 0.0 < cutoff_fraction <= 1.0:
-        raise TomographyError("cutoff_fraction must be in (0, 1]")
-
     z_grid = marginals.z_grid_m
     n_z = z_grid.size
+    check_cutoff(cutoff_fraction, n_z)
     if n_z < MIN_GRID_SIZE:
         raise TomographyError(f"output grid must have at least {MIN_GRID_SIZE} points per axis")
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import levitomo
-from levitomo import artifacts, detection, dynamics, spectral, tomography
+from levitomo import artifacts, cli, detection, dynamics, spectral, tomography
 from levitomo.cli import PipelineSettings, main
 from levitomo.errors import ConfigError, SpectralError
 from levitomo.physics import ExperimentConfig, decoherence_time, derive, from_mapping
@@ -409,6 +409,60 @@ def test_runs_import_no_numpy_ma(tmp_path):
     assert not loaded, f"the runs loaded {sorted(loaded)}"
 
 
+def test_cli_import_loads_no_openssl():
+    """``hashlib`` loads OpenSSL's ``_hashlib``, 3.7 MB resident, which the CLI needs only to digest a run's files."""
+    assert fresh_python("import sys, levitomo.cli; print('_hashlib' in sys.modules)").strip() == "False"
+
+
+def test_fock1_run_loads_openssl_only_after_its_reconstruction(tmp_path):
+    """A fock1 pipeline draws no random numbers, so ``_hashlib`` loads with the first digest, after the last stage,
+    and the back-projection's peak holds no OpenSSL."""
+    argv = ["pipeline", "--state", "fock1", "--out", str(tmp_path)]
+    code = (
+        "import sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from io import StringIO\n"
+        "from levitomo import tomography\n"
+        "from levitomo.cli import main\n"
+        "analyze, seen = tomography.analyze, []\n"
+        "def probed(wigner):\n"
+        "    report = analyze(wigner)\n"
+        "    seen.append('_hashlib' in sys.modules)\n"
+        "    return report\n"
+        "tomography.analyze = probed\n"
+        "with redirect_stdout(StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(*seen, '_hashlib' in sys.modules)"
+    )
+    assert fresh_python(code).split() == ["False", "True"]
+
+
+def test_run_digests_each_file_once_after_its_last_stage(tmp_path, monkeypatch):
+    """Every file a thermal run read or wrote is digested once, and only once the plot-style stage has written."""
+    out, calls, sha256 = tmp_path / "run", [], cli._sha256
+
+    def counted(path):
+        calls.append((path, (out / "plotdata" / "style.json").is_file()))
+        return sha256(path)
+
+    monkeypatch.setattr(cli, "_sha256", counted)
+    assert run(["pipeline", "--config", "reference.cfg", "--seed", 1, "--out", out, "--set", "sim_duration_s=0.1"]) == 0
+    paths = [path for path, _ in calls]
+    assert len(paths) == len(set(paths)) and all(after for _, after in calls)
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert set(paths) == {out / rel for stage in stages for rel in stage["outputs"]} | {Path("reference.cfg")}
+
+
+def test_failed_run_hashes_nothing(tmp_path, monkeypatch, capsys):
+    """A run that fails in a stage writes no manifest, so it digests no file: here the linearity guard at 300 K."""
+    calls = []
+    monkeypatch.setattr(cli, "_sha256", calls.append)
+    argv = ["pipeline", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.1", "--set", "sim_temperature_K=300"]
+    assert run(argv) == 3
+    assert "linearity guard violated" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_decoherence_single_point(tmp_path):
     assert run(
         ["decoherence", "--out", tmp_path, "--zmin", "1e-10", "--zmax", "1e-9", "--npoints", "1"]
@@ -654,13 +708,30 @@ def test_pipeline_fock_oracle_honours_the_cutoff(tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-def test_fock_oracle_at_a_subnormal_cutoff_runs_without_warnings(tmp_path, capsys):
-    """At ``cutoff_fraction=1e-310`` the cutoff frequency is subnormal, and nu / cutoff overflows for every bin above
-    it: the Hann taper is evaluated only on the bins at or below the cutoff, here the DC bin alone."""
-    assert run(["pipeline", "--state", "fock1", "--out", tmp_path, "--set", "cutoff_fraction=1e-310"]) == 0
-    assert capsys.readouterr().err == ""
-    ramp = tomography._ramp_filter(512, 10.0 / 128, 1e-310)
-    assert np.flatnonzero(ramp).tolist() == [0]
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--state", "fock1", "--set", "marginal_grid_points=9", "--set", "cutoff_fraction=5e-324"],
+        ["--config", "reference.cfg", "--set", "sim_duration_s=0.1", "--set", "cutoff_fraction=1e-310"],
+    ],
+    ids=["fock1-9-points", "reference-0.1s"],
+)
+def test_cutoff_that_passes_no_ramp_bin_fails_before_any_stage(tmp_path, capsys, args):
+    """The Hann taper is 0 at the cutoff, so a ``cutoff_fraction`` at or below 2 / n_fft passes the DC bin alone, or
+    underflows to 0 and passes nothing (n_fft is 64 for 9 grid points, 1024 for 129): the run is refused before
+    ``--out`` exists."""
+    out = tmp_path / "run"
+    assert run(["pipeline", "--seed", 1, "--out", out] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cutoff_fraction") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_cutoff_floor_is_two_over_the_padded_length():
+    """9 grid points pad to 64: the floor 2 / 64 is refused, and the next float above it accepted."""
+    with pytest.raises(ConfigError, match=re.escape("cutoff_fraction must be in (2 / 64, 1]")):
+        PipelineSettings(marginal_grid_points=9, cutoff_fraction=2 / 64)
+    assert PipelineSettings(marginal_grid_points=9, cutoff_fraction=math.nextafter(2 / 64, 1.0))
 
 
 def test_pipeline_stage_failure_keeps_partial_artifacts(tmp_path, capsys):

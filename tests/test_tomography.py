@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -520,6 +521,22 @@ def test_inverse_radon_validations():
         inverse_radon(MarginalSet(TWO_PI * np.arange(16) / 16, bad_grid, np.ones((16, 129))))
     with pytest.raises(TomographyError, match="cutoff"):
         inverse_radon(gaussian_marginals(), cutoff_fraction=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_inverse_radon_refuses_a_cutoff_that_passes_no_ramp_bin():
+    """129 grid points pad to 1024 bins, and the Hann taper is 0 at the cutoff: a cutoff at or below 2 / 1024 of the
+    Nyquist frequency passes the DC bin alone (its cutoff frequency subnormal at 1e-310, 0 at 5e-324), and twice that
+    passes bin 1 at half weight."""
+    marginals = gaussian_marginals()
+    for cutoff in (2 / 1024, 1e-310, 5e-324):
+        with pytest.raises(TomographyError, match=re.escape("cutoff_fraction must be in (2 / 1024, 1]")):
+            inverse_radon(marginals, cutoff_fraction=cutoff)
+    dz = marginals.z_grid_m[1] - marginals.z_grid_m[0]
+    assert np.flatnonzero(tomography._ramp_filter(1024, dz, 1e-310)).tolist() == [0]
+    ramp = tomography._ramp_filter(1024, dz, 4 / 1024)
+    assert np.flatnonzero(ramp).tolist() == [0, 1] and ramp[1] == pytest.approx(0.5 / (1024 * dz))
+    assert np.all(np.isfinite(inverse_radon(marginals, cutoff_fraction=4 / 1024).values))
 
 
 GRID = np.linspace(-5.0, 5.0, 129)
