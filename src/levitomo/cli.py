@@ -77,7 +77,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, artifacts, detection, dynamics, spectral, tomography
-from .constants import KB, TWO_PI
+from .constants import TWO_PI
 from .errors import ConfigError, DetectionError, LevitomoError, SimulationError, SpectralError
 from .physics import ExperimentConfig, check_fields, decoherence_curve, derive, from_mapping, load_key_values
 
@@ -121,7 +121,7 @@ class PipelineSettings:
     marginal_grid_points: int = 129
     marginal_span_sigmas: float = 5.0
     cutoff_fraction: float = 0.5
-    psd_segment_len: int = 0  # 0 = auto: largest power of two <= n/4, capped at 2^17
+    psd_segment_len: int = 0  # 0 = auto, as spectral.welch_segments picks it
     psd_overlap: float = 0.5
     decoherence_zmin_m: float = 1e-12
     decoherence_zmax_m: float = 1e-6
@@ -132,16 +132,11 @@ class PipelineSettings:
         positive = ("sim_duration_s", "sim_sample_rate_hz", "sim_temperature_K", "marginal_span_sigmas")
         positive += ("linearity_guard", "decoherence_zmin_m", "decoherence_zmax_m", "decoherence_points")
         check_fields(self, ConfigError, positive, non_negative=("electronic_noise_counts_rms", "coherent_amplitude_m"))
-        if self.n_angles < tomography.MIN_ANGLES:
-            raise ConfigError(f"n_angles must be at least {tomography.MIN_ANGLES}, got {self.n_angles!r}")
+        tomography.check_angles(self.n_angles, error=ConfigError)
         points = self.marginal_grid_points
         if points < tomography.MIN_GRID_SIZE or points % 2 == 0:
             raise ConfigError(f"marginal_grid_points must be odd and >= {tomography.MIN_GRID_SIZE}, got {points!r}")
-        segment, least = self.psd_segment_len, spectral.MIN_SEGMENT_LEN
-        if segment and (segment < least or segment & (segment - 1)):
-            raise ConfigError(f"psd_segment_len must be 0 (auto) or a power of two >= {least}, got {segment!r}")
-        if not 0 <= self.psd_overlap < 1:
-            raise ConfigError(f"psd_overlap must be in [0, 1), got {self.psd_overlap!r}")
+        spectral.welch_segments(None, self.psd_segment_len, self.psd_overlap, ConfigError)
         zmin, zmax = self.decoherence_zmin_m, self.decoherence_zmax_m
         if not zmin < zmax:
             raise ConfigError(f"decoherence_zmin_m must be below decoherence_zmax_m, got {zmin!r} and {zmax!r}")
@@ -258,13 +253,6 @@ class RunManifest:
         artifacts.write_json(self.path, manifest)
 
 
-def _auto_segment_len(n_samples: int, requested: int) -> int:
-    if requested:
-        return requested
-    target = max(n_samples // 4, 8)
-    return min(1 << int(math.floor(math.log2(target))), 1 << 17)
-
-
 # ---------------------------------------------------------------------------
 # stages: each runs as the stage of its name in ``run``, computes one step of
 # the chain and writes its artifacts into ``run.out_dir``
@@ -331,7 +319,7 @@ def _invert(settings, dq, record, counts_path, run) -> dynamics.Trajectory:
     with run.stage("invert", {"counts": counts_path}):
         target_var = None
         if settings.sim_state == "thermal" and settings.shot_noise:
-            target_var = KB * settings.sim_temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
+            target_var = dynamics.thermal_position_variance(dq, settings.sim_temperature_K)
         positions = detection.invert_counts(record, target_variance_m2=target_var)
         axis = {"t0_s": positions.t0_s, "sample_rate_Hz": positions.sample_rate_Hz}
         map_info = {"counts_file": counts_path.name, **positions.meta, **axis, "n_samples": len(positions.z_m)}
@@ -373,6 +361,13 @@ def _save_line(psd, fit, out_dir, scheme) -> None:
     )
 
 
+def _line_window(dq) -> tuple[float, float]:
+    """The band, in Hz, in which the spectral stage fits the line: from half to one and a half times the trap
+    frequency."""
+    f0 = dq.omega_s_rad_s / TWO_PI
+    return 0.5 * f0, 1.5 * f0
+
+
 def _spectral(settings, dq, records, inputs, run) -> dict[str | None, spectral.LorentzianFit]:
     """The spectral stage: each record's spectrum and line fit, whose white floor is the record's noise floor.
 
@@ -383,15 +378,12 @@ def _spectral(settings, dq, records, inputs, run) -> dict[str | None, spectral.L
     Welch pass reuses the first one's buffers; only the fits outlive the
     stage.
     """
-    f0 = dq.omega_s_rad_s / TWO_PI
     with run.stage("spectral", inputs):
-        psds = {}
-        for scheme, series in records.items():
-            segment = _auto_segment_len(len(series.z_m), settings.psd_segment_len)
-            psds[scheme] = spectral.estimate_psd(series.z_m, series.sample_rate_Hz, segment, settings.psd_overlap)
+        welch = settings.psd_segment_len, settings.psd_overlap
+        psds = {key: spectral.estimate_psd(rec.z_m, rec.sample_rate_Hz, *welch) for key, rec in records.items()}
         fits = {}
         for scheme, psd in psds.items():
-            fits[scheme] = spectral.fit_lorentzian(psd, (0.5 * f0, 1.5 * f0))
+            fits[scheme] = spectral.fit_lorentzian(psd, _line_window(dq))
             _save_line(psd, fits[scheme], run.out_dir, scheme)
     return fits
 
@@ -429,9 +421,12 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     parameters and the decoherence curve runs here, before ``--out`` exists:
     each command builds what its stages build, with the builders they call,
     and building a record simulates no sample. ``simulate`` also refuses
-    fock1, however the state was set, and ``pipeline`` a record whose
-    detection windows hold fewer than ``spectral.MIN_SEGMENTS`` Welch
-    segments. fock1 simulates nothing, so its record is not built.
+    fock1, however the state was set, and ``pipeline`` a record whose counts,
+    one sample per detection window, its spectral and tomography stages
+    cannot use: too few Welch segments, too few spectrum bins in the line
+    fit's window, or too few samples to fill the angle bins, by the rules of
+    ``spectral`` and ``tomography``. fock1 simulates nothing, so its record is
+    not built.
     """
     overrides = list(args.set or [])
     for f in fields(PipelineSettings):
@@ -456,14 +451,11 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
             n_windows = n_samples // detection.samples_per_window(config.integration_time_s, rate, n_samples)
         except (DetectionError, SimulationError) as exc:
             raise ConfigError(str(exc)) from None
-        if args.command == "pipeline":  # its spectra are of the counts, one sample per window
-            segment = _auto_segment_len(n_windows, settings.psd_segment_len)
-            n_segments = spectral.segment_count(n_windows, segment, settings.psd_overlap)
-            if n_segments < spectral.MIN_SEGMENTS:
-                raise ConfigError(
-                    f"the record's {n_windows} detection windows hold {n_segments} Welch segments of"
-                    f" psd_segment_len {segment} at psd_overlap {settings.psd_overlap}; need {spectral.MIN_SEGMENTS}"
-                )
+        if args.command == "pipeline":
+            segment = spectral.welch_segments(n_windows, settings.psd_segment_len, settings.psd_overlap, ConfigError)[0]
+            freqs = spectral.bin_frequencies(segment, 1.0 / config.integration_time_s)  # the counts' window rate
+            spectral.window_bins(freqs, _line_window(dq), ConfigError)
+            tomography.check_angles(settings.n_angles, n_windows, ConfigError)
     if args.command in ("decoherence", "pipeline"):
         decoherence_curve(_decoherence_grid(settings), dq)
     return config, settings

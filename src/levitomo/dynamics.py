@@ -155,6 +155,11 @@ def _transition_noise_chol(m: np.ndarray, var_z: float, var_v: float) -> np.ndar
     return np.array([[l11, 0.0], [l21, l22]])
 
 
+def thermal_position_variance(dq: DerivedQuantities, temperature_K: float) -> float:
+    """The equipartition variance k_B T / (m omega_s^2) of the axial position at ``temperature_K``."""
+    return KB * temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
+
+
 def sample_count(duration_s: float, sample_rate_Hz: float) -> int:
     """The samples in a record of ``duration_s`` at ``sample_rate_Hz``: a finite count of at least ``MIN_SAMPLES`` at a
     positive rate, or a :class:`SimulationError`."""
@@ -216,7 +221,7 @@ def simulate_thermal(
             " which never samples the stationary ensemble"
         )
 
-    var_z = KB * temp / (mass * omega**2)
+    var_z = thermal_position_variance(dq, temp)
     var_v = KB * temp / mass
     m = _propagator(omega, xi, 1.0 / sample_rate_Hz)
 

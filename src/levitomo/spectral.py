@@ -54,48 +54,73 @@ def estimate_psd(samples, sample_rate_Hz: float, segment_len: int, overlap_fract
     Each segment is mean-detrended and multiplied by a periodic Hann window;
     the mean of the segment periodograms is scaled to a one-sided density on
     the ``rfft`` frequency grid (Welch, IEEE Trans. Audio Electroacoust. 15,
-    70 (1967)). ``segment_len`` must be a power of two and small enough for at
-    least four (overlapping) segments. ``samples`` is a 1-D array or an
-    ``artifacts.Series``; it is read in one pass, chunk by chunk, carrying the
-    samples from the next segment's start on to the next chunk, and each
-    segment's periodogram is added to a running sum in segment order, so the
-    spectrum does not depend on the chunk length.
+    70 (1967)). The segments are those of :func:`welch_segments`, which picks
+    the length for ``segment_len`` 0 and refuses a segmentation the record
+    cannot hold. ``samples`` is a 1-D array or an ``artifacts.Series``; it is
+    read in one pass, chunk by chunk, carrying the samples from the next
+    segment's start on to the next chunk, and each segment's periodogram is
+    added to a running sum in segment order, so the spectrum does not depend on
+    the chunk length.
     """
     if not isinstance(samples, artifacts.Series) and np.ndim(samples) != 1:
         raise SpectralError("samples must be 1-D")
     x = artifacts.Series.of(samples)
-    if segment_len < MIN_SEGMENT_LEN or segment_len & (segment_len - 1):
-        raise SpectralError(f"segment_len must be a power of two >= {MIN_SEGMENT_LEN}, got {segment_len}")
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise SpectralError("overlap_fraction must be in [0, 1)")
-    step = segment_len - int(segment_len * overlap_fraction)
-    n_segments = segment_count(x.n, segment_len, overlap_fraction)
-    if n_segments < MIN_SEGMENTS:
-        required = segment_len + (MIN_SEGMENTS - 1) * step
-        raise SpectralError(
-            f"{x.n} samples give {n_segments} segments of {segment_len};"
-            f" need at least {required} samples for {MIN_SEGMENTS} segments"
-        )
+    segment_len, step, n_segments = welch_segments(x.n, segment_len, overlap_fraction)
     power = _summed_periodograms(x, segment_len, step)
     power /= n_segments
     # one-sided density: every bin but DC and Nyquist carries its negative-frequency twin; 3 N / 8 is the sum of the
     # squared window
     power *= 2.0 / (sample_rate_Hz * 0.375 * segment_len)
     power[-1] *= 0.5
-    freqs = np.fft.rfftfreq(segment_len, 1.0 / sample_rate_Hz)
     return Psd(
-        freqs_Hz=freqs[1:],
+        freqs_Hz=bin_frequencies(segment_len, sample_rate_Hz),
         power=power[1:],
         n_segments=n_segments,
         segment_len=segment_len,
     )
 
 
-def segment_count(n_samples: int, segment_len: int, overlap_fraction: float) -> int:
-    """The number of Welch segments of ``segment_len`` samples, overlapping by ``overlap_fraction``, in a record of
-    ``n_samples``."""
+def welch_segments(n_samples, segment_len: int, overlap_fraction: float, error: type[Exception] = SpectralError):
+    """The Welch segmentation of a record of ``n_samples`` (an int, or None): (segment length, step, segment count).
+
+    ``segment_len`` (the setting ``psd_segment_len``) is 0, for the largest
+    power of two at most ``n_samples`` / 4 (at least ``MIN_SEGMENT_LEN``, at
+    most 2^17), or a power of two of at least ``MIN_SEGMENT_LEN``;
+    ``overlap_fraction`` (``psd_overlap``) lies in [0, 1); and the record
+    holds at least ``MIN_SEGMENTS`` segments. A setting that breaks a rule
+    raises ``error``. With ``n_samples`` None only the two settings are
+    checked, and None is returned.
+    """
+    if segment_len and (segment_len < MIN_SEGMENT_LEN or segment_len & (segment_len - 1)):
+        raise error(f"psd_segment_len must be 0 (auto) or a power of two >= {MIN_SEGMENT_LEN}, got {segment_len!r}")
+    if not 0.0 <= overlap_fraction < 1.0:
+        raise error(f"psd_overlap must be in [0, 1), got {overlap_fraction!r}")
+    if n_samples is None:
+        return None
+    segment_len = segment_len or min(1 << (max(n_samples // 4, MIN_SEGMENT_LEN).bit_length() - 1), 1 << 17)
     step = segment_len - int(segment_len * overlap_fraction)
-    return 0 if n_samples < segment_len else 1 + (n_samples - segment_len) // step
+    least = segment_len + (MIN_SEGMENTS - 1) * step
+    if n_samples < least:
+        raise error(
+            f"{n_samples} samples are too few for Welch segments of psd_segment_len {segment_len} at psd_overlap"
+            f" {overlap_fraction}: need {MIN_SEGMENTS}, which need at least {least} samples"
+        )
+    return segment_len, step, 1 + (n_samples - segment_len) // step
+
+
+def bin_frequencies(segment_len: int, sample_rate_Hz: float) -> np.ndarray:
+    """The frequencies (Hz) of the bins of a Welch spectrum of ``segment_len``-sample segments, DC dropped."""
+    return np.fft.rfftfreq(segment_len, 1.0 / sample_rate_Hz)[1:]
+
+
+def window_bins(freqs_Hz: np.ndarray, guess_window: tuple[float, float], error: type[Exception] = SpectralError):
+    """The mask of the bins at ``freqs_Hz`` in the line fit's ``guess_window`` (f_lo, f_hi) Hz; ``error`` when it
+    holds fewer than 8, too few to place a line in."""
+    f_lo, f_hi = guess_window
+    in_window = (freqs_Hz >= f_lo) & (freqs_Hz <= f_hi)
+    if np.count_nonzero(in_window) < 8:
+        raise error(f"guess window [{f_lo:g}, {f_hi:g}] Hz holds fewer than 8 PSD bins of {freqs_Hz[0]:g} Hz")
+    return in_window
 
 
 def _summed_periodograms(x: artifacts.Series, segment_len: int, step: int) -> np.ndarray:
@@ -175,9 +200,7 @@ def _median(values: np.ndarray) -> float:
 def _line_guess(psd: Psd, guess_window: tuple[float, float]) -> np.ndarray:
     """Starting (omega0, xi, amplitude, floor) of the line fit, which also scales its coordinates."""
     f_lo, f_hi = guess_window
-    in_window = (psd.freqs_Hz >= f_lo) & (psd.freqs_Hz <= f_hi)
-    if np.count_nonzero(in_window) < 8:
-        raise SpectralError(f"guess window [{f_lo:g}, {f_hi:g}] Hz holds fewer than 8 PSD bins")
+    in_window = window_bins(psd.freqs_Hz, guess_window)
     f_win = psd.freqs_Hz[in_window]
     p_win = psd.power[in_window]
     peak_idx = int(np.argmax(p_win))

@@ -100,13 +100,25 @@ class MarginalSet:
     def __post_init__(self):
         for name in ("angles_rad", "z_grid_m", "densities"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.angles_rad.ndim != 1 or self.angles_rad.size < MIN_ANGLES:
-            raise TomographyError(f"need at least {MIN_ANGLES} angles, got {self.angles_rad.size}")
+        check_angles(self.angles_rad.size)
         if np.any(self.angles_rad < 0) or np.any(self.angles_rad >= TWO_PI):
             raise TomographyError("angles must lie in [0, 2 pi)")
         _check_z_grid(self.z_grid_m)
-        if self.densities.shape != (self.angles_rad.size, self.z_grid_m.size):
-            raise TomographyError("densities must have shape (n_angles, n_z)")
+        if self.angles_rad.ndim != 1 or self.densities.shape != (self.angles_rad.size, self.z_grid_m.size):
+            raise TomographyError("angles must be 1-D and densities of shape (n_angles, n_z)")
+
+
+def check_angles(n_angles: int, n_samples: int | None = None, error: type[Exception] = TomographyError) -> None:
+    """Raise ``error`` unless there are at least ``MIN_ANGLES`` angles and, given the ``n_samples`` a record bins,
+    samples enough to put ``DEFAULT_MIN_OCCUPANCY`` in every angle bin.
+
+    The second is the pigeonhole bound of :func:`bin_marginals`' occupancy rule: a record below it leaves some bin
+    short, and one that meets it can still do so, as its phases need not fall evenly on the bins.
+    """
+    if n_angles < MIN_ANGLES:
+        raise error(f"need at least {MIN_ANGLES} angles, got n_angles = {n_angles!r}")
+    if n_samples is not None and n_samples < n_angles * DEFAULT_MIN_OCCUPANCY:
+        raise error(f"{n_samples} samples cannot put {DEFAULT_MIN_OCCUPANCY} in each of n_angles = {n_angles} bins")
 
 
 def default_z_grid(samples, n_points: int = DEFAULT_GRID_POINTS, span_sigmas: float = DEFAULT_SPAN_SIGMAS):
@@ -139,8 +151,7 @@ def bin_marginals(
     """
     if omega_hat <= 0:
         raise TomographyError(f"omega_hat must be positive, got {omega_hat!r}")
-    if n_angles < MIN_ANGLES:
-        raise TomographyError(f"need at least {MIN_ANGLES} angle bins, got {n_angles}")
+    check_angles(n_angles)
     n_periods = samples.duration_s * omega_hat / TWO_PI
     if n_periods < MIN_PERIODS:
         raise TomographyError(

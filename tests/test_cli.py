@@ -243,6 +243,42 @@ def test_record_with_too_few_welch_segments_fails_before_any_stage(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "setting, refusal",
+    [
+        ("psd_segment_len=64", "holds fewer than 8 PSD bins of 15625 Hz"),
+        ("n_angles=1001", f"put {tomography.DEFAULT_MIN_OCCUPANCY} in each of n_angles = 1001 bins"),
+    ],
+    ids=["line-window", "angle-bins"],
+)
+def test_counts_the_stages_cannot_use_fail_before_any_stage(tmp_path, capsys, setting, refusal):
+    """The 0.1 s record's 100000 windows at 1 MHz: 64-sample segments leave the line fit's 35-105 kHz window 4
+    bins, and no phase binning puts 100 samples in each of 1001 angle bins."""
+    out = tmp_path / "run"
+    assert run(["pipeline", "--seed", 1, "--out", out, "--set", "sim_duration_s=0.1", "--set", setting]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+    assert refusal in err
+    assert not out.exists()
+
+
+def test_line_window_of_nine_bins_runs(tmp_path):
+    """128-sample segments give the line fit's window 9 bins, enough to fit in."""
+    sets = ["--set", "sim_duration_s=0.1", "--set", "psd_segment_len=128"]
+    assert run(["pipeline", "--seed", 1, "--out", tmp_path] + sets) == 0
+    assert json.loads((tmp_path / "psd_ch.json").read_text())["df_Hz"] == 7812.5
+
+
+@pytest.mark.parametrize("segment_len", [1000, 4])
+def test_settings_and_welch_refuse_a_segment_length_in_the_same_words(segment_len):
+    with pytest.raises(ConfigError) as config_error:
+        PipelineSettings(psd_segment_len=segment_len)
+    with pytest.raises(SpectralError) as spectral_error:
+        spectral.estimate_psd(np.zeros(1 << 12), 1.0, segment_len)
+    assert str(config_error.value) == str(spectral_error.value)
+    assert f"got {segment_len}" in str(spectral_error.value)
+
+
 def test_fock1_pipeline_ignores_the_record_size(tmp_path, capsys):
     """fock1 simulates no record, so a sample count that would overflow does not stop it."""
     sets = ["--set", "sim_duration_s=1e300", "--set", "sim_sample_rate_hz=1e300"]
@@ -736,7 +772,7 @@ def test_cutoff_floor_is_two_over_the_padded_length():
 
 def test_pipeline_stage_failure_keeps_partial_artifacts(tmp_path, capsys):
     code = run(
-        ["pipeline", "--seed", 5, "--out", tmp_path] + FAST_PIPELINE + ["--set", "n_angles=2000"]
+        ["pipeline", "--seed", 5, "--out", tmp_path] + FAST_PIPELINE + ["--set", "n_angles=1000"]
     )
     assert code == 3
     assert "under-sampled" in capsys.readouterr().err
@@ -844,7 +880,7 @@ def test_failed_rerun_leaves_no_result_of_the_earlier_run(tmp_path, capsys):
     """A rerun into the same ``--out`` that fails leaves only ``.partial`` names, the earlier run's results included."""
     assert run(["pipeline", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.1"]) == 0
     assert (tmp_path / "manifest.json").is_file() and (tmp_path / "wigner.npy").is_file()
-    rerun = ["pipeline", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.1", "--set", "n_angles=5000"]
+    rerun = ["pipeline", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.1", "--set", "n_angles=1000"]
     assert run(rerun) == 3
     assert "under-sampled" in capsys.readouterr().err
     left = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*") if path.is_file())
