@@ -46,16 +46,20 @@ thermal record, or the counts of ``detect`` and of a thermal or coherent
 go to its sibling ``timings.json`` (``timings_<command>.json``), outside the
 manifest so re-runs are byte-identical.
 
-``main`` drives every subcommand the same way. It resolves the settings
-before ``--out`` exists, then runs the subcommand's body on a
-:class:`RunManifest` inside an ``artifacts.journal`` that lists every file
-the body writes, and writes the manifest. On success it prints the body's
-report (``derive``, ``tomo``) or ``wrote`` and every file written. On failure
-it renames every file written to ``<name>.partial``, and so too the results
-the same command's earlier manifest lists in ``--out``, and exits 2 for a
-configuration error or 3 for a stage failure, a file that cannot be read or
-written, a report that holds NaN or infinity or an array too large to
-allocate, with one line on stderr.
+``main`` drives every subcommand the same way, and its exit code says when
+the run failed, not what failed it. It resolves and checks the settings
+before ``--out`` exists: any package error, file that cannot be read (the
+``--config`` file too) or array too large to allocate there exits 2 with one
+``configuration error:`` line, and nothing is written. Then it runs the
+subcommand's body on a :class:`RunManifest` inside an ``artifacts.journal``
+that lists every file the body writes, and writes the manifest. On success
+it prints the body's report (``derive``, ``tomo``) or ``wrote`` and every
+file written. Any of those failures from here on, of whatever class (a
+stage's refusal, a file that cannot be read or written, a report that holds
+NaN or infinity, an array too large to allocate), renames every file written
+to ``<name>.partial``, and so too the results the same command's earlier
+manifest lists in ``--out``, and exits 3 with one ``<command> stage failed:``
+line on stderr.
 """
 from __future__ import annotations
 
@@ -78,7 +82,7 @@ import numpy as np
 
 from . import __version__, artifacts, detection, dynamics, spectral, tomography
 from .constants import TWO_PI
-from .errors import ConfigError, DetectionError, LevitomoError, SimulationError, SpectralError
+from .errors import ConfigError, LevitomoError, SimulationError, SpectralError
 from .physics import ExperimentConfig, check_fields, decoherence_curve, derive, from_mapping, load_key_values
 
 # allowed values of the settings that name a choice
@@ -283,7 +287,10 @@ def _decoherence_grid(settings) -> np.ndarray:
     """The superposition sizes of the decoherence curve: ``decoherence_points`` log-spaced from
     ``decoherence_zmin_m`` to ``decoherence_zmax_m``."""
     zmin, zmax, n = settings.decoherence_zmin_m, settings.decoherence_zmax_m, settings.decoherence_points
-    return np.logspace(math.log10(zmin), math.log10(zmax), n) if n > 1 else np.array([zmin])
+    try:
+        return np.logspace(math.log10(zmin), math.log10(zmax), n) if n > 1 else np.array([zmin])
+    except ValueError as exc:  # numpy refuses, by size arithmetic, an array it cannot address
+        raise ConfigError(f"decoherence_points = {n} is more points than an array can hold ({exc})") from None
 
 
 def _detection_params(config, settings, scheme) -> detection.DetectionParams:
@@ -426,7 +433,10 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     cannot use: too few Welch segments, too few spectrum bins in the line
     fit's window, or too few samples to fill the angle bins, by the rules of
     ``spectral`` and ``tomography``. fock1 simulates nothing, so its record is
-    not built.
+    not built. Each check's error refuses the run as the check raised it:
+    ``main`` exits 2 on any package error, ``OSError`` or ``MemoryError`` from
+    here. Only the sample count's message is reworded, to name the two
+    settings it multiplies.
     """
     overrides = list(args.set or [])
     for f in fields(PipelineSettings):
@@ -437,25 +447,19 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     if args.command == "simulate" and settings.sim_state == "fock1":
         raise ConfigError("state 'fock1' has no trajectory simulation (fock1 is an oracle state)")
     if args.command == "detect" or (args.command == "pipeline" and settings.sim_state != "fock1"):
-        try:
-            _detection_params(config, settings, detection.SCHEMES[0])  # its count bounds are those of every scheme
-        except DetectionError as exc:
-            raise ConfigError(str(exc)) from None
+        _detection_params(config, settings, detection.SCHEMES[0])  # its count bounds are those of every scheme
     if args.command in ("simulate", "pipeline") and settings.sim_state != "fock1":
         try:  # the simulators size a record by this rule too, but name their arguments, not these settings
             n_samples = dynamics.sample_count(settings.sim_duration_s, settings.sim_sample_rate_hz)
         except SimulationError as exc:
-            raise ConfigError(f"sim_duration_s and sim_sample_rate_hz: {exc}") from None
-        try:
-            rate = _record(config, settings, args.seed).sample_rate_Hz
-            n_windows = n_samples // detection.samples_per_window(config.integration_time_s, rate, n_samples)
-        except (DetectionError, SimulationError) as exc:
-            raise ConfigError(str(exc)) from None
+            raise SimulationError(f"sim_duration_s and sim_sample_rate_hz: {exc}") from None
+        rate = _record(config, settings, args.seed).sample_rate_Hz
+        n_windows = n_samples // detection.samples_per_window(config.integration_time_s, rate, n_samples)
         if args.command == "pipeline":
-            segment = spectral.welch_segments(n_windows, settings.psd_segment_len, settings.psd_overlap, ConfigError)[0]
+            segment = spectral.welch_segments(n_windows, settings.psd_segment_len, settings.psd_overlap)[0]
             freqs = spectral.bin_frequencies(segment, 1.0 / config.integration_time_s)  # the counts' window rate
-            spectral.window_bins(freqs, _line_window(dq), ConfigError)
-            tomography.check_angles(settings.n_angles, n_windows, ConfigError)
+            spectral.window_bins(freqs, _line_window(dq))
+            tomography.check_angles(settings.n_angles, n_windows)
     if args.command in ("decoherence", "pipeline"):
         decoherence_curve(_decoherence_grid(settings), dq)
     return config, settings
@@ -536,7 +540,7 @@ def cmd_pipeline(args, config, settings, run) -> None:
             "kind": "line",
         }
         linear = {scheme: detection.invert_counts(record) for scheme, record in records.items()}
-        fits = _spectral(settings, dq, linear, {}, run)
+        fits = _spectral(settings, dq, linear, {f"counts_{s}": out_dir / f"counts_{s}.npy" for s in records}, run)
         figures["fig2d"] = {
             "file": [f"psd_{scheme}.npy" for scheme in fits],
             "x": "(k + 1) * df_Hz",
@@ -666,16 +670,26 @@ def _retire_earlier_run(run: RunManifest) -> None:
             path.rename(path.with_name(path.name + ".partial"))
 
 
+# what a run fails with, whatever its class: before ``--out`` exists a configuration error, after it a stage failure
+_FAILURES = (LevitomoError, OSError, MemoryError)
+
+
 def main(argv=None) -> int:
     """Run one subcommand: settings first, then the body on its :class:`RunManifest`, every file it writes journaled.
 
-    A body that fails leaves each file it wrote as ``<name>.partial``, and retires the results of the same
-    command's earlier run into the same ``--out`` (:func:`_retire_earlier_run`).
+    The exit code follows the phase a run fails in, not the class of what failed it. A failure of :func:`_load`
+    (one of ``_FAILURES``) exits 2 before ``--out`` exists; one of the body exits 3, leaves each file it wrote as
+    ``<name>.partial``, and retires the results of the same command's earlier run into the same ``--out``
+    (:func:`_retire_earlier_run`). Any other exception of the body marks the files too, then propagates.
     """
     args = build_parser().parse_args(argv)
     try:
         config, settings = _load(args)
-        run = RunManifest(args.command, args.seed, Path(args.out))
+    except _FAILURES as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    run = RunManifest(args.command, args.seed, Path(args.out))
+    try:
         with artifacts.journal() as written:
             try:
                 run.out_dir.mkdir(parents=True, exist_ok=True)
@@ -687,10 +701,7 @@ def main(argv=None) -> int:
                         path.rename(path.with_name(path.name + ".partial"))
                 _retire_earlier_run(run)
                 raise
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (LevitomoError, OSError, MemoryError) as exc:
+    except _FAILURES as exc:
         print(f"{args.command} stage failed: {exc}", file=sys.stderr)
         return 3
     print(artifacts.dumps(report) if report is not None else "wrote " + ", ".join(map(str, written)))

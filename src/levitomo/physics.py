@@ -136,7 +136,7 @@ def _coerce(key: str, raw, kind):
 
 
 def load_key_values(path: str | Path) -> dict[str, str]:
-    """Parse a flat ``name = value`` configuration file.
+    """Parse a flat ``name = value`` configuration file of UTF-8 text.
 
     One pair per line; blank lines and ``#`` comments (whole-line or trailing)
     are ignored. Duplicate keys are an error so typos cannot shadow values.
@@ -144,8 +144,12 @@ def load_key_values(path: str | Path) -> dict[str, str]:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"configuration file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 text file ({exc})") from None
     result: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

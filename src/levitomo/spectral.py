@@ -113,13 +113,13 @@ def bin_frequencies(segment_len: int, sample_rate_Hz: float) -> np.ndarray:
     return np.fft.rfftfreq(segment_len, 1.0 / sample_rate_Hz)[1:]
 
 
-def window_bins(freqs_Hz: np.ndarray, guess_window: tuple[float, float], error: type[Exception] = SpectralError):
-    """The mask of the bins at ``freqs_Hz`` in the line fit's ``guess_window`` (f_lo, f_hi) Hz; ``error`` when it
-    holds fewer than 8, too few to place a line in."""
+def window_bins(freqs_Hz: np.ndarray, guess_window: tuple[float, float]):
+    """The mask of the bins at ``freqs_Hz`` in the line fit's ``guess_window`` (f_lo, f_hi) Hz; a
+    :class:`SpectralError` when it holds fewer than 8, too few to place a line in."""
     f_lo, f_hi = guess_window
     in_window = (freqs_Hz >= f_lo) & (freqs_Hz <= f_hi)
     if np.count_nonzero(in_window) < 8:
-        raise error(f"guess window [{f_lo:g}, {f_hi:g}] Hz holds fewer than 8 PSD bins of {freqs_Hz[0]:g} Hz")
+        raise SpectralError(f"guess window [{f_lo:g}, {f_hi:g}] Hz holds fewer than 8 PSD bins of {freqs_Hz[0]:g} Hz")
     return in_window
 
 

@@ -80,6 +80,28 @@ def test_unknown_set_key_exits_2(tmp_path, capsys):
     assert "wavelenth_m" in capsys.readouterr().err
 
 
+def test_set_without_a_value_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(["derive", "--out", out, "--set", "power_W"]) == 2
+    assert capsys.readouterr().err == "configuration error: --set expects key=value, got 'power_W'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [None, b"power_W = 0.65\n\xff\xfe = 1\n"], ids=["name-too-long", "not-utf8"])
+def test_config_file_that_cannot_be_read_fails_before_any_stage(tmp_path, capsys, content):
+    """The configuration is read before ``--out`` exists, so a file whose name the file system refuses, or whose
+    bytes are not UTF-8 text, is a configuration error, whatever raised it: exit 2, one stderr line, no ``--out``."""
+    config, out = tmp_path / ("a" * 5000), tmp_path / "run"
+    if content is not None:
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(content)
+    assert run(["derive", "--config", config, "--out", out]) == 2
+    err = capsys.readouterr().err
+    named = "File name too long" if content is None else f"{config}: not a UTF-8 text file"
+    assert err.startswith("configuration error: ") and named in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["90.7", "abc", "90.0", "1e2", ""])
 def test_integer_setting_is_never_truncated(tmp_path, capsys, value):
     assert run(["derive", "--out", tmp_path, "--set", f"n_angles={value}"]) == 2
@@ -306,6 +328,15 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_non_integer_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exit_info:
+        run(["derive", "--seed", "abc", "--out", out])
+    assert exit_info.value.code == 2
+    assert "--seed: expected a non-negative integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unparsable_float_setting_exits_2(tmp_path, capsys):
     assert run(["derive", "--out", tmp_path, "--set", "sim_duration_s=abc"]) == 2
     assert "sim_duration_s" in capsys.readouterr().err
@@ -341,6 +372,18 @@ def test_integer_settings_accept_integer_literals():
     mapping = {"n_angles": " 120 ", "psd_segment_len": "+4096", "decoherence_points": 7}
     settings = from_mapping(PipelineSettings, mapping)
     assert (settings.n_angles, settings.psd_segment_len, settings.decoherence_points) == (120, 4096, 7)
+
+
+def test_boolean_settings_set_true(tmp_path, capsys):
+    """``true`` and ``yes`` set a boolean; the textbook Rayleigh form scales the scattering rate by eps_c / 3."""
+    config, settings = cli.resolve_settings(None, ["rayleigh_standard_form=true", "shot_noise=yes"])
+    assert config.rayleigh_standard_form is True and settings.shot_noise is True
+    assert run(["derive", "--out", tmp_path / "plain"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert run(["derive", "--out", tmp_path / "standard", "--set", "rayleigh_standard_form=true"]) == 0
+    standard = json.loads(capsys.readouterr().out)
+    ratio = plain["epsilon_c"] / 3.0
+    assert standard["gamma_scatter_per_s"] == pytest.approx(ratio * plain["gamma_scatter_per_s"], rel=1e-12)
 
 
 @pytest.mark.parametrize("cls, count", [(ExperimentConfig, 15), (PipelineSettings, 20)])
@@ -547,6 +590,34 @@ def test_decoherence_doubling_power_halves_saturated_tau(tmp_path):
 
 def test_decoherence_invalid_range(tmp_path, capsys):
     assert run(["decoherence", "--out", tmp_path, "--zmin", "1e-9", "--zmax", "1e-10"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decoherence", "--npoints", 2**62], ["pipeline", "--set", f"decoherence_points={2**62}"] + FAST_PIPELINE],
+    ids=["decoherence", "pipeline"],
+)
+def test_decoherence_grid_numpy_cannot_address_fails_before_any_stage(tmp_path, capsys, argv):
+    """numpy refuses a grid of 2^62 points by its size arithmetic, before it allocates anything."""
+    out = tmp_path / "run"
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: decoherence_points = {2**62} ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_decoherence_grid_too_large_to_allocate_fails_before_any_stage(tmp_path, capsys, monkeypatch):
+    """A ``MemoryError`` of the pre-flight is a configuration error too. It is raised by a stand-in here: a real grid
+    of 10^12 points could be allocated on a host that overcommits memory, and then filled."""
+
+    def unable_to_allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(np, "logspace", unable_to_allocate)
+    out = tmp_path / "run"
+    assert run(["decoherence", "--npoints", 10**12, "--out", out]) == 2
+    assert capsys.readouterr().err == "configuration error: Unable to allocate 7.28 TiB for an array\n"
+    assert not out.exists()
 
 
 def test_simulate_then_detect_then_psd(tmp_path):
@@ -876,6 +947,19 @@ def test_failed_back_projection_worker_is_a_stage_failure(tmp_path, capsys, monk
     assert not (tmp_path / "wigner.npy").exists() and not (tmp_path / "analyze.json").exists()
 
 
+def test_configuration_error_inside_a_stage_is_a_stage_failure(tmp_path, capsys, monkeypatch):
+    """The exit code follows when a run fails, not the class of what failed it: once ``--out`` exists, even a
+    :class:`ConfigError` exits 3 and leaves the files written so far ``.partial``."""
+
+    def refused(wigner):
+        raise ConfigError("analysis refused")
+
+    monkeypatch.setattr(tomography, "analyze", refused)
+    assert run(["pipeline", "--state", "fock1", "--seed", 1, "--out", tmp_path]) == 3
+    assert capsys.readouterr().err == "pipeline stage failed: analysis refused\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["derived.json.partial"]
+
+
 def test_failed_rerun_leaves_no_result_of_the_earlier_run(tmp_path, capsys):
     """A rerun into the same ``--out`` that fails leaves only ``.partial`` names, the earlier run's results included."""
     assert run(["pipeline", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.1"]) == 0
@@ -886,6 +970,19 @@ def test_failed_rerun_leaves_no_result_of_the_earlier_run(tmp_path, capsys):
     left = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*") if path.is_file())
     assert "manifest.json.partial" in left and "plotdata/style.json.partial" in left
     assert [name for name in left if not name.endswith(".partial")] == []
+
+
+def test_failed_rerun_retires_an_earlier_manifest_that_is_not_json(tmp_path, capsys):
+    """An earlier manifest that cannot be read lists no result: a failed rerun retires it and its timings, and every
+    other file in ``--out`` keeps its name."""
+    (tmp_path / "manifest.json").write_text("not json")
+    (tmp_path / "timings.json").write_text("{}")
+    (tmp_path / "notes.txt").write_text("kept")
+    (tmp_path / "derived.json").mkdir()  # the first file the run writes cannot be written
+    assert run(["pipeline", "--state", "fock1", "--out", tmp_path]) == 3
+    assert capsys.readouterr().err.startswith("pipeline stage failed: ")
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == ["derived.json", "manifest.json.partial", "notes.txt", "timings.json.partial"]
 
 
 def test_failed_stage_subcommand_keeps_the_record_it_read(tmp_path, capsys):
@@ -985,6 +1082,32 @@ def test_fitted_floors_are_the_detection_models(reference_run):
     assert floors[0] / floors[1] == pytest.approx(2.0, rel=0.03)
 
 
+def test_spectral_stage_names_the_count_files_it_reads(reference_run):
+    """The pipeline's spectral stage reads each scheme's counts: its inputs give each file the digest detect gave it."""
+    stages = {stage["name"]: stage for stage in json.loads((reference_run / "manifest.json").read_text())["stages"]}
+    detected = stages["detect"]["outputs"]
+    assert stages["spectral"]["inputs"] == {f"counts_{s}": detected[f"counts_{s}.npy"] for s in ("ch", "cbh")}
+
+
+# the files of one scheme that the detect and spectral stages write, in sorted order
+SCHEME_FILES = ("counts_{}.json", "counts_{}.npy", "fit_{}.json", "psd_{}.json", "psd_{}.npy")
+
+
+@pytest.mark.parametrize("scheme", ["ch", "cbh"])
+def test_single_scheme_pipeline_writes_that_schemes_files_of_the_both_scheme_run(tmp_path, reference_run, scheme):
+    """``--scheme`` runs one scheme: its counts, spectrum and line fit are the both-scheme run's bytes, and no file of
+    the other scheme is written. The record's reconstruction reads the cbh counts when they are run, else the ch."""
+    argv = ["pipeline", "--config", "reference.cfg", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.1"]
+    assert run(argv + ["--scheme", scheme]) == 0
+    names = [name.format(scheme) for name in SCHEME_FILES]
+    assert sorted(path.name for glob in ("counts_*", "fit_*", "psd_*") for path in tmp_path.glob(glob)) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (reference_run / name).read_bytes(), name
+    assert json.loads((tmp_path / "calibration.json").read_text())["counts_file"] == f"counts_{scheme}.npy"
+    if scheme == "cbh":
+        assert (tmp_path / "wigner.npy").read_bytes() == (reference_run / "wigner.npy").read_bytes()
+
+
 def test_missing_trajectory_exits_3_with_one_line(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert run(["psd", "--traj", missing, "--out", tmp_path]) == 3
@@ -1035,6 +1158,22 @@ def test_legacy_crlf_trajectory_loads_through_traj(tmp_path):
             first = (tmp_path / f"{command}0" / name).read_bytes()
             for n in (1, 2):
                 assert (tmp_path / f"{command}{n}" / name).read_bytes() == first, (command, name)
+
+
+def test_csv_trajectory_without_a_sidecar_takes_its_axis_from_the_time_column(tmp_path):
+    """A ``t_s,z_m`` table's sidecar is optional: with none, ``t0_s`` is the first time and the rate one over the
+    mean step, and the stages run on it."""
+    assert run(["simulate", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
+    record = dynamics.load_trajectory(tmp_path / "trajectory.npy")
+    table = tmp_path / "bare" / "trajectory.csv"
+    table.parent.mkdir()
+    csv_copy(tmp_path / "trajectory.npy").rename(table)
+    assert not artifacts.sidecar(table).exists()
+    loaded = dynamics.load_trajectory(table)
+    assert loaded.z_m.values().tobytes() == record.z_m.values().tobytes()
+    assert loaded.t0_s == record.t0_s and loaded.sample_rate_Hz == pytest.approx(record.sample_rate_Hz, rel=1e-9)
+    assert run(["psd", "--seed", 1, "--traj", table, "--out", tmp_path / "psd"] + FAST_PIPELINE) == 0
+    assert (tmp_path / "psd" / "fit.json").is_file()
 
 
 def stage_input(folder: Path, command: str, seed: int = 1) -> list:
