@@ -2,11 +2,16 @@
 
 Every file the package creates is written here, so this module also knows
 which files a run wrote: each open :func:`journal` gets the path of every file
-before the file is opened.
+before the file is opened. Every file a run reads back (a record and its
+sidecar, a line fit, an earlier run's manifest) is read here too, by one rule:
+what the writer would refuse to write is refused on reading, with an
+``ArtifactError`` that names the file.
 
 JSON is written with two-space indentation and sorted keys, one trailing
 newline on disk, and finite numbers only: a NaN or an infinity fails the write
-with an ``ArtifactError``.
+with an ``ArtifactError``. :func:`read_json` reads one object back and refuses
+a number key that holds ``NaN``, ``Infinity`` or an integer beyond a float's
+range, which JSON readers accept.
 
 Every numeric table (a bulk series, a spectrum, the marginals, the Wigner
 grid, the decoherence curve) is one little-endian ``.npy`` array, written
@@ -21,8 +26,9 @@ file, so no stage of the record chain holds a whole record.
 :func:`write_series` writes the ``.npy`` header for the known length, then
 appends each chunk, refusing a sample its dtype would not hold exactly;
 :func:`read_series` reads a file back with plain reads, because the pages of a
-memory map count toward the resident set, and widens int32 counts to float64,
-which holds every one exactly. A statistic of a whole record
+memory map count toward the resident set, widens int32 counts to float64,
+which holds every one exactly, and refuses a non-finite sample of a
+floating-point file in the pass that reaches it. A statistic of a whole record
 (:meth:`Series.moments`) runs over fixed ``BLOCK_SAMPLES`` blocks, so no
 artifact depends on the chunk length.
 """
@@ -32,6 +38,7 @@ from __future__ import annotations
 import errno
 import json
 import shutil
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -93,6 +100,29 @@ def write_json(path: str | Path, payload) -> Path:
         except ArtifactError as exc:
             raise ArtifactError(f"{path}: {exc}") from None
     return path
+
+
+def read_json(path: str | Path, numbers: Iterable[str] = ()) -> dict:
+    """The JSON object in the UTF-8 file at ``path``, each present key of ``numbers`` an int or float that a float
+    holds finitely.
+
+    Text that is not JSON, a value that is not an object, or such a key with
+    any other value (a string, a boolean, ``null``, ``NaN``, ``Infinity``, an
+    integer beyond a float's range) is an ``ArtifactError`` that begins with
+    the path. A file that cannot be opened raises its ``OSError``.
+    """
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise ArtifactError(f"{path} is not JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ArtifactError(f"{path} is not a JSON object")
+    for key in numbers:
+        value = payload.get(key, 0.0)  # an absent key is the caller's to require
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ArtifactError(f"{path} holds {key} {value!r}, not a finite number")
+    return payload
 
 
 def sidecar(path: str | Path) -> Path:
@@ -231,7 +261,9 @@ def read_series(path: str | Path) -> Series:
     """The 1-D floating-point or ``<i4`` ``.npy`` array at ``path`` as a float64 series read back chunk by chunk; no
     pickle is loaded. float64 holds every int32 exactly.
 
-    Raises ``ValueError`` for a file that is not such an array, saying why; any other dtype is named.
+    Raises ``ValueError`` for a file that is not such an array, saying why; any other dtype is named. A pass raises
+    an ``ArtifactError`` at the first non-finite sample of a floating-point file it reaches, naming the file and the
+    sample, and an ``OSError`` if the file ends early.
     """
     path = Path(path)
     try:
@@ -262,6 +294,9 @@ def read_series(path: str | Path) -> Series:
                 chunk = np.fromfile(fh, dtype=dtype, count=count)
                 if chunk.size != count:  # the file shrank after it was opened
                     raise OSError(f"{path}: ends at value {first + chunk.size} of {n}")
+                if dtype.kind == "f" and not np.isfinite(chunk).all():  # an int32 count is always finite
+                    bad = first + int(np.flatnonzero(~np.isfinite(chunk))[0])
+                    raise ArtifactError(f"{path}: sample {bad} holds a non-finite value")
                 yield chunk.astype(float, copy=False)
 
     return Series(n, read)

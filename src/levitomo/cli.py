@@ -48,15 +48,17 @@ manifest so re-runs are byte-identical.
 
 ``main`` drives every subcommand the same way, and its exit code says when
 the run failed, not what failed it. It resolves and checks the settings
-before ``--out`` exists: any package error, file that cannot be read (the
-``--config`` file too) or array too large to allocate there exits 2 with one
+before ``--out`` exists, then makes ``--out``: any package error, file that
+cannot be read (the ``--config`` file too), array too large to allocate or
+``--out`` that cannot be made (an existing file, say) there exits 2 with one
 ``configuration error:`` line, and nothing is written. Then it runs the
 subcommand's body on a :class:`RunManifest` inside an ``artifacts.journal``
 that lists every file the body writes, and writes the manifest. On success
 it prints the body's report (``derive``, ``tomo``) or ``wrote`` and every
 file written. Any of those failures from here on, of whatever class (a
-stage's refusal, a file that cannot be read or written, a report that holds
-NaN or infinity, an array too large to allocate), renames every file written
+stage's refusal, a file that cannot be read or written, a file read back
+that ``artifacts`` refuses, a report that holds NaN or infinity, an array
+too large to allocate), renames every file written
 to ``<name>.partial``, and so too the results the same command's earlier
 manifest lists in ``--out``, and exits 3 with one ``<command> stage failed:``
 line on stderr.
@@ -70,7 +72,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -82,7 +83,7 @@ import numpy as np
 
 from . import __version__, artifacts, detection, dynamics, spectral, tomography
 from .constants import TWO_PI
-from .errors import ConfigError, LevitomoError, SimulationError, SpectralError
+from .errors import ArtifactError, ConfigError, LevitomoError, SimulationError, SpectralError
 from .physics import ExperimentConfig, check_fields, decoherence_curve, derive, from_mapping, load_key_values
 
 # allowed values of the settings that name a choice
@@ -488,14 +489,11 @@ def cmd_psd(args, config, settings, run) -> None:
 
 
 def _fitted_omega0(path: Path) -> float:
-    """The ``omega0_rad_s`` of the line fit that ``psd`` wrote to ``path``; a file that is not JSON or holds no
-    finite positive number there raises :class:`SpectralError` naming it."""
-    try:
-        fit = json.loads(path.read_text())
-    except ValueError as exc:
-        raise SpectralError(f"{path}: not a JSON line fit ({exc})") from None
-    omega0 = fit.get("omega0_rad_s") if isinstance(fit, dict) else None
-    if type(omega0) not in (int, float) or not 0 < omega0 <= sys.float_info.max:
+    """The ``omega0_rad_s`` of the line fit that ``psd`` wrote to ``path``: ``artifacts.read_json`` refuses a file
+    that is not a JSON object or holds no finite number there, and an absent or non-positive one raises
+    :class:`SpectralError`, each naming the file."""
+    omega0 = artifacts.read_json(path, numbers=("omega0_rad_s",)).get("omega0_rad_s")
+    if omega0 is None or omega0 <= 0:
         raise SpectralError(f"{path}: omega0_rad_s must be a finite positive number, got {omega0!r}")
     return float(omega0)
 
@@ -655,14 +653,15 @@ def _retire_earlier_run(run: RunManifest) -> None:
     """Rename to ``<name>.partial`` the manifest of the same command's earlier run into ``run.out_dir``, its timings
     and every output file the manifest lists, so that a failed run leaves no result that looks valid.
 
-    Only files inside ``out_dir`` are renamed; a manifest that cannot be read retires itself and its timings.
+    Only files inside ``out_dir`` are renamed; a manifest that ``artifacts.read_json`` refuses, or that lists no
+    outputs it can name, retires itself and its timings.
     """
     if not run.path.is_file():
         return
     try:
-        stages = json.loads(run.path.read_text())["stages"]
+        stages = artifacts.read_json(run.path)["stages"]
         listed = [run.out_dir / name for stage in stages for name in stage["outputs"]]
-    except (ValueError, KeyError, TypeError):
+    except (ArtifactError, KeyError, TypeError):
         listed = []
     inside = run.out_dir.resolve()
     for path in listed + [run.timings_path, run.path]:
@@ -675,24 +674,26 @@ _FAILURES = (LevitomoError, OSError, MemoryError)
 
 
 def main(argv=None) -> int:
-    """Run one subcommand: settings first, then the body on its :class:`RunManifest`, every file it writes journaled.
+    """Run one subcommand: settings and ``--out`` first, then the body on its :class:`RunManifest`, every file it
+    writes journaled.
 
-    The exit code follows the phase a run fails in, not the class of what failed it. A failure of :func:`_load`
-    (one of ``_FAILURES``) exits 2 before ``--out`` exists; one of the body exits 3, leaves each file it wrote as
-    ``<name>.partial``, and retires the results of the same command's earlier run into the same ``--out``
-    (:func:`_retire_earlier_run`). Any other exception of the body marks the files too, then propagates.
+    The exit code follows the phase a run fails in, not the class of what failed it. A failure (one of
+    ``_FAILURES``) of :func:`_load`, or of making ``--out``, exits 2 before any stage runs and writes nothing; one
+    of the body exits 3, leaves each file it wrote as ``<name>.partial``, and retires the results of the same
+    command's earlier run into the same ``--out`` (:func:`_retire_earlier_run`). Any other exception of the body
+    marks the files too, then propagates.
     """
     args = build_parser().parse_args(argv)
+    run = RunManifest(args.command, args.seed, Path(args.out))
     try:
         config, settings = _load(args)
+        run.out_dir.mkdir(parents=True, exist_ok=True)
     except _FAILURES as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    run = RunManifest(args.command, args.seed, Path(args.out))
     try:
         with artifacts.journal() as written:
             try:
-                run.out_dir.mkdir(parents=True, exist_ok=True)
                 report = args.func(args, run.recording(config), run.recording(settings), run)
                 run.write()
             except BaseException:

@@ -25,9 +25,7 @@ a record is held as one. Both simulators size a record by :func:`sample_count`.
 from __future__ import annotations
 
 import cmath
-import json
 import math
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +33,7 @@ import numpy as np
 
 from . import artifacts
 from .constants import KB, M_GAS_AIR, TWO_PI
-from .errors import SimulationError
+from .errors import ArtifactError, SimulationError
 from .physics import DerivedQuantities, ExperimentConfig
 
 # sample_rate must exceed this multiple of omega_s/2pi; the exact propagator is
@@ -351,10 +349,12 @@ def load_trajectory(path: str | Path) -> Trajectory:
 
     A ``.npy`` file is what :func:`save_trajectory` writes, and it needs its
     sidecar; its samples are read back chunk by chunk on each pass, and a
-    non-finite sample fails the pass that reaches it. Any other suffix is read
+    non-finite sample fails the pass that reaches it with the
+    ``ArtifactError`` of ``artifacts.read_series``. Any other suffix is read
     whole as CSV, for legacy files and measured records; a CSV table's sidecar
     is optional. A file that cannot be read as a trajectory raises
-    :class:`SimulationError` naming it.
+    :class:`SimulationError` naming it, and a sidecar's refusal names the
+    record first.
     """
     path = Path(path)
     z_m, info = (_read_npy if path.suffix == ".npy" else _read_csv)(path)
@@ -365,30 +365,25 @@ def load_trajectory(path: str | Path) -> Trajectory:
 
 
 def _read_sidecar(path: Path, required: bool) -> dict:
-    """The JSON sidecar of the series at ``path``; ``{}`` when an optional one is absent."""
+    """The JSON sidecar of the series at ``path``, through ``artifacts.read_json``; ``{}`` when an optional one is
+    absent. A missing or unfit sidecar is a :class:`SimulationError` naming the series, then the sidecar."""
     info_path = artifacts.sidecar(path)
     if not required and not info_path.is_file():
         return {}
     try:
-        info = json.loads(info_path.read_text())
+        return artifacts.read_json(info_path, numbers=("sample_rate_Hz", "t0_s"))
     except FileNotFoundError:
         raise SimulationError(f"{path}: its sidecar {info_path} is missing") from None
-    except ValueError as exc:
-        raise SimulationError(f"{info_path}: not a JSON sidecar ({exc})") from None
-    numbers = ("sample_rate_Hz", "t0_s")
-    if not isinstance(info, dict) or any(type(info.get(key, 0.0)) not in (int, float) for key in numbers):
-        raise SimulationError(f"{info_path}: expected a JSON object whose sample_rate_Hz and t0_s are numbers")
-    for key in numbers:  # json.loads reads NaN, Infinity and integers too large for a float
-        if key in info and not abs(info[key]) <= sys.float_info.max:
-            raise SimulationError(f"{path}: its sidecar {info_path} holds {key} {info[key]!r}, not a finite number")
-    return info
+    except ArtifactError as exc:
+        raise SimulationError(f"{path}: its sidecar {exc}") from None
 
 
 def _read_npy(path: Path) -> tuple[artifacts.Series, dict]:
-    """The samples of a ``.npy`` trajectory, checked as they are read, and its sidecar; no pickle is ever loaded."""
+    """The samples of a ``.npy`` trajectory, as ``artifacts.read_series`` reads them back, and its sidecar; no pickle
+    is ever loaded."""
     info = _read_sidecar(path, required=True)
     if "sample_rate_Hz" not in info:
-        raise SimulationError(f"{path}: its sidecar holds no sample_rate_Hz")
+        raise SimulationError(f"{path}: its sidecar {artifacts.sidecar(path)} holds no sample_rate_Hz")
     try:
         z = artifacts.read_series(path)
     except ValueError as exc:
@@ -397,17 +392,7 @@ def _read_npy(path: Path) -> tuple[artifacts.Series, dict]:
         raise SimulationError(
             f"{path}: sidecar n_samples {info.get('n_samples')!r} differs from the {z.n} samples of the array"
         )
-
-    def read():
-        first = 0
-        for chunk in z.chunks():
-            bad = np.flatnonzero(~np.isfinite(chunk))
-            if bad.size:
-                raise SimulationError(f"{path}: sample {first + bad[0]} holds a non-finite value")
-            first += chunk.size
-            yield chunk
-
-    return artifacts.Series(z.n, read), info
+    return z, info
 
 
 def _read_csv(path: Path) -> tuple[np.ndarray, dict]:

@@ -26,5 +26,6 @@ class SpectralError(LevitomoError):
 
 
 class ArtifactError(LevitomoError):
-    """A result holds a value its file format cannot store: NaN or infinity in a JSON report, or a count that its
-    record's int32 file would not hold exactly."""
+    """A file does not hold what its format promises. Written: a result holds a value the format cannot store, NaN or
+    infinity in a JSON report or a count that its record's int32 file would not hold exactly. Read back: text that is
+    not a JSON object, a number key that holds no finite number, or a non-finite sample of a record."""

@@ -123,6 +123,38 @@ def test_json_holds_no_nan_or_infinity(tmp_path, value):
         artifacts.dumps({"nested": {"x": [1.0, value]}})
 
 
+def test_read_json_returns_what_write_json_wrote(tmp_path):
+    """A number key may be an int or a float, or absent; any other key is not checked."""
+    payload = {"rate": 1e6, "t0": 0, "seed": None, "meta": {"x": [1, 2.5]}}
+    path = artifacts.write_json(tmp_path / "x.json", payload)
+    assert artifacts.read_json(path, numbers=("rate", "t0", "absent")) == payload
+
+
+@pytest.mark.parametrize(
+    "text, refusal",
+    [
+        ("rate = 1e6", "is not JSON ("),
+        ("\xff\xfe", "is not JSON ("),
+        ("[1e6]", "is not a JSON object"),
+        ('{"rate": NaN}', "holds rate nan, not a finite number"),
+        ('{"rate": -Infinity}', "holds rate -inf, not a finite number"),
+        ('{"rate": 1%s}' % ("0" * 400), "not a finite number"),  # an integer no float holds
+        ('{"rate": "1e6"}', "holds rate '1e6', not a finite number"),
+        ('{"rate": true}', "holds rate True, not a finite number"),
+        ('{"rate": null}', "holds rate None, not a finite number"),
+    ],
+    ids=["not-json", "not-utf8", "list", "nan", "infinity", "beyond-float", "string", "bool", "null"],
+)
+def test_read_json_refuses_what_write_json_never_writes(tmp_path, text, refusal):
+    """JSON readers accept ``NaN``, ``Infinity`` and integers beyond a float; a number key holding one is refused,
+    as is text that is not one JSON object, by an ``ArtifactError`` that begins with the path."""
+    path = tmp_path / "x.json"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ArtifactError) as raised:
+        artifacts.read_json(path, numbers=("rate",))
+    assert str(raised.value).startswith(f"{path} ") and refusal in str(raised.value), raised.value
+
+
 def test_int32_series_reads_back_as_the_same_float64_values(tmp_path):
     """An ``<i4`` file, as ``write_series`` and ``np.save`` both write it, reads back widened to exact float64."""
     values = np.random.default_rng(4).integers(-(2**31), 2**31, 2 * artifacts.CHUNK_SAMPLES + 7)
@@ -143,6 +175,30 @@ def test_read_series_refuses_every_other_integer_boolean_or_complex_dtype(tmp_pa
     np.save(path, np.arange(10).astype(dtype), allow_pickle=False)
     with pytest.raises(ValueError, match=re.escape(f"got dtype {np.dtype(dtype).str}")):
         artifacts.read_series(path)
+
+
+@pytest.mark.parametrize("dtype", ["<f8", ">f4"])
+def test_read_series_refuses_a_non_finite_sample_in_the_pass_that_reaches_it(tmp_path, dtype):
+    """The file opens, and the chunks before the one that holds the sample are read first."""
+    values, bad = np.zeros(2 * artifacts.CHUNK_SAMPLES + 5, dtype=dtype), artifacts.CHUNK_SAMPLES + 3
+    values[bad] = np.inf
+    path = tmp_path / "x.npy"
+    np.save(path, values, allow_pickle=False)
+    chunks = artifacts.read_series(path).chunks()
+    assert next(chunks).size == artifacts.CHUNK_SAMPLES
+    with pytest.raises(ArtifactError, match=re.escape(f"{path}: sample {bad} holds a non-finite value")):
+        next(chunks)
+
+
+def test_read_series_pass_fails_on_a_file_that_shrank(tmp_path):
+    """A file cut short after it was opened ends a later pass with an ``OSError`` at the value it ends at."""
+    path = tmp_path / "x.npy"
+    np.save(path, np.zeros(artifacts.CHUNK_SAMPLES + 10), allow_pickle=False)
+    n, series = artifacts.CHUNK_SAMPLES + 10, artifacts.read_series(path)
+    with path.open("r+b") as fh:
+        fh.truncate(path.stat().st_size - 8 * 4)
+    with pytest.raises(OSError, match=f"{re.escape(str(path))}: ends at value {n - 4} of {n}"):
+        series.values()
 
 
 @pytest.mark.parametrize(

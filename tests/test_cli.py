@@ -102,6 +102,17 @@ def test_config_file_that_cannot_be_read_fails_before_any_stage(tmp_path, capsys
     assert not out.exists()
 
 
+def test_out_that_cannot_be_made_fails_before_any_stage(tmp_path, capsys):
+    """``--out`` is made before any stage runs, so one that names an existing file is a configuration error: exit 2,
+    one stderr line naming it, and the file is neither written nor renamed."""
+    out = tmp_path / "a-file"
+    out.touch()
+    assert run(["derive", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(out) in err and len(err.splitlines()) == 1
+    assert [path.name for path in tmp_path.iterdir()] == ["a-file"] and out.read_bytes() == b""
+
+
 @pytest.mark.parametrize("value", ["90.7", "abc", "90.0", "1e2", ""])
 def test_integer_setting_is_never_truncated(tmp_path, capsys, value):
     assert run(["derive", "--out", tmp_path, "--set", f"n_angles={value}"]) == 2
@@ -853,6 +864,16 @@ def test_pipeline_stage_failure_keeps_partial_artifacts(tmp_path, capsys):
     assert not (tmp_path / "plotdata").exists()
 
 
+def test_negative_expected_count_is_a_stage_failure(tmp_path, capsys):
+    """A guard loosened past the fringe lets the linear model's expected count go negative, which no Poisson draw
+    takes: the detect stage fails after ``simulate`` has written, and every file is left ``.partial``."""
+    sets = ["--set", "sim_duration_s=0.01", "--set", "sim_temperature_K=300", "--set", "linearity_guard=10"]
+    assert run(["pipeline", "--seed", 1, "--out", tmp_path] + sets) == 3
+    assert capsys.readouterr().err == "pipeline stage failed: arm 1 has negative expected count at window 0\n"
+    names = [path.name for path in tmp_path.iterdir()]
+    assert "trajectory.npy.partial" in names and [name for name in names if not name.endswith(".partial")] == []
+
+
 def test_failed_pipeline_leaves_no_plot_folder(tmp_path, capsys):
     """The plot folder is made by the last stage, so a run that fails earlier leaves only ``.partial`` files."""
     assert run(["pipeline", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=1e12"]) == 3
@@ -983,6 +1004,23 @@ def test_failed_rerun_retires_an_earlier_manifest_that_is_not_json(tmp_path, cap
     assert capsys.readouterr().err.startswith("pipeline stage failed: ")
     names = sorted(path.name for path in tmp_path.iterdir())
     assert names == ["derived.json", "manifest.json.partial", "notes.txt", "timings.json.partial"]
+
+
+def test_guard_checks_the_samples_after_the_last_whole_window_of_a_record(tmp_path, capsys):
+    """3-sample windows tile 16383 of a 16384-sample record: the last sample is in no window, and a block of it alone
+    draws no count, yet the guard still checks it."""
+    assert run(["simulate", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=0.016384"]) == 0
+    npy = tmp_path / "trajectory.npy"
+    detect = ["detect", "--seed", 1, "--traj", npy, "--set", "integration_time_s=3e-6"]
+    assert run(detect + ["--out", tmp_path / "whole"]) == 0
+    assert np.load(tmp_path / "whole" / "counts_ch.npy").size == 5461
+    z = np.load(npy)
+    z[-1] = 1e-6
+    np.save(npy, z)
+    capsys.readouterr()
+    assert run(detect + ["--out", tmp_path / "beyond"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("detect stage failed: linearity guard violated: ") and "at sample 16383 " in err, err
 
 
 def test_failed_stage_subcommand_keeps_the_record_it_read(tmp_path, capsys):
@@ -1203,6 +1241,16 @@ def _with_sidecar(info, **fields):
     info.write_text(json.dumps(dict(json.loads(info.read_text()), **fields)))
 
 
+def _without_rate(info):
+    info.write_text(json.dumps({k: v for k, v in json.loads(info.read_text()).items() if k != "sample_rate_Hz"}))
+
+
+def _save_version_3(npy):
+    z = np.load(npy)
+    with npy.open("wb") as fh:
+        np.lib.format.write_array(fh, z, version=(3, 0))
+
+
 def _nan_at_99(z):
     z[99] = np.nan
     return z
@@ -1246,7 +1294,32 @@ def _nan_at_99(z):
             "expected a 1-D array of at least 2 samples",
             id="one-sample",
         ),
+        pytest.param(
+            lambda npy, info, marker: _save_version_3(npy),
+            "not a readable .npy array (format version (3, 0) is not one np.save writes for a series)",
+            id="format-version-3",
+        ),
         pytest.param(lambda npy, info, marker: info.unlink(), "trajectory.json is missing", id="no-sidecar"),
+        pytest.param(
+            lambda npy, info, marker: info.write_text("sample_rate_Hz = 1e6"),
+            "trajectory.json is not JSON (",
+            id="sidecar-not-json",
+        ),
+        pytest.param(
+            lambda npy, info, marker: info.write_text("[1e6]"),
+            "trajectory.json is not a JSON object",
+            id="sidecar-list",
+        ),
+        pytest.param(
+            lambda npy, info, marker: _with_sidecar(info, sample_rate_Hz="1e6"),
+            "trajectory.json holds sample_rate_Hz '1e6', not a finite number",
+            id="sidecar-rate-string",
+        ),
+        pytest.param(
+            lambda npy, info, marker: _without_rate(info),
+            "trajectory.json holds no sample_rate_Hz",
+            id="sidecar-no-rate",
+        ),
         pytest.param(
             lambda npy, info, marker: _with_sidecar(info, n_samples=12345),
             "sidecar n_samples 12345 differs",
@@ -1285,6 +1358,25 @@ def test_unreadable_npy_trajectory_exits_3_naming_the_file(tmp_path, capsys, dam
     assert err.startswith(f"psd stage failed: {npy}") and message in err, err
     assert len(err.splitlines()) == 1
     assert not marker.exists()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,1e-9\n1e-6,one\n", "not a t_s,z_m CSV ("),
+        ("0,1e-9,0\n1e-6,2e-9,0\n", "expected a two-column t_s,z_m CSV with >= 2 rows"),
+        ("0,1e-9\n1e-6,2e-9\n3e-6,3e-9\n", "time column is not uniformly sampled"),
+    ],
+    ids=["unparsable", "three-columns", "non-uniform-time"],
+)
+def test_unreadable_csv_trajectory_exits_3_naming_the_file(tmp_path, capsys, rows, message):
+    """A ``t_s,z_m`` table that is not two uniformly sampled columns of numbers ends in one stage-failure line
+    naming it."""
+    table = tmp_path / "trajectory.csv"
+    table.write_text("t_s,z_m\n" + rows)
+    assert run(["psd", "--traj", table, "--out", tmp_path / "psd"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"psd stage failed: {table}: {message}") and len(err.splitlines()) == 1, err
 
 
 def test_unexpected_exception_marks_the_run_and_propagates(tmp_path, monkeypatch):

@@ -293,6 +293,13 @@ def test_equipartition_needs_target(config, dq):
             invert_counts(rec, target_variance_m2=target)
 
 
+def test_equipartition_refuses_a_constant_record(config, dq):
+    """Expected counts of a record at rest are all equal: no scale brings their variance, 0, to the target."""
+    rec = detect(flat_trajectory(dq), params_from_config(config, "ch", T_int_s=1.0 / 1.4e6, shot_noise=False))
+    with pytest.raises(DetectionError, match="cannot equipartition-calibrate a constant record"):
+        invert_counts(rec, target_variance_m2=1e-18)
+
+
 def _shot_limited_spectra(config, dq):
     """Welch spectra of matched single/balanced records of one 0.06 s thermal trajectory, linearly inverted;
     segment: the largest power of two <= n / 4.
