@@ -14,7 +14,6 @@ from .physics import (
     DerivedQuantities,
     ExperimentConfig,
     calibrate_waist,
-    decoherence_curve,
     decoherence_time,
     derive,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "SpectralError",
     "TomographyError",
     "calibrate_waist",
-    "decoherence_curve",
     "decoherence_time",
     "derive",
 ]

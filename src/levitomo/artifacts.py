@@ -126,7 +126,7 @@ def read_json(path: str | Path, numbers: Iterable[str] = ()) -> dict:
 
 
 def sidecar(path: str | Path) -> Path:
-    """The ``.json`` sidecar of the array at ``path``, or of a ``t_s,z_m`` trajectory table: its axes and provenance."""
+    """The ``.json`` sidecar of the array at ``path``: its axes and provenance."""
     return Path(path).with_suffix(".json")
 
 

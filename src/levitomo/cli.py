@@ -37,14 +37,9 @@ run's manifest, ``manifest.json`` for ``pipeline`` and
 ``manifest_<command>.json`` for the others, records the settings the run
 read, with their resolved values, plus a digest of every file each stage
 read or wrote. Each file is digested once, after the last stage, so a failed
-run hashes nothing, and a run that draws no random numbers (a fock1
-``pipeline``, ``derive``, ``decoherence``, ``psd``, ``tomo``) loads OpenSSL,
-for ``hashlib``, only once its stages are done. A run that draws them (a
-thermal record, or the counts of ``detect`` and of a thermal or coherent
-``pipeline``) holds OpenSSL from its first draw anyway, through
-``numpy.random.bit_generator`` -> ``secrets`` -> ``hmac``. Wall-clock timings
-go to its sibling ``timings.json`` (``timings_<command>.json``), outside the
-manifest so re-runs are byte-identical.
+run hashes nothing. Wall-clock timings go to its sibling ``timings.json``
+(``timings_<command>.json``), outside the manifest so re-runs are
+byte-identical.
 
 ``main`` drives every subcommand the same way, and its exit code says when
 the run failed, not what failed it. It resolves and checks the settings
@@ -84,7 +79,7 @@ import numpy as np
 from . import __version__, artifacts, detection, dynamics, spectral, tomography
 from .constants import TWO_PI
 from .errors import ArtifactError, ConfigError, LevitomoError, SimulationError, SpectralError
-from .physics import ExperimentConfig, check_fields, decoherence_curve, derive, from_mapping, load_key_values
+from .physics import ExperimentConfig, check_fields, decoherence_time, derive, from_mapping, load_key_values
 
 # allowed values of the settings that name a choice
 _CHOICES = {
@@ -189,8 +184,6 @@ class RunManifest:
     ``pipeline`` writes it to ``manifest.json`` and its timings to ``timings.json``; every other command to
     ``manifest_<command>.json`` and ``timings_<command>.json``. The stages record paths; :meth:`write` digests
     each distinct file once, after the last stage, so a failed run, which writes no manifest, hashes nothing.
-    ``hashlib`` loads OpenSSL only then, unless the run drew random numbers: ``numpy.random.bit_generator`` loads
-    it at the first draw, through ``secrets`` and ``hmac``.
     """
 
     def __init__(self, command: str, seed: int, out_dir: Path):
@@ -225,9 +218,8 @@ class RunManifest:
     def stage(self, name: str, inputs: dict[str, Path]):
         """Run one stage; if it succeeds, record its time, its inputs and every file it wrote.
 
-        Nothing is digested here: :meth:`write` digests each file once, after the last stage, and a run whose
-        stage fails writes no manifest, so it hashes nothing. OpenSSL, which ``hashlib`` loads, thus stays out of
-        the stages' peak, unless a draw of random numbers loaded it (``numpy.random`` -> ``secrets`` -> ``hmac``).
+        Nothing is digested here: :meth:`write` digests each file once, after the last stage, outside the
+        stages' peak (:func:`_sha256`), and a run whose stage fails writes no manifest, so it hashes nothing.
         """
         start = time.perf_counter()
         with artifacts.journal() as written:
@@ -286,12 +278,18 @@ def _record(config, settings, seed) -> dynamics.Trajectory:
 
 def _decoherence_grid(settings) -> np.ndarray:
     """The superposition sizes of the decoherence curve: ``decoherence_points`` log-spaced from
-    ``decoherence_zmin_m`` to ``decoherence_zmax_m``."""
+    ``decoherence_zmin_m`` to ``decoherence_zmax_m``, finite and strictly increasing, or a :class:`ConfigError`."""
     zmin, zmax, n = settings.decoherence_zmin_m, settings.decoherence_zmax_m, settings.decoherence_points
     try:
-        return np.logspace(math.log10(zmin), math.log10(zmax), n) if n > 1 else np.array([zmin])
+        with np.errstate(over="ignore"):  # a size beyond a float is refused below, in one line
+            grid = np.logspace(math.log10(zmin), math.log10(zmax), n) if n > 1 else np.array([zmin])
     except ValueError as exc:  # numpy refuses, by size arithmetic, an array it cannot address
         raise ConfigError(f"decoherence_points = {n} is more points than an array can hold ({exc})") from None
+    if not math.isfinite(grid[-1]):
+        raise ConfigError(f"decoherence_zmax_m = {zmax!r} leaves the range of a float on the log-spaced grid")
+    if not np.all(grid[1:] > grid[:-1]):  # bounds a few ulp apart round to repeated sizes
+        raise ConfigError(f"the decoherence grid must be strictly increasing: {n} points from {zmin!r} to {zmax!r}")
+    return grid
 
 
 def _detection_params(config, settings, scheme) -> detection.DetectionParams:
@@ -426,9 +424,10 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
     """Resolve ``--config`` and ``--set``; a flag named after a setting (``--state``) overrides both.
 
     Every check of the derived quantities, the record, the detection
-    parameters and the decoherence curve runs here, before ``--out`` exists:
+    parameters and the decoherence grid runs here, before ``--out`` exists:
     each command builds what its stages build, with the builders they call,
-    and building a record simulates no sample. ``simulate`` also refuses
+    building a record simulates no sample, and the grid is checked without
+    evaluating any decoherence time. ``simulate`` also refuses
     fock1, however the state was set, and ``pipeline`` a record whose counts,
     one sample per detection window, its spectral and tomography stages
     cannot use: too few Welch segments, too few spectrum bins in the line
@@ -462,7 +461,7 @@ def _load(args) -> tuple[ExperimentConfig, PipelineSettings]:
             spectral.window_bins(freqs, _line_window(dq))
             tomography.check_angles(settings.n_angles, n_windows)
     if args.command in ("decoherence", "pipeline"):
-        decoherence_curve(_decoherence_grid(settings), dq)
+        _decoherence_grid(settings)
     return config, settings
 
 
@@ -507,8 +506,9 @@ def cmd_tomo(args, config, settings, run) -> dict:
 
 def cmd_decoherence(args, config, settings, run) -> None:
     with run.stage("decoherence", {}):
-        curve = np.array(decoherence_curve(_decoherence_grid(settings), derive(config)))
-        artifacts.write_array(run.out_dir / "decoherence.npy", curve[:, 1], {"delta_z_m": curve[:, 0].tolist()})
+        grid, dq = _decoherence_grid(settings), derive(config)
+        taus = np.fromiter((decoherence_time(dz, dq) for dz in grid), float, grid.size)
+        artifacts.write_array(run.out_dir / "decoherence.npy", taus, {"delta_z_m": grid.tolist()})
 
 
 def cmd_pipeline(args, config, settings, run) -> None:
@@ -583,7 +583,7 @@ def _seed(text: str) -> int:
     return seed
 
 
-_TRAJ_HELP = "the record: trajectory.npy from 'simulate' with its .json sidecar, or a t_s,z_m CSV table"
+_TRAJ_HELP = "the record: a .npy array with its .json sidecar, as 'simulate' and dynamics.save_trajectory write it"
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -345,74 +345,36 @@ def save_trajectory(traj: Trajectory, path: str | Path) -> Path:
 
 
 def load_trajectory(path: str | Path) -> Trajectory:
-    """Open a trajectory: a ``.npy`` array with its sidecar, or a ``t_s,z_m`` CSV table.
+    """Open the ``.npy`` record that :func:`save_trajectory` writes, with its sidecar.
 
-    A ``.npy`` file is what :func:`save_trajectory` writes, and it needs its
-    sidecar; its samples are read back chunk by chunk on each pass, and a
-    non-finite sample fails the pass that reaches it with the
-    ``ArtifactError`` of ``artifacts.read_series``. Any other suffix is read
-    whole as CSV, for legacy files and measured records; a CSV table's sidecar
-    is optional. A file that cannot be read as a trajectory raises
-    :class:`SimulationError` naming it, and a sidecar's refusal names the
-    record first.
+    A measured array ``z`` sampled at ``fs`` from ``t0`` becomes such a record
+    through ``save_trajectory(Trajectory(sample_rate_Hz=fs, z_m=z, t0_s=t0), path)``.
+    The samples are read back chunk by chunk on each pass, and a non-finite
+    sample fails the pass that reaches it with the ``ArtifactError`` of
+    ``artifacts.read_series``; no pickle is ever loaded. The array's header is
+    read before the sidecar, so a file that is no such array (a CSV table, say)
+    is refused as one. That file, a missing or unfit sidecar, or a sidecar
+    whose ``n_samples`` differs from the array raises :class:`SimulationError`
+    naming the record first.
     """
-    path = Path(path)
-    z_m, info = (_read_npy if path.suffix == ".npy" else _read_csv)(path)
+    path, info_path = Path(path), artifacts.sidecar(path)
     try:
-        return Trajectory.from_info(info, z_m)
-    except SimulationError as exc:
+        z_m = artifacts.read_series(path)
+    except ValueError as exc:
         raise SimulationError(f"{path}: {exc}") from None
-
-
-def _read_sidecar(path: Path, required: bool) -> dict:
-    """The JSON sidecar of the series at ``path``, through ``artifacts.read_json``; ``{}`` when an optional one is
-    absent. A missing or unfit sidecar is a :class:`SimulationError` naming the series, then the sidecar."""
-    info_path = artifacts.sidecar(path)
-    if not required and not info_path.is_file():
-        return {}
     try:
-        return artifacts.read_json(info_path, numbers=("sample_rate_Hz", "t0_s"))
+        info = artifacts.read_json(info_path, numbers=("sample_rate_Hz", "t0_s"))
     except FileNotFoundError:
         raise SimulationError(f"{path}: its sidecar {info_path} is missing") from None
     except ArtifactError as exc:
         raise SimulationError(f"{path}: its sidecar {exc}") from None
-
-
-def _read_npy(path: Path) -> tuple[artifacts.Series, dict]:
-    """The samples of a ``.npy`` trajectory, as ``artifacts.read_series`` reads them back, and its sidecar; no pickle
-    is ever loaded."""
-    info = _read_sidecar(path, required=True)
     if "sample_rate_Hz" not in info:
-        raise SimulationError(f"{path}: its sidecar {artifacts.sidecar(path)} holds no sample_rate_Hz")
-    try:
-        z = artifacts.read_series(path)
-    except ValueError as exc:
-        raise SimulationError(f"{path}: {exc}") from None
-    if info.get("n_samples") != z.n:
+        raise SimulationError(f"{path}: its sidecar {info_path} holds no sample_rate_Hz")
+    if info.get("n_samples") != z_m.n:
         raise SimulationError(
-            f"{path}: sidecar n_samples {info.get('n_samples')!r} differs from the {z.n} samples of the array"
+            f"{path}: sidecar n_samples {info.get('n_samples')!r} differs from the {z_m.n} samples of the array"
         )
-    return z, info
-
-
-def _read_csv(path: Path) -> tuple[np.ndarray, dict]:
-    """The ``z_m`` column of a ``t_s,z_m`` table and its sidecar; the time column supplies a missing rate or t0_s."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-    except ValueError as exc:
-        raise SimulationError(f"{path}: not a t_s,z_m CSV ({exc})") from None
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
-        raise SimulationError(f"{path}: expected a two-column t_s,z_m CSV with >= 2 rows")
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-    if bad.size:
-        raise SimulationError(f"{path}:{bad[0] + 2}: row holds a non-finite value")
-    t = data[:, 0]
-    steps = np.diff(t)
-    if np.any(steps <= 0) or abs(steps.max() - steps.min()) > 1e-9 * steps.mean():
-        raise SimulationError(f"{path}: time column is not uniformly sampled")
-    # the sidecar's exact rate: 1 / mean step can be an ulp off, which shifts derived times
-    info = {"sample_rate_Hz": 1.0 / steps.mean(), "t0_s": t[0], **_read_sidecar(path, required=False)}
-    rate = info["sample_rate_Hz"]
-    if abs(rate * steps.mean() - 1.0) > 1e-9:
-        raise SimulationError(f"{path}: sidecar sample rate {rate!r} Hz does not match the time column")
-    return data[:, 1], info
+        return Trajectory.from_info(info, z_m)
+    except SimulationError as exc:
+        raise SimulationError(f"{path}: {exc}") from None

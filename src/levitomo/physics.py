@@ -272,14 +272,3 @@ def decoherence_time(delta_z: float, dq: DerivedQuantities) -> float:
         return math.inf
     return 1.0 / damping
 
-
-def decoherence_curve(delta_z_grid, dq: DerivedQuantities) -> list[tuple[float, float]]:
-    """Pointwise (dz, tau) pairs over a strictly increasing, non-negative grid."""
-    grid = list(delta_z_grid)
-    for i, dz in enumerate(grid):
-        if dz < 0:
-            raise ConfigError(f"delta_z grid must be non-negative, entry {i} is {dz!r}")
-        if i > 0 and dz <= grid[i - 1]:
-            raise ConfigError(f"delta_z grid must be strictly increasing at entry {i}")
-    return [(dz, decoherence_time(dz, dq)) for dz in grid]
-

@@ -184,8 +184,8 @@ class LorentzianFit:
 def _median(values: np.ndarray) -> float:
     """``np.median`` of a non-empty 1-D array, bit for bit, from one partition.
 
-    numpy's own median checks for NaN through ``numpy.ma``, whose import costs
-    a fresh process about 17 ms. The partition also puts the largest value
+    numpy's own median checks for NaN through ``numpy.ma``, which a fresh
+    process would then import. The partition also puts the largest value
     last, so a NaN anywhere gives NaN, as there; two middle values are
     averaged as ``np.mean`` averages them, (a + b) / 2.
     """

@@ -38,10 +38,9 @@ marginal support (half-width z_max / sqrt(2)) so back-projection never reads
 outside measured data. ``analyze`` integrates its moments BLOCK_ROWS grid rows
 at a time as well. Besides the folded rows, at most the size of the marginals,
 and their tables, a reconstruction holds the output grid and three complex row
-blocks per thread (8.25 MB at 720 x 513 on two threads), and its analysis one
-output-sized array. An oracle of a state that does not depend on the angle
-(thermal, fock1) holds its marginals as one row, which a read-only view repeats
-for every angle: at 720 angles x 513 points, 4 kB instead of 2.95 MB.
+blocks per thread, and its analysis one output-sized array. An oracle of a
+state that does not depend on the angle (thermal, fock1) holds its marginals as
+one row, which a read-only view repeats for every angle.
 """
 
 from __future__ import annotations

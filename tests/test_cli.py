@@ -36,16 +36,6 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
-def csv_copy(npy_path: Path) -> Path:
-    """The ``t_s,z_m`` table of a saved trajectory, written next to it so both share one sidecar."""
-    traj = dynamics.load_trajectory(npy_path)
-    csv_path = npy_path.with_suffix(".csv")
-    times_s = traj.t0_s + np.arange(len(traj.z_m)) / traj.sample_rate_Hz
-    table = np.column_stack([times_s, traj.z_m.values()])
-    np.savetxt(csv_path, table, fmt="%.17g", delimiter=",", header="t_s,z_m", comments="")
-    return csv_path
-
-
 def test_derive_writes_json_and_prints(tmp_path, capsys):
     assert run(["derive", "--config", "reference.cfg", "--out", tmp_path]) == 0
     printed = json.loads(capsys.readouterr().out)
@@ -191,6 +181,7 @@ ONE_ULP_RANGE = ["decoherence_zmin_m=1e-9", "decoherence_zmax_m=1.00000000000000
         ("decoherence", ONE_ULP_RANGE, "strictly increasing"),
         ("pipeline", ["sim_state=fock1"] + ONE_ULP_RANGE, "strictly increasing"),
         ("pipeline", ["sim_duration_s=0.1"] + ONE_ULP_RANGE, "strictly increasing"),
+        ("decoherence", ["decoherence_zmax_m=1.7976931348623157e308"], "leaves the range of a float"),
     ],
 )
 def test_record_or_curve_a_stage_would_refuse_fails_before_any_stage(tmp_path, capsys, command, settings, named):
@@ -574,6 +565,27 @@ def test_decoherence_beyond_float_squares_warns_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     taus = np.load(tmp_path / "decoherence.npy", allow_pickle=False)
     assert taus[0] == math.inf and taus[-1] == 1.0 / derive(ExperimentConfig()).gamma_scatter_per_s
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [[], ["decoherence_zmin_m=1e-300", "decoherence_zmax_m=1e300", "decoherence_points=10000"]],
+    ids=["default", "1e4-points-across-the-float-range"],
+)
+def test_decoherence_npy_is_decoherence_time_at_each_listed_size(tmp_path, sets):
+    """Each value of ``decoherence.npy`` is, bit for bit, ``decoherence_time`` at the size its sidecar lists; the wide
+    grid crosses the quadratic regime's underflow to infinity, the knee and the saturated 1/gamma."""
+    dq = derive(ExperimentConfig())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["decoherence", "--out", tmp_path] + [arg for item in sets for arg in ("--set", item)]) == 0
+        sizes = json.loads((tmp_path / "decoherence.json").read_text())["delta_z_m"]
+        expected = np.array([decoherence_time(dz, dq) for dz in sizes])
+    assert np.load(tmp_path / "decoherence.npy", allow_pickle=False).tobytes() == expected.tobytes()
+    if sets:
+        saturated = 1.0 / dq.gamma_scatter_per_s
+        assert expected[0] == math.inf and expected[-1] == saturated
+        assert any(saturated < tau < math.inf for tau in expected)
 
 
 def test_decoherence_doubling_power_halves_saturated_tau(tmp_path):
@@ -1147,7 +1159,7 @@ def test_single_scheme_pipeline_writes_that_schemes_files_of_the_both_scheme_run
 
 
 def test_missing_trajectory_exits_3_with_one_line(tmp_path, capsys):
-    missing = tmp_path / "missing.csv"
+    missing = tmp_path / "missing.npy"
     assert run(["psd", "--traj", missing, "--out", tmp_path]) == 3
     err = capsys.readouterr().err
     assert str(missing) in err and len(err.splitlines()) == 1
@@ -1156,61 +1168,23 @@ def test_missing_trajectory_exits_3_with_one_line(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["detect", "psd", "tomo"])
 def test_non_finite_trajectory_exits_3_naming_the_row(tmp_path, capsys, command):
     fit = stage_input(tmp_path, command)[2:]  # tomo's --fit, the line psd fitted to the record before the damage
-    path = csv_copy(tmp_path / "trajectory.npy")
-    rows = path.read_bytes().split(b"\n")
-    rows[100] = rows[100].split(b",")[0] + b",nan"
-    path.write_bytes(b"\n".join(rows))
+    path = tmp_path / "trajectory.npy"
+    z = np.load(path, allow_pickle=False)
+    z[100] = np.nan
+    np.save(path, z)
     capsys.readouterr()
     assert run([command, "--traj", path, "--out", tmp_path / command] + fit + FAST_PIPELINE) == 3
     err = capsys.readouterr().err
-    assert f"{path}:101: row holds a non-finite value" in err and len(err.splitlines()) == 1
+    assert f"{path}: sample 100 holds a non-finite value" in err and len(err.splitlines()) == 1
 
 
-def test_legacy_crlf_trajectory_loads_through_traj(tmp_path):
-    """Trajectory tables were written with CRLF line ends before every table moved to LF; they still load.
-
-    The array, its LF table and its CRLF table load to the same samples, so ``detect``, ``psd`` and ``tomo`` write
-    the same bytes from each. A table is read whole, so its record is the one that starts as an array.
-    """
-    assert run(["simulate", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
-    npy = tmp_path / "trajectory.npy"
-    legacy = tmp_path / "legacy"
-    legacy.mkdir()
-    (legacy / "trajectory.csv").write_bytes(csv_copy(npy).read_bytes().replace(b"\n", b"\r\n"))
-    (legacy / "trajectory.json").write_bytes((tmp_path / "trajectory.json").read_bytes())
-    sources = (npy, tmp_path / "trajectory.csv", legacy / "trajectory.csv")
-    outputs = {
-        "detect": ("counts_ch.npy", "counts_cbh.npy"),
-        "psd": ("psd.npy", "psd.json", "fit.json"),
-        "tomo": ("marginals.npy", "wigner.npy", "analyze.json"),
-    }
-    samples = dynamics.load_trajectory(npy).z_m.values().tobytes()
-    for n, source in enumerate(sources):
-        assert dynamics.load_trajectory(source).z_m.values().tobytes() == samples
-        for command in outputs:  # tomo bins at the line psd fitted to the same source
-            out = tmp_path / f"{command}{n}"
-            fit = ["--fit", tmp_path / f"psd{n}" / "fit.json"] if command == "tomo" else []
-            assert run([command, "--seed", 1, "--traj", source, "--out", out] + fit + FAST_PIPELINE) == 0
-    for command, names in outputs.items():
-        for name in names:
-            first = (tmp_path / f"{command}0" / name).read_bytes()
-            for n in (1, 2):
-                assert (tmp_path / f"{command}{n}" / name).read_bytes() == first, (command, name)
-
-
-def test_csv_trajectory_without_a_sidecar_takes_its_axis_from_the_time_column(tmp_path):
-    """A ``t_s,z_m`` table's sidecar is optional: with none, ``t0_s`` is the first time and the rate one over the
-    mean step, and the stages run on it."""
-    assert run(["simulate", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
-    record = dynamics.load_trajectory(tmp_path / "trajectory.npy")
-    table = tmp_path / "bare" / "trajectory.csv"
-    table.parent.mkdir()
-    csv_copy(tmp_path / "trajectory.npy").rename(table)
-    assert not artifacts.sidecar(table).exists()
-    loaded = dynamics.load_trajectory(table)
-    assert loaded.z_m.values().tobytes() == record.z_m.values().tobytes()
-    assert loaded.t0_s == record.t0_s and loaded.sample_rate_Hz == pytest.approx(record.sample_rate_Hz, rel=1e-9)
-    assert run(["psd", "--seed", 1, "--traj", table, "--out", tmp_path / "psd"] + FAST_PIPELINE) == 0
+def test_readme_recipe_makes_a_record_the_stages_read(tmp_path):
+    """A measured array becomes a record in the one line README gives, and ``psd --traj`` runs on it."""
+    assert run(["simulate", "--seed", 1, "--out", tmp_path / "sim"] + FAST_PIPELINE) == 0
+    z = np.load(tmp_path / "sim" / "trajectory.npy", allow_pickle=False)  # stands in for measured positions in m
+    fs, t0, path = 1e6, 0.0, tmp_path / "measured.npy"
+    dynamics.save_trajectory(dynamics.Trajectory(sample_rate_Hz=fs, z_m=z, t0_s=t0), path)
+    assert run(["psd", "--seed", 1, "--traj", path, "--out", tmp_path / "psd"] + FAST_PIPELINE) == 0
     assert (tmp_path / "psd" / "fit.json").is_file()
 
 
@@ -1361,22 +1335,31 @@ def test_unreadable_npy_trajectory_exits_3_naming_the_file(tmp_path, capsys, dam
 
 
 @pytest.mark.parametrize(
-    "rows, message",
-    [
-        ("0,1e-9\n1e-6,one\n", "not a t_s,z_m CSV ("),
-        ("0,1e-9,0\n1e-6,2e-9,0\n", "expected a two-column t_s,z_m CSV with >= 2 rows"),
-        ("0,1e-9\n1e-6,2e-9\n3e-6,3e-9\n", "time column is not uniformly sampled"),
-    ],
-    ids=["unparsable", "three-columns", "non-uniform-time"],
+    "rows",
+    [None, "0,1e-9\n1e-6,one\n", "0,1e-9,0\n1e-6,2e-9,0\n", "0,1e-9\n1e-6,2e-9\n3e-6,3e-9\n"],
+    ids=["well-formed", "unparsable", "three-columns", "non-uniform-time"],
 )
-def test_unreadable_csv_trajectory_exits_3_naming_the_file(tmp_path, capsys, rows, message):
-    """A ``t_s,z_m`` table that is not two uniformly sampled columns of numbers ends in one stage-failure line
-    naming it."""
-    table = tmp_path / "trajectory.csv"
-    table.write_text("t_s,z_m\n" + rows)
-    assert run(["psd", "--traj", table, "--out", tmp_path / "psd"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"psd stage failed: {table}: {message}") and len(err.splitlines()) == 1, err
+def test_unreadable_csv_trajectory_exits_3_naming_the_file(tmp_path, capsys, rows):
+    """A record is a ``.npy`` array: a ``t_s,z_m`` table, even that of a record the stages run on, ends in one
+    stage-failure line naming it as no such array, with that record's sidecar beside it or none, and no line fit."""
+    assert run(["simulate", "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
+    table = tmp_path / "trajectory.csv"  # its sidecar is the record's trajectory.json
+    if rows is None:
+        z = np.load(tmp_path / "trajectory.npy", allow_pickle=False)
+        times_s = np.arange(z.size) / 1e6
+        np.savetxt(table, np.column_stack([times_s, z]), fmt="%.17g", delimiter=",", header="t_s,z_m", comments="")
+    else:
+        table.write_text("t_s,z_m\n" + rows)
+    capsys.readouterr()
+    for sidecar in (True, False):
+        if not sidecar:
+            artifacts.sidecar(table).unlink()
+        out = tmp_path / f"psd-{sidecar}"
+        assert run(["psd", "--traj", table, "--out", out] + FAST_PIPELINE) == 3
+        err = capsys.readouterr().err
+        expected = f"psd stage failed: {table}: not a readable .npy array (the magic string is not correct; "
+        assert err.startswith(expected) and len(err.splitlines()) == 1, err
+        assert not (out / "fit.json").exists()
 
 
 def test_unexpected_exception_marks_the_run_and_propagates(tmp_path, monkeypatch):

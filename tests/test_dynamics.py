@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -29,15 +28,6 @@ TWO_PI = 2.0 * math.pi
 
 def equipartition_var(dq, temperature_K):
     return KB * temperature_K / (dq.mass_kg * dq.omega_s_rad_s**2)
-
-
-def save_csv(traj, path):
-    """Write ``traj`` as a ``t_s,z_m`` table at ``path``, next to the sidecar :func:`save_trajectory` writes."""
-    sidecar = save_trajectory(traj, path.with_suffix(".npy"))
-    times_s = traj.t0_s + np.arange(len(traj.z_m)) / traj.sample_rate_Hz
-    table = np.column_stack([times_s, traj.z_m.values()])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="t_s,z_m", comments="")
-    return sidecar
 
 
 def variance_tolerance(duration_s, xi, var, n_sigma=3.0):
@@ -336,29 +326,6 @@ def test_saved_trajectory_holds_the_bytes_np_save_writes(tmp_path, damped_config
     assert (tmp_path / "traj.npy").read_bytes() == (tmp_path / "whole.npy").read_bytes()
 
 
-def test_trajectory_csv_round_trip(tmp_path, damped_config, damped_dq):
-    traj = simulate_thermal(damped_config, damped_dq, 0.01, 1e6, seed=55)
-    path = tmp_path / "traj.csv"
-    save_csv(traj, path)
-    back = load_trajectory(path)
-    assert np.array_equal(back.z_m.values(), traj.z_m.values())
-    assert back.sample_rate_Hz == pytest.approx(traj.sample_rate_Hz, rel=1e-9)
-    assert back.seed == 55
-    assert back.state_kind == "thermal"
-
-
-def test_trajectory_load_takes_exact_rate_from_sidecar(tmp_path, dq):
-    """At 3 MHz the reciprocal of the mean CSV time step is an ulp off the rate."""
-    traj = simulate_coherent(dq, 1e-9, 0.0, 50000 / 3e6, 3e6)
-    path = tmp_path / "traj.csv"
-    sidecar = save_csv(traj, path)
-    assert load_trajectory(path).sample_rate_Hz == traj.sample_rate_Hz
-    info = json.loads(sidecar.read_text())
-    sidecar.write_text(json.dumps(dict(info, sample_rate_Hz=1e6)))
-    with pytest.raises(SimulationError, match="does not match the time column"):
-        load_trajectory(path)
-
-
 def test_trajectory_validation():
     with pytest.raises(SimulationError):
         Trajectory(sample_rate_Hz=0.0, z_m=np.zeros(4))
@@ -370,23 +337,6 @@ def test_trajectory_validation():
 def test_trajectory_rejects_non_finite_rate(rate):
     with pytest.raises(SimulationError, match="finite"):
         Trajectory(sample_rate_Hz=rate, z_m=np.zeros(4))
-
-
-@pytest.mark.parametrize("column", [0, 1])
-@pytest.mark.parametrize("sidecar", [True, False])
-def test_trajectory_load_rejects_non_finite_rows(tmp_path, dq, column, sidecar):
-    """A nan in either column names the file and its line; the sidecar does not hide it."""
-    path = tmp_path / "traj.csv"
-    save_csv(simulate_coherent(dq, 1e-9, 0.0, 1e-4, 1e6), path)
-    if not sidecar:
-        path.with_suffix(".json").unlink()
-    rows = path.read_bytes().split(b"\n")
-    cells = rows[5].split(b",")
-    cells[column] = b"nan"
-    rows[5] = b",".join(cells)
-    path.write_bytes(b"\n".join(rows))
-    with pytest.raises(SimulationError, match="traj.csv:6: row holds a non-finite value"):
-        load_trajectory(path)
 
 
 def lfilter_position(m, var_z, var_v, temp, x0, n_total, z_rng, v_rng):

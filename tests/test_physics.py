@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levitomo.cli import PipelineSettings, _decoherence_grid
 from levitomo.constants import C, HBAR
 from levitomo.errors import ConfigError
 from levitomo.physics import (
     ExperimentConfig,
     calibrate_waist,
-    decoherence_curve,
     decoherence_time,
     derive,
     from_mapping,
@@ -150,7 +150,7 @@ def test_decoherence_negative_distance_rejected(dq):
 @given(st.lists(st.floats(1e-13, 1e-5), min_size=2, max_size=12, unique=True))
 def test_decoherence_monotone_non_increasing(dq, grid):
     grid = sorted(grid)
-    taus = [tau for _, tau in decoherence_curve(grid, dq)]
+    taus = [decoherence_time(dz, dq) for dz in grid]
     assert all(a >= b for a, b in zip(taus, taus[1:]))
 
 
@@ -185,13 +185,16 @@ def test_decoherence_knee_location(config, dq):
     assert KNEE_DZ == pytest.approx(config.wavelength_m * math.sqrt(5.0 / 12.0) / math.pi, rel=1e-12)
 
 
-def test_decoherence_curve_pointwise_and_empty(dq):
-    assert decoherence_curve([], dq) == []
-    ((dz, tau),) = decoherence_curve([0.1e-9], dq)
-    assert dz == 0.1e-9
-    assert tau == decoherence_time(0.1e-9, dq)
-    with pytest.raises(ConfigError):
-        decoherence_curve([1e-9, 1e-9], dq)
+def test_decoherence_curve_pointwise_and_empty():
+    """The decoherence stage evaluates decoherence_time at each size of the CLI's grid, which holds zmin alone for one
+    point and refuses an empty curve and a repeated size before any stage."""
+    grid = _decoherence_grid(PipelineSettings(decoherence_zmin_m=0.1e-9, decoherence_points=1))
+    assert grid.tolist() == [0.1e-9]
+    with pytest.raises(ConfigError, match="decoherence_points must be an integer > 0"):
+        PipelineSettings(decoherence_points=0)
+    repeated = PipelineSettings(decoherence_zmin_m=1e-9, decoherence_zmax_m=1.0000000000000002e-9)
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        _decoherence_grid(repeated)
 
 
 def test_config_file_round_trip(tmp_path):
