@@ -143,7 +143,8 @@ def write_array(path: str | Path, values, info: dict) -> Path:
 
 
 class Series:
-    """``n`` float64 samples of a record, yielded in chunks from the first sample on every pass.
+    """``n`` samples of a record, float64 or a detector's integer counts, yielded in chunks from the first sample on
+    every pass.
 
     ``read`` returns a fresh iterable of 1-D chunks on each call; a chunk has
     at most ``CHUNK_SAMPLES`` samples, and together they hold ``n``.

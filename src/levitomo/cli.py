@@ -7,7 +7,7 @@ Subcommands
     psd          trajectory -> Welch PSD and oscillator-line fit
     tomo         trajectory and psd's line fit -> marginals binned at the fitted frequency, Wigner grid, analysis report
     decoherence  superposition-size decoherence curve -> decoherence.npy + JSON sidecar
-    pipeline     derive -> simulate -> detect -> invert -> spectral -> tomography -> decoherence -> plot style
+    pipeline     derive -> simulate -> detect -> invert -> spectral -> tomography -> decoherence
 
 The other subcommands run the pipeline's own stage bodies with its stage
 seeds: ``detect``, ``psd`` and ``tomo`` are its detect, spectral and
@@ -17,14 +17,14 @@ and the rest the stage of their name. ``pipeline`` calls these bodies in
 order, so ``simulate`` then ``detect`` with one ``--seed`` write the
 pipeline's files.
 Every table is a ``.npy`` array whose axes are in its JSON sidecar: the
-three bulk series (``trajectory``, ``counts_ch``, ``counts_cbh``), the head
-of the calibrated positions that ``fig2a`` plots, the spectra, the marginals,
-the Wigner grid and the decoherence curve. Each is float64, except a count
-file that int32 holds exactly (``detection.CountRecord.dtype``). A bulk
-series goes through a stage ``artifacts.CHUNK_SAMPLES`` samples at a time:
-each stage writes its series chunk by chunk and the next reads the file back
-the same way, so no stage holds a whole record and the peak memory of a run
-does not grow with the record's length. The calibrated positions are not
+three bulk series (``trajectory``, ``counts_ch``, ``counts_cbh``), the
+spectra, the marginals, the Wigner grid and the decoherence curve. Each is
+float64, except a count file that int32 holds exactly
+(``detection.CountRecord.dtype``). A bulk series goes through a stage
+``artifacts.CHUNK_SAMPLES`` samples at a time: each stage writes its series
+chunk by chunk and the next reads the file back the same way, so no stage
+holds a whole record and the peak memory of a run does not grow with the
+record's length. The calibrated positions are not
 written: the invert stage records its map from counts to positions in
 ``calibration.json``, and the tomography stage bins the primary scheme's
 counts file through that map as it reads it back.
@@ -88,8 +88,8 @@ _CHOICES = {
     # exact counts pass no linearity guard, yet are inverted with the linear map (ROADMAP item 8)
     "detection_model": detection.MODELS,
 }
-# samples of the calibrated positions that fig2a plots
-FIG2A_ROWS = 2000
+# the most sizes a decoherence curve takes: a run of 10^6 peaks near 200 MB, most of it the sidecar's JSON list of sizes
+_MAX_DECOHERENCE_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,6 @@ class PipelineSettings:
         if points < tomography.MIN_GRID_SIZE or points % 2 == 0:
             raise ConfigError(f"marginal_grid_points must be odd and >= {tomography.MIN_GRID_SIZE}, got {points!r}")
         spectral.welch_segments(None, self.psd_segment_len, self.psd_overlap, ConfigError)
-        zmin, zmax = self.decoherence_zmin_m, self.decoherence_zmax_m
-        if not zmin < zmax:
-            raise ConfigError(f"decoherence_zmin_m must be below decoherence_zmax_m, got {zmin!r} and {zmax!r}")
         tomography.check_cutoff(self.cutoff_fraction, points, ConfigError)
         for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
@@ -277,17 +274,17 @@ def _record(config, settings, seed) -> dynamics.Trajectory:
 
 
 def _decoherence_grid(settings) -> np.ndarray:
-    """The superposition sizes of the decoherence curve: ``decoherence_points`` log-spaced from
-    ``decoherence_zmin_m`` to ``decoherence_zmax_m``, finite and strictly increasing, or a :class:`ConfigError`."""
+    """The superposition sizes of the decoherence curve: ``decoherence_points``, at most
+    ``_MAX_DECOHERENCE_POINTS``, log-spaced from ``decoherence_zmin_m`` to ``decoherence_zmax_m``, finite and strictly
+    increasing, or a :class:`ConfigError`."""
     zmin, zmax, n = settings.decoherence_zmin_m, settings.decoherence_zmax_m, settings.decoherence_points
-    try:
-        with np.errstate(over="ignore"):  # a size beyond a float is refused below, in one line
-            grid = np.logspace(math.log10(zmin), math.log10(zmax), n) if n > 1 else np.array([zmin])
-    except ValueError as exc:  # numpy refuses, by size arithmetic, an array it cannot address
-        raise ConfigError(f"decoherence_points = {n} is more points than an array can hold ({exc})") from None
+    if n > _MAX_DECOHERENCE_POINTS:
+        raise ConfigError(f"decoherence_points = {n} is more than the {_MAX_DECOHERENCE_POINTS} a curve takes")
+    with np.errstate(over="ignore"):  # a size beyond a float is refused below, in one line
+        grid = np.logspace(math.log10(zmin), math.log10(zmax), n) if n > 1 else np.array([zmin])
     if not math.isfinite(grid[-1]):
         raise ConfigError(f"decoherence_zmax_m = {zmax!r} leaves the range of a float on the log-spaced grid")
-    if not np.all(grid[1:] > grid[:-1]):  # bounds a few ulp apart round to repeated sizes
+    if not zmin < zmax or not np.all(grid[1:] > grid[:-1]):  # reversed, or a few ulp apart and rounded to repeats
         raise ConfigError(f"the decoherence grid must be strictly increasing: {n} points from {zmin!r} to {zmax!r}")
     return grid
 
@@ -318,20 +315,17 @@ def _invert(settings, dq, record, counts_path, run) -> dynamics.Trajectory:
     """The invert stage: calibrated positions of ``record``, whose counts are read back from ``counts_path``, mapped
     on each pass; only a thermal record with shot noise is rescaled to equipartition, any other is mapped linearly.
 
-    ``calibration.json`` records the map: its constants, the counts file it applies to, and the time axis, so the
-    positions can be rebuilt from the counts. ``fig2a.npy`` holds the first ``FIG2A_ROWS`` positions, and its
-    sidecar their time axis.
+    Its one file, ``calibration.json``, records the map: its constants, the counts file it applies to, and the time
+    axis, so the positions can be rebuilt from the counts.
     """
     with run.stage("invert", {"counts": counts_path}):
         target_var = None
         if settings.sim_state == "thermal" and settings.shot_noise:
             target_var = dynamics.thermal_position_variance(dq, settings.sim_temperature_K)
         positions = detection.invert_counts(record, target_variance_m2=target_var)
-        axis = {"t0_s": positions.t0_s, "sample_rate_Hz": positions.sample_rate_Hz}
-        map_info = {"counts_file": counts_path.name, **positions.meta, **axis, "n_samples": len(positions.z_m)}
+        axis = {"t0_s": positions.t0_s, "sample_rate_Hz": positions.sample_rate_Hz, "n_samples": len(positions.z_m)}
+        map_info = {"counts_file": counts_path.name, **positions.meta, **axis}
         artifacts.write_json(run.out_dir / "calibration.json", map_info)
-        head = next(positions.z_m.blocks(FIG2A_ROWS))
-        artifacts.write_array(run.out_dir / "fig2a.npy", head, {**axis, "n_samples": head.size})
     return positions
 
 
@@ -512,15 +506,14 @@ def cmd_decoherence(args, config, settings, run) -> None:
 
 
 def cmd_pipeline(args, config, settings, run) -> None:
-    """Run every stage in order; ``plotdata/style.json`` names each figure's source file.
+    """Run every stage in order.
 
     The stages are the other subcommands' bodies, each on the files the
-    stages before it wrote, with the invert and plot-style stages between.
-    A fock1 run takes its marginals from the oracle and skips the record
-    stages; every state then goes through the one tomography stage.
+    stages before it wrote, with the invert stage between. A fock1 run takes
+    its marginals from the oracle and skips the record stages; every state
+    then goes through the one tomography stage.
     """
     out_dir = run.out_dir
-    figures: dict = {}
     cmd_derive(args, config, settings, run)
     if settings.sim_state == "fock1":
         _tomography(settings, {}, run)
@@ -530,42 +523,10 @@ def cmd_pipeline(args, config, settings, run) -> None:
         primary, dq = "cbh" if "cbh" in records else "ch", derive(config)
         counts = out_dir / f"counts_{primary}.npy"  # the file a record's reconstruction reads
         positions = _invert(settings, dq, records[primary], counts, run)
-        figures["fig2a"] = {
-            "file": "fig2a.npy",
-            "time_axis": "fig2a.json",
-            "x": "t0_s + i / sample_rate_Hz",
-            "y": "z_m",
-            "kind": "line",
-        }
         linear = {scheme: detection.invert_counts(record) for scheme, record in records.items()}
         fits = _spectral(settings, dq, linear, {f"counts_{s}": out_dir / f"counts_{s}.npy" for s in records}, run)
-        figures["fig2d"] = {
-            "file": [f"psd_{scheme}.npy" for scheme in fits],
-            "x": "(k + 1) * df_Hz",
-            "y": "power",
-            "kind": "line",
-            "xscale": "log",
-            "yscale": "log",
-            "floors": {"file": [f"fit_{scheme}.json" for scheme in fits], "key": "noise_floor"},
-        }
         _tomography(settings, {"counts": counts}, run, positions, fits[primary].omega0_rad_s)
-    figures["fig2b"] = {"file": "marginals.npy", "matrix": "rows theta, columns z", "kind": "heatmap"}
-    figures["fig2c"] = {"file": "wigner.npy", "matrix": "rows z, columns p/(m omega)", "kind": "heatmap"}
-
     cmd_decoherence(args, config, settings, run)
-    figures["fig3"] = {
-        "file": "decoherence.npy",
-        "x": "delta_z_m",
-        "y": "tau_s",
-        "kind": "line",
-        "xscale": "log",
-        "yscale": "log",
-    }
-
-    with run.stage("plot-style", {}):  # the folder too, so a failed run leaves none
-        plot_dir = out_dir / "plotdata"
-        plot_dir.mkdir(exist_ok=True)
-        artifacts.write_json(plot_dir / "style.json", {"figures": figures})
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,8 @@ def detect(traj: Trajectory, params: DetectionParams, seed: int | None = None) -
     Windows tile without overlap from the first sample, and a window's mean
     stands in for the (assumed slow) mechanical coordinate. Each arm's expected
     count is the model's fringe at z (module docstring), a Poisson draw with
-    shot noise.
+    shot noise: its integer counts stay integers, unless electronic noise is
+    added, and the writer stores them as :attr:`CountRecord.dtype`.
 
     Each pass over the counts reads the trajectory once, whole windows at a
     time. The linear model checks each block before drawing it, the samples
@@ -264,7 +265,7 @@ def detect(traj: Trajectory, params: DetectionParams, seed: int | None = None) -
                     if bad.size:
                         window = start // n_per + bad[0]
                         raise DetectionError(f"arm {name} has negative expected count at window {window}")
-                arms = tuple(rng.poisson(arm).astype(float) for rng, arm in zip(arm_rngs, arms))
+                arms = tuple(rng.poisson(arm) for rng, arm in zip(arm_rngs, arms))
             counts = arms[0] if len(arms) == 1 else arms[0] - arms[1]
             if params.electronic_noise_counts_rms > 0:
                 counts = counts + params.electronic_noise_counts_rms * noise_rng.standard_normal(counts.shape)

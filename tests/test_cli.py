@@ -312,12 +312,12 @@ def test_fock1_pipeline_ignores_the_record_size(tmp_path, capsys):
 
 
 def test_record_too_large_to_allocate_is_a_stage_failure(tmp_path, capsys):
-    """An exabyte record is refused at once, before any of it is simulated: its file cannot fit on the disk."""
+    """An exabyte record is refused at once, before any of it is simulated: its file cannot fit on the disk. The
+    run leaves only the ``.partial`` file of the stage before."""
     assert run(["pipeline", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=1e12"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("pipeline stage failed: ") and len(err.splitlines()) == 1
-    assert (tmp_path / "derived.json.partial").is_file()
-    assert not (tmp_path / "derived.json").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["derived.json.partial"]
 
 
 @pytest.mark.parametrize("command", ["pipeline", "simulate"])
@@ -519,11 +519,12 @@ def test_fock1_run_loads_openssl_only_after_its_reconstruction(tmp_path):
 
 
 def test_run_digests_each_file_once_after_its_last_stage(tmp_path, monkeypatch):
-    """Every file a thermal run read or wrote is digested once, and only once the plot-style stage has written."""
+    """Every file a thermal run read or wrote is digested once, and only once the last stage, decoherence, has
+    written its last file."""
     out, calls, sha256 = tmp_path / "run", [], cli._sha256
 
     def counted(path):
-        calls.append((path, (out / "plotdata" / "style.json").is_file()))
+        calls.append((path, (out / "decoherence.json").is_file()))
         return sha256(path)
 
     monkeypatch.setattr(cli, "_sha256", counted)
@@ -621,7 +622,8 @@ def test_decoherence_invalid_range(tmp_path, capsys):
     ids=["decoherence", "pipeline"],
 )
 def test_decoherence_grid_numpy_cannot_address_fails_before_any_stage(tmp_path, capsys, argv):
-    """numpy refuses a grid of 2^62 points by its size arithmetic, before it allocates anything."""
+    """A grid of 2^62 points, more than numpy can address, is refused by the bound on the points before numpy sees
+    it."""
     out = tmp_path / "run"
     assert run(argv + ["--out", out]) == 2
     err = capsys.readouterr().err
@@ -630,16 +632,30 @@ def test_decoherence_grid_numpy_cannot_address_fails_before_any_stage(tmp_path, 
 
 
 def test_decoherence_grid_too_large_to_allocate_fails_before_any_stage(tmp_path, capsys, monkeypatch):
-    """A ``MemoryError`` of the pre-flight is a configuration error too. It is raised by a stand-in here: a real grid
-    of 10^12 points could be allocated on a host that overcommits memory, and then filled."""
+    """A ``MemoryError`` of the pre-flight is a configuration error too. It is raised by a stand-in here, at the bound
+    on the points: a grid that size takes 800 kB, which any host allocates."""
 
     def unable_to_allocate(*args, **kwargs):
-        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        raise MemoryError("Unable to allocate 781. KiB for an array")
 
     monkeypatch.setattr(np, "logspace", unable_to_allocate)
     out = tmp_path / "run"
-    assert run(["decoherence", "--npoints", 10**12, "--out", out]) == 2
-    assert capsys.readouterr().err == "configuration error: Unable to allocate 7.28 TiB for an array\n"
+    assert run(["decoherence", "--npoints", cli._MAX_DECOHERENCE_POINTS, "--out", out]) == 2
+    assert capsys.readouterr().err == "configuration error: Unable to allocate 781. KiB for an array\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decoherence", "--npoints", 100001], ["pipeline", "--set", "decoherence_points=100001"] + FAST_PIPELINE],
+    ids=["decoherence", "pipeline"],
+)
+def test_decoherence_grid_above_the_bound_fails_before_any_stage(tmp_path, capsys, argv):
+    """A curve of 100,001 sizes is one more than a curve takes: refused before ``--out`` exists, in one line."""
+    out = tmp_path / "run"
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: decoherence_points = 100001 ") and len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -698,8 +714,6 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path):
         "counts_cbh.npy",
         "counts_cbh.json",
         "calibration.json",
-        "fig2a.npy",
-        "fig2a.json",
         "psd_ch.npy",
         "psd_ch.json",
         "psd_cbh.npy",
@@ -716,15 +730,8 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path):
         "derived.json",
         "manifest.json",
         "timings.json",
-        "plotdata/style.json",
     ]
     assert sorted(path.relative_to(out_a).as_posix() for path in out_a.rglob("*") if path.is_file()) == sorted(expected)
-    # the position-signal figure reads its own 2000-sample table, timed by its sidecar; no whole calibrated record
-    assert not list(out_a.glob("inverted*"))
-    assert sorted(path.name for path in (out_a / "plotdata").iterdir()) == ["style.json"]
-    fig2a = json.loads((out_a / "plotdata" / "style.json").read_text())["figures"]["fig2a"]
-    assert (fig2a["file"], fig2a["time_axis"]) == ("fig2a.npy", "fig2a.json")
-    assert np.load(out_a / "fig2a.npy", allow_pickle=False).shape == (2000,)
     assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
     report = json.loads((out_a / "analyze.json").read_text())
     assert abs(report["total_integral"] - 1.0) < 0.05
@@ -789,8 +796,8 @@ def test_pipeline_coherent_auto_calibration_is_linear(tmp_path):
 
 @pytest.mark.parametrize("state", ["thermal", "coherent"])
 def test_calibration_record_rebuilds_the_binned_positions(tmp_path, state):
-    """``calibration.json``'s map, applied with numpy to the counts file it names, gives ``fig2a.npy``, and binning
-    those positions at the fitted frequency on the marginals' grid gives ``marginals.npy``, both bit for bit."""
+    """``calibration.json``'s map, applied with numpy to the counts file it names, gives the positions that, binned at
+    the fitted frequency on the marginals' grid, give ``marginals.npy`` bit for bit."""
     assert run(["pipeline", "--state", state, "--seed", 1, "--out", tmp_path] + FAST_PIPELINE) == 0
     cal = json.loads((tmp_path / "calibration.json").read_text())
     z = (np.load(tmp_path / cal["counts_file"], allow_pickle=False) - cal["offset"]) / cal["d_eff"]
@@ -798,9 +805,7 @@ def test_calibration_record_rebuilds_the_binned_positions(tmp_path, state):
         z = (z - cal["mean_m"]) * cal["equipartition_scale"]
     assert cal["calibration"] == ("equipartition" if state == "thermal" else "linear")
     assert (cal["counts_file"], z.size) == ("counts_cbh.npy", cal["n_samples"])
-    assert np.load(tmp_path / "fig2a.npy", allow_pickle=False).tobytes() == z[:2000].tobytes()
     axis = {key: cal[key] for key in ("t0_s", "sample_rate_Hz")}
-    assert json.loads((tmp_path / "fig2a.json").read_text()) == {**axis, "n_samples": 2000}
 
     grid = json.loads((tmp_path / "marginals.json").read_text())
     omega0 = json.loads((tmp_path / f"fit_{cal['scheme']}.json").read_text())["omega0_rad_s"]
@@ -873,7 +878,6 @@ def test_pipeline_stage_failure_keeps_partial_artifacts(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
     assert (tmp_path / "trajectory.npy.partial").is_file()
     assert not (tmp_path / "trajectory.npy").exists()
-    assert not (tmp_path / "plotdata").exists()
 
 
 def test_negative_expected_count_is_a_stage_failure(tmp_path, capsys):
@@ -884,12 +888,6 @@ def test_negative_expected_count_is_a_stage_failure(tmp_path, capsys):
     assert capsys.readouterr().err == "pipeline stage failed: arm 1 has negative expected count at window 0\n"
     names = [path.name for path in tmp_path.iterdir()]
     assert "trajectory.npy.partial" in names and [name for name in names if not name.endswith(".partial")] == []
-
-
-def test_failed_pipeline_leaves_no_plot_folder(tmp_path, capsys):
-    """The plot folder is made by the last stage, so a run that fails earlier leaves only ``.partial`` files."""
-    assert run(["pipeline", "--seed", 1, "--out", tmp_path, "--set", "sim_duration_s=1e12"]) == 3
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["derived.json.partial"]
 
 
 def test_failed_second_line_fit_marks_the_first_schemes_files(tmp_path, monkeypatch, capsys):
@@ -914,7 +912,7 @@ def test_failed_second_line_fit_marks_the_first_schemes_files(tmp_path, monkeypa
 @pytest.mark.parametrize(
     "blocked, written",
     [
-        ("psd_ch.npy", ["trajectory.npy", "trajectory.json", "counts_cbh.npy", "calibration.json", "fig2a.npy"]),
+        ("psd_ch.npy", ["trajectory.npy", "trajectory.json", "counts_cbh.npy", "calibration.json"]),
         ("trajectory.json", ["trajectory.npy"]),
         ("counts_cbh.npy", ["trajectory.npy", "trajectory.json", "counts_ch.npy", "counts_ch.json"]),
     ],
@@ -1001,7 +999,7 @@ def test_failed_rerun_leaves_no_result_of_the_earlier_run(tmp_path, capsys):
     assert run(rerun) == 3
     assert "under-sampled" in capsys.readouterr().err
     left = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*") if path.is_file())
-    assert "manifest.json.partial" in left and "plotdata/style.json.partial" in left
+    assert "manifest.json.partial" in left and "decoherence.npy.partial" in left
     assert [name for name in left if not name.endswith(".partial")] == []
 
 
@@ -1389,32 +1387,45 @@ def sidecar_shape(info: dict) -> tuple[int, ...]:
 @pytest.mark.parametrize(
     "extra, tables",
     [
-        (FAST_PIPELINE, ["decoherence", "fig2a", "marginals", "psd_cbh", "psd_ch", "wigner"]),
+        (FAST_PIPELINE, ["decoherence", "marginals", "psd_cbh", "psd_ch", "wigner"]),
         (["--state", "fock1"], ["decoherence", "marginals", "wigner"]),
     ],
     ids=["thermal", "fock1"],
 )
 def test_every_figure_table_loads_in_the_shape_of_its_sidecar(tmp_path, extra, tables):
-    """Each ``file`` of the figure map is float64 ``.npy`` that loads without pickle, shaped as its sidecar says."""
+    """Each table of README's figure map is float64 ``.npy`` that loads without pickle, shaped as its sidecar says;
+    they are every table a run writes but the bulk series. Each spectrum's floor is the ``noise_floor`` of the line
+    fit of its scheme, not a copy."""
     assert run(["pipeline", "--seed", 11, "--out", tmp_path] + extra) == 0
-    figures = json.loads((tmp_path / "plotdata" / "style.json").read_text())["figures"]
-    names = []
-    for fig in figures.values():
-        files = fig["file"] if isinstance(fig["file"], list) else [fig["file"]]
-        if "time_axis" in fig:
-            assert fig["time_axis"] == artifacts.sidecar(fig["file"]).name
-        for name in files:
-            values = np.load(tmp_path / name, allow_pickle=False)
-            info = json.loads(artifacts.sidecar(tmp_path / name).read_text())
-            assert values.dtype == np.dtype("<f8"), name
-            assert values.shape == sidecar_shape(info), name
-            names.append(name)
-        if "floors" in fig:  # each spectrum's fitted floor, named in the line fit that holds it, not copied
-            fit_files = [name.replace("psd_", "fit_").replace(".npy", ".json") for name in files]
-            assert fig["floors"] == {"file": fit_files, "key": "noise_floor"}
-            for name in fit_files:
-                assert type(json.loads((tmp_path / name).read_text())["noise_floor"]) is float, name
-    assert sorted(names) == [f"{table}.npy" for table in tables]
+    bulk = {"trajectory.npy", "counts_ch.npy", "counts_cbh.npy"}
+    assert sorted(path.name for path in tmp_path.glob("*.npy") if path.name not in bulk) == [f"{t}.npy" for t in tables]
+    for name in tables:
+        values = np.load(tmp_path / f"{name}.npy", allow_pickle=False)
+        info = json.loads((tmp_path / f"{name}.json").read_text())
+        assert values.dtype == np.dtype("<f8"), name
+        assert values.shape == sidecar_shape(info), name
+        if name.startswith("psd_"):
+            fit = json.loads((tmp_path / f"fit_{info['scheme']}.json").read_text())
+            assert type(fit["noise_floor"]) is float and fit["noise_floor"] > 0, name
+            assert fit["snr_db"] == 10.0 * math.log10(values.max() / fit["noise_floor"]), name
+
+
+@pytest.mark.parametrize(
+    "extra, stages",
+    [
+        (FAST_PIPELINE, ["derive", "simulate", "detect", "invert", "spectral", "tomography", "decoherence"]),
+        (["--state", "fock1"], ["derive", "tomography", "decoherence"]),
+    ],
+    ids=["thermal", "fock1"],
+)
+def test_pipeline_writes_no_plot_map_and_no_position_head(tmp_path, extra, stages):
+    """README maps each figure to its table, and ``calibration.json`` rebuilds the positions: a run writes no
+    ``plotdata/`` and no ``fig2a`` table, and its last stage is decoherence."""
+    assert run(["pipeline", "--seed", 1, "--out", tmp_path] + extra) == 0
+    assert not (tmp_path / "plotdata").exists() and not list(tmp_path.glob("fig2a*"))
+    assert [path for path in tmp_path.rglob("*") if path.is_dir()] == []
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [stage["name"] for stage in manifest["stages"]] == stages
 
 
 REFERENCE_THERMAL = ["pipeline", "--config", "reference.cfg", "--seed", 1, "--set", "sim_duration_s=0.1"]
@@ -1446,7 +1457,7 @@ def test_counts_int32_cannot_hold_exactly_are_float64(tmp_path, setting):
 
 @pytest.mark.parametrize(
     "setting, value",
-    [("field_amp_A=500", r"sample 0, \d{10}\.0, is not exact in <i4"), ("shot_noise=false", r"sample 0, \d+\.\d+, is")],
+    [("field_amp_A=500", r"sample 0, \d{10}, is not exact in <i4"), ("shot_noise=false", r"sample 0, \d+\.\d+, is")],
     ids=["beyond-int32", "fraction"],
 )
 def test_count_int32_does_not_hold_is_a_stage_failure(tmp_path, capsys, monkeypatch, setting, value):
@@ -1475,7 +1486,7 @@ def test_int32_counts_change_no_other_artifact(tmp_path, monkeypatch):
         exact, wide = (np.load(tmp_path / dtype / name, allow_pickle=False) for dtype in ("int32", "float64"))
         assert (exact.dtype, wide.dtype) == (np.dtype("<i4"), np.dtype("<f8"))
         assert exact.astype("<f8").tobytes() == wide.tobytes()
-    for name in ("calibration.json", "fig2a.npy", "marginals.npy", "wigner.npy", "analyze.json"):
+    for name in ("calibration.json", "marginals.npy", "wigner.npy", "analyze.json"):
         assert (tmp_path / "int32" / name).read_bytes() == (tmp_path / "float64" / name).read_bytes(), name
 
 

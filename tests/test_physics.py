@@ -187,7 +187,7 @@ def test_decoherence_knee_location(config, dq):
 
 def test_decoherence_curve_pointwise_and_empty():
     """The decoherence stage evaluates decoherence_time at each size of the CLI's grid, which holds zmin alone for one
-    point and refuses an empty curve and a repeated size before any stage."""
+    point and refuses an empty curve, a repeated size and reversed bounds before any stage."""
     grid = _decoherence_grid(PipelineSettings(decoherence_zmin_m=0.1e-9, decoherence_points=1))
     assert grid.tolist() == [0.1e-9]
     with pytest.raises(ConfigError, match="decoherence_points must be an integer > 0"):
@@ -195,6 +195,10 @@ def test_decoherence_curve_pointwise_and_empty():
     repeated = PipelineSettings(decoherence_zmin_m=1e-9, decoherence_zmax_m=1.0000000000000002e-9)
     with pytest.raises(ConfigError, match="strictly increasing"):
         _decoherence_grid(repeated)
+    for points in (1, 200):  # a one-point grid holds zmin alone, yet reversed bounds are refused there too
+        reversed_bounds = PipelineSettings(decoherence_zmin_m=1e-9, decoherence_zmax_m=1e-10, decoherence_points=points)
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            _decoherence_grid(reversed_bounds)
 
 
 def test_config_file_round_trip(tmp_path):
